@@ -2,7 +2,10 @@
 
 All measures are computed on the unweighted simple projection (edge
 multiplicities are kept on the graph for diagnostics but ignored here).
-Graphs are typically disconnected, so distance-based measures use
+The distance measures (betweenness, closeness, harmonic) share one
+all-pairs hop-distance pass per projection, cached with the adjacency
+and the component labels on ``ProjectedGraph.arrays()``. Graphs are
+typically disconnected, so distance-based measures use
 component-corrected normalizations that stay finite and comparable:
 
 * ``closeness``: (r/(n-1)) * (r/sum of distances), r = #reachable nodes;
@@ -11,7 +14,8 @@ component-corrected normalizations that stay finite and comparable:
   to unit Euclidean norm within the component (isolated nodes get 0);
 * ``newman_betweenness``: current flow per component via the Laplacian
   pseudo-inverse, endpoints excluded, normalized like shortest-path
-  betweenness (components smaller than 3 get 0);
+  betweenness (components smaller than 3 get 0); edges are processed in
+  fixed blocks, so its work memory is O(block * component size);
 * ``pagerank``: teleporting walk over all n nodes; isolated nodes hold
   no outgoing walk mass and receive only the teleport share.
 
@@ -27,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import ConvergenceError
 from .graph import FIRM, ProjectedGraph, TemporalBipartiteGraph, first_rounds
@@ -113,87 +118,61 @@ def core_number(pg: ProjectedGraph) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Shortest-path machinery (layered BFS, vectorized over edge arrays)
+# Distance measures (all read the projection's cached hop-distance matrix)
 # ---------------------------------------------------------------------------
 
-def _directed_edges(pg: ProjectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    uv = pg.arrays().edge_uv
-    if uv.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate([uv[:, 0], uv[:, 1]]), np.concatenate([uv[:, 1], uv[:, 0]])
-
-
-def _bfs_layers(heads: np.ndarray, tails: np.ndarray, n: int, s: int):
-    """Yield (distance array, list of BFS layers) from source ``s``."""
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[s] = 0
-    layers = [np.array([s], dtype=np.int64)]
-    frontier_mask = np.zeros(n, dtype=bool)
-    frontier_mask[s] = True
-    d = 0
-    while True:
-        cand = tails[frontier_mask[heads]]
-        if cand.size == 0:
-            break
-        new = np.unique(cand[dist[cand] == -1])
-        if new.size == 0:
-            break
-        d += 1
-        dist[new] = d
-        layers.append(new)
-        frontier_mask = np.zeros(n, dtype=bool)
-        frontier_mask[new] = True
-    return dist, layers
+#: Sources per block in ``betweenness``; its work arrays are n x block.
+_SOURCE_BLOCK = 128
+#: Edges per block in ``newman_betweenness``; its work array is block x component size.
+_EDGE_BLOCK = 256
 
 
 def betweenness(pg: ProjectedGraph) -> dict[str, float]:
     """Shortest-path betweenness with Brandes-style accumulation.
 
-    Normalized by 2 / ((n-1)(n-2)) so that the middle node of a path of
-    three scores exactly 1; pairs in other components contribute nothing.
+    Path counts and dependencies are accumulated for a block of sources
+    at a time, one distance level at a time, as adjacency products
+    masked by the hop-distance matrix. Normalized by 2 / ((n-1)(n-2))
+    so that the middle node of a path of three scores exactly 1; pairs
+    in other components contribute nothing.
     """
     n = len(pg)
     if n < 3:
         return {v: 0.0 for v in pg.nodes}
-    heads, tails = _directed_edges(pg)
+    arr = pg.arrays()
+    A = arr.csr
     bc = np.zeros(n)
-    for s in range(n):
-        dist, layers = _bfs_layers(heads, tails, n, s)
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        for layer in layers[:-1]:
-            mask = np.zeros(n, dtype=bool)
-            mask[layer] = True
-            sel = mask[heads] & (dist[tails] == dist[heads] + 1)
-            np.add.at(sigma, tails[sel], sigma[heads[sel]])
-        delta = np.zeros(n)
-        for layer in reversed(layers[1:]):
-            mask = np.zeros(n, dtype=bool)
-            mask[layer] = True
-            sel = mask[tails] & (dist[heads] == dist[tails] - 1)
-            hs, ts = heads[sel], tails[sel]
-            np.add.at(delta, hs, sigma[hs] / sigma[ts] * (1.0 + delta[ts]))
-        delta[s] = 0.0
-        bc += delta
+    for lo in range(0, n, _SOURCE_BLOCK):
+        D = arr.dist[:, lo:lo + _SOURCE_BLOCK]  # column j: distances from source lo + j
+        depth = int(D[np.isfinite(D)].max())
+        level = [D == d for d in range(depth + 1)]
+        sigma = level[0].astype(float)  # shortest-path counts from each source
+        for d in range(1, depth + 1):
+            sigma += np.where(level[d], A @ np.where(level[d - 1], sigma, 0.0), 0.0)
+        delta = np.zeros_like(sigma)  # dependencies; sources keep 0
+        for d in range(depth, 1, -1):
+            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level[d])
+            delta += np.where(level[d - 1], sigma * (A @ share), 0.0)
+        bc += delta.sum(axis=1)
     bc /= (n - 1) * (n - 2)  # each unordered pair was accumulated twice
     return {v: float(bc[i]) for i, v in enumerate(pg.nodes)}
+
+
+def _reachable(pg: ProjectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances and the mask of other nodes in the same component."""
+    D = pg.arrays().dist
+    return D, np.isfinite(D) & (D > 0)
 
 
 def closeness(pg: ProjectedGraph) -> dict[str, float]:
     """Component-corrected closeness: (r/(n-1)) * (r/total distance)."""
     n = len(pg)
-    heads, tails = _directed_edges(pg)
-    out = {}
-    for i, v in enumerate(pg.nodes):
-        dist, _ = _bfs_layers(heads, tails, n, i)
-        reach = dist > 0
-        r = int(reach.sum())
-        if r == 0:
-            out[v] = 0.0
-        else:
-            out[v] = (r / (n - 1)) * (r / float(dist[reach].sum()))
-    return out
+    D, reach = _reachable(pg)
+    r = reach.sum(axis=1)
+    total = np.where(reach, D, 0.0).sum(axis=1)  # integer-valued, so exact in any order
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(r > 0, (r / (n - 1)) * (r / total), 0.0)
+    return {v: float(values[i]) for i, v in enumerate(pg.nodes)}
 
 
 def harmonic(pg: ProjectedGraph) -> dict[str, float]:
@@ -201,13 +180,9 @@ def harmonic(pg: ProjectedGraph) -> dict[str, float]:
     n = len(pg)
     if n <= 1:
         return {v: 0.0 for v in pg.nodes}
-    heads, tails = _directed_edges(pg)
-    out = {}
-    for i, v in enumerate(pg.nodes):
-        dist, _ = _bfs_layers(heads, tails, n, i)
-        reach = dist > 0
-        out[v] = float((1.0 / dist[reach]).sum()) / (n - 1)
-    return out
+    D, reach = _reachable(pg)
+    # Row by row over the reachable entries only: the float sum keeps its order.
+    return {v: float((1.0 / D[i][reach[i]]).sum()) / (n - 1) for i, v in enumerate(pg.nodes)}
 
 
 # ---------------------------------------------------------------------------
@@ -215,29 +190,10 @@ def harmonic(pg: ProjectedGraph) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def _components(pg: ProjectedGraph) -> list[np.ndarray]:
-    n = len(pg)
-    heads, tails = _directed_edges(pg)
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        dist, _ = _bfs_layers(heads, tails, n, s)
-        members = np.flatnonzero(dist >= 0)
-        seen[members] = True
-        comps.append(members)
-    return comps
-
-
-def _adjacency(pg: ProjectedGraph) -> sp.csr_matrix:
-    n = len(pg)
-    uv = pg.arrays().edge_uv
-    if uv.size == 0:
-        return sp.csr_matrix((n, n))
-    data = np.ones(2 * len(uv))
-    rows = np.concatenate([uv[:, 0], uv[:, 1]])
-    cols = np.concatenate([uv[:, 1], uv[:, 0]])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    """Node indices of each connected component, ascending within each."""
+    labels = pg.arrays().labels
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 def eigenvector(pg: ProjectedGraph, tol: float = 1e-10, max_iter: int = 10000) -> dict[str, float]:
@@ -249,7 +205,7 @@ def eigenvector(pg: ProjectedGraph, tol: float = 1e-10, max_iter: int = 10000) -
     """
     n = len(pg)
     values = np.zeros(n)
-    A = _adjacency(pg)
+    A = pg.arrays().csr
     for comp in _components(pg):
         if comp.size < 2:
             continue
@@ -278,7 +234,7 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85,
     n = len(pg)
     if n == 0:
         return {}
-    A = _adjacency(pg)
+    A = pg.arrays().csr
     deg = pg.arrays().degrees.astype(float)
     dangling = deg == 0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
@@ -312,39 +268,23 @@ def newman_betweenness(pg: ProjectedGraph, rcond: float = 1e-10) -> dict[str, fl
     n = len(pg)
     values = np.zeros(n)
     if n >= 3:
-        uv = pg.arrays().edge_uv
-        comps = _components(pg)
-        comp_id = np.empty(n, dtype=np.int64)
-        for c, comp in enumerate(comps):
-            comp_id[comp] = c
-        for c, comp in enumerate(comps):
+        A = pg.arrays().csr
+        for comp in _components(pg):
             nc = comp.size
             if nc < 3:
                 continue
-            local = np.full(n, -1, dtype=np.int64)
-            local[comp] = np.arange(nc)
-            in_comp = uv[comp_id[uv[:, 0]] == c] if uv.size else uv
-            edges = [(int(local[u]), int(local[v])) for u, v in in_comp]
-            m = len(edges)
-            L = np.zeros((nc, nc))
-            for u, v in edges:
-                L[u, u] += 1.0
-                L[v, v] += 1.0
-                L[u, v] -= 1.0
-                L[v, u] -= 1.0
-            pinv = np.linalg.pinv(L, rcond=rcond)
-            # Potential differences across each edge for all possible sinks.
-            diff = np.empty((m, nc))
-            for k, (u, v) in enumerate(edges):
-                diff[k] = pinv[u] - pinv[v]
-            # Sum over source<target pairs of |current through edge e|:
+            sub = A[np.ix_(comp, comp)]
+            pinv = np.linalg.pinv(csgraph.laplacian(sub).toarray(), rcond=rcond)
+            upper = sp.triu(sub, k=1).tocoo()
+            u, v = upper.row, upper.col
+            # Sum over source<target pairs of |current through edge e|, where
+            # pinv[u] - pinv[v] holds e's potential differences for all sinks:
             # for sorted row x, sum_{s<t} |x_s - x_t| = sum_i (2i - nc + 1) x_(i).
             coef = 2.0 * np.arange(nc) - nc + 1.0
-            per_edge = np.sort(diff, axis=1) @ coef
-            through = np.zeros(nc)
-            for k, (u, v) in enumerate(edges):
-                through[u] += 0.5 * per_edge[k]
-                through[v] += 0.5 * per_edge[k]
+            per_edge = np.concatenate([
+                np.sort(pinv[u[k:k + _EDGE_BLOCK]] - pinv[v[k:k + _EDGE_BLOCK]], axis=1) @ coef
+                for k in range(0, u.size, _EDGE_BLOCK)])
+            through = 0.5 * (np.bincount(u, per_edge, nc) + np.bincount(v, per_edge, nc))
             through -= (nc - 1) / 2.0  # endpoint flow of the nc-1 pairs at each node
             values[comp] = through * 2.0 / ((n - 1) * (n - 2))
     return {v: float(values[i]) for i, v in enumerate(pg.nodes)}
@@ -371,7 +311,7 @@ def voterank(pg: ProjectedGraph) -> dict[str, int]:
     if n == 0:
         return {}
     arr = pg.arrays()
-    A = _adjacency(pg).astype(np.int64)
+    A = arr.csr.astype(np.int64)
     m2 = 2 * pg.n_edges()  # common ability denominator; one vote costs n units
     num = np.full(n, m2, dtype=np.int64)
     selectable = np.ones(n, dtype=bool)

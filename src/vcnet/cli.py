@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, MissingArtifactError, SchemaError, VcnetError
-from .ingest import generate_synthetic, write_deals, write_firms
+from .ingest import generate_synthetic, write_deals, write_firms, write_planted_regimes
 from .pipeline import STAGES, RunConfig, load_manifest, run_pipeline, run_stage
 
 EXIT_OK = 0
@@ -113,10 +113,7 @@ def _cmd_synth(cfg: RunConfig) -> int:
     ds = generate_synthetic(cfg.synthetic)
     write_deals(ds.deals, out / "deals.csv")
     write_firms([ds.firms[f] for f in sorted(ds.firms)], out / "firms.csv")
-    with open(out / "planted_regimes.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("firm_id,regime\n")
-        for firm in sorted(ds.planted_regimes):
-            fh.write(f"{firm},{ds.planted_regimes[firm]}\n")
+    write_planted_regimes(ds.planted_regimes, out / "planted_regimes.csv")
     print(f"wrote {len(ds.deals)} deals for {len(ds.firms)} firms under {out}")
     return EXIT_OK
 

@@ -19,9 +19,12 @@ import csv
 import warnings
 from dataclasses import dataclass
 from datetime import date as Date
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import NotFoundError
 from .ingest import DealRecord
@@ -115,9 +118,6 @@ class ProjectedGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, node: str) -> list[str]:
-        return [self.nodes[j] for j in self.arrays().adj[self.arrays().pos[node]]]
-
     def arrays(self) -> "_GraphArrays":
         if self._arrays is None:
             self._arrays = _GraphArrays(self.nodes, self.edges)
@@ -128,21 +128,40 @@ class ProjectedGraph:
 
 
 class _GraphArrays:
-    """Integer-indexed adjacency built once per projection."""
+    """Integer-indexed adjacency and hop distances, built once per projection.
+
+    ``csr`` (the unweighted symmetric adjacency) is built on creation;
+    ``dist`` (all-pairs hop distances, ``inf`` between components) and
+    ``labels`` (connected-component ids) on first use. All are read-only
+    and shared by every measure computed on the projection.
+    """
 
     def __init__(self, nodes: tuple[str, ...], edges: dict[tuple[str, str], int]):
         self.pos = {node: i for i, node in enumerate(nodes)}
         n = len(nodes)
-        adj_sets: list[list[int]] = [[] for _ in range(n)]
-        uv = np.empty((len(edges), 2), dtype=np.int64)
-        for k, (u, v) in enumerate(edges):
-            iu, iv = self.pos[u], self.pos[v]
-            uv[k, 0], uv[k, 1] = iu, iv
-            adj_sets[iu].append(iv)
-            adj_sets[iv].append(iu)
-        self.adj = [np.array(sorted(a), dtype=np.int64) for a in adj_sets]
-        self.edge_uv = uv
-        self.degrees = np.array([len(a) for a in self.adj], dtype=np.int64)
+        uv = np.array([(self.pos[u], self.pos[v]) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+        rows = np.concatenate([uv[:, 0], uv[:, 1]])
+        cols = np.concatenate([uv[:, 1], uv[:, 0]])
+        self.csr = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        self.csr.sort_indices()
+        for part in (self.csr.data, self.csr.indices, self.csr.indptr):
+            _read_only(part)
+        ptr = self.csr.indptr
+        self.adj = [self.csr.indices[ptr[i]:ptr[i + 1]] for i in range(n)]
+        self.degrees = _read_only(np.diff(ptr).astype(np.int64))
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        return _read_only(csgraph.shortest_path(self.csr, directed=False, unweighted=True))
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return _read_only(csgraph.connected_components(self.csr, directed=False)[1])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _empty_projection(layer: str, year: int, window: int | None) -> ProjectedGraph:

@@ -201,6 +201,11 @@ def write_firms(firms: Iterable[FirmMeta], target: PathOrStream) -> None:
     ))
 
 
+def write_planted_regimes(regimes: dict[str, str], target: PathOrStream) -> None:
+    """Serialize a synthetic dataset's planted regimes as ``firm_id,regime`` rows."""
+    _write_csv(target, ["firm_id", "regime"], ([firm, regimes[firm]] for firm in sorted(regimes)))
+
+
 def write_rejects(rejects: Iterable[Reject], target: PathOrStream) -> None:
     """Write a rejects report: CSV ``line,reason``."""
     _write_csv(target, ["line", "reason"], ([str(r.line), r.reason] for r in rejects))

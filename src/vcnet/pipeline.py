@@ -33,7 +33,7 @@ from .features import (correlation_dendrogram, cut_groups, enumerate_configs,
 from .graph import BOTH, FIRM, INVESTOR, build_bipartite, first_rounds, project_firms, \
     project_investors, write_projection_csv
 from .ingest import (SyntheticConfig, generate_synthetic, parse_deals, read_deals_csv,
-                     read_firms_csv, write_deals, write_firms, write_rejects)
+                     read_firms_csv, write_deals, write_firms, write_planted_regimes, write_rejects)
 from .regress import (PipelineData, balanced_ensemble, build_controls, confusion_vs_standard,
                       fit_function_on_scalar, linear_fit_dict, logistic_fit_dict,
                       perturbation_sweep, select_model, window_sweep, write_functional_curves,
@@ -174,10 +174,7 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict:
         write_firms([ds.firms[f] for f in sorted(ds.firms)], stage_dir / "firms.csv")
         write_rejects([], stage_dir / "rejects_deals.csv")
         write_rejects([], stage_dir / "rejects_firms.csv")
-        with open(stage_dir / "planted_regimes.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("firm_id,regime\n")
-            for firm in sorted(ds.planted_regimes):
-                fh.write(f"{firm},{ds.planted_regimes[firm]}\n")
+        write_planted_regimes(ds.planted_regimes, stage_dir / "planted_regimes.csv")
         counts.update(n_deals=len(ds.deals), n_firms=len(ds.firms),
                       n_deal_rejects=0, n_firm_rejects=0, source="synthetic")
     else:

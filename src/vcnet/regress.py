@@ -713,16 +713,6 @@ def write_functional_curves(fit: FunctionalFit, out_dir: str | Path) -> list[Pat
     return out
 
 
-def write_sweep_csv(result: WindowSweepResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "window", "n_firms", "term", "t", "estimate", "se", "lo95", "hi95"])
-        for r in result.rows:
-            writer.writerow([result.kind, str(r.window), str(r.n_firms), r.term,
-                             "" if r.grid_t is None else str(r.grid_t),
-                             repr(r.estimate), repr(r.se), repr(r.lo95), repr(r.hi95)])
-
-
 def write_perturbation_csv(result: PerturbationResult, groups_path: str | Path,
                            samples_path: str | Path) -> None:
     with open(groups_path, "w", encoding="utf-8", newline="") as fh:

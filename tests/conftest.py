@@ -31,6 +31,20 @@ def random_pg(rng: np.random.Generator, n: int, p: float) -> ProjectedGraph:
     return make_pg(n, edges)
 
 
+def random_multi_component_pg(rng: np.random.Generator, n: int) -> ProjectedGraph:
+    """Random graph whose nodes fall into 2-4 interleaved blocks plus 1-4 isolated nodes.
+
+    Edges join nodes of the same block only, so every block is one or more
+    components; sparse blocks split further.
+    """
+    block = rng.integers(0, int(rng.integers(2, 5)), size=n)
+    block[rng.choice(n, size=int(rng.integers(1, 5)), replace=False)] = -1
+    p = rng.uniform(0.03, 0.2)
+    edges = [(i, j) for i, j in itertools.combinations(range(n), 2)
+             if block[i] == block[j] >= 0 and rng.random() < p]
+    return make_pg(n, edges)
+
+
 def random_tree_pg(rng: np.random.Generator, n: int) -> ProjectedGraph:
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return make_pg(n, edges)

@@ -1,12 +1,14 @@
 """Measure-by-measure checks against hand values and brute-force oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import ALL_MEASURE_ORACLES
-from conftest import deal, make_pg, random_pg, random_tree_pg
+from oracles import (ALL_MEASURE_ORACLES, bf_betweenness, bf_brandes_betweenness, bf_closeness,
+                     bf_current_flow_betweenness, bf_harmonic)
+from conftest import deal, make_pg, random_multi_component_pg, random_pg, random_tree_pg
 
 import vcnet.centrality as C
 from vcnet.errors import ConvergenceError
@@ -224,6 +226,61 @@ class TestOracleEquivalence:
             for v in pg.nodes:
                 assert values[v] == pytest.approx(oracle[v], abs=1e-8), \
                     f"{measure} mismatch at {v}"
+
+
+#: Fixed before comparing: distance measures against the dict-based references.
+REFERENCE_TOL = 1e-12
+
+
+def _assert_matches(computed, reference, label):
+    assert computed.keys() == reference.keys()
+    for v in reference:
+        assert abs(computed[v] - reference[v]) <= REFERENCE_TOL, f"{label} mismatch at {v}"
+
+
+class TestReferenceGraphs:
+    """Distance measures on graphs too large for path enumeration."""
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_distance_measures_on_multi_component_graphs(self, k):
+        rng = np.random.default_rng(500 + k)
+        pg = random_multi_component_pg(rng, 30 + 6 * k)  # 30..144 nodes: one or two source blocks
+        _assert_matches(C.betweenness(pg), bf_brandes_betweenness(pg), "betweenness")
+        _assert_matches(C.closeness(pg), bf_closeness(pg), "closeness")
+        _assert_matches(C.harmonic(pg), bf_harmonic(pg), "harmonic")
+
+    def test_ladder(self):
+        rungs = 40
+        edges = ([(i, i + 1) for i in range(rungs - 1)]
+                 + [(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
+                 + [(i, rungs + i) for i in range(rungs)])
+        pg = make_pg(2 * rungs, edges)
+        _assert_matches(C.betweenness(pg), bf_brandes_betweenness(pg), "betweenness")
+
+    def test_diamond_chain_path_counts_double_per_diamond(self):
+        # hub 0 - {a, b} - hub 3 - {a, b} - hub 6 ...: 2**k shortest paths across k diamonds
+        diamonds = 45
+        edges = []
+        for d in range(diamonds):
+            h, a, b, nxt = 3 * d, 3 * d + 1, 3 * d + 2, 3 * d + 3
+            edges += [(h, a), (h, b), (a, nxt), (b, nxt)]
+        pg = make_pg(3 * diamonds + 1, edges)
+        _assert_matches(C.betweenness(pg), bf_brandes_betweenness(pg), "betweenness")
+
+    def test_current_flow_over_several_edge_blocks(self):
+        rng = np.random.default_rng(77)
+        dense = [(i, j) for i, j in itertools.combinations(range(26), 2) if rng.random() < 0.85]
+        # plus a path component and an isolated node, which change the normalization
+        pg = make_pg(30, dense + [(26, 27), (27, 28)])
+        assert len(dense) > C._EDGE_BLOCK
+        _assert_matches(C.newman_betweenness(pg), bf_current_flow_betweenness(pg),
+                        "newman_betweenness")
+
+    def test_brandes_reference_matches_path_enumeration(self):
+        rng = np.random.default_rng(3)
+        for _ in range(15):
+            pg = random_pg(rng, int(rng.integers(3, 11)), 0.4)
+            _assert_matches(bf_brandes_betweenness(pg), bf_betweenness(pg), "reference")
 
 
 class TestFrames:
