@@ -14,11 +14,11 @@ from .centrality import (CentralityFrame, FirmCovariates, assemble_covariates, a
                          betweenness, closeness, clustering, compute_frame, core_number,
                          covariate_columns, degree_centrality, eigenvector, harmonic,
                          newman_betweenness, pagerank, voterank)
-from .errors import (ConfigError, ConvergenceError, MissingArtifactError, NotFoundError,
-                     RankDeficientError, SchemaError, VcnetError)
+from .errors import (ConfigError, ConvergenceError, InvariantError, MissingArtifactError,
+                     NotFoundError, RankDeficientError, SchemaError, VcnetError)
 from .features import (FeatureGrouping, FeatureMatrix, correlation_dendrogram, cut_groups,
                        enumerate_configs, matrix_from_covariates, preprocess, sample_skewness)
-from .graph import (ProjectedGraph, TemporalBipartiteGraph, build_bipartite, first_round,
+from .graph import (ProjectedGraph, TemporalBipartiteGraph, build_bipartite,
                     first_rounds, project_firms, project_investors)
 from .ingest import (DealRecord, FirmMeta, SyntheticConfig, SyntheticDataset, generate_synthetic,
                      parse_deals, write_deals, write_firms)

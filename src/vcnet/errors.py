@@ -35,6 +35,14 @@ class ConvergenceError(VcnetError):
         super().__init__(f"{message} (residual={residual:.3e})")
 
 
+class InvariantError(VcnetError):
+    """An algorithm broke an invariant that holds for every valid input.
+
+    Signals a defect or numerical breakdown, not bad input; the CLI
+    reports it as an internal error (exit code 1).
+    """
+
+
 class MissingArtifactError(VcnetError):
     """A pipeline stage input produced by an upstream stage is absent."""
 

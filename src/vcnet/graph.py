@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .errors import NotFoundError
 from .ingest import DealRecord
 
 DAYS_PER_YEAR = 365.25
@@ -67,6 +68,7 @@ class TemporalBipartiteGraph:
             self.max_year = self.edges[-1].date.year
         else:
             self.min_year = self.max_year = None
+        self._first_rounds: Mapping[str, FirstRound] | None = None
 
     def __len__(self) -> int:
         return len(self.roles)
@@ -221,42 +223,28 @@ def project_investors(g: TemporalBipartiteGraph, snapshot_year: int) -> Projecte
     return ProjectedGraph(INVESTOR, snapshot_year, nodes, witnesses, None)
 
 
-def first_round(g: TemporalBipartiteGraph, firm: str) -> FirstRound:
-    """The firm's earliest funding round (ties broken by round_id).
+def first_rounds(g: TemporalBipartiteGraph) -> Mapping[str, FirstRound]:
+    """First rounds of every firm-role node, keyed by firm.
 
-    Returns the round whose earliest deal is the firm's first recorded
-    investment, with the total amount and the full investor set of that
-    round (including deals in it dated later).
+    A firm's first round is the round whose earliest deal is its first
+    recorded investment (ties broken by round_id), with the total amount
+    and the full investor set of that round, including deals in it dated
+    later. The deals are scanned once per graph; the read-only table is
+    cached on ``g`` and shared by every caller.
     """
-    rounds: dict[str, list[DealRecord]] = {}
-    for d in g.edges:
-        if d.firm_id == firm:
-            rounds.setdefault(d.round_id, []).append(d)
-    if not rounds:
-        raise NotFoundError(f"firm {firm!r} has no deals")
-    best = min(rounds, key=lambda rid: (min(d.date for d in rounds[rid]), rid))
-    deals = rounds[best]
-    return FirstRound(
-        round_id=best,
-        date=min(d.date for d in deals),
-        amount_total=sum(d.amount for d in deals),
-        investors=frozenset(d.investor_id for d in deals),
-    )
-
-
-def first_rounds(g: TemporalBipartiteGraph) -> dict[str, FirstRound]:
-    """First rounds of every firm-role node, in one pass over the deals."""
-    rounds: dict[str, dict[str, list[DealRecord]]] = {}
-    for d in g.edges:
-        rounds.setdefault(d.firm_id, {}).setdefault(d.round_id, []).append(d)
-    out: dict[str, FirstRound] = {}
-    for firm, per_round in rounds.items():
-        best = min(per_round, key=lambda rid: (min(d.date for d in per_round[rid]), rid))
-        deals = per_round[best]
-        out[firm] = FirstRound(best, min(d.date for d in deals),
-                               sum(d.amount for d in deals),
-                               frozenset(d.investor_id for d in deals))
-    return out
+    if g._first_rounds is None:
+        rounds: dict[str, dict[str, list[DealRecord]]] = {}
+        for d in g.edges:
+            rounds.setdefault(d.firm_id, {}).setdefault(d.round_id, []).append(d)
+        out: dict[str, FirstRound] = {}
+        for firm, per_round in rounds.items():
+            best = min(per_round, key=lambda rid: (min(d.date for d in per_round[rid]), rid))
+            deals = per_round[best]
+            out[firm] = FirstRound(best, min(d.date for d in deals),
+                                   sum(d.amount for d in deals),
+                                   frozenset(d.investor_id for d in deals))
+        g._first_rounds = MappingProxyType(out)
+    return g._first_rounds
 
 
 def write_projection_csv(pg: ProjectedGraph, out_dir: str | Path) -> Path:

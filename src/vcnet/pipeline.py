@@ -7,6 +7,9 @@ isolation; rerunning with unchanged inputs rewrites identical bytes.
 The manifest echoes the configuration, input digests, per-stage counts
 and the package version, and never contains timestamps, so two runs
 with the same config and seed produce byte-identical artifact trees.
+Warnings raised by preprocessing, k-means and the window sweeps are
+recorded there too (``n_warnings`` and the sorted distinct
+``warning_messages`` of the stage) instead of being printed.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings as _warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -154,6 +158,20 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@contextmanager
+def _record_warnings(counts: dict):
+    """Record the block's warnings in ``counts`` instead of printing them.
+
+    Every warning is kept (no once-per-location filtering), so the count
+    and the sorted distinct messages are the same on every run.
+    """
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        yield
+    counts["n_warnings"] = len(caught)
+    counts["warning_messages"] = sorted({str(w.message) for w in caught})
+
+
 def _require(path: Path) -> Path:
     if not path.exists():
         raise MissingArtifactError(path)
@@ -259,8 +277,8 @@ def stage_features(cfg: RunConfig, out: Path) -> dict:
     stage_dir.mkdir(parents=True, exist_ok=True)
     feature_cols = [c for c in covariate_columns() if c != "first_amount"]
     raw = matrix_from_covariates(covs, feature_cols)
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    counts: dict = {}
+    with _record_warnings(counts):
         fm = preprocess(raw, cfg.skew_threshold)
     fg = cut_groups(correlation_dendrogram(fm), cfg.dendrogram_k)
     configs = enumerate_configs(fg)
@@ -269,8 +287,9 @@ def stage_features(cfg: RunConfig, out: Path) -> dict:
     write_dendrogram_csv(fg, stage_dir / "dendrogram.csv")
     write_grouping_csv(fg, stage_dir / "groups.csv")
     write_configs_csv(configs, stage_dir / "configs.csv")
-    return {"n_features": len(fm.columns), "n_dropped": len(fm.dropped),
-            "n_groups": cfg.dendrogram_k, "n_configs": len(configs)}
+    counts.update(n_features=len(fm.columns), n_dropped=len(fm.dropped),
+                  n_groups=cfg.dendrogram_k, n_configs=len(configs))
+    return counts
 
 
 def stage_trajectories(cfg: RunConfig, out: Path) -> dict:
@@ -278,8 +297,8 @@ def stage_trajectories(cfg: RunConfig, out: Path) -> dict:
     stage_dir = out / "trajectories"
     stage_dir.mkdir(parents=True, exist_ok=True)
     ts = build_trajectories(deals, firms, cfg.window_years)
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    counts: dict = {}
+    with _record_warnings(counts):
         ca = functional_kmeans(ts.trajectories, k=cfg.kmeans_k, n_init=cfg.kmeans_inits,
                                seed=derive_seed(cfg.seed, "trajectories"),
                                log_scale=cfg.kmeans_log_scale)
@@ -288,9 +307,10 @@ def stage_trajectories(cfg: RunConfig, out: Path) -> dict:
     write_assignments_csv(ca, stage_dir / "assignments.csv")
     write_centroids_csv(ca, stage_dir / "centroids.csv")
     n_high, n_low, share = regime_rates(ca)
-    return {"n_retained": len(ts.trajectories), "n_excluded": len(ts.exclusions),
-            "n_high": n_high, "n_low": n_low, "share_high": share,
-            "kmeans_warnings": len(ca.warnings)}
+    counts.update(n_retained=len(ts.trajectories), n_excluded=len(ts.exclusions),
+                  n_high=n_high, n_low=n_low, share_high=share,
+                  kmeans_warnings=len(ca.warnings))
+    return counts
 
 
 def stage_regress(cfg: RunConfig, out: Path) -> dict:
@@ -402,8 +422,7 @@ def stage_regress(cfg: RunConfig, out: Path) -> dict:
                         derive_seed(cfg.seed, "regress", "sweep-kmeans"), cfg.kmeans_log_scale)
     wlo, whi = cfg.sweep_windows
     w_range = list(range(wlo, whi + 1))
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    with _record_warnings(info):
         sweep_lin = window_sweep(data, best_agg.covariates, w_range, "linear_agg")
         sweep_log = window_sweep(data, best_log.covariates, w_range, "logistic")
     with open(stage_dir / "window_sweep.csv", "w", encoding="utf-8", newline="") as fh:

@@ -9,9 +9,15 @@ exactly with the scalar fit on that cross-section.
 
 Model selection fits one covariate per dendrogram group for every
 configuration and ranks logistic fits by log-likelihood and linear fits
-by R^2. Two stability sweeps rerun the chosen configuration over window
-sizes and rerun every configuration at a fixed window to trace how
-coefficients move with the specification.
+by R^2. Configurations of one length are fitted in fixed-size chunks of
+stacked designs through the same IRLS and QR kernels that single fits
+run with a stack of one, so a configuration scores the same in any
+chunk. Each keeps only its score and covariate coefficients; scores
+within a relative ``TIE_RTOL`` of their run's leader rank by
+configuration id; only the best configuration is refit with standard
+errors and p-values. Two stability sweeps rerun the chosen
+configuration over window sizes and rerun every configuration at a
+fixed window to trace how coefficients move with the specification.
 """
 
 from __future__ import annotations
@@ -42,19 +48,142 @@ IRLS_MAX_ITER = 100
 SEPARATION_BOUND = 30.0
 
 
-def _check_rank(design: np.ndarray, names: list[str]) -> None:
+def _collinear_columns(design: np.ndarray, names: list[str]) -> list[str]:
+    """Columns that pivoted QR pushes past the rank cut of a rank-deficient design."""
     q = design.shape[1]
-    if np.linalg.matrix_rank(design) == q:
-        return
     _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     cut = diag.max() * max(design.shape) * np.finfo(float).eps if diag.size else 0.0
-    bad = sorted(names[piv[i]] for i in range(q) if i >= len(diag) or diag[i] <= cut)
-    raise RankDeficientError(bad)
+    return sorted(names[piv[i]] for i in range(q) if i >= len(diag) or diag[i] <= cut)
+
+
+def _full_rank(designs: np.ndarray) -> np.ndarray:
+    """Full-column-rank flags of a (B, n, q) design stack.
+
+    ``matrix_rank`` runs the same SVD and threshold on every matrix of
+    the stack, so a decision never depends on the batch it was made in.
+    """
+    return np.linalg.matrix_rank(designs) == designs.shape[2]
+
+
+def _check_rank(design: np.ndarray, names: list[str]) -> None:
+    if not _full_rank(design[None])[0]:
+        raise RankDeficientError(_collinear_columns(design, names))
 
 
 def _wald_p(z: np.ndarray) -> np.ndarray:
     return np.array([math.erfc(abs(float(v)) / math.sqrt(2.0)) for v in z])
+
+
+# ---------------------------------------------------------------------------
+# Fitting kernels over (B, n, q) design stacks
+#
+# A single fit is the B = 1 case, so single fits and model selection share
+# one IRLS loop and one least-squares solve. Every step acts on each matrix
+# of a stack on its own (stacked LAPACK calls, per-matrix BLAS products,
+# row-wise reductions), so a design's result does not depend on its batch.
+# ---------------------------------------------------------------------------
+
+def _binary_p_hat(y: np.ndarray) -> float:
+    if ((y != 0.0) & (y != 1.0)).any():
+        raise ConfigError("logistic response must be binary 0/1")
+    p_hat = float(y.mean())
+    if p_hat in (0.0, 1.0):
+        raise ConfigError("logistic response is constant; no model can be fit")
+    return p_hat
+
+
+def _require_rows(n: int, q: int) -> None:
+    if n <= q:
+        raise ConfigError(f"need more observations than parameters: n={n}, q={q}")
+
+
+def _total_ss(y: np.ndarray) -> float:
+    tss = float(((y - y.mean()) ** 2).sum())
+    if tss == 0.0:
+        raise ConfigError("response is constant; R^2 undefined")
+    return tss
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stacked ``solve``; a singular matrix fails only its own system.
+
+    Returns the solutions and the mask of failed systems, whose solution
+    is zero; the mask is ``None`` when every system was solved.
+    """
+    try:
+        return np.linalg.solve(a, b), None
+    except np.linalg.LinAlgError:
+        out = np.zeros(b.shape)
+        failed = np.ones(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                continue
+            failed[i] = False
+        return out, failed
+
+
+def _irls(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logistic maximum likelihood of ``y`` on every design of a (B, n, q) stack.
+
+    Each design takes Newton (IRLS) steps until its largest step is below
+    ``IRLS_TOL``, for at most ``IRLS_MAX_ITER`` iterations. A design whose
+    information matrix turns singular stops where it is, unconverged.
+    Returns coefficients (B, q), iteration counts (B,) and convergence
+    flags (B,).
+    """
+    n_fits, _, q = designs.shape
+    beta = np.zeros((n_fits, q))
+    n_iter = np.full(n_fits, IRLS_MAX_ITER, dtype=np.int64)
+    converged = np.zeros(n_fits, dtype=bool)
+    # the designs still iterating, their stack and their coefficients
+    active, stack, b = np.arange(n_fits), designs, np.zeros((n_fits, q, 1))
+    y_col = y[:, None]
+    for it in range(1, IRLS_MAX_ITER + 1):
+        mu = expit(stack @ b)
+        stack_t = stack.mT
+        info = stack_t @ (stack * (mu * (1.0 - mu)))
+        step, failed = _solve_each(info, stack_t @ (y_col - mu))
+        b += step
+        done = np.abs(step).max(axis=(1, 2)) < IRLS_TOL  # converged, so far
+        if failed is not None:
+            converged[active[done & ~failed]] = True
+            done |= failed
+        elif done.any():
+            converged[active[done]] = True
+        else:
+            continue
+        beta[active] = b[:, :, 0]
+        n_iter[active[done]] = it
+        if done.all():
+            break
+        active, stack, b = active[~done], stack[~done], b[~done]
+    else:
+        beta[active] = b[:, :, 0]
+    return beta, n_iter, converged
+
+
+def _log_likelihood(designs: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    eta = (designs @ beta[:, :, None])[:, :, 0]
+    return (y * eta - np.logaddexp(0.0, eta)).sum(axis=1)
+
+
+def _separated(beta: np.ndarray) -> np.ndarray:
+    return np.abs(beta).max(axis=1) > SEPARATION_BOUND
+
+
+def _ols(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares of ``y`` on every full-rank design of a (B, n, q) stack.
+
+    Returns coefficients (B, q), residual sums of squares (B,) and the
+    triangular QR factors (B, q, q).
+    """
+    qmat, rmat = np.linalg.qr(designs)
+    beta = scipy.linalg.solve_triangular(rmat, np.swapaxes(qmat, 1, 2) @ y[:, None])
+    resid = y - (designs @ beta)[:, :, 0]
+    return beta[:, :, 0], (resid * resid).sum(axis=1), rmat
 
 
 # ---------------------------------------------------------------------------
@@ -96,41 +225,19 @@ def fit_logistic(y: np.ndarray, X: np.ndarray, columns: list[str] | None = None)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     n = len(y)
-    if set(np.unique(y)) - {0.0, 1.0}:
-        raise ConfigError("logistic response must be binary 0/1")
-    p_hat = float(y.mean())
-    if p_hat in (0.0, 1.0):
-        raise ConfigError("logistic response is constant; no model can be fit")
+    p_hat = _binary_p_hat(y)
     names = [INTERCEPT] + (list(columns) if columns is not None else
                            [f"x{j}" for j in range(X.shape[1])])
     design = np.column_stack([np.ones(n), X])
     _check_rank(design, names)
 
-    beta = np.zeros(design.shape[1])
-    converged = False
-    n_iter = 0
-    info = None
-    for n_iter in range(1, IRLS_MAX_ITER + 1):
-        eta = design @ beta
-        mu = expit(eta)
-        weight = mu * (1.0 - mu)
-        info = design.T @ (design * weight[:, None])
-        grad = design.T @ (y - mu)
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            break
-        beta = beta + step
-        if float(np.abs(step).max()) < IRLS_TOL:
-            converged = True
-            break
-
-    separated = bool(np.abs(beta).max() > SEPARATION_BOUND)
-    eta = design @ beta
-    ll = float((y * eta - np.logaddexp(0.0, eta)).sum())
+    betas, n_iters, convergeds = _irls(design[None], y)
+    beta = betas[0]
+    separated = bool(_separated(betas)[0])
+    ll = float(_log_likelihood(design[None], betas, y)[0])
     ll_null = n * (p_hat * math.log(p_hat) + (1.0 - p_hat) * math.log(1.0 - p_hat))
 
-    mu = expit(eta)
+    mu = expit(design @ beta)
     weight = mu * (1.0 - mu)
     info = design.T @ (design * weight[:, None])
     try:
@@ -143,8 +250,8 @@ def fit_logistic(y: np.ndarray, X: np.ndarray, columns: list[str] | None = None)
     return LogisticFit(
         columns=names, coef=beta, se=se, z=z, p=_wald_p(z),
         log_likelihood=ll, null_log_likelihood=float(ll_null),
-        pseudo_r2=1.0 - ll / ll_null, n=n, n_iter=n_iter,
-        converged=converged and not separated, separated=separated,
+        pseudo_r2=1.0 - ll / ll_null, n=n, n_iter=int(n_iters[0]),
+        converged=bool(convergeds[0]) and not separated, separated=separated,
     )
 
 
@@ -249,6 +356,17 @@ class LinearFit:
         return float(self.coef[self.columns.index(name)])
 
 
+def _block(M: np.ndarray | None, names: list[str] | None,
+           prefix: str) -> tuple[np.ndarray | None, list[str]]:
+    """A 2-D float column block and its names; ``(None, [])`` when absent or empty."""
+    if M is None or not np.size(M):
+        return None, []
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 1:
+        M = M.reshape(-1, 1)
+    return M, list(names) if names is not None else [f"{prefix}{j}" for j in range(M.shape[1])]
+
+
 def fit_linear(y: np.ndarray, X: np.ndarray | None, C: np.ndarray | None = None,
                columns: list[str] | None = None,
                control_columns: list[str] | None = None) -> LinearFit:
@@ -260,37 +378,17 @@ def fit_linear(y: np.ndarray, X: np.ndarray | None, C: np.ndarray | None = None,
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
-    blocks = [np.ones((n, 1))]
-    names = [INTERCEPT]
-    cov_names: list[str] = []
-    ctl_names: list[str] = []
-    if X is not None and np.size(X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        cov_names = list(columns) if columns is not None else [f"x{j}" for j in range(X.shape[1])]
-        blocks.append(X)
-        names += cov_names
-    if C is not None and np.size(C):
-        C = np.asarray(C, dtype=float)
-        if C.ndim == 1:
-            C = C.reshape(-1, 1)
-        ctl_names = list(control_columns) if control_columns is not None else [f"c{j}" for j in range(C.shape[1])]
-        blocks.append(C)
-        names += ctl_names
-    design = np.hstack(blocks)
+    X, cov_names = _block(X, columns, "x")
+    C, ctl_names = _block(C, control_columns, "c")
+    names = [INTERCEPT] + cov_names + ctl_names
+    design = np.hstack([np.ones((n, 1))] + [b for b in (X, C) if b is not None])
     q = design.shape[1]
-    if n <= q:
-        raise ConfigError(f"need more observations than parameters: n={n}, q={q}")
+    _require_rows(n, q)
     _check_rank(design, names)
 
-    qmat, rmat = np.linalg.qr(design)
-    beta = scipy.linalg.solve_triangular(rmat, qmat.T @ y)
-    resid = y - design @ beta
-    rss = float(resid @ resid)
-    tss = float(((y - y.mean()) ** 2).sum())
-    if tss == 0.0:
-        raise ConfigError("response is constant; R^2 undefined")
+    betas, rsss, rmats = _ols(design[None], y)
+    beta, rss, rmat = betas[0], float(rsss[0]), rmats[0]
+    tss = _total_ss(y)
     sigma2 = rss / (n - q)
     rinv = scipy.linalg.solve_triangular(rmat, np.eye(q))
     cov = sigma2 * (rinv @ rinv.T)
@@ -358,12 +456,29 @@ def fit_function_on_scalar(Y: np.ndarray, X: np.ndarray,
 # Exhaustive per-group model selection
 # ---------------------------------------------------------------------------
 
+#: Configurations fitted together as one (chunk, n, q) design stack. Bounds
+#: selection's work memory to O(chunk * n * q) whatever the number of
+#: configurations.
+SELECT_CHUNK = 64
+#: Scores within this distance, relative to the leading score of their run
+#: in descending order, are ties and rank by ``config_id``.
+TIE_RTOL = 1e-12
+
+
 @dataclass
 class ConfigFit:
+    """One configuration's selection outcome.
+
+    A scored configuration carries its covariate coefficients in
+    ``covariates`` order; ``fit``, the full fit with inference, is set on
+    the best configuration only. A failed one carries ``error``.
+    """
+
     config_id: int
     covariates: tuple[str, ...]
     score: float | None
-    fit: LogisticFit | LinearFit | None
+    coef: np.ndarray | None = None
+    fit: LogisticFit | LinearFit | None = None
     error: str | None = None
 
 
@@ -380,6 +495,77 @@ class ModelSelection:
         return self.ranked[0] if self.ranked else None
 
 
+def _stack_designs(fm: FeatureMatrix, combos: list[tuple[str, ...]],
+                   controls: np.ndarray) -> np.ndarray:
+    """(B, n, 1 + k + c) designs ``[1, X, C]`` for configurations of one length k."""
+    idx = np.array([[fm.columns.index(c) for c in combo] for combo in combos],
+                   dtype=np.intp).reshape(len(combos), -1)
+    k = idx.shape[1]
+    designs = np.empty((len(combos), fm.data.shape[0], 1 + k + controls.shape[1]))
+    designs[:, :, 0] = 1.0
+    designs[:, :, 1:1 + k] = fm.data[:, idx].transpose(1, 0, 2)
+    designs[:, :, 1 + k:] = controls
+    return designs
+
+
+def _fit_stack(kind: str, y: np.ndarray, designs: np.ndarray,
+               names: list[list[str]]) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """Scores, coefficients and error texts of one design stack.
+
+    The checks and their messages are those of ``fit_logistic`` and
+    ``fit_linear``, in the same order; a failed design scores NaN.
+    """
+    n_fits, n, q = designs.shape
+    scores = np.full(n_fits, np.nan)
+    coefs = np.full((n_fits, q), np.nan)
+    try:
+        if kind == "logistic":
+            _binary_p_hat(y)
+        else:
+            _require_rows(n, q)
+    except VcnetError as exc:
+        return scores, coefs, [str(exc)] * n_fits
+    ok = _full_rank(designs)
+    errors: list[str | None] = [
+        None if full else str(RankDeficientError(_collinear_columns(designs[b], names[b])))
+        for b, full in enumerate(ok)]
+    fit_idx = np.flatnonzero(ok)
+    if not fit_idx.size:
+        return scores, coefs, errors
+    stack = designs if fit_idx.size == n_fits else designs[fit_idx]
+    if kind == "logistic":
+        beta, _, converged = _irls(stack, y)
+        good = converged & ~_separated(beta)
+        scores[fit_idx[good]] = _log_likelihood(stack, beta, y)[good]
+        for b in fit_idx[~good]:
+            errors[b] = "did not converge"
+    else:
+        try:
+            tss = _total_ss(y)
+        except ConfigError as exc:
+            for b in fit_idx:
+                errors[b] = str(exc)
+            return scores, coefs, errors
+        beta, rss, _ = _ols(stack, y)
+        scores[fit_idx] = 1.0 - rss / tss
+    coefs[fit_idx] = beta
+    return scores, coefs, errors
+
+
+def _rank(results: list[ConfigFit]) -> list[ConfigFit]:
+    """Scored configurations, best first; ties within ``TIE_RTOL`` by config_id."""
+    ordered = sorted((r for r in results if r.score is not None),
+                     key=lambda r: (-r.score, r.config_id))
+    ranked: list[ConfigFit] = []
+    run: list[ConfigFit] = []
+    for r in ordered:
+        if run and run[0].score - r.score > TIE_RTOL * abs(run[0].score):
+            ranked += sorted(run, key=lambda c: c.config_id)
+            run = []
+        run.append(r)
+    return ranked + sorted(run, key=lambda c: c.config_id)
+
+
 def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix,
                  configs: list[tuple[str, ...]],
                  controls: np.ndarray | None = None,
@@ -387,35 +573,43 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix,
                  limit: int = 0) -> ModelSelection:
     """Fit every configuration and rank by goodness of fit.
 
-    Logistic configurations rank by log-likelihood, linear ones by R^2
-    (adjusted R^2 is reported on each fit). Individual failures are
-    recorded, not fatal. ``limit`` > 0 truncates the enumeration (the
-    truncation is reported so callers can surface it).
+    Logistic configurations rank by log-likelihood, linear ones by R^2.
+    Configurations of one length are fitted ``SELECT_CHUNK`` at a time as
+    stacked designs; each keeps only its score and covariate
+    coefficients, and the best is refit with ``fit_logistic`` or
+    ``fit_linear`` for its inference. Individual failures are recorded,
+    not fatal. ``limit`` > 0 truncates the enumeration (the truncation is
+    reported so callers can surface it).
     """
     if kind not in ("logistic", "linear"):
         raise ConfigError(f"unknown model kind {kind!r}")
     todo = configs if limit <= 0 else configs[:limit]
-    results: list[ConfigFit] = []
-    n_failed = 0
+    y = np.asarray(response, dtype=float)
+    C, ctl_names = (None, []) if kind == "logistic" else _block(controls, control_columns, "c")
+    if C is None:
+        C = np.empty((len(y), 0))
+    by_length: dict[int, list[int]] = {}
     for i, combo in enumerate(todo):
-        X = fm.select(combo)
-        try:
-            if kind == "logistic":
-                fit = fit_logistic(response, X, list(combo))
-                score = fit.log_likelihood if fit.converged else None
-                err = None if fit.converged else "did not converge"
-            else:
-                fit = fit_linear(response, X, controls, list(combo), control_columns)
-                score, err = fit.r2, None
-        except VcnetError as exc:
-            results.append(ConfigFit(i, combo, None, None, str(exc)))
-            n_failed += 1
-            continue
-        if score is None:
-            n_failed += 1
-        results.append(ConfigFit(i, combo, score, fit, err))
-    ranked = sorted((r for r in results if r.score is not None),
-                    key=lambda r: (-r.score, r.config_id))
+        by_length.setdefault(len(combo), []).append(i)
+
+    results: list[ConfigFit | None] = [None] * len(todo)
+    for ids in by_length.values():
+        for start in range(0, len(ids), SELECT_CHUNK):
+            chunk = ids[start:start + SELECT_CHUNK]
+            combos = [todo[i] for i in chunk]
+            names = [[INTERCEPT, *combo, *ctl_names] for combo in combos]
+            scores, coefs, errors = _fit_stack(kind, y, _stack_designs(fm, combos, C), names)
+            for i, combo, score, coef, err in zip(chunk, combos, scores, coefs, errors):
+                scored = err is None
+                results[i] = ConfigFit(i, combo, float(score) if scored else None,
+                                       coef[1:1 + len(combo)] if scored else None, error=err)
+    ranked = _rank(results)
+    if ranked:
+        best = ranked[0]
+        X = fm.select(best.covariates)
+        best.fit = (fit_logistic(y, X, list(best.covariates)) if kind == "logistic" else
+                    fit_linear(y, X, controls, list(best.covariates), control_columns))
+    n_failed = sum(1 for r in results if r.score is None)
     return ModelSelection(kind, results, ranked, n_failed, truncated=len(todo) < len(configs))
 
 
@@ -584,12 +778,10 @@ def perturbation_sweep(groups: dict[str, int], selection: ModelSelection) -> Per
     """
     samples: list[tuple[int, int, str, float]] = []
     for r in selection.results:
-        if r.fit is None or r.score is None:
+        if r.score is None:
             continue
-        for cov in r.covariates:
-            grp = groups[cov]
-            coef = float(r.fit.coef[r.fit.columns.index(cov)])
-            samples.append((grp, r.config_id, cov, coef))
+        for cov, coef in zip(r.covariates, r.coef):
+            samples.append((groups[cov], r.config_id, cov, float(coef)))
     stats: list[GroupStats] = []
     for grp in sorted({g for g, *_ in samples}):
         vals = np.array([v for g, _, _, v in samples if g == grp])

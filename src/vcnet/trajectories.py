@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .ingest import DealRecord, FirmMeta, UNKNOWN
 from .seeding import derive_seed
 
@@ -124,7 +124,7 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray, w: np.ndarray,
         new_assign = d2.argmin(axis=1)
         obj = float(d2[np.arange(len(X)), new_assign].sum())
         if obj > prev_obj * (1 + 1e-12) + 1e-9:
-            raise AssertionError("k-means objective increased across an iteration")
+            raise InvariantError("k-means objective increased across an iteration")
         prev_obj = obj
         if np.array_equal(new_assign, assign):
             break

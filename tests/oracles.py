@@ -363,6 +363,76 @@ def bf_project_investors(deals, snapshot_year):
 
 
 # ---------------------------------------------------------------------------
+# First round of one firm: scan every deal of the graph
+# ---------------------------------------------------------------------------
+
+def bf_first_round(g, firm):
+    """The firm's earliest funding round (ties broken by round_id).
+
+    The round whose earliest deal is the firm's first recorded
+    investment, with the total amount and the full investor set of that
+    round (including deals in it dated later).
+    """
+    from vcnet.errors import NotFoundError
+    from vcnet.graph import FirstRound
+
+    rounds = {}
+    for d in g.edges:
+        if d.firm_id == firm:
+            rounds.setdefault(d.round_id, []).append(d)
+    if not rounds:
+        raise NotFoundError(f"firm {firm!r} has no deals")
+    best = min(rounds, key=lambda rid: (min(d.date for d in rounds[rid]), rid))
+    deals = rounds[best]
+    return FirstRound(
+        round_id=best,
+        date=min(d.date for d in deals),
+        amount_total=sum(d.amount for d in deals),
+        investors=frozenset(d.investor_id for d in deals),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Model selection: one full single fit per configuration
+# ---------------------------------------------------------------------------
+
+def bf_select_model(kind, response, fm, configs, controls=None, control_columns=None, limit=0):
+    """Fit configurations one at a time and rank them by exact score order.
+
+    The reference for ``select_model``'s chunked engine. It calls the
+    package's single fits (``fit_logistic``/``fit_linear``, which the
+    regression tests check against analytic and normal-equation oracles)
+    once per configuration, so it shares none of the engine's grouping,
+    stacking, rank masks, failure bookkeeping or tie rule.
+    Returns ``(results, ranked)``: ``results[i]`` is ``(config_id,
+    covariates, score, covariate coefficients, error)`` and ``ranked``
+    lists config ids by descending score, exact ties by config id.
+    """
+    from vcnet.errors import VcnetError
+    from vcnet.regress import fit_linear, fit_logistic
+
+    todo = configs if limit <= 0 else configs[:limit]
+    results = []
+    for i, combo in enumerate(todo):
+        X = fm.select(combo)
+        try:
+            if kind == "logistic":
+                fit = fit_logistic(response, X, list(combo))
+                score = fit.log_likelihood if fit.converged else None
+                err = None if fit.converged else "did not converge"
+            else:
+                fit = fit_linear(response, X, controls, list(combo), control_columns)
+                score, err = fit.r2, None
+        except VcnetError as exc:
+            results.append((i, combo, None, None, str(exc)))
+            continue
+        coef = None if score is None else np.array([fit.coef[fit.columns.index(c)] for c in combo])
+        results.append((i, combo, score, coef, err))
+    scored = sorted((r for r in results if r[2] is not None), key=lambda r: (-r[2], r[0]))
+    return results, [r[0] for r in scored]
+
+
+# ---------------------------------------------------------------------------
 # Exact hypergeometric tail by rational enumeration
 # ---------------------------------------------------------------------------
 

@@ -1,12 +1,15 @@
 """Pipeline orchestration: determinism, exit codes, stage protocol."""
 
+import csv
 import json
 import shutil
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from vcnet import trajectories
 from vcnet.cli import main
 from vcnet.errors import ConfigError
 from vcnet.pipeline import RunConfig, run_pipeline, run_stage
@@ -192,3 +195,43 @@ class TestGraphDumps:
         assert any(n.startswith("proj_investor_") and n.endswith("_w0.csv") for n in names)
         header = files[0].read_text().splitlines()[0]
         assert header == "u,v,weight"
+
+
+class TestRecordedWarnings:
+    def test_zero_variance_column_warning_recorded_in_manifest(self, finished_run, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = out / "centrality" / "covariates.csv"
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("clustering_max")
+        for row in rows[1:]:
+            row[col] = "0.5"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        counts = run_stage("features", make_cfg(out))
+        entry = json.loads((out / "manifest.json").read_text())["stages"]["features"]
+        assert entry["n_warnings"] == counts["n_warnings"] == 1
+        assert entry["warning_messages"] == ["covariate 'clustering_max' has zero variance; dropped"]
+
+    def test_clean_run_records_zero_warnings(self, finished_run):
+        _, manifest = finished_run
+        for stage in ("features", "trajectories", "regress"):
+            assert manifest["stages"][stage]["n_warnings"] == 0
+            assert manifest["stages"][stage]["warning_messages"] == []
+
+
+class TestTypedInternalErrors:
+    def test_kmeans_invariant_failure_exits_1_with_error_message(self, tmp_path, capsys,
+                                                                monkeypatch):
+        out = tmp_path / "kmeans"
+        assert main(["stage", "ingest", "--out_dir", str(out),
+                     "--synthetic", json.dumps(SYNTH)]) == 0
+        monkeypatch.setattr(trajectories, "_quad_weights", lambda n_grid: -np.ones(n_grid))
+        code = main(["stage", "trajectories", "--out_dir", str(out),
+                     "--synthetic", json.dumps(SYNTH)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k-means objective increased")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"]["trajectories"]["status"] == "failed"

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles import bf_project_firms, bf_project_investors
+from oracles import bf_first_round, bf_project_firms, bf_project_investors
 from conftest import deal, random_deals
 
 from vcnet.errors import NotFoundError
-from vcnet.graph import (BOTH, FIRM, INVESTOR, build_bipartite, first_round, first_rounds,
+from vcnet.graph import (BOTH, FIRM, INVESTOR, build_bipartite, first_rounds,
                          project_firms, project_investors)
 
 
@@ -147,40 +147,55 @@ class TestProjectionOracle:
             prev_f, prev_i = ef, ei
 
 
+def _first_round(g, firm):
+    """The package's first round of ``firm``, checked against the oracle."""
+    fr = first_rounds(g)[firm]
+    assert fr == bf_first_round(g, firm)
+    return fr
+
+
 class TestFirstRound:
     def test_single_deal(self):
         g = build_bipartite([deal("f1", "i1", "r1", "2004-05-01", 500)])
-        fr = first_round(g, "f1")
+        fr = _first_round(g, "f1")
         assert fr.round_id == "r1" and fr.amount_total == 500
         assert fr.investors == {"i1"}
 
     def test_earliest_round_wins(self):
         g = build_bipartite([deal("f1", "i1", "rMay", "2004-05-01"),
                              deal("f1", "i2", "rJun", "2004-06-01")])
-        assert first_round(g, "f1").round_id == "rMay"
+        assert _first_round(g, "f1").round_id == "rMay"
 
     def test_tie_broken_by_round_id(self):
         g = build_bipartite([deal("f1", "i1", "rB", "2004-05-01"),
                              deal("f1", "i2", "rA", "2004-05-01")])
-        assert first_round(g, "f1").round_id == "rA"
+        assert _first_round(g, "f1").round_id == "rA"
 
     def test_round_total_includes_later_deals_of_same_round(self):
         g = build_bipartite([deal("f1", "i1", "r1", "2004-05-01", 100),
                              deal("f1", "i2", "r1", "2004-07-01", 50),
                              deal("f1", "i3", "r2", "2004-08-01", 999)])
-        fr = first_round(g, "f1")
+        fr = _first_round(g, "f1")
         assert fr.amount_total == 150
         assert fr.investors == {"i1", "i2"}
         assert fr.date.isoformat() == "2004-05-01"
 
     def test_unknown_firm_raises(self):
         g = build_bipartite([deal("f1", "i1", "r1", "2004-05-01")])
+        assert "nope" not in first_rounds(g)
         with pytest.raises(NotFoundError):
-            first_round(g, "nope")
+            bf_first_round(g, "nope")
 
     def test_first_rounds_matches_single(self):
         deals = random_deals(np.random.default_rng(3), 40)
         g = build_bipartite(deals)
         table = first_rounds(g)
         for firm in {d.firm_id for d in deals}:
-            assert table[firm] == first_round(g, firm)
+            assert table[firm] == bf_first_round(g, firm)
+
+    def test_first_rounds_scanned_once_per_graph_and_read_only(self):
+        g = build_bipartite(random_deals(np.random.default_rng(4), 30))
+        table = first_rounds(g)
+        assert first_rounds(g) is table
+        with pytest.raises(TypeError):
+            table["f_new"] = table[next(iter(table))]

@@ -1,16 +1,20 @@
 """Logistic/linear/functional fits, selection, sweeps, and the confusion matrix."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from oracles import bf_select_model
+
 from vcnet.errors import ConfigError, RankDeficientError
 from vcnet.features import FeatureMatrix
 from vcnet.ingest import FirmMeta, SyntheticConfig, generate_synthetic
-from vcnet.regress import (PipelineData, balanced_ensemble, build_controls, confusion_metrics,
-                           confusion_vs_standard, fit_function_on_scalar, fit_linear, fit_logistic,
-                           perturbation_sweep, select_model, window_sweep)
+from vcnet.regress import (SELECT_CHUNK, TIE_RTOL, PipelineData, balanced_ensemble, build_controls,
+                           confusion_metrics, confusion_vs_standard, fit_function_on_scalar,
+                           fit_linear, fit_logistic, perturbation_sweep, select_model,
+                           window_sweep, _irls)
 from vcnet.trajectories import HIGH, LOW, ClusterAssignment, build_trajectories
 
 
@@ -466,3 +470,135 @@ class TestBuildControls:
         C, names = build_controls(["a", "b"], {"a": 1, "b": 2}, {"a": "X", "b": "Y"},
                                   include_first_amount=False)
         assert names == ["subsector_Y"]
+
+
+# Engine-vs-oracle tolerances, fixed before any comparison: scores are
+# sums over n terms, so a few ulps of relative drift is the most a
+# different (stacked) evaluation order may introduce.
+SCORE_RTOL = 1e-12
+COEF_ATOL = 1e-10
+
+
+def _assert_matches_oracle(sel, kind, y, fm, configs, C=None, cnames=None):
+    results, ranked = bf_select_model(kind, y, fm, configs, C, cnames)
+    assert [r.config_id for r in sel.ranked] == ranked
+    assert len(sel.results) == len(results)
+    for got, (cid, combo, score, coef, err) in zip(sel.results, results):
+        assert (got.config_id, got.covariates, got.error) == (cid, combo, err)
+        if score is None:
+            assert got.score is None and got.coef is None
+        else:
+            assert abs(got.score - score) <= SCORE_RTOL * abs(score)
+            np.testing.assert_allclose(got.coef, coef, rtol=0, atol=COEF_ATOL)
+    assert sel.n_failed == sum(1 for r in results if r[2] is None)
+    return results
+
+
+class TestSelectEngine:
+    """Chunked, batched selection against the per-configuration oracle."""
+
+    def _problem(self, seed, n=150):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(n, 14))
+        names = [f"c{j}" for j in range(14)]
+        y_lin = base[:, 0] - 0.5 * base[:, 3] + rng.normal(size=n)
+        y_bin = (rng.random(n) < sigmoid(1.2 * base[:, 0] - 0.8 * base[:, 5])).astype(float)
+        # "dup" repeats c0 (rank deficient beside it); "sep" splits y_bin
+        # perfectly; "tiny", a noisy c0 at 1/100 scale, has a logistic
+        # coefficient that converges beyond SEPARATION_BOUND
+        sep = (2.0 * y_bin - 1.0) * (1.0 + rng.random(n))
+        tiny = 0.01 * (base[:, 0] + 0.3 * rng.normal(size=n))
+        fm = fm_from(np.column_stack([base, base[:, 0], sep, tiny]),
+                     names + ["dup", "sep", "tiny"])
+        C = np.column_stack([rng.normal(size=n), (rng.random(n) < 0.4).astype(float)])
+        # Mixed lengths in shuffled order; 2-covariate configs span two chunks.
+        # Distinct covariate sets without "dup" (a permuted set, or c0 swapped
+        # for dup, ties its twin to within rounding noise, where only the
+        # engine's tie rule fixes the order), plus exact repeats, which tie
+        # exactly.
+        configs = []
+        pool = [c for c in fm.columns if c != "dup"]
+        for length, count in ((1, 12), (2, 90), (3, 40)):
+            combos = list(itertools.combinations(pool, length))
+            configs += [combos[i] for i in rng.choice(len(combos), size=count, replace=False)]
+        configs = [configs[i] for i in rng.permutation(len(configs))]
+        extra = [("c0", "dup"), ("c1", "sep"), ("c5", "tiny"), ("c0", "c1", "dup", "c1")]
+        return fm, y_lin, y_bin, C, configs + extra + configs[:3]
+
+    def test_linear_matches_oracle_across_chunks_and_lengths(self):
+        fm, y, _, C, configs = self._problem(301)
+        assert sum(len(c) == 2 for c in configs) > SELECT_CHUNK
+        sel = select_model("linear", y, fm, configs, C, ["ctl", "flag"])
+        results = _assert_matches_oracle(sel, "linear", y, fm, configs, C, ["ctl", "flag"])
+        errors = {r[4] for r in results if r[4] is not None}
+        assert any(e.startswith("design matrix is rank deficient") for e in errors)
+        assert sel.results[-4].error.count(",") == 1    # two collinear columns named
+        assert sel.best.score == sel.best.fit.r2
+        assert all(r.fit is None for r in sel.results if r is not sel.best)
+
+    def test_logistic_matches_oracle_with_separated_configs(self):
+        fm, _, y, _, configs = self._problem(302)
+        sel = select_model("logistic", y, fm, configs)
+        results = _assert_matches_oracle(sel, "logistic", y, fm, configs)
+        not_converged = {r[1] for r in results if r[4] == "did not converge"}
+        assert all({"sep", "tiny"} & set(c) for c in not_converged)
+        assert ("c1", "sep") in not_converged and ("c5", "tiny") in not_converged
+        assert fit_logistic(y, fm.select(("c5", "tiny"))).separated
+        assert any(r[4] and r[4].startswith("design matrix is rank deficient") for r in results)
+        assert sel.best.score == sel.best.fit.log_likelihood
+        assert sel.best.fit.converged
+        assert all(r.fit is None for r in sel.results if r is not sel.best)
+
+    def test_singular_information_stops_only_its_own_fit(self):
+        rng = np.random.default_rng(306)
+        n = 120
+        x = rng.normal(size=(n, 2))
+        y = (rng.random(n) < sigmoid(x[:, 0] - x[:, 1])).astype(float)
+        good = np.column_stack([np.ones(n), x])
+        singular = np.column_stack([np.ones(n), x[:, 0], np.zeros(n)])
+        beta, n_iter, converged = _irls(np.stack([good, singular, good]), y)
+        single = fit_logistic(y, x)
+        assert converged.tolist() == [True, False, True]
+        assert n_iter.tolist() == [single.n_iter, 1, single.n_iter]
+        np.testing.assert_array_equal(beta[0], single.coef)
+        np.testing.assert_array_equal(beta[2], single.coef)
+        np.testing.assert_array_equal(beta[1], np.zeros(3))
+
+    def test_constant_response_fails_every_config_like_the_oracle(self):
+        fm, _, _, C, configs = self._problem(303, n=40)
+        configs = configs[:90]
+        sel = select_model("linear", np.full(40, 2.5), fm, configs, C)
+        _assert_matches_oracle(sel, "linear", np.full(40, 2.5), fm, configs, C)
+        assert sel.best is None and sel.n_failed == len(configs)
+        sel = select_model("logistic", np.ones(40), fm, configs)
+        _assert_matches_oracle(sel, "logistic", np.ones(40), fm, configs)
+        assert {r.error for r in sel.results} == {"logistic response is constant; no model can be fit"}
+
+    def test_too_few_rows_fails_only_the_long_configs(self):
+        fm, y, _, C, _ = self._problem(304, n=6)
+        configs = [("c0",), ("c1", "c2", "c3"), ("c4",), ("c5", "c6", "c7")]
+        sel = select_model("linear", y, fm, configs, C)
+        _assert_matches_oracle(sel, "linear", y, fm, configs, C)
+        assert [r.error for r in sel.results] == [
+            None, "need more observations than parameters: n=6, q=6",
+            None, "need more observations than parameters: n=6, q=6"]
+
+    def test_near_equal_scores_rank_by_config_id(self):
+        rng = np.random.default_rng(305)
+        n = 80
+        a = rng.normal(size=n)
+        y = a + rng.normal(size=n)
+        near = a + 1e-13 * rng.normal(size=n)    # R^2 moves by ~1e-13, inside TIE_RTOL
+        far = a + 1e-4 * rng.normal(size=n)      # R^2 moves by far more than TIE_RTOL
+        fm = fm_from(np.column_stack([a, near, far]), ["a", "near", "far"])
+        r2 = {c: fit_linear(y, fm.select((c,))).r2 for c in fm.columns}
+        assert r2["a"] != r2["near"]
+        assert abs(r2["a"] - r2["near"]) <= TIE_RTOL * abs(r2["a"])
+        assert abs(r2["a"] - r2["far"]) > TIE_RTOL * abs(r2["a"])
+        # the tied pair: lower score first, so only the tie rule keeps config-id order
+        low, high = sorted(["a", "near"], key=lambda c: r2[c])
+        sel = select_model("linear", y, fm, [(low,), (high,)])
+        assert [r.config_id for r in sel.ranked] == [0, 1]
+        low, high = sorted(["a", "far"], key=lambda c: r2[c])
+        sel = select_model("linear", y, fm, [(low,), (high,)])
+        assert [r.config_id for r in sel.ranked] == [1, 0]

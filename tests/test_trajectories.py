@@ -5,7 +5,8 @@ import pytest
 
 from conftest import deal
 
-from vcnet.errors import ConfigError
+from vcnet import trajectories
+from vcnet.errors import ConfigError, InvariantError
 from vcnet.ingest import FirmMeta, SyntheticConfig, generate_synthetic
 from vcnet.trajectories import (HIGH, LOW, ClusterAssignment, Trajectory, build_trajectories,
                                 functional_kmeans, read_assignments_csv, read_trajectories_csv,
@@ -167,6 +168,15 @@ class TestFunctionalKmeans:
         path = tmp_path / "a.csv"
         write_assignments_csv(ca, path)
         assert read_assignments_csv(path) == ca.regimes
+
+
+    def test_objective_increase_raises_typed_error(self, monkeypatch):
+        # negative quadrature weights make a mean update raise the objective
+        monkeypatch.setattr(trajectories, "_quad_weights", lambda n_grid: -np.ones(n_grid))
+        trajs = [Trajectory(f"f{i}", "bio", 2000, (1.0 + i, 2.0 + 2 * i, 3.0 + 5 * i))
+                 for i in range(6)]
+        with pytest.raises(InvariantError, match="objective increased"):
+            functional_kmeans(trajs, k=2, n_init=2, seed=1)
 
 
 class TestRegimeRates:
