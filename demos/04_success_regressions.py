@@ -9,16 +9,14 @@ models with controls, and the function-on-scalar trajectory model.
 
 import warnings
 
-import numpy as np
-
 from vcnet import (SyntheticConfig, assemble_covariates, balanced_ensemble, build_bipartite,
-                   build_controls, compute_frame, correlation_dendrogram, covariate_columns,
-                   cut_groups, enumerate_configs, fit_function_on_scalar, generate_synthetic,
+                   compute_frame, correlation_dendrogram, covariate_columns, cut_groups,
+                   enumerate_configs, fit_function_on_scalar, generate_synthetic,
                    matrix_from_covariates, preprocess, project_firms, project_investors,
-                   select_model)
+                   responses, select_model)
 from vcnet.features import group_members
 from vcnet.graph import first_rounds
-from vcnet.trajectories import HIGH, build_trajectories, functional_kmeans
+from vcnet.trajectories import build_trajectories, functional_kmeans
 
 warnings.simplefilter("ignore")
 
@@ -46,13 +44,15 @@ configs = enumerate_configs(grouping)
 sizes = {g_: len(m) for g_, m in group_members(grouping).items()}
 print(f"\ndendrogram cut into {K} groups, sizes {sizes} -> {len(configs)} configurations")
 
-# Responses come from the trajectory module.
+# Responses come from the funding trajectories of the firms with covariates:
+# HIGH/LOW regime membership, log aggregate money and the whole curve.
 ts = build_trajectories(ds.deals, ds.firms, 10)
 ca = functional_kmeans(ts.trajectories, k=2, n_init=30, seed=3)
-firms = [t.firm_id for t in ts.trajectories if t.firm_id in set(fm.row_ids)]
-trajs = {t.firm_id: t for t in ts.trajectories}
+trajs = [t for t in ts.trajectories if t.firm_id in set(fm.row_ids)]
+first_amounts = {r.firm_id: r.values["first_amount"] for r in rows}
+subsectors = {t.firm_id: t.subsector for t in trajs}
+firms, y_bin, _, _ = responses("logistic", trajs, ca.regimes, first_amounts, subsectors)
 sub = fm.take_rows(firms)
-y_bin = np.array([1.0 if ca.regimes[f] == HIGH else 0.0 for f in firms])
 
 LIMIT = 400  # cap the exhaustive search for demo runtime
 sel_log = select_model("logistic", y_bin, sub, configs, limit=LIMIT)
@@ -69,10 +69,7 @@ print(f"balanced resampling ({ens.n_reps} replicates): "
       f"max {ens.max_pseudo_r2:.4f}")
 
 # Linear model of log aggregate money with first-amount + subsector controls.
-first_amounts = {r.firm_id: r.values["first_amount"] for r in rows}
-subsectors = {f: trajs[f].subsector for f in firms}
-y_agg = np.log1p(np.array([trajs[f].values[-1] for f in firms], dtype=float))
-C, cnames = build_controls(firms, first_amounts, subsectors)
+_, y_agg, C, cnames = responses("linear_agg", trajs, ca.regimes, first_amounts, subsectors)
 sel_lin = select_model("linear", y_agg, sub, configs, C, cnames, limit=LIMIT)
 fit = sel_lin.best.fit
 print(f"\nlinear selection: best R^2 {fit.r2:.4f} (adjusted {fit.adj_r2:.4f}, "
@@ -82,7 +79,7 @@ for name, b, se, p in zip(fit.columns, fit.coef, fit.se, fit.p):
     print(f"  {name:<34} {b:>9.4f} ({se:.3f}) {stars}")
 
 # Function-on-scalar: the response is the whole curve; coefficients are curves.
-Y = np.array([trajs[f].values for f in firms], dtype=float)
+_, Y, _, _ = responses("functional", trajs, ca.regimes, first_amounts, subsectors)
 fos = fit_function_on_scalar(Y, sub.select(sel_lin.best.covariates),
                              list(sel_lin.best.covariates))
 lead = fos.columns[1]

@@ -10,12 +10,10 @@ counter-varying covariates).
 
 import warnings
 
-import numpy as np
-
 from vcnet import (PipelineData, SyntheticConfig, assemble_covariates, build_bipartite,
-                   build_controls, compute_frame, correlation_dendrogram, covariate_columns,
-                   cut_groups, enumerate_configs, generate_synthetic, matrix_from_covariates,
-                   perturbation_sweep, preprocess, project_firms, project_investors,
+                   compute_frame, correlation_dendrogram, covariate_columns, cut_groups,
+                   enumerate_configs, generate_synthetic, matrix_from_covariates,
+                   perturbation_sweep, preprocess, project_firms, project_investors, responses,
                    select_model, window_sweep)
 from vcnet.graph import first_rounds
 from vcnet.trajectories import build_trajectories
@@ -41,10 +39,8 @@ subsectors = {f: (ds.firms[f].subsector if f in ds.firms else "") for f in fm.ro
 
 # Pick the best linear configuration at W=10, then sweep the window.
 ts = build_trajectories(ds.deals, ds.firms, 10)
-firms = [t.firm_id for t in ts.trajectories if t.firm_id in set(fm.row_ids)]
-trajs = {t.firm_id: t for t in ts.trajectories}
-y = np.log1p(np.array([trajs[f].values[-1] for f in firms], dtype=float))
-C, cnames = build_controls(firms, first_amounts, subsectors)
+trajs = [t for t in ts.trajectories if t.firm_id in set(fm.row_ids)]
+firms, y, C, cnames = responses("linear_agg", trajs, None, first_amounts, subsectors)
 sel = select_model("linear", y, fm.take_rows(firms), configs, C, cnames, limit=300)
 best = sel.best
 print(f"best linear config at W=10 (R^2 {best.fit.r2:.3f}): {', '.join(best.covariates)}")

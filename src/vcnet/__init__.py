@@ -9,13 +9,13 @@ CLI and the demos directory for library walkthroughs.
 
 __version__ = "0.1.0"
 
-from .backtest import BacktestReport, hypergeom_pmf, hypergeom_pvalue, run_strategy
+from .backtest import BacktestReport, hypergeom_pvalue, run_strategy
 from .centrality import (CentralityFrame, FirmCovariates, assemble_covariates, average_neighbor_degree,
                          betweenness, closeness, clustering, compute_frame, core_number,
                          covariate_columns, degree_centrality, eigenvector, harmonic,
                          newman_betweenness, pagerank, voterank)
 from .errors import (ConfigError, ConvergenceError, InvariantError, MissingArtifactError,
-                     NotFoundError, RankDeficientError, SchemaError, VcnetError)
+                     RankDeficientError, SchemaError, VcnetError)
 from .features import (FeatureGrouping, FeatureMatrix, correlation_dendrogram, cut_groups,
                        enumerate_configs, matrix_from_covariates, preprocess, sample_skewness)
 from .graph import (ProjectedGraph, TemporalBipartiteGraph, build_bipartite,
@@ -26,7 +26,7 @@ from .pipeline import RunConfig, run_pipeline, run_stage
 from .regress import (BalancedEnsemble, FunctionalFit, LinearFit, LogisticFit, PipelineData,
                       balanced_ensemble, build_controls, confusion_metrics, confusion_vs_standard,
                       fit_function_on_scalar, fit_linear, fit_logistic, perturbation_sweep,
-                      select_model, window_sweep)
+                      responses, select_model, window_sweep)
 from .seeding import derive_seed
 from .trajectories import (ClusterAssignment, Trajectory, TrajectorySet, build_trajectories,
                            functional_kmeans, regime_rates)

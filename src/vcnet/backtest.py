@@ -55,16 +55,6 @@ def hypergeom_pvalue(pool_size: int, pool_successes: int, sample_size: int, obse
     return min(1.0, total)
 
 
-def hypergeom_pmf(pool_size: int, pool_successes: int, sample_size: int, value: int) -> float:
-    """P(X = value) under the same parameterization (0 off the support)."""
-    N, K, n, i = pool_size, pool_successes, sample_size, value
-    if not (0 <= K <= N and 0 <= n <= N):
-        raise ConfigError(f"invalid hypergeometric parameters N={N}, K={K}, n={n}")
-    if i < max(0, n + K - N) or i > min(n, K):
-        return 0.0
-    return math.exp(_log_choose(K, i) + _log_choose(N - K, n - i) - _log_choose(N, n))
-
-
 # ---------------------------------------------------------------------------
 # Strategy
 # ---------------------------------------------------------------------------

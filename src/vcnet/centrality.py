@@ -409,17 +409,15 @@ def assemble_covariates(firm_frame: CentralityFrame, investor_frame: CentralityF
 
     For each such firm: its own firm-layer measures (``_org``), plus
     max/min/median of every investor-layer measure over its first-round
-    investors, its distinct-investor count within the snapshot, and the
-    first-round amount. First-round investors absent from the investor
-    frame are dropped from the summaries; if none remain, the investor
-    summaries are 0 and the row is flagged.
+    investors, its distinct-investor count within the snapshot (the firm
+    frame's ``n_investors``, so ``firm_frame`` must be computed with
+    ``g``), and the first-round amount. First-round investors absent
+    from the investor frame are dropped from the summaries; if none
+    remain, the investor summaries are 0 and the row is flagged.
     """
     year = firm_frame.snapshot_year
     rounds = first_rounds(g)
-    investor_counts: dict[str, set] = {}
-    for d in g.snapshot_deals(year):
-        investor_counts.setdefault(d.firm_id, set()).add(d.investor_id)
-
+    n_investors = firm_frame.measures["n_investors"]
     rows: list[FirmCovariates] = []
     for firm in sorted(rounds):
         fr = rounds[firm]
@@ -427,7 +425,7 @@ def assemble_covariates(firm_frame: CentralityFrame, investor_frame: CentralityF
             continue
         values: dict[str, float] = {
             "first_amount": float(fr.amount_total),
-            "n_investors": float(len(investor_counts.get(firm, ()))),
+            "n_investors": float(n_investors[firm]),
         }
         for m in COMMON_MEASURES:
             values[f"{m}_org"] = float(firm_frame.measures[m].get(firm, 0.0))

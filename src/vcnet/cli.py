@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .errors import ConfigError, MissingArtifactError, SchemaError, VcnetError
@@ -24,13 +26,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_MISSING_ARTIFACT = 3
-
-_TUPLE_KEYS = ("start_years", "sweep_windows")
-_BOOL_KEYS = ("kmeans_log_scale", "dump_graphs")
-_INT_KEYS = ("window_years", "projection_window", "dendrogram_k", "kmeans_k", "kmeans_inits",
-             "balance_reps", "top_n", "horizon", "seed", "config_limit")
-_FLOAT_KEYS = ("skew_threshold",)
-_STR_KEYS = ("out_dir", "deals_csv", "firms_csv", "frames_years")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -43,19 +38,22 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One ``--<key>`` flag per RunConfig field, typed by the field's annotation."""
     parser.add_argument("--config", metavar="FILE", help="JSON config file of RunConfig keys")
-    for key in _STR_KEYS:
-        parser.add_argument(f"--{key}", default=None)
-    for key in _INT_KEYS:
-        parser.add_argument(f"--{key}", type=int, default=None)
-    for key in _FLOAT_KEYS:
-        parser.add_argument(f"--{key}", type=float, default=None)
-    for key in _BOOL_KEYS:
-        parser.add_argument(f"--{key}", type=_parse_bool, default=None)
-    for key in _TUPLE_KEYS:
-        parser.add_argument(f"--{key}", nargs=2, type=int, default=None, metavar=("LO", "HI"))
-    parser.add_argument("--synthetic", default=None, metavar="JSON",
-                        help="inline JSON object of SyntheticConfig keys")
+    hints = typing.get_type_hints(RunConfig)
+    for f in dataclasses.fields(RunConfig):
+        hint = hints[f.name]
+        items = typing.get_args(hint)  # (X, NoneType) for X | None, (X, X) for a pair
+        if f.name == "synthetic":
+            parser.add_argument("--synthetic", default=None, metavar="JSON",
+                                help="inline JSON object of SyntheticConfig keys")
+        elif typing.get_origin(hint) is tuple:
+            parser.add_argument(f"--{f.name}", nargs=len(items), type=items[0], default=None,
+                                metavar=("LO", "HI"))
+        else:
+            base = items[0] if items else hint
+            parser.add_argument(f"--{f.name}", type=_parse_bool if base is bool else base,
+                                default=None)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -68,14 +66,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    for key in _STR_KEYS + _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            raw[key] = value
-    for key in _TUPLE_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            raw[key] = list(value)
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name)
+        if value is not None and f.name != "synthetic":
+            raw[f.name] = value
     if args.synthetic is not None:
         try:
             raw["synthetic"] = json.loads(args.synthetic)

@@ -15,10 +15,6 @@ class SchemaError(VcnetError):
     """An input file header does not match the documented schema."""
 
 
-class NotFoundError(VcnetError):
-    """A requested entity (firm, stage artifact key) does not exist."""
-
-
 class RankDeficientError(VcnetError):
     """A design matrix is rank deficient; names the offending columns."""
 

@@ -34,9 +34,6 @@ class FeatureMatrix:
     standardization: dict[str, tuple[float, float]] = field(default_factory=dict)  # column -> (mean, sd)
     dropped: list[tuple[str, str]] = field(default_factory=list)    # (column, reason)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.data[:, self.columns.index(name)]
-
     def select(self, names: list[str] | tuple[str, ...]) -> np.ndarray:
         idx = [self.columns.index(n) for n in names]
         return self.data[:, idx]

@@ -21,8 +21,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .backtest import run_strategy, write_backtest_csv
 from .centrality import (COMMON_MEASURES, FIRM_ONLY_MEASURES, assemble_covariates, compute_frame,
@@ -38,12 +36,12 @@ from .graph import BOTH, FIRM, INVESTOR, build_bipartite, first_rounds, project_
     project_investors, write_projection_csv
 from .ingest import (SyntheticConfig, generate_synthetic, parse_deals, read_deals_csv,
                      read_firms_csv, write_deals, write_firms, write_planted_regimes, write_rejects)
-from .regress import (PipelineData, balanced_ensemble, build_controls, confusion_vs_standard,
+from .regress import (PipelineData, balanced_ensemble, confusion_vs_standard,
                       fit_function_on_scalar, linear_fit_dict, logistic_fit_dict,
-                      perturbation_sweep, select_model, window_sweep, write_functional_curves,
-                      write_leaderboard_csv, write_perturbation_csv)
+                      perturbation_sweep, responses, select_model, window_sweep,
+                      write_functional_curves, write_leaderboard_csv, write_perturbation_csv)
 from .seeding import derive_seed
-from .trajectories import (HIGH, build_trajectories, functional_kmeans, read_assignments_csv,
+from .trajectories import (build_trajectories, functional_kmeans, read_assignments_csv,
                            read_trajectories_csv, regime_rates, write_assignments_csv,
                            write_centroids_csv, write_exclusions_csv, write_trajectories_csv)
 
@@ -101,15 +99,6 @@ class RunConfig:
         if self.frames_years not in ("needed", "all"):
             raise ConfigError("frames_years must be 'needed' or 'all'")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["start_years"] = list(self.start_years)
-        d["sweep_windows"] = list(self.sweep_windows)
-        if self.synthetic is not None:
-            d["synthetic"] = asdict(self.synthetic)
-            d["synthetic"]["year_range"] = list(self.synthetic.year_range)
-        return d
-
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         data = dict(raw)
@@ -149,9 +138,12 @@ def load_manifest(out: Path) -> dict:
     return {"version": __version__, "stages": {}}
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def save_manifest(out: Path, manifest: dict) -> None:
-    path = _manifest_path(out)
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(_manifest_path(out), manifest)
 
 
 def _sha256(path: Path) -> str:
@@ -326,35 +318,52 @@ def stage_regress(cfg: RunConfig, out: Path) -> dict:
 
     first_amounts = {c.firm_id: c.values["first_amount"] for c in covs}
     first_years = {c.firm_id: c.first_year for c in covs}
-    subsectors = {t.firm_id: t.subsector for t in ts.trajectories}
+    subsectors = {f: (firms[f].subsector if f in firms else "") for f in fm.row_ids}
     in_fm = set(fm.row_ids)
     trajs = [t for t in ts.trajectories if t.firm_id in in_fm]
-    firms_fit = [t.firm_id for t in trajs]
-    sub_fm = fm.take_rows(firms_fit)
+    if not trajs:
+        raise ConfigError(f"empty fit sample: no firm has covariates and a complete "
+                          f"{cfg.window_years}-year trajectory (window_years={cfg.window_years})")
 
-    info: dict = {"n_fit_firms": len(firms_fit), "truncated": False}
+    # Binary (HIGH/LOW regime), log aggregate and log differential money responses.
+    info: dict = {"n_fit_firms": len(trajs)}
+    sub_fm = fm.take_rows([t.firm_id for t in trajs])
+    ys, selections = {}, {}
+    for kind, response in (("logistic", None), ("linear_agg", "log_aggregate_money"),
+                           ("linear_diff", "log_differential_money")):
+        fit_firms, y, C, cnames = responses(kind, trajs, regimes, first_amounts, subsectors)
+        sel = select_model("logistic" if response is None else "linear", y,
+                           sub_fm.take_rows(fit_firms), configs, C, cnames, limit=cfg.config_limit)
+        write_leaderboard_csv(sel, stage_dir / f"{kind}_leaderboard.csv")
+        ys[kind], selections[kind] = y, sel
+        best = sel.best
+        if best is None and kind == "linear_diff":
+            continue
+        if best is None:
+            raise ConfigError("no logistic configuration converged" if response is None else
+                              "no linear (aggregate) configuration could be fit")
+        if response is None:
+            payload = logistic_fit_dict(best.fit)
+            info.update(logistic_best_ll=best.fit.log_likelihood,
+                        logistic_best_pseudo_r2=best.fit.pseudo_r2,
+                        logistic_configs_fit=len(sel.results))
+        else:
+            payload = linear_fit_dict(best.fit)
+            payload["response"] = response
+            info[f"{kind}_best_r2"] = best.fit.r2
+        payload.update(config_id=best.config_id, covariates=list(best.covariates),
+                       window_years=cfg.window_years)
+        _write_json(stage_dir / f"{kind}_best.json", payload)
+    # every kind enumerates the same configurations under the same limit
+    info["truncated"] = selections["logistic"].truncated
+    info["n_diff_dropped"] = len(trajs) - len(ys["linear_diff"])
+    best_log, best_agg = selections["logistic"].best, selections["linear_agg"].best
 
-    # Binary response: HIGH/LOW regime membership.
-    y_bin = np.array([1.0 if regimes[f] == HIGH else 0.0 for f in firms_fit])
-    sel_log = select_model("logistic", y_bin, sub_fm, configs, limit=cfg.config_limit)
-    write_leaderboard_csv(sel_log, stage_dir / "logistic_leaderboard.csv")
-    info["truncated"] = info["truncated"] or sel_log.truncated
-    best_log = sel_log.best
-    if best_log is None:
-        raise ConfigError("no logistic configuration converged")
-    payload = logistic_fit_dict(best_log.fit)
-    payload.update(config_id=best_log.config_id, covariates=list(best_log.covariates),
-                   window_years=cfg.window_years)
-    (stage_dir / "logistic_best.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    info["logistic_best_ll"] = best_log.fit.log_likelihood
-    info["logistic_best_pseudo_r2"] = best_log.fit.pseudo_r2
-    info["logistic_configs_fit"] = len(sel_log.results)
-
-    ens = balanced_ensemble(y_bin, sub_fm.select(best_log.covariates), n_reps=cfg.balance_reps,
+    ens = balanced_ensemble(ys["logistic"], sub_fm.select(best_log.covariates),
+                            n_reps=cfg.balance_reps,
                             seed=derive_seed(cfg.seed, "regress", "balanced"),
                             columns=list(best_log.covariates))
-    ens_payload = {
+    _write_json(stage_dir / "balanced_ensemble.json", {
         "columns": ens.columns,
         "coef_mean": [float(x) for x in ens.coef_mean],
         "coef_sd": [float(x) for x in ens.coef_sd],
@@ -363,9 +372,7 @@ def stage_regress(cfg: RunConfig, out: Path) -> dict:
         "max_pseudo_r2": ens.max_pseudo_r2,
         "n_reps": ens.n_reps,
         "n_discarded": ens.n_discarded,
-    }
-    (stage_dir / "balanced_ensemble.json").write_text(
-        json.dumps(ens_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    })
     with open(stage_dir / "balanced_replicates.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("replicate,term,estimate,p_value\n")
         for r in range(ens.n_reps):
@@ -374,52 +381,17 @@ def stage_regress(cfg: RunConfig, out: Path) -> dict:
     info["ensemble_reps"] = ens.n_reps
     info["ensemble_discarded"] = ens.n_discarded
 
-    # Scalar responses: log aggregate and log differential money raised.
-    y_agg = np.log1p(np.array([t.values[-1] for t in trajs], dtype=float))
-    C_agg, agg_names = build_controls(firms_fit, first_amounts, subsectors, True)
-    sel_agg = select_model("linear", y_agg, sub_fm, configs, C_agg, agg_names,
-                           limit=cfg.config_limit)
-    write_leaderboard_csv(sel_agg, stage_dir / "linear_agg_leaderboard.csv")
-    info["truncated"] = info["truncated"] or sel_agg.truncated
-    best_agg = sel_agg.best
-    if best_agg is None:
-        raise ConfigError("no linear (aggregate) configuration could be fit")
-    payload = linear_fit_dict(best_agg.fit)
-    payload.update(config_id=best_agg.config_id, covariates=list(best_agg.covariates),
-                   window_years=cfg.window_years, response="log_aggregate_money")
-    (stage_dir / "linear_agg_best.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    info["linear_agg_best_r2"] = best_agg.fit.r2
-
-    diffs = np.array([t.values[-1] - first_amounts[t.firm_id] for t in trajs])
-    keep = diffs > 0
-    diff_firms = [f for f, k in zip(firms_fit, keep) if k]
-    info["n_diff_dropped"] = int((~keep).sum())
-    y_diff = np.log1p(diffs[keep])
-    C_diff, diff_names = build_controls(diff_firms, first_amounts, subsectors, False)
-    sel_diff = select_model("linear", y_diff, sub_fm.take_rows(diff_firms), configs,
-                            C_diff, diff_names, limit=cfg.config_limit)
-    write_leaderboard_csv(sel_diff, stage_dir / "linear_diff_leaderboard.csv")
-    best_diff = sel_diff.best
-    if best_diff is not None:
-        payload = linear_fit_dict(best_diff.fit)
-        payload.update(config_id=best_diff.config_id, covariates=list(best_diff.covariates),
-                       window_years=cfg.window_years, response="log_differential_money")
-        (stage_dir / "linear_diff_best.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        info["linear_diff_best_r2"] = best_diff.fit.r2
-
     # Functional response reuses the covariates selected for the aggregate fit.
-    Y = np.array([t.values for t in trajs], dtype=float)
+    _, Y, _, _ = responses("functional", trajs, regimes, first_amounts, subsectors)
     fos = fit_function_on_scalar(Y, sub_fm.select(best_agg.covariates),
                                  list(best_agg.covariates))
     write_functional_curves(fos, stage_dir)
 
     # Stability sweeps.
-    all_subsectors = {f: (firms[f].subsector if f in firms else "") for f in fm.row_ids}
-    data = PipelineData(deals, firms, fm, first_amounts, all_subsectors,
-                        None, cfg.kmeans_k, cfg.kmeans_inits,
-                        derive_seed(cfg.seed, "regress", "sweep-kmeans"), cfg.kmeans_log_scale)
+    data = PipelineData(deals, firms, fm, first_amounts, subsectors, kmeans_k=cfg.kmeans_k,
+                        kmeans_inits=cfg.kmeans_inits,
+                        kmeans_seed=derive_seed(cfg.seed, "regress", "sweep-kmeans"),
+                        kmeans_log_scale=cfg.kmeans_log_scale)
     wlo, whi = cfg.sweep_windows
     w_range = list(range(wlo, whi + 1))
     with _record_warnings(info):
@@ -435,16 +407,14 @@ def stage_regress(cfg: RunConfig, out: Path) -> dict:
     info["sweep_firm_counts"] = {str(w): n for w, n in sweep_lin.firm_counts.items()}
     info["sweep_warnings"] = sweep_lin.warnings + sweep_log.warnings
 
-    pert = perturbation_sweep(groups, sel_agg)
+    pert = perturbation_sweep(groups, selections["linear_agg"])
     write_perturbation_csv(pert, stage_dir / "perturbation_groups.csv",
                            stage_dir / "perturbation_samples.csv")
 
     conf = confusion_vs_standard(regimes, firms, first_years, cfg.window_years)
-    (stage_dir / "confusion.json").write_text(
-        json.dumps({"tp": conf.tp, "fn": conf.fn, "fp": conf.fp, "tn": conf.tn,
-                    "accuracy": conf.accuracy, "precision": conf.precision,
-                    "recall": conf.recall}, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
+    _write_json(stage_dir / "confusion.json",
+                {"tp": conf.tp, "fn": conf.fn, "fp": conf.fp, "tn": conf.tn,
+                 "accuracy": conf.accuracy, "precision": conf.precision, "recall": conf.recall})
     info["confusion_accuracy"] = conf.accuracy
     return info
 
@@ -502,7 +472,7 @@ def run_stage(name: str, cfg: RunConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     manifest = load_manifest(out)
     manifest["version"] = __version__
-    manifest["config"] = cfg.to_dict()
+    manifest["config"] = asdict(cfg)
     try:
         counts = _STAGE_FNS[name](cfg, out)
     except Exception as exc:

@@ -37,7 +37,8 @@ from .errors import ConfigError, RankDeficientError, VcnetError
 from .features import FeatureMatrix
 from .ingest import FirmMeta
 from .seeding import derive_seed
-from .trajectories import HIGH, ClusterAssignment, build_trajectories, functional_kmeans
+from .trajectories import (HIGH, ClusterAssignment, Trajectory, build_trajectories,
+                           functional_kmeans)
 
 INTERCEPT = "intercept"
 
@@ -205,12 +206,6 @@ class LogisticFit:
     converged: bool
     separated: bool
 
-    def score_max_norm(self, y: np.ndarray, X: np.ndarray) -> float:
-        """Max-norm of the log-likelihood gradient at the fitted coefficients."""
-        design = np.column_stack([np.ones(len(y)), X])
-        mu = expit(design @ self.coef)
-        return float(np.abs(design.T @ (y - mu)).max())
-
 
 def fit_logistic(y: np.ndarray, X: np.ndarray, columns: list[str] | None = None) -> LogisticFit:
     """Maximum-likelihood logistic regression of a binary response.
@@ -267,9 +262,6 @@ class BalancedEnsemble:
     max_pseudo_r2: float
     n_reps: int
     n_discarded: int
-
-    def neg_log_p(self) -> np.ndarray:
-        return -np.log(np.clip(self.p_values, 1e-300, None))
 
 
 def balanced_ensemble(y: np.ndarray, X: np.ndarray, n_reps: int = 1000, seed: int = 0,
@@ -352,9 +344,6 @@ class LinearFit:
     sigma2: float
     n: int
 
-    def coefficient(self, name: str) -> float:
-        return float(self.coef[self.columns.index(name)])
-
 
 def _block(M: np.ndarray | None, names: list[str] | None,
            prefix: str) -> tuple[np.ndarray | None, list[str]]:
@@ -425,9 +414,6 @@ class FunctionalFit:
     lo95: np.ndarray
     hi95: np.ndarray
     n: int
-
-    def band_halfwidth(self) -> np.ndarray:
-        return 1.96 * self.se
 
 
 def fit_function_on_scalar(Y: np.ndarray, X: np.ndarray,
@@ -646,7 +632,6 @@ class PipelineData:
     fm: FeatureMatrix                  # processed covariates over all firms
     first_amounts: dict[str, float]
     subsectors: dict[str, str]
-    data_end_year: int | None = None
     kmeans_k: int = 2
     kmeans_inits: int = 100
     kmeans_seed: int = 0
@@ -675,32 +660,37 @@ def build_controls(firms: list[str], first_amounts: dict[str, float],
     return np.column_stack(cols), names
 
 
-def _responses_for_window(data: PipelineData, window: int,
-                          kind: str) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
-    """(firms, y, controls, control names) for one window size."""
-    ts = build_trajectories(data.deals, data.meta, window, data.data_end_year)
-    in_fm = set(data.fm.row_ids)
-    trajs = [t for t in ts.trajectories if t.firm_id in in_fm]
+def responses(kind: str, trajs: list[Trajectory], regimes: dict[str, str] | None,
+              first_amounts: dict[str, float],
+              subsectors: dict[str, str]) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
+    """(firms, y, controls, control names) of one response over a fit sample.
+
+    ``logistic`` is HIGH-regime membership (``regimes`` maps firm to
+    regime; no controls). ``linear_agg`` is log(1+x) of the final
+    cumulative amount, controlled for the log first-round amount and the
+    subsector. ``linear_diff`` is log(1+x) of the amount raised after the
+    first round, over the firms that raised any, controlled for the
+    subsector. ``functional`` is the raw trajectory matrix (no controls).
+    The main fits and the window sweep both take their responses from here.
+    """
     firms = [t.firm_id for t in trajs]
     if kind == "logistic":
-        ca = functional_kmeans(trajs, k=data.kmeans_k, n_init=data.kmeans_inits,
-                               seed=data.kmeans_seed, log_scale=data.kmeans_log_scale)
-        y = np.array([1.0 if ca.regimes[f] == HIGH else 0.0 for f in firms])
+        y = np.array([1.0 if regimes[f] == HIGH else 0.0 for f in firms])
         C, cnames = np.empty((len(firms), 0)), []
     elif kind == "linear_agg":
         y = np.log1p(np.array([t.values[-1] for t in trajs], dtype=float))
-        C, cnames = build_controls(firms, data.first_amounts, data.subsectors, True)
+        C, cnames = build_controls(firms, first_amounts, subsectors, True)
     elif kind == "linear_diff":
-        diffs = np.array([t.values[-1] - data.first_amounts[t.firm_id] for t in trajs])
+        diffs = np.array([t.values[-1] - first_amounts[t.firm_id] for t in trajs])
         keep = diffs > 0
         firms = [f for f, k in zip(firms, keep) if k]
         y = np.log1p(diffs[keep])
-        C, cnames = build_controls(firms, data.first_amounts, data.subsectors, False)
+        C, cnames = build_controls(firms, first_amounts, subsectors, False)
     elif kind == "functional":
         y = np.array([t.values for t in trajs], dtype=float)
         C, cnames = np.empty((len(firms), 0)), []
     else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+        raise ConfigError(f"unknown response kind {kind!r}")
     return firms, y, C, cnames
 
 
@@ -708,15 +698,24 @@ def window_sweep(data: PipelineData, config: tuple[str, ...],
                  w_range: list[int], kind: str = "linear_agg") -> WindowSweepResult:
     """Refit the fixed best configuration for each window size.
 
-    Rebuilds trajectories, responses, and the fit sample per window and
-    reports each coefficient with its 1.96-standard-error band plus the
-    per-window firm count. A firm count that increases with the window
-    is recorded as a warning.
+    Rebuilds trajectories (and, for ``logistic``, the k-means regimes),
+    the ``responses`` and the fit sample per window and reports each
+    coefficient with its 1.96-standard-error band plus the per-window
+    firm count. A firm count that increases with the window is recorded
+    as a warning.
     """
     result = WindowSweepResult(kind, [], {})
+    in_fm = set(data.fm.row_ids)
     prev_count = None
     for window in w_range:
-        firms, y, C, cnames = _responses_for_window(data, window, kind)
+        ts = build_trajectories(data.deals, data.meta, window)
+        trajs = [t for t in ts.trajectories if t.firm_id in in_fm]
+        regimes = None
+        if kind == "logistic":
+            regimes = functional_kmeans(trajs, k=data.kmeans_k, n_init=data.kmeans_inits,
+                                        seed=data.kmeans_seed,
+                                        log_scale=data.kmeans_log_scale).regimes
+        firms, y, C, cnames = responses(kind, trajs, regimes, data.first_amounts, data.subsectors)
         result.firm_counts[window] = len(firms)
         if prev_count is not None and len(firms) > prev_count:
             result.warnings.append(

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+from scipy.special import expit
 
 
 def adj_from_pg(pg):
@@ -366,6 +367,10 @@ def bf_project_investors(deals, snapshot_year):
 # First round of one firm: scan every deal of the graph
 # ---------------------------------------------------------------------------
 
+class NotFoundError(LookupError):
+    """The firm asked of ``bf_first_round`` has no deals."""
+
+
 def bf_first_round(g, firm):
     """The firm's earliest funding round (ties broken by round_id).
 
@@ -373,7 +378,6 @@ def bf_first_round(g, firm):
     investment, with the total amount and the full investor set of that
     round (including deals in it dated later).
     """
-    from vcnet.errors import NotFoundError
     from vcnet.graph import FirstRound
 
     rounds = {}
@@ -443,3 +447,36 @@ def exact_hypergeom_upper_tail(N, K, n, k):
             continue
         total += Fraction(comb(K, i) * comb(N - K, n - i), comb(N, n))
     return total
+
+
+def hypergeom_pmf(N, K, n, i):
+    """P(X = i) of the hypergeometric law by exact rational arithmetic (0 off the support)."""
+    if i < max(0, n + K - N) or i > min(n, K):
+        return 0.0
+    return float(Fraction(comb(K, i) * comb(N - K, n - i), comb(N, n)))
+
+
+# ---------------------------------------------------------------------------
+# Views of package results that only the tests read
+# ---------------------------------------------------------------------------
+
+def fm_column(fm, name):
+    """One named column of a FeatureMatrix."""
+    return fm.data[:, fm.columns.index(name)]
+
+
+def logistic_score_max_norm(fit, y, X):
+    """Max-norm of the log-likelihood gradient at a LogisticFit's coefficients."""
+    design = np.column_stack([np.ones(len(y)), X])
+    mu = expit(design @ fit.coef)
+    return float(np.abs(design.T @ (y - mu)).max())
+
+
+def neg_log_p(ens):
+    """-log of a BalancedEnsemble's replicate p-values, clipped away from 0."""
+    return -np.log(np.clip(ens.p_values, 1e-300, None))
+
+
+def band_halfwidth(fit):
+    """Half-width of a FunctionalFit's pointwise 95% bands."""
+    return 1.96 * fit.se

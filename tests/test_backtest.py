@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_hypergeom_upper_tail
+from oracles import exact_hypergeom_upper_tail, hypergeom_pmf
 
-from vcnet.backtest import hypergeom_pmf, hypergeom_pvalue, run_strategy
+from vcnet.backtest import hypergeom_pvalue, run_strategy
 from vcnet.centrality import CentralityFrame
 from vcnet.errors import ConfigError
 from vcnet.graph import FIRM

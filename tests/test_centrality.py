@@ -334,10 +334,13 @@ class TestCovariateColumns:
         assert not any(c.startswith("n_investors_") for c in cols)
 
 
-def _manual_frames(year, inv_values):
-    """Firm frame with constant own values; investor frame from a dict."""
+def _manual_frames(g, year, inv_values):
+    """Firm frame with constant own values and ``g``'s investor counts;
+    investor frame from a dict."""
     firm_measures = {m: {"fA": 0.5} for m in C.COMMON_MEASURES}
     firm_measures["core_number"] = {"fA": 1}
+    firm_measures["n_investors"] = C.compute_frame(project_firms(g, year, 7), g,
+                                                   measures=("n_investors",)).measures["n_investors"]
     inv_measures = {m: dict(inv_values) for m in C.COMMON_MEASURES}
     return (C.CentralityFrame(year, FIRM, firm_measures),
             C.CentralityFrame(year, INVESTOR, inv_measures))
@@ -351,7 +354,7 @@ class TestAssembleCovariates:
 
     def test_singleton_investor_summaries_collapse(self):
         g = self._graph(["i1"])
-        firm_frame, inv_frame = _manual_frames(2005, {"i1": 0.7, "i9": 0.1})
+        firm_frame, inv_frame = _manual_frames(g, 2005, {"i1": 0.7, "i9": 0.1})
         rows = C.assemble_covariates(firm_frame, inv_frame, g)
         assert [r.firm_id for r in rows] == ["fA"]
         row = rows[0]
@@ -360,26 +363,26 @@ class TestAssembleCovariates:
 
     def test_odd_count_median(self):
         g = self._graph(["i1", "i2", "i3"])
-        firm_frame, inv_frame = _manual_frames(2005, {"i1": 0.1, "i2": 0.2, "i3": 0.4})
+        firm_frame, inv_frame = _manual_frames(g, 2005, {"i1": 0.1, "i2": 0.2, "i3": 0.4})
         row = C.assemble_covariates(firm_frame, inv_frame, g)[0]
         assert row.values["pagerank_median"] == pytest.approx(0.2)
 
     def test_even_count_median_is_middle_mean(self):
         g = self._graph(["i1", "i2"])
-        firm_frame, inv_frame = _manual_frames(2005, {"i1": 0.1, "i2": 0.3})
+        firm_frame, inv_frame = _manual_frames(g, 2005, {"i1": 0.1, "i2": 0.3})
         row = C.assemble_covariates(firm_frame, inv_frame, g)[0]
         assert row.values["pagerank_median"] == pytest.approx(0.2)
 
     def test_missing_investors_zeroed_and_flagged(self):
         g = self._graph(["i1", "i2"])
-        firm_frame, inv_frame = _manual_frames(2005, {"other": 1.0})
+        firm_frame, inv_frame = _manual_frames(g, 2005, {"other": 1.0})
         row = C.assemble_covariates(firm_frame, inv_frame, g)[0]
         assert row.investor_measures_missing
         assert row.values["pagerank_max"] == 0.0
 
     def test_first_amount_and_n_investors(self):
         g = self._graph(["i1", "i2"])
-        firm_frame, inv_frame = _manual_frames(2005, {"i1": 0.1, "i2": 0.3})
+        firm_frame, inv_frame = _manual_frames(g, 2005, {"i1": 0.1, "i2": 0.3})
         row = C.assemble_covariates(firm_frame, inv_frame, g)[0]
         assert row.values["first_amount"] == 200.0
         assert row.values["n_investors"] == 2.0
@@ -390,14 +393,14 @@ class TestAssembleCovariates:
             investors = [f"i{k}" for k in range(int(rng.integers(1, 6)))]
             g = self._graph(investors)
             values = {i: float(rng.random()) for i in investors}
-            firm_frame, inv_frame = _manual_frames(2005, values)
+            firm_frame, inv_frame = _manual_frames(g, 2005, values)
             row = C.assemble_covariates(firm_frame, inv_frame, g)[0]
             for m in C.COMMON_MEASURES:
                 assert row.values[f"{m}_min"] <= row.values[f"{m}_median"] <= row.values[f"{m}_max"]
 
     def test_covariates_csv_round_trip(self, tmp_path):
         g = self._graph(["i1", "i2"])
-        firm_frame, inv_frame = _manual_frames(2005, {"i1": 0.1, "i2": 0.3})
+        firm_frame, inv_frame = _manual_frames(g, 2005, {"i1": 0.1, "i2": 0.3})
         rows = C.assemble_covariates(firm_frame, inv_frame, g)
         path = tmp_path / "covariates.csv"
         C.write_covariates_csv(rows, path)

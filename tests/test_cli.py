@@ -1,6 +1,7 @@
 """Pipeline orchestration: determinism, exit codes, stage protocol."""
 
 import csv
+import dataclasses
 import json
 import shutil
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from vcnet import trajectories
-from vcnet.cli import main
+from vcnet.cli import build_parser, main
 from vcnet.errors import ConfigError
 from vcnet.pipeline import RunConfig, run_pipeline, run_stage
 
@@ -100,6 +101,22 @@ class TestStageProtocol:
         assert manifest["stages"]["trajectories"]["status"] == "failed"
 
 
+class TestMainFitMatchesSweep:
+    def test_linear_agg_sweep_row_at_fit_window_equals_best_fit(self, finished_run):
+        # the sweep refits the chosen configuration on responses built by the
+        # same code as the main fit, so at the fitted window the two agree exactly
+        out, manifest = finished_run
+        window = manifest["config"]["window_years"]
+        best = json.loads((out / "regress" / "linear_agg_best.json").read_text())
+        with open(out / "regress" / "window_sweep.csv", encoding="utf-8", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if r["kind"] == "linear_agg" and int(r["window"]) == window]
+        assert [r["term"] for r in rows] == [t["term"] for t in best["terms"]]
+        for r, t in zip(rows, best["terms"]):
+            assert float(r["estimate"]) == t["estimate"]
+            assert float(r["se"]) == t["se"]
+
+
 class TestCliCommands:
     def test_missing_input_file_exits_2_without_artifacts(self, tmp_path, capsys):
         out = tmp_path / "never"
@@ -175,6 +192,27 @@ class TestCliCommands:
         assert (out_b / "ingest" / "deals.csv").exists()
         assert not (tmp_path / "a").exists()
 
+    def test_every_config_field_has_a_flag(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        fields = {f"--{f.name}" for f in dataclasses.fields(RunConfig)}
+        for command in ("run", "stage", "synth"):
+            assert fields <= set(sub.choices[command]._option_string_actions)
+
+    def test_typed_flags_reach_the_manifest(self, tmp_path):
+        out = tmp_path / "typed"
+        code = main(["stage", "ingest", "--out_dir", str(out), "--synthetic", json.dumps(SYNTH),
+                     "--start_years", "2001", "2009", "--kmeans_log_scale", "false",
+                     "--skew_threshold", "0.5", "--seed", "3", "--frames_years", "all"])
+        assert code == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["start_years"] == [2001, 2009]
+        assert config["kmeans_log_scale"] is False
+        assert config["skew_threshold"] == 0.5
+        assert config["seed"] == 3
+        assert config["frames_years"] == "all"
+        assert config["synthetic"]["year_range"] == SYNTH["year_range"]
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"out_dir": "x", "synthetic": SYNTH, "typo_key": 1}))
@@ -235,3 +273,24 @@ class TestTypedInternalErrors:
         assert err.startswith("error: k-means objective increased")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stages"]["trajectories"]["status"] == "failed"
+
+
+class TestDegenerateRuns:
+    def test_empty_fit_sample_exits_2_naming_the_window(self, tmp_path, capsys):
+        # an 8-year data range cannot hold a 10-year trajectory, so no firm is kept
+        synth = {"n_firms": 40, "n_investors": 20, "n_subsectors": 2,
+                 "year_range": [2000, 2008], "high_regime_fraction": 0.2, "seed": 2}
+        out = tmp_path / "empty"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--out_dir", str(out), "--synthetic", json.dumps(synth),
+                         "--kmeans_inits", "3", "--balance_reps", "10", "--config_limit", "30"])
+        assert code == 2
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: empty fit sample")
+        assert "10-year" in err
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert stages["trajectories"]["n_retained"] == 0
+        assert stages["regress"]["status"] == "failed"
+        assert stages["regress"]["error"] == err[len("error: "):].strip()

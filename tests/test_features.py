@@ -6,6 +6,8 @@ import scipy.cluster.hierarchy as sch
 import scipy.stats
 from scipy.spatial.distance import squareform
 
+from oracles import fm_column
+
 from vcnet.errors import ConfigError
 from vcnet.features import (FeatureMatrix, correlation_dendrogram, cut_groups, enumerate_configs,
                             group_members, leaf_order, preprocess, sample_skewness)
@@ -22,8 +24,8 @@ class TestPreprocess:
         fm = fm_from(rng.normal(size=(500, 1)), ["sym"])
         out = preprocess(fm)
         assert out.transforms["sym"] == "none"
-        assert out.column("sym").mean() == pytest.approx(0.0, abs=1e-9)
-        assert out.column("sym").std(ddof=1) == pytest.approx(1.0, abs=1e-9)
+        assert fm_column(out, "sym").mean() == pytest.approx(0.0, abs=1e-9)
+        assert fm_column(out, "sym").std(ddof=1) == pytest.approx(1.0, abs=1e-9)
 
     def test_exponential_column_logged_with_skew_oracle(self):
         rng = np.random.default_rng(1)
@@ -57,8 +59,8 @@ class TestPreprocess:
         data = np.column_stack([rng.exponential(size=300), rng.normal(5, 3, size=300)])
         out = preprocess(fm_from(data, ["a", "b"]))
         for col in out.columns:
-            assert out.column(col).mean() == pytest.approx(0.0, abs=1e-9)
-            assert out.column(col).std(ddof=1) == pytest.approx(1.0, abs=1e-9)
+            assert fm_column(out, col).mean() == pytest.approx(0.0, abs=1e-9)
+            assert fm_column(out, col).std(ddof=1) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDendrogram:

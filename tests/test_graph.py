@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import bf_first_round, bf_project_firms, bf_project_investors
+from oracles import NotFoundError, bf_first_round, bf_project_firms, bf_project_investors
 from conftest import deal, random_deals
 
-from vcnet.errors import NotFoundError
 from vcnet.graph import (BOTH, FIRM, INVESTOR, build_bipartite, first_rounds,
                          project_firms, project_investors)
 

@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bf_select_model
+from oracles import band_halfwidth, bf_select_model, logistic_score_max_norm, neg_log_p
 
 from vcnet.errors import ConfigError, RankDeficientError
 from vcnet.features import FeatureMatrix
 from vcnet.ingest import FirmMeta, SyntheticConfig, generate_synthetic
 from vcnet.regress import (SELECT_CHUNK, TIE_RTOL, PipelineData, balanced_ensemble, build_controls,
                            confusion_metrics, confusion_vs_standard, fit_function_on_scalar,
-                           fit_linear, fit_logistic, perturbation_sweep, select_model,
-                           window_sweep, _irls)
-from vcnet.trajectories import HIGH, LOW, ClusterAssignment, build_trajectories
+                           fit_linear, fit_logistic, perturbation_sweep, responses,
+                           select_model, window_sweep, _irls)
+from vcnet.trajectories import HIGH, LOW, ClusterAssignment, Trajectory, build_trajectories
 
 
 def sigmoid(x):
@@ -55,7 +55,7 @@ class TestFitLogistic:
         y = (rng.random(400) < sigmoid(x @ np.array([0.5, -1.0, 0.2]))).astype(float)
         fit = fit_logistic(y, x)
         assert fit.converged
-        assert fit.score_max_norm(y, x) < 1e-6
+        assert logistic_score_max_norm(fit, y, x) < 1e-6
 
     def test_analytic_gradient_matches_central_differences(self):
         rng = np.random.default_rng(33)
@@ -151,7 +151,7 @@ class TestBalancedEnsemble:
         ens = balanced_ensemble(y, x, n_reps=10, seed=4)
         assert ens.mean_log_likelihood < 0
         assert 0 <= ens.mean_pseudo_r2 <= ens.max_pseudo_r2 < 1
-        assert ens.neg_log_p().shape == ens.coefs.shape
+        assert neg_log_p(ens).shape == ens.coefs.shape
 
 
 class TestFitLinear:
@@ -241,7 +241,7 @@ class TestFunctionOnScalar:
         fit = fit_function_on_scalar(Y, x)
         assert np.array_equal(fit.hi95, fit.coef + 1.96 * fit.se)
         assert np.array_equal(fit.lo95, fit.coef - 1.96 * fit.se)
-        assert np.allclose(fit.band_halfwidth(), 1.96 * fit.se)
+        assert np.allclose(band_halfwidth(fit), 1.96 * fit.se)
 
     def test_planted_time_varying_coefficient(self):
         rng = np.random.default_rng(64)
@@ -455,6 +455,44 @@ class TestConfusion:
         meta = {"a": FirmMeta("a")}
         rep = confusion_vs_standard(ca, meta, {"a": 2000}, 10)
         assert (rep.tp, rep.fn, rep.fp, rep.tn) == (0, 0, 1, 0)
+
+
+class TestResponses:
+    TRAJS = [Trajectory("a", "S1", 2000, (10, 30, 70)), Trajectory("b", "S2", 2001, (5, 5, 5)),
+             Trajectory("c", "S2", 2002, (20, 20, 50))]
+    FIRST = {"a": 10.0, "b": 5.0, "c": 20.0}
+    SUB = {"a": "S1", "b": "S2", "c": "S2"}
+
+    def build(self, kind, regimes=None):
+        return responses(kind, self.TRAJS, regimes, self.FIRST, self.SUB)
+
+    def test_logistic_is_high_membership_without_controls(self):
+        firms, y, C, names = self.build("logistic", {"a": HIGH, "b": LOW, "c": HIGH})
+        assert firms == ["a", "b", "c"]
+        assert y.tolist() == [1.0, 0.0, 1.0]
+        assert C.shape == (3, 0) and names == []
+
+    def test_linear_agg_logs_final_amount_with_controls(self):
+        firms, y, C, names = self.build("linear_agg")
+        assert firms == ["a", "b", "c"]
+        assert np.array_equal(y, np.log1p([70.0, 5.0, 50.0]))
+        assert names == ["log_first_amount", "subsector_S2"]
+        assert np.array_equal(C[:, 0], np.log1p([10.0, 5.0, 20.0]))
+
+    def test_linear_diff_drops_firms_without_later_money(self):
+        firms, y, C, names = self.build("linear_diff")
+        assert firms == ["a", "c"]
+        assert np.array_equal(y, np.log1p([60.0, 30.0]))
+        assert names == ["subsector_S2"] and C[:, 0].tolist() == [0.0, 1.0]
+
+    def test_functional_is_the_raw_curve_matrix(self):
+        firms, Y, C, names = self.build("functional")
+        assert Y.tolist() == [[10, 30, 70], [5, 5, 5], [20, 20, 50]]
+        assert C.shape == (3, 0) and names == []
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ConfigError, match="unknown response kind"):
+            self.build("quadratic")
 
 
 class TestBuildControls:
