@@ -41,9 +41,10 @@ from .regress import (PipelineData, balanced_ensemble, confusion_vs_standard,
                       perturbation_sweep, responses, select_model, window_sweep,
                       write_functional_curves, write_leaderboard_csv, write_perturbation_csv)
 from .seeding import derive_seed
-from .trajectories import (build_trajectories, functional_kmeans, read_assignments_csv,
-                           read_trajectories_csv, regime_rates, write_assignments_csv,
-                           write_centroids_csv, write_exclusions_csv, write_trajectories_csv)
+from .trajectories import (ClusterAssignment, build_trajectories, functional_kmeans,
+                           read_assignments_csv, read_trajectories_csv, regime_rates,
+                           write_assignments_csv, write_centroids_csv, write_exclusions_csv,
+                           write_trajectories_csv)
 
 STAGES = ("ingest", "graph", "centrality", "features", "trajectories", "regress", "backtest")
 
@@ -291,9 +292,14 @@ def stage_trajectories(cfg: RunConfig, out: Path) -> dict:
     ts = build_trajectories(deals, firms, cfg.window_years)
     counts: dict = {}
     with _record_warnings(counts):
-        ca = functional_kmeans(ts.trajectories, k=cfg.kmeans_k, n_init=cfg.kmeans_inits,
-                               seed=derive_seed(cfg.seed, "trajectories"),
-                               log_scale=cfg.kmeans_log_scale)
+        if ts.trajectories:
+            ca = functional_kmeans(ts.trajectories, k=cfg.kmeans_k, n_init=cfg.kmeans_inits,
+                                   seed=derive_seed(cfg.seed, "trajectories"),
+                                   log_scale=cfg.kmeans_log_scale)
+        else:
+            _warnings.warn(f"no firm retained for a {cfg.window_years}-year window")
+            ca = ClusterAssignment(ts.window, "log1p" if cfg.kmeans_log_scale else "raw",
+                                   {}, {}, {}, {})
     write_trajectories_csv(ts, stage_dir / "trajectories.csv")
     write_exclusions_csv(ts, stage_dir / "exclusions.csv")
     write_assignments_csv(ca, stage_dir / "assignments.csv")

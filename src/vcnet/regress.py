@@ -47,6 +47,10 @@ IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
 #: |coefficient| beyond this on standardized data flags perfect separation.
 SEPARATION_BOUND = 30.0
+#: Configurations (and balanced replicates) fitted together as one
+#: (chunk, n, q) design stack. Bounds the work memory to O(chunk * n * q)
+#: whatever the number of configurations or replicates.
+SELECT_CHUNK = 64
 
 
 def _collinear_columns(design: np.ndarray, names: list[str]) -> list[str]:
@@ -73,7 +77,8 @@ def _check_rank(design: np.ndarray, names: list[str]) -> None:
 
 
 def _wald_p(z: np.ndarray) -> np.ndarray:
-    return np.array([math.erfc(abs(float(v)) / math.sqrt(2.0)) for v in z])
+    return np.array([math.erfc(abs(float(v)) / math.sqrt(2.0))
+                     for v in z.ravel()]).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +97,12 @@ def _binary_p_hat(y: np.ndarray) -> float:
     if p_hat in (0.0, 1.0):
         raise ConfigError("logistic response is constant; no model can be fit")
     return p_hat
+
+
+def _null_log_likelihood(y: np.ndarray) -> float:
+    """Log-likelihood of the intercept-only logistic model of a binary ``y``."""
+    p_hat = _binary_p_hat(y)
+    return len(y) * (p_hat * math.log(p_hat) + (1.0 - p_hat) * math.log(1.0 - p_hat))
 
 
 def _require_rows(n: int, q: int) -> None:
@@ -127,13 +138,14 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray | 
 
 
 def _irls(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Logistic maximum likelihood of ``y`` on every design of a (B, n, q) stack.
+    """Logistic maximum likelihood on every design of a (B, n, q) stack.
 
-    Each design takes Newton (IRLS) steps until its largest step is below
-    ``IRLS_TOL``, for at most ``IRLS_MAX_ITER`` iterations. A design whose
-    information matrix turns singular stops where it is, unconverged.
-    Returns coefficients (B, q), iteration counts (B,) and convergence
-    flags (B,).
+    ``y`` is one (n,) response shared by every design, or a (B, n) stack
+    with one response per design. Each design takes Newton (IRLS) steps
+    until its largest step is below ``IRLS_TOL``, for at most
+    ``IRLS_MAX_ITER`` iterations. A design whose information matrix turns
+    singular stops where it is, unconverged. Returns coefficients (B, q),
+    iteration counts (B,) and convergence flags (B,).
     """
     n_fits, _, q = designs.shape
     beta = np.zeros((n_fits, q))
@@ -141,7 +153,7 @@ def _irls(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     converged = np.zeros(n_fits, dtype=bool)
     # the designs still iterating, their stack and their coefficients
     active, stack, b = np.arange(n_fits), designs, np.zeros((n_fits, q, 1))
-    y_col = y[:, None]
+    y_col = y[..., None]  # (n, 1) shared, or (B, n, 1) following the active designs
     for it in range(1, IRLS_MAX_ITER + 1):
         mu = expit(stack @ b)
         stack_t = stack.mT
@@ -161,6 +173,8 @@ def _irls(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         if done.all():
             break
         active, stack, b = active[~done], stack[~done], b[~done]
+        if y_col.ndim == 3:
+            y_col = y_col[~done]
     else:
         beta[active] = b[:, :, 0]
     return beta, n_iter, converged
@@ -173,6 +187,24 @@ def _log_likelihood(designs: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.
 
 def _separated(beta: np.ndarray) -> np.ndarray:
     return np.abs(beta).max(axis=1) > SEPARATION_BOUND
+
+
+def _wald(designs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wald standard errors, z statistics and p-values, each (B, q), of logistic fits.
+
+    Standard errors come from the inverse information at ``beta``; a fit
+    whose information matrix is singular gets NaN standard errors (and
+    infinite z) on its own.
+    """
+    mu = expit(designs @ beta[:, :, None])
+    info = designs.mT @ (designs * (mu * (1.0 - mu)))
+    cov, failed = _solve_each(info, np.broadcast_to(np.eye(designs.shape[2]), info.shape))
+    se = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
+    if failed is not None:
+        se[failed] = np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0, beta / se, np.inf * np.sign(beta))
+    return se, z, _wald_p(z)
 
 
 def _ols(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,6 +239,11 @@ class LogisticFit:
     separated: bool
 
 
+def _logistic_names(columns: list[str] | None, n_cols: int) -> list[str]:
+    return [INTERCEPT] + (list(columns) if columns is not None else
+                          [f"x{j}" for j in range(n_cols)])
+
+
 def fit_logistic(y: np.ndarray, X: np.ndarray, columns: list[str] | None = None) -> LogisticFit:
     """Maximum-likelihood logistic regression of a binary response.
 
@@ -220,9 +257,8 @@ def fit_logistic(y: np.ndarray, X: np.ndarray, columns: list[str] | None = None)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     n = len(y)
-    p_hat = _binary_p_hat(y)
-    names = [INTERCEPT] + (list(columns) if columns is not None else
-                           [f"x{j}" for j in range(X.shape[1])])
+    ll_null = _null_log_likelihood(y)
+    names = _logistic_names(columns, X.shape[1])
     design = np.column_stack([np.ones(n), X])
     _check_rank(design, names)
 
@@ -230,20 +266,9 @@ def fit_logistic(y: np.ndarray, X: np.ndarray, columns: list[str] | None = None)
     beta = betas[0]
     separated = bool(_separated(betas)[0])
     ll = float(_log_likelihood(design[None], betas, y)[0])
-    ll_null = n * (p_hat * math.log(p_hat) + (1.0 - p_hat) * math.log(1.0 - p_hat))
-
-    mu = expit(design @ beta)
-    weight = mu * (1.0 - mu)
-    info = design.T @ (design * weight[:, None])
-    try:
-        cov = np.linalg.inv(info)
-        se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        se = np.full(design.shape[1], np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, beta / se, np.inf * np.sign(beta))
+    se, z, p = (a[0] for a in _wald(design[None], betas))
     return LogisticFit(
-        columns=names, coef=beta, se=se, z=z, p=_wald_p(z),
+        columns=names, coef=beta, se=se, z=z, p=p,
         log_likelihood=ll, null_log_likelihood=float(ll_null),
         pseudo_r2=1.0 - ll / ll_null, n=n, n_iter=int(n_iters[0]),
         converged=bool(convergeds[0]) and not separated, separated=separated,
@@ -264,15 +289,30 @@ class BalancedEnsemble:
     n_discarded: int
 
 
+def _balanced_rows(minority: np.ndarray, majority: np.ndarray, seed: int,
+                   attempt: int) -> np.ndarray:
+    """Sorted rows of balanced attempt ``attempt``: the minority class and
+    an equal-size draw without replacement from the majority class."""
+    if len(majority) == len(minority):
+        return np.sort(np.concatenate([minority, majority]))
+    rng = np.random.default_rng(derive_seed(seed, "balanced", attempt))
+    return np.sort(np.concatenate([minority,
+                                   rng.choice(majority, size=len(minority), replace=False)]))
+
+
 def balanced_ensemble(y: np.ndarray, X: np.ndarray, n_reps: int = 1000, seed: int = 0,
                       columns: list[str] | None = None) -> BalancedEnsemble:
     """Refit the logistic model on class-balanced subsamples.
 
     Each replicate subsamples the majority class without replacement
-    down to the minority size and refits; non-converged or separated
-    replicates are discarded and redrawn, up to 2 * n_reps attempts.
-    Replicate seeds derive from (seed, attempt), so the summary is
-    independent of execution order.
+    down to the minority size and refits; rank-deficient, non-converged
+    or separated replicates are discarded and redrawn, up to 2 * n_reps
+    attempts. Replicate seeds derive from (seed, attempt), so the summary
+    is independent of execution order. Attempts are fitted as stacked
+    designs through the IRLS kernel of ``fit_logistic``, in blocks of at
+    most ``SELECT_CHUNK`` and never more than the replicates still
+    needed, so exactly the attempts of a one-at-a-time loop are made and
+    replicates are kept in attempt order.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -285,41 +325,41 @@ def balanced_ensemble(y: np.ndarray, X: np.ndarray, n_reps: int = 1000, seed: in
         raise ConfigError(
             f"minority class has {len(minority)} rows; need at least {X.shape[1] + 1}")
 
-    fits: list[LogisticFit] = []
-    discarded = 0
-    attempt = 0
-    while len(fits) < n_reps and attempt < 2 * n_reps:
-        rng = np.random.default_rng(derive_seed(seed, "balanced", attempt))
-        attempt += 1
-        if len(majority) == len(minority):
-            idx = np.sort(np.concatenate([minority, majority]))
-        else:
-            sub = rng.choice(majority, size=len(minority), replace=False)
-            idx = np.sort(np.concatenate([minority, sub]))
-        try:
-            fit = fit_logistic(y[idx], X[idx], columns)
-        except VcnetError:
-            discarded += 1
+    design = np.column_stack([np.ones(len(y)), X])
+    coefs, pvals, lls = [], [], []
+    n_kept = attempt = 0
+    while n_kept < n_reps and attempt < 2 * n_reps:
+        size = min(SELECT_CHUNK, n_reps - n_kept, 2 * n_reps - attempt)
+        rows = np.array([_balanced_rows(minority, majority, seed, a)
+                         for a in range(attempt, attempt + size)])
+        attempt += size
+        designs = design[rows]
+        full = _full_rank(designs)
+        if not full.any():
             continue
-        if fit.converged:
-            fits.append(fit)
-        else:
-            discarded += 1
-    if not fits:
+        designs, ys = designs[full], y[rows[full]]
+        beta, _, converged = _irls(designs, ys)
+        keep = converged & ~_separated(beta)
+        designs, ys, beta = designs[keep], ys[keep], beta[keep]
+        coefs.append(beta)
+        pvals.append(_wald(designs, beta)[2])
+        lls.append(_log_likelihood(designs, beta, ys))
+        n_kept += len(beta)
+    if not n_kept:
         raise ConfigError("every balanced replicate failed to converge")
 
-    coefs = np.array([f.coef for f in fits])
-    pvals = np.array([f.p for f in fits])
+    coefs, lls = np.concatenate(coefs), np.concatenate(lls)
+    # every replicate has the same size and class split, hence the same null model
+    pseudo_r2 = 1.0 - lls / _null_log_likelihood(y[rows[0]])
     # shifting by the first replicate leaves the sd unchanged but keeps it
     # exactly zero when every replicate is identical (no subsampling randomness)
-    sd = (coefs - coefs[0]).std(axis=0, ddof=1) if len(fits) > 1 else np.zeros(coefs.shape[1])
+    sd = (coefs - coefs[0]).std(axis=0, ddof=1) if n_kept > 1 else np.zeros(coefs.shape[1])
     return BalancedEnsemble(
-        columns=fits[0].columns, coefs=coefs, p_values=pvals,
-        coef_mean=coefs.mean(axis=0), coef_sd=sd,
-        mean_log_likelihood=float(np.mean([f.log_likelihood for f in fits])),
-        mean_pseudo_r2=float(np.mean([f.pseudo_r2 for f in fits])),
-        max_pseudo_r2=float(np.max([f.pseudo_r2 for f in fits])),
-        n_reps=len(fits), n_discarded=discarded,
+        columns=_logistic_names(columns, X.shape[1]), coefs=coefs,
+        p_values=np.concatenate(pvals), coef_mean=coefs.mean(axis=0), coef_sd=sd,
+        mean_log_likelihood=float(np.mean(lls)),
+        mean_pseudo_r2=float(np.mean(pseudo_r2)), max_pseudo_r2=float(np.max(pseudo_r2)),
+        n_reps=n_kept, n_discarded=attempt - n_kept,
     )
 
 
@@ -442,10 +482,6 @@ def fit_function_on_scalar(Y: np.ndarray, X: np.ndarray,
 # Exhaustive per-group model selection
 # ---------------------------------------------------------------------------
 
-#: Configurations fitted together as one (chunk, n, q) design stack. Bounds
-#: selection's work memory to O(chunk * n * q) whatever the number of
-#: configurations.
-SELECT_CHUNK = 64
 #: Scores within this distance, relative to the leading score of their run
 #: in descending order, are ties and rank by ``config_id``.
 TIE_RTOL = 1e-12

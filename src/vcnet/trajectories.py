@@ -10,9 +10,13 @@ early enough for the full window to fit in the data range.
 
 Clustering runs separately per subsector with a Lloyd-style functional
 k-means: squared L2 distance between curves under trapezoidal
-quadrature weights, best of ``n_init`` seeded restarts. Distances are
-computed on log(1+x)-scaled curves by default since funding spans
-orders of magnitude; pass ``log_scale=False`` for raw currency units.
+quadrature weights, best of ``n_init`` seeded restarts. The restarts of
+a subsector run as one stacked Lloyd loop over a (restarts, k, T)
+centroid stack, ``RESTART_BLOCK`` restarts at a time, with a per-restart
+active mask, so each restart ends exactly where it would alone.
+Distances are computed on log(1+x)-scaled curves by default since
+funding spans orders of magnitude; pass ``log_scale=False`` for raw
+currency units.
 """
 
 from __future__ import annotations
@@ -112,36 +116,67 @@ def _quad_weights(n_grid: int) -> np.ndarray:
     return w
 
 
-def _lloyd(X: np.ndarray, centroids: np.ndarray, w: np.ndarray,
-           max_iter: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd iterations to an assignment fixed point; empty clusters are
-    re-seeded at the point farthest from its current centroid."""
-    k = centroids.shape[0]
-    assign = np.full(X.shape[0], -1)
-    prev_obj = np.inf
+#: Restarts run together as one (block, k, T) centroid stack. Bounds the Lloyd
+#: loop's work memory to O(block * n * k * T) whatever ``n_init``.
+RESTART_BLOCK = 64
+
+
+def _restart_stack(X: np.ndarray, centroids: np.ndarray, w: np.ndarray,
+                   max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd iterations of every restart of a (B, k, T) initial-centroid stack.
+
+    Each restart iterates to an assignment fixed point or for ``max_iter``
+    iterations; an empty cluster is re-seeded at the point farthest from
+    its current centroid. Distances reduce over the grid axis and a
+    centroid is the sum of its curves in row order over their count, so a
+    restart's result does not depend on the others in its stack.
+    Returns assignments (B, n), centroids (B, k, T) and objectives (B,).
+    """
+    n_restarts, k, n_grid = centroids.shape
+    n = len(X)
+    assign = np.full((n_restarts, n), -1)
+    obj = np.full(n_restarts, np.inf)
+    active = np.arange(n_restarts)  # the restarts still iterating
+    # (((X - C) ** 2) * w).sum(axis=-1) is formed in place in one buffer; curves
+    # and weights repeated per cluster let each product run over whole rows
+    X_k = np.repeat(X[:, None, :], k, axis=1)
+    w_k = np.broadcast_to(w, X_k.shape).copy()
+    buffer = np.empty((n_restarts, n, k, n_grid))
     for _ in range(max_iter):
-        d2 = (((X[:, None, :] - centroids[None, :, :]) ** 2) * w).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
-        obj = float(d2[np.arange(len(X)), new_assign].sum())
-        if obj > prev_obj * (1 + 1e-12) + 1e-9:
+        work = buffer[:len(active)]
+        np.subtract(X_k, centroids[active, None, :, :], out=work)
+        np.square(work, out=work)
+        work *= w_k
+        d2 = work.sum(axis=-1)
+        new_assign = d2.argmin(axis=2)
+        own = np.take_along_axis(d2, new_assign[..., None], axis=2)[..., 0]
+        new_obj = own.sum(axis=1)
+        if (new_obj > obj[active] * (1 + 1e-12) + 1e-9).any():
             raise InvariantError("k-means objective increased across an iteration")
-        prev_obj = obj
-        if np.array_equal(new_assign, assign):
+        obj[active] = new_obj
+        moved = (new_assign != assign[active]).any(axis=1)
+        active, new_assign, own = active[moved], new_assign[moved], own[moved]
+        if not active.size:
             break
-        assign = new_assign
-        used = set()
-        for j in range(k):
-            mask = assign == j
-            if mask.any():
-                centroids[j] = X[mask].mean(axis=0)
-            else:
-                own = d2[np.arange(len(X)), assign].astype(float)
-                if used:
-                    own[list(used)] = -np.inf
-                far = int(own.argmax())
-                used.add(far)
-                centroids[j] = X[far]
-    return assign, centroids, prev_obj
+        assign[active] = new_assign
+        n_active = len(active)
+        cells = new_assign + k * np.arange(n_active)[:, None]  # each curve's (restart, cluster)
+        counts = np.bincount(cells.ravel(), minlength=n_active * k).reshape(n_active, k)
+        # bincount adds each cell's curves in row order starting from zero, so a
+        # centroid is bit-identical to X[mask].mean(axis=0) of its restart alone
+        sums = np.bincount((cells[..., None] * n_grid + np.arange(n_grid)).ravel(),
+                           np.broadcast_to(X, (n_active, n, n_grid)).ravel(),
+                           n_active * k * n_grid).reshape(n_active, k, n_grid)
+        with np.errstate(invalid="ignore"):
+            update = sums / counts[..., None]
+        for b in np.flatnonzero((counts == 0).any(axis=1)):
+            dist, used = own[b], []
+            for j in np.flatnonzero(counts[b] == 0):
+                dist[used] = -np.inf
+                used.append(int(dist.argmax()))
+                update[b, j] = X[used[-1]]
+        centroids[active] = update
+    return assign, centroids, obj
 
 
 def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
@@ -153,7 +188,9 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
     HIGH, every other cluster LOW. Subsectors with fewer than k firms
     are assigned entirely to LOW with a warning. Restart seeds derive
     from ``seed`` and the (subsector, restart) labels, so results do not
-    depend on scheduling order.
+    depend on scheduling order. Restarts run ``RESTART_BLOCK`` at a time
+    as one stacked Lloyd loop; the best is the lowest objective, the
+    lowest restart among ties.
     """
     if k < 1 or n_init < 1:
         raise ConfigError("k and n_init must both be >= 1")
@@ -180,15 +217,15 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
                 ca.regimes[t.firm_id] = LOW
             continue
 
-        best: tuple[float, int, np.ndarray, np.ndarray] | None = None
-        for restart in range(n_init):
-            rng = np.random.default_rng(derive_seed(seed, "kmeans", sub, restart))
-            init_idx = np.sort(rng.choice(len(group), size=k, replace=False))
-            assign, centroids, obj = _lloyd(X, X[init_idx].copy(), w, max_iter)
-            if best is None or (obj, restart) < (best[0], best[1]):
-                best = (obj, restart, assign, centroids)
-
-        obj, _, assign, centroids = best
+        inits = np.array([
+            X[np.sort(np.random.default_rng(derive_seed(seed, "kmeans", sub, restart))
+                      .choice(len(group), size=k, replace=False))]
+            for restart in range(n_init)])
+        blocks = [_restart_stack(X, inits[start:start + RESTART_BLOCK], w, max_iter)
+                  for start in range(0, n_init, RESTART_BLOCK)]
+        assigns, centroid_stack, objs = (np.concatenate(parts) for parts in zip(*blocks))
+        best = int(objs.argmin())
+        assign, centroids = assigns[best], centroid_stack[best].copy()
         terminal = centroids[:, -1]
         high_cluster = max(range(k), key=lambda j: (terminal[j], centroids[j].mean(), -j))
         labels = [HIGH if j == high_cluster else LOW for j in range(k)]
@@ -196,7 +233,7 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
             ca.regimes[t.firm_id] = labels[j]
         ca.centroids[sub] = centroids
         ca.cluster_regimes[sub] = labels
-        ca.wcss[sub] = obj
+        ca.wcss[sub] = float(objs[best])
     return ca
 
 

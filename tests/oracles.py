@@ -437,6 +437,152 @@ def bf_select_model(kind, response, fm, configs, controls=None, control_columns=
 
 
 # ---------------------------------------------------------------------------
+# Balanced ensemble: one single fit per attempt
+# ---------------------------------------------------------------------------
+
+def bf_balanced_ensemble(y, X, n_reps=1000, seed=0, columns=None):
+    """``balanced_ensemble`` with one ``fit_logistic`` call per attempt.
+
+    The reference for the stacked replicate blocks: attempts are drawn
+    and fitted one at a time until ``n_reps`` converge or ``2 * n_reps``
+    attempts were made; any failure of a single fit discards its attempt.
+    """
+    from vcnet.errors import ConfigError, VcnetError
+    from vcnet.regress import BalancedEnsemble, fit_logistic
+    from vcnet.seeding import derive_seed
+
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)
+    ones = np.flatnonzero(y == 1.0)
+    zeros = np.flatnonzero(y == 0.0)
+    minority, majority = (ones, zeros) if len(ones) <= len(zeros) else (zeros, ones)
+    if len(minority) < X.shape[1] + 1:
+        raise ConfigError(
+            f"minority class has {len(minority)} rows; need at least {X.shape[1] + 1}")
+    fits = []
+    discarded = 0
+    attempt = 0
+    while len(fits) < n_reps and attempt < 2 * n_reps:
+        rng = np.random.default_rng(derive_seed(seed, "balanced", attempt))
+        attempt += 1
+        if len(majority) == len(minority):
+            idx = np.sort(np.concatenate([minority, majority]))
+        else:
+            sub = rng.choice(majority, size=len(minority), replace=False)
+            idx = np.sort(np.concatenate([minority, sub]))
+        try:
+            fit = fit_logistic(y[idx], X[idx], columns)
+        except VcnetError:
+            discarded += 1
+            continue
+        if fit.converged:
+            fits.append(fit)
+        else:
+            discarded += 1
+    if not fits:
+        raise ConfigError("every balanced replicate failed to converge")
+    coefs = np.array([f.coef for f in fits])
+    sd = (coefs - coefs[0]).std(axis=0, ddof=1) if len(fits) > 1 else np.zeros(coefs.shape[1])
+    return BalancedEnsemble(
+        columns=fits[0].columns, coefs=coefs, p_values=np.array([f.p for f in fits]),
+        coef_mean=coefs.mean(axis=0), coef_sd=sd,
+        mean_log_likelihood=float(np.mean([f.log_likelihood for f in fits])),
+        mean_pseudo_r2=float(np.mean([f.pseudo_r2 for f in fits])),
+        max_pseudo_r2=float(np.max([f.pseudo_r2 for f in fits])),
+        n_reps=len(fits), n_discarded=discarded,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Functional k-means: one Lloyd loop per restart
+# ---------------------------------------------------------------------------
+
+def bf_lloyd(X, centroids, w, max_iter):
+    """Lloyd iterations to an assignment fixed point; empty clusters are
+    re-seeded at the point farthest from its current centroid."""
+    from vcnet.errors import InvariantError
+
+    k = centroids.shape[0]
+    assign = np.full(X.shape[0], -1)
+    prev_obj = np.inf
+    for _ in range(max_iter):
+        d2 = (((X[:, None, :] - centroids[None, :, :]) ** 2) * w).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        obj = float(d2[np.arange(len(X)), new_assign].sum())
+        if obj > prev_obj * (1 + 1e-12) + 1e-9:
+            raise InvariantError("k-means objective increased across an iteration")
+        prev_obj = obj
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        used = set()
+        for j in range(k):
+            mask = assign == j
+            if mask.any():
+                centroids[j] = X[mask].mean(axis=0)
+            else:
+                own = d2[np.arange(len(X)), assign].astype(float)
+                if used:
+                    own[list(used)] = -np.inf
+                far = int(own.argmax())
+                used.add(far)
+                centroids[j] = X[far]
+    return assign, centroids, prev_obj
+
+
+def bf_functional_kmeans(trajs, k=2, n_init=100, seed=0, log_scale=True, max_iter=500):
+    """``functional_kmeans`` with one Lloyd loop per restart, run one at a time.
+
+    The reference for the stacked restart loop: the same seeded initial
+    centroids, each restart iterated alone, the best kept by
+    ``(objective, restart)``. Returns the package's ``ClusterAssignment``
+    (warnings for small subsectors are recorded but not raised).
+    """
+    from vcnet.seeding import derive_seed
+    from vcnet.trajectories import HIGH, LOW, ClusterAssignment
+
+    scale = "log1p" if log_scale else "raw"
+    if not trajs:
+        return ClusterAssignment(0, scale, {}, {}, {}, {})
+    window = len(trajs[0].values) - 1
+    w = np.ones(window + 1)
+    w[0] = w[-1] = 0.5
+    ca = ClusterAssignment(window, scale, {}, {}, {}, {})
+    by_sub = {}
+    for t in trajs:
+        by_sub.setdefault(t.subsector, []).append(t)
+    for sub in sorted(by_sub):
+        group = sorted(by_sub[sub], key=lambda t: t.firm_id)
+        X = np.array([t.values for t in group], dtype=float)
+        if log_scale:
+            X = np.log1p(X)
+        if len(group) < k:
+            ca.warnings.append(f"subsector {sub!r} has {len(group)} firms (< k={k}); all assigned LOW")
+            for t in group:
+                ca.regimes[t.firm_id] = LOW
+            continue
+        best = None
+        for restart in range(n_init):
+            rng = np.random.default_rng(derive_seed(seed, "kmeans", sub, restart))
+            init_idx = np.sort(rng.choice(len(group), size=k, replace=False))
+            assign, centroids, obj = bf_lloyd(X, X[init_idx].copy(), w, max_iter)
+            if best is None or (obj, restart) < (best[0], best[1]):
+                best = (obj, restart, assign, centroids)
+        obj, _, assign, centroids = best
+        terminal = centroids[:, -1]
+        high_cluster = max(range(k), key=lambda j: (terminal[j], centroids[j].mean(), -j))
+        labels = [HIGH if j == high_cluster else LOW for j in range(k)]
+        for t, j in zip(group, assign):
+            ca.regimes[t.firm_id] = labels[j]
+        ca.centroids[sub] = centroids
+        ca.cluster_regimes[sub] = labels
+        ca.wcss[sub] = obj
+    return ca
+
+
+# ---------------------------------------------------------------------------
 # Exact hypergeometric tail by rational enumeration
 # ---------------------------------------------------------------------------
 

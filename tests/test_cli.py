@@ -292,5 +292,7 @@ class TestDegenerateRuns:
         assert "10-year" in err
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert stages["trajectories"]["n_retained"] == 0
+        assert stages["trajectories"]["warning_messages"] == [
+            "no firm retained for a 10-year window"]
         assert stages["regress"]["status"] == "failed"
         assert stages["regress"]["error"] == err[len("error: "):].strip()

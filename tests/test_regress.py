@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import band_halfwidth, bf_select_model, logistic_score_max_norm, neg_log_p
+from oracles import (band_halfwidth, bf_balanced_ensemble, bf_select_model,
+                     logistic_score_max_norm, neg_log_p)
+
+from vcnet import regress
 
 from vcnet.errors import ConfigError, RankDeficientError
 from vcnet.features import FeatureMatrix
@@ -14,7 +17,7 @@ from vcnet.ingest import FirmMeta, SyntheticConfig, generate_synthetic
 from vcnet.regress import (SELECT_CHUNK, TIE_RTOL, PipelineData, balanced_ensemble, build_controls,
                            confusion_metrics, confusion_vs_standard, fit_function_on_scalar,
                            fit_linear, fit_logistic, perturbation_sweep, responses,
-                           select_model, window_sweep, _irls)
+                           select_model, window_sweep, _balanced_rows, _irls, _wald)
 from vcnet.trajectories import HIGH, LOW, ClusterAssignment, Trajectory, build_trajectories
 
 
@@ -152,6 +155,116 @@ class TestBalancedEnsemble:
         assert ens.mean_log_likelihood < 0
         assert 0 <= ens.mean_pseudo_r2 <= ens.max_pseudo_r2 < 1
         assert neg_log_p(ens).shape == ens.coefs.shape
+
+
+def assert_same_ensemble(got, want):
+    assert got.columns == want.columns
+    for name in ("coefs", "p_values", "coef_mean", "coef_sd"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("mean_log_likelihood", "mean_pseudo_r2", "max_pseudo_r2", "n_reps",
+                 "n_discarded"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def overlapping_classes(n_overlap=4):
+    """12 ones at x > 0 and 60 zeros, ``n_overlap`` of them among the ones:
+    a subsample that draws no overlapping zero is perfectly separated."""
+    rng = np.random.default_rng(51)
+    x = np.concatenate([rng.uniform(0.5, 2.0, 12), rng.uniform(-3, -0.2, 60 - n_overlap),
+                        rng.uniform(0.6, 1.8, n_overlap)])
+    return np.concatenate([np.ones(12), np.zeros(60)]), x
+
+
+def sometimes_collinear():
+    """c2 = 2 * c1 except on two majority rows (one +1, one -1): a subsample
+    without either is rank deficient, with one is separated, with both fits."""
+    rng = np.random.default_rng(52)
+    y = np.zeros(100)
+    y[rng.permutation(100)[:40]] = 1.0
+    z, c1 = rng.normal(size=100), rng.normal(size=100)
+    majority = np.flatnonzero(y == 0)
+    c2 = 2 * c1
+    c2[majority[0]] += 1.0
+    c2[majority[1]] -= 1.0
+    return y, np.column_stack([z, c1, c2]), majority[:2]
+
+
+class TestStackedBalancedEnsemble:
+    """Blocks of stacked replicates against one ``fit_logistic`` per attempt."""
+
+    def test_separated_replicates_are_discarded_like_the_oracle(self):
+        y, x = overlapping_classes()
+        got = balanced_ensemble(y, x, n_reps=30, seed=5, columns=["x"])
+        assert_same_ensemble(got, bf_balanced_ensemble(y, x, n_reps=30, seed=5, columns=["x"]))
+        assert got.n_reps == 30 and got.n_discarded > 0
+
+    def test_converged_replicates_beyond_the_separation_bound_are_discarded(self):
+        # x at 1/20 scale puts the slope near SEPARATION_BOUND, on either side of it
+        rng = np.random.default_rng(54)
+        base = rng.normal(size=300)
+        y = (rng.random(300) < sigmoid(-1.0 + 1.5 * base)).astype(float)
+        x = 0.05 * base
+        got = balanced_ensemble(y, x, n_reps=40, seed=3)
+        assert_same_ensemble(got, bf_balanced_ensemble(y, x, n_reps=40, seed=3))
+        assert got.n_reps > 0 and got.n_discarded > 0
+        assert np.abs(got.coefs).max() <= regress.SEPARATION_BOUND
+
+    def test_rank_deficient_subsamples_and_the_attempt_cap(self):
+        y, X, rows = sometimes_collinear()
+        got = balanced_ensemble(y, X, n_reps=100, seed=6)
+        assert_same_ensemble(got, bf_balanced_ensemble(y, X, n_reps=100, seed=6))
+        assert 0 < got.n_reps < 100 and got.n_reps + got.n_discarded == 200   # cap reached
+        minority, majority = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+        without = [a for a in range(200)
+                   if not set(rows) & set(_balanced_rows(minority, majority, 6, a))]
+        assert without   # some attempts drew a rank-deficient subsample
+
+    def test_already_balanced_classes_match_the_oracle(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=120)
+        y = np.array([1.0, 0.0] * 60)
+        got = balanced_ensemble(y, x, n_reps=70, seed=1)
+        assert_same_ensemble(got, bf_balanced_ensemble(y, x, n_reps=70, seed=1))
+
+    def test_planted_data_matches_the_oracle_across_blocks(self):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(400, 2))
+        y = (rng.random(400) < sigmoid(-1.2 + x @ np.array([1.8, -0.4]))).astype(float)
+        got = balanced_ensemble(y, x, n_reps=150, seed=2)
+        assert got.n_reps > SELECT_CHUNK
+        assert_same_ensemble(got, bf_balanced_ensemble(y, x, n_reps=150, seed=2))
+
+    def test_every_replicate_failing_raises_like_the_oracle(self):
+        y, x = overlapping_classes(n_overlap=0)
+        with pytest.raises(ConfigError, match="every balanced replicate failed") as err:
+            balanced_ensemble(y, x, n_reps=10, seed=5)
+        with pytest.raises(ConfigError) as oracle_err:
+            bf_balanced_ensemble(y, x, n_reps=10, seed=5)
+        assert str(err.value) == str(oracle_err.value)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, block):
+        y, X, _ = sometimes_collinear()
+        want = balanced_ensemble(y, X, n_reps=12, seed=7)
+        assert want.n_discarded > 0
+        monkeypatch.setattr(regress, "SELECT_CHUNK", block)
+        assert_same_ensemble(balanced_ensemble(y, X, n_reps=12, seed=7), want)
+
+    def test_singular_information_gives_nan_se_for_its_own_fit_only(self):
+        rng = np.random.default_rng(53)
+        n = 120
+        x = rng.normal(size=(n, 2))
+        y = (rng.random(n) < sigmoid(x[:, 0] - x[:, 1])).astype(float)
+        single = fit_logistic(y, x)
+        good = np.column_stack([np.ones(n), x])
+        singular = np.column_stack([np.ones(n), x[:, 0], np.zeros(n)])
+        beta = np.stack([single.coef, np.array([0.1, 0.2, 0.0]), single.coef])
+        se, z, p = _wald(np.stack([good, singular, good]), beta)
+        assert np.isnan(se[1]).all()
+        for row in (0, 2):
+            np.testing.assert_array_equal(se[row], single.se)
+            np.testing.assert_array_equal(z[row], single.z)
+            np.testing.assert_array_equal(p[row], single.p)
 
 
 class TestFitLinear:

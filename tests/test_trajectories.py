@@ -1,9 +1,14 @@
 """Trajectory construction, functional k-means, and regime shares."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import deal
+from oracles import bf_functional_kmeans, bf_lloyd
 
 from vcnet import trajectories
 from vcnet.errors import ConfigError, InvariantError
@@ -177,6 +182,110 @@ class TestFunctionalKmeans:
                  for i in range(6)]
         with pytest.raises(InvariantError, match="objective increased"):
             functional_kmeans(trajs, k=2, n_init=2, seed=1)
+
+
+def assert_same_clustering(got, want):
+    assert (got.window, got.scale) == (want.window, want.scale)
+    assert got.regimes == want.regimes
+    assert got.wcss == want.wcss
+    assert got.cluster_regimes == want.cluster_regimes
+    assert got.centroids.keys() == want.centroids.keys()
+    for sub in want.centroids:
+        assert np.array_equal(got.centroids[sub], want.centroids[sub])
+    assert got.warnings == want.warnings
+
+
+def planted_trajectories(seed, window=10):
+    cfg = SyntheticConfig(n_firms=150, n_investors=60, n_subsectors=3,
+                          year_range=(2000, 2020), high_regime_fraction=0.2, seed=seed)
+    ds = generate_synthetic(cfg)
+    return build_trajectories(ds.deals, ds.firms, window).trajectories
+
+
+class TestStackedRestarts:
+    """The stacked restart loop against one Lloyd loop per restart."""
+
+    @pytest.mark.parametrize("k,n_init,log_scale", [(2, 100, True), (3, 70, True), (2, 30, False)])
+    def test_matches_oracle_on_planted_data(self, k, n_init, log_scale):
+        trajs = planted_trajectories(21)
+        got = functional_kmeans(trajs, k=k, n_init=n_init, seed=5, log_scale=log_scale)
+        assert_same_clustering(got, bf_functional_kmeans(trajs, k=k, n_init=n_init, seed=5,
+                                                         log_scale=log_scale))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_identical_curves_force_reseeding(self, k):
+        # restarts that draw only x curves start with k equal centroids; the
+        # first takes every curve and the others are re-seeded
+        trajs = [flat(f"x{i}", 50) for i in range(6)] + [flat("y", 300), flat("z", 900)]
+        got = functional_kmeans(trajs, k=k, n_init=20, seed=1)
+        assert_same_clustering(got, bf_functional_kmeans(trajs, k=k, n_init=20, seed=1))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 500])
+    def test_each_restart_matches_its_own_lloyd_loop(self, max_iter):
+        trajs = [flat(f"x{i}", 50) for i in range(6)] + [flat("y", 300), flat("z", 900)]
+        X = np.log1p(np.array([t.values for t in trajs], dtype=float))
+        w = trajectories._quad_weights(X.shape[1])
+        # equal initial centroids (re-seeding in cluster order), then data points
+        inits = np.stack([X[[0, 1, 2]], X[[3, 3, 6]], X[[0, 6, 7]], X[[7, 6, 5]]])
+        assign, centroids, obj = trajectories._restart_stack(X, inits.copy(), w, max_iter)
+        for b, init in enumerate(inits):
+            want_assign, want_centroids, want_obj = bf_lloyd(X, init.copy(), w, max_iter)
+            assert assign[b].tolist() == want_assign.tolist()
+            assert np.array_equal(centroids[b], want_centroids)
+            assert obj[b] == want_obj
+        if max_iter == 1:
+            # the farthest curve (z) seeds the first empty cluster, the next (y) the second
+            np.testing.assert_array_equal(centroids[0, 1:], X[[7, 6]])
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_exhausted_iterations_match(self, max_iter):
+        trajs = planted_trajectories(22)
+        got = functional_kmeans(trajs, k=3, n_init=40, seed=6, max_iter=max_iter)
+        assert_same_clustering(got, bf_functional_kmeans(trajs, k=3, n_init=40, seed=6,
+                                                         max_iter=max_iter))
+
+    def test_tied_objectives_pick_the_lowest_restart(self):
+        # levels 10, 20, 30 split as {10, 20}{30} or {10}{20, 30} at the same
+        # objective; the split decides firm m's regime
+        trajs = [flat("l", 10), flat("m", 20), flat("h", 30)]
+        X = np.array([t.values for t in trajs], dtype=float)
+        w = trajectories._quad_weights(X.shape[1])
+        inits = np.stack([X[[0, 1]], X[[0, 2]]])
+        assign, _, obj = trajectories._restart_stack(X, inits, w, 100)
+        assert obj[0] == obj[1] and assign[0].tolist() != assign[1].tolist()
+        regimes_of_m = set()
+        for seed in range(6):
+            got = functional_kmeans(trajs, k=2, n_init=6, seed=seed, log_scale=False)
+            assert_same_clustering(got, bf_functional_kmeans(trajs, k=2, n_init=6, seed=seed,
+                                                             log_scale=False))
+            regimes_of_m.add(got.regimes["m"])
+        assert regimes_of_m == {HIGH, LOW}   # the tie rule, not the data, decides
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, block):
+        trajs = planted_trajectories(23)
+        want = functional_kmeans(trajs, k=2, n_init=10, seed=8)
+        monkeypatch.setattr(trajectories, "RESTART_BLOCK", block)
+        assert_same_clustering(functional_kmeans(trajs, k=2, n_init=10, seed=8), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_small_sets_match_oracle(self, data):
+        window = data.draw(st.integers(1, 4))
+        n_curves = data.draw(st.integers(1, 9))
+        curves = [data.draw(st.lists(st.integers(0, 50), min_size=window + 1,
+                                     max_size=window + 1)) for _ in range(n_curves)]
+        curves += data.draw(st.lists(st.sampled_from(curves), max_size=4))  # duplicates
+        trajs = [Trajectory(f"f{i:02d}", data.draw(st.sampled_from(["a", "b"])), 2000,
+                            tuple(np.cumsum([1 + c[0]] + c[1:]).tolist()))
+                 for i, c in enumerate(curves)]
+        kwargs = dict(k=data.draw(st.integers(1, 3)), n_init=data.draw(st.integers(1, 5)),
+                      seed=data.draw(st.integers(0, 3)), log_scale=data.draw(st.booleans()),
+                      max_iter=data.draw(st.sampled_from([1, 2, 500])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = functional_kmeans(trajs, **kwargs)
+        assert_same_clustering(got, bf_functional_kmeans(trajs, **kwargs))
 
 
 class TestRegimeRates:
