@@ -12,7 +12,6 @@ hypergeometric distribution.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from .centrality import CentralityFrame
 from .errors import ConfigError
-from .ingest import FirmMeta
+from .ingest import FirmMeta, write_csv
 
 #: Measures ranked ascending instead of descending.
 ASCENDING_MEASURES = frozenset({"voterank"})
@@ -141,15 +140,12 @@ def _success_within(meta: FirmMeta | None, start_year: int, horizon: int) -> boo
 
 def write_backtest_csv(reports: list[BacktestReport], path: str | Path) -> None:
     """Per-year rows plus one ALL aggregate row per measure."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["measure", "start_year", "success_rate", "p_value", "rate_sd",
-                         "n_selected", "pool_size", "pool_successes", "short_pool", "group"])
-        for rep in reports:
-            grp = "" if rep.group is None else str(rep.group)
-            for y in rep.years:
-                writer.writerow([rep.measure, str(y.start_year), repr(y.success_rate),
-                                 repr(y.p_value), "", str(y.n_selected), str(y.pool_size),
-                                 str(y.pool_successes), "1" if y.short_pool else "0", grp])
-            writer.writerow([rep.measure, "ALL", repr(rep.mean_rate), "", repr(rep.sd_rate),
-                             "", "", "", "", grp])
+    rows = []
+    for rep in reports:
+        rows.extend([rep.measure, y.start_year, y.success_rate, y.p_value, None, y.n_selected,
+                     y.pool_size, y.pool_successes, int(y.short_pool), rep.group]
+                    for y in rep.years)
+        rows.append([rep.measure, "ALL", rep.mean_rate, None, rep.sd_rate,
+                     None, None, None, None, rep.group])
+    write_csv(path, ["measure", "start_year", "success_rate", "p_value", "rate_sd", "n_selected",
+                     "pool_size", "pool_successes", "short_pool", "group"], rows)

@@ -24,7 +24,6 @@ Ties anywhere (VoteRank election, rankings) break by node-id order.
 
 from __future__ import annotations
 
-import csv
 import heapq
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +34,7 @@ from scipy.sparse import csgraph
 
 from .errors import ConvergenceError
 from .graph import FIRM, ProjectedGraph, TemporalBipartiteGraph, first_rounds
+from .ingest import read_csv, write_csv
 
 #: Measures computed on both layers, keyed as they appear in covariate names.
 COMMON_MEASURES = (
@@ -125,6 +125,8 @@ def core_number(pg: ProjectedGraph) -> dict[str, int]:
 _SOURCE_BLOCK = 128
 #: Edges per block in ``newman_betweenness``; its work array is block x component size.
 _EDGE_BLOCK = 256
+#: Relative singular-value cutoff of the Laplacian pseudo-inverse in ``newman_betweenness``.
+_PINV_RCOND = 1e-10
 
 
 def betweenness(pg: ProjectedGraph) -> dict[str, float]:
@@ -256,7 +258,7 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85,
 # Current-flow (random-walk) betweenness
 # ---------------------------------------------------------------------------
 
-def newman_betweenness(pg: ProjectedGraph, rcond: float = 1e-10) -> dict[str, float]:
+def newman_betweenness(pg: ProjectedGraph) -> dict[str, float]:
     """Current-flow betweenness via the component Laplacian pseudo-inverse.
 
     A unit current is injected between every source-target pair in a
@@ -274,7 +276,7 @@ def newman_betweenness(pg: ProjectedGraph, rcond: float = 1e-10) -> dict[str, fl
             if nc < 3:
                 continue
             sub = A[np.ix_(comp, comp)]
-            pinv = np.linalg.pinv(csgraph.laplacian(sub).toarray(), rcond=rcond)
+            pinv = np.linalg.pinv(csgraph.laplacian(sub).toarray(), rcond=_PINV_RCOND)
             upper = sp.triu(sub, k=1).tocoo()
             u, v = upper.row, upper.col
             # Sum over source<target pairs of |current through edge e|, where
@@ -456,54 +458,36 @@ _FRAME_COLUMNS = list(COMMON_MEASURES) + list(FIRM_ONLY_MEASURES)
 
 
 def write_frames_csv(frames: list[CentralityFrame], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "layer", "node"] + _FRAME_COLUMNS)
-        for frame in sorted(frames, key=lambda f: (f.snapshot_year, f.layer)):
-            for node in frame.nodes():
-                row = [str(frame.snapshot_year), frame.layer, node]
-                for m in _FRAME_COLUMNS:
-                    if m in frame.measures:
-                        row.append(repr(float(frame.measures[m][node])))
-                    else:
-                        row.append("")
-                writer.writerow(row)
+    write_csv(path, ["year", "layer", "node"] + _FRAME_COLUMNS, (
+        [frame.snapshot_year, frame.layer, node]
+        + [float(frame.measures[m][node]) if m in frame.measures else None for m in _FRAME_COLUMNS]
+        for frame in sorted(frames, key=lambda f: (f.snapshot_year, f.layer))
+        for node in frame.nodes()))
 
 
 def read_frames_csv(path: str | Path) -> dict[tuple[int, str], CentralityFrame]:
+    header, rows = read_csv(path)
+    measure_names = header[3:]
     frames: dict[tuple[int, str], CentralityFrame] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        measure_names = header[3:]
-        for row in reader:
-            year, layer, node = int(row[0]), row[1], row[2]
-            frame = frames.setdefault((year, layer), CentralityFrame(year, layer, {}))
-            for m, raw in zip(measure_names, row[3:]):
-                if raw == "":
-                    continue
+    for row in rows:
+        year, layer, node = int(row[0]), row[1], row[2]
+        frame = frames.setdefault((year, layer), CentralityFrame(year, layer, {}))
+        for m, raw in zip(measure_names, row[3:]):
+            if raw != "":
                 frame.measures.setdefault(m, {})[node] = float(raw)
     return frames
 
 
 def write_covariates_csv(rows: list[FirmCovariates], path: str | Path) -> None:
     cols = covariate_columns()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["firm_id", "first_year"] + cols + ["investor_measures_missing"])
-        for r in sorted(rows, key=lambda r: r.firm_id):
-            writer.writerow([r.firm_id, str(r.first_year)]
-                            + [repr(float(r.values[c])) for c in cols]
-                            + ["1" if r.investor_measures_missing else "0"])
+    write_csv(path, ["firm_id", "first_year"] + cols + ["investor_measures_missing"], (
+        [r.firm_id, r.first_year] + [float(r.values[c]) for c in cols]
+        + [int(r.investor_measures_missing)]
+        for r in sorted(rows, key=lambda r: r.firm_id)))
 
 
 def read_covariates_csv(path: str | Path) -> list[FirmCovariates]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = header[2:-1]
-        out = []
-        for row in reader:
-            values = {c: float(raw) for c, raw in zip(cols, row[2:-1])}
-            out.append(FirmCovariates(row[0], int(row[1]), values, row[-1] == "1"))
-    return out
+    header, rows = read_csv(path)
+    cols = header[2:-1]
+    return [FirmCovariates(row[0], int(row[1]), {c: float(raw) for c, raw in zip(cols, row[2:-1])},
+                           row[-1] == "1") for row in rows]

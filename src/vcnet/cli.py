@@ -11,7 +11,6 @@ error, 3 missing upstream artifact.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -19,7 +18,7 @@ import typing
 from pathlib import Path
 
 from .errors import ConfigError, MissingArtifactError, SchemaError, VcnetError
-from .ingest import generate_synthetic, write_deals, write_firms, write_planted_regimes
+from .ingest import generate_synthetic, read_csv, write_deals, write_firms, write_planted_regimes
 from .pipeline import STAGES, RunConfig, load_manifest, run_pipeline, run_stage
 
 EXIT_OK = 0
@@ -137,8 +136,8 @@ def _cmd_report(out_dir: str) -> int:
               f"covariates: {', '.join(best['covariates'])}")
     backtest_csv = out / "backtest" / "backtest.csv"
     if backtest_csv.exists():
-        with open(backtest_csv, "r", encoding="utf-8", newline="") as fh:
-            rows = [r for r in csv.DictReader(fh) if r["start_year"] == "ALL"]
+        header, table = read_csv(backtest_csv)
+        rows = [r for r in (dict(zip(header, row)) for row in table) if r["start_year"] == "ALL"]
         rows.sort(key=lambda r: -float(r["success_rate"]))
         print("backtest mean success rates:")
         for r in rows[:5]:

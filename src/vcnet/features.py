@@ -11,7 +11,6 @@ Cartesian product defines the model configurations.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import warnings
 from dataclasses import dataclass, field, replace
@@ -21,6 +20,7 @@ import numpy as np
 
 from .centrality import FirmCovariates
 from .errors import ConfigError
+from .ingest import read_csv, write_csv
 
 
 @dataclass
@@ -226,69 +226,38 @@ def enumerate_configs(fg: FeatureGrouping) -> list[tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 
 def write_grouping_csv(fg: FeatureGrouping, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["covariate", "group"])
-        for col in fg.leaves:
-            writer.writerow([col, str(fg.groups[col])])
+    write_csv(path, ["covariate", "group"], ([col, fg.groups[col]] for col in fg.leaves))
 
 
 def read_grouping_csv(path: str | Path) -> dict[str, int]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return {row[0]: int(row[1]) for row in reader}
+    return {row[0]: int(row[1]) for row in read_csv(path)[1]}
 
 
 def write_dendrogram_csv(fg: FeatureGrouping, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "left", "right", "height"])
-        for step, left, right, height in fg.merges:
-            writer.writerow([str(step), str(left), str(right), repr(height)])
+    write_csv(path, ["step", "left", "right", "height"], fg.merges)
 
 
-def write_feature_matrix_csv(fm: FeatureMatrix, path: str | Path, id_column: str = "firm_id") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([id_column] + fm.columns)
-        for i, rid in enumerate(fm.row_ids):
-            writer.writerow([rid] + [repr(float(x)) for x in fm.data[i]])
+def write_feature_matrix_csv(fm: FeatureMatrix, path: str | Path) -> None:
+    write_csv(path, ["firm_id"] + fm.columns,
+              ([rid] + row for rid, row in zip(fm.row_ids, fm.data.tolist())))
 
 
 def read_feature_matrix_csv(path: str | Path) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        row_ids, rows = [], []
-        for row in reader:
-            row_ids.append(row[0])
-            rows.append([float(x) for x in row[1:]])
-    data = np.array(rows, dtype=float) if rows else np.empty((0, len(header) - 1))
-    return FeatureMatrix(row_ids, header[1:], data)
+    header, rows = read_csv(path)
+    data = (np.array([[float(x) for x in row[1:]] for row in rows]) if rows
+            else np.empty((0, len(header) - 1)))
+    return FeatureMatrix([row[0] for row in rows], header[1:], data)
 
 
 def write_transforms_csv(fm: FeatureMatrix, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["covariate", "transform", "mean", "sd"])
-        for col in fm.columns:
-            mean, sd = fm.standardization[col]
-            writer.writerow([col, fm.transforms[col], repr(mean), repr(sd)])
-        for col, reason in fm.dropped:
-            writer.writerow([col, f"dropped: {reason}", "", ""])
+    write_csv(path, ["covariate", "transform", "mean", "sd"],
+              [[col, fm.transforms[col], *fm.standardization[col]] for col in fm.columns]
+              + [[col, f"dropped: {reason}", None, None] for col, reason in fm.dropped])
 
 
 def write_configs_csv(configs: list[tuple[str, ...]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["config_id", "covariates"])
-        for i, combo in enumerate(configs):
-            writer.writerow([str(i), ";".join(combo)])
+    write_csv(path, ["config_id", "covariates"], enumerate(";".join(combo) for combo in configs))
 
 
 def read_configs_csv(path: str | Path) -> list[tuple[str, ...]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [tuple(row[1].split(";")) for row in reader]
+    return [tuple(row[1].split(";")) for row in read_csv(path)[1]]

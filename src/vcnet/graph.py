@@ -15,7 +15,6 @@ all centrality computations downstream ignore the weights.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from datetime import date as Date
@@ -28,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .ingest import DealRecord
+from .ingest import DealRecord, write_csv
 
 DAYS_PER_YEAR = 365.25
 
@@ -251,9 +250,5 @@ def write_projection_csv(pg: ProjectedGraph, out_dir: str | Path) -> Path:
     """Dump a projection as ``proj_{layer}_{year}_w{window}.csv`` (u,v,weight)."""
     window = pg.window_years if pg.window_years is not None else 0
     path = Path(out_dir) / f"proj_{pg.layer.lower()}_{pg.snapshot_year}_w{window}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["u", "v", "weight"])
-        for u, v, w in pg.sorted_edges():
-            writer.writerow([u, v, str(w)])
+    write_csv(path, ["u", "v", "weight"], pg.sorted_edges())
     return path

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Any, Callable, Iterable, Union
 
 import numpy as np
 
@@ -79,12 +79,6 @@ class ParseResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _text_lines(source: PathOrStream) -> io.TextIOBase:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
-
-
 def _parse_date(raw: str) -> Date:
     return Date.fromisoformat(raw)
 
@@ -103,29 +97,10 @@ def parse_deals(deal_csv: PathOrStream, firm_csv: PathOrStream) -> ParseResult:
         If either file's header does not match the documented schema.
     """
     result = ParseResult(deals=[], firms={})
-
-    with _text_lines(firm_csv) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FIRM_COLUMNS:
-            raise SchemaError(f"firms.csv header must be {','.join(FIRM_COLUMNS)!r}, got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            reject = _parse_firm_row(row, result.firms)
-            if reject is not None:
-                result.firm_rejects.append(Reject(lineno, reject))
-
-    with _text_lines(deal_csv) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DEAL_COLUMNS:
-            raise SchemaError(f"deals.csv header must be {','.join(DEAL_COLUMNS)!r}, got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            rec_or_reason = _parse_deal_row(row)
-            if isinstance(rec_or_reason, str):
-                result.deal_rejects.append(Reject(lineno, rec_or_reason))
-            else:
-                result.deals.append(rec_or_reason)
-
+    result.firm_rejects = _parse_rows(firm_csv, FIRM_COLUMNS, "firms.csv", _parse_firm_row,
+                                      result.firms)
+    result.deal_rejects = _parse_rows(deal_csv, DEAL_COLUMNS, "deals.csv", _parse_deal_row,
+                                      result.deals)
     for rec in result.deals:
         if rec.firm_id not in result.firms:
             result.firms[rec.firm_id] = FirmMeta(firm_id=rec.firm_id)
@@ -136,7 +111,21 @@ def parse_deals(deal_csv: PathOrStream, firm_csv: PathOrStream) -> ParseResult:
     return result
 
 
-def _parse_deal_row(row: list[str]) -> DealRecord | str:
+def _parse_rows(source: PathOrStream, columns: list[str], name: str,
+                parse_row: Callable[[list[str], Any], str | None], records: Any) -> list[Reject]:
+    """Check the header, then let ``parse_row`` add each data row to ``records``.
+
+    ``parse_row`` returns the reason a row is rejected, or None once it
+    has added the row; the rejects carry 1-based line numbers.
+    """
+    header, rows = read_csv(source)
+    if header != columns:
+        raise SchemaError(f"{name} header must be {','.join(columns)!r}, got {header!r}")
+    return [Reject(lineno, reason) for lineno, row in enumerate(rows, start=2)
+            if (reason := parse_row(row, records)) is not None]
+
+
+def _parse_deal_row(row: list[str], deals: list[DealRecord]) -> str | None:
     if len(row) != len(DEAL_COLUMNS):
         return f"expected {len(DEAL_COLUMNS)} fields, got {len(row)}"
     firm_id, investor_id, round_id, raw_date, raw_amount = row
@@ -156,7 +145,8 @@ def _parse_deal_row(row: list[str]) -> DealRecord | str:
         return f"invalid amount {raw_amount!r}"
     if amount < 0:
         return f"negative amount {amount}"
-    return DealRecord(firm_id, investor_id, round_id, when, amount)
+    deals.append(DealRecord(firm_id, investor_id, round_id, when, amount))
+    return None
 
 
 def _parse_firm_row(row: list[str], firms: dict[str, FirmMeta]) -> str | None:
@@ -187,31 +177,37 @@ def _parse_firm_row(row: list[str], firms: dict[str, FirmMeta]) -> str | None:
 
 def write_deals(deals: Iterable[DealRecord], target: PathOrStream) -> None:
     """Serialize deals in the canonical CSV schema (inverse of parsing)."""
-    _write_csv(target, DEAL_COLUMNS, (
-        [d.firm_id, d.investor_id, d.round_id, d.date.isoformat(), str(d.amount)] for d in deals
+    write_csv(target, DEAL_COLUMNS, (
+        [d.firm_id, d.investor_id, d.round_id, d.date.isoformat(), d.amount] for d in deals
     ))
 
 
 def write_firms(firms: Iterable[FirmMeta], target: PathOrStream) -> None:
     """Serialize firm metadata in the canonical CSV schema."""
-    _write_csv(target, FIRM_COLUMNS, (
+    write_csv(target, FIRM_COLUMNS, (
         [m.firm_id, m.subsector, m.country, m.status,
-         m.status_date.isoformat() if m.status_date is not None else ""]
+         m.status_date.isoformat() if m.status_date is not None else None]
         for m in firms
     ))
 
 
 def write_planted_regimes(regimes: dict[str, str], target: PathOrStream) -> None:
     """Serialize a synthetic dataset's planted regimes as ``firm_id,regime`` rows."""
-    _write_csv(target, ["firm_id", "regime"], ([firm, regimes[firm]] for firm in sorted(regimes)))
+    write_csv(target, ["firm_id", "regime"], ([firm, regimes[firm]] for firm in sorted(regimes)))
 
 
 def write_rejects(rejects: Iterable[Reject], target: PathOrStream) -> None:
     """Write a rejects report: CSV ``line,reason``."""
-    _write_csv(target, ["line", "reason"], ([str(r.line), r.reason] for r in rejects))
+    write_csv(target, ["line", "reason"], ([r.line, r.reason] for r in rejects))
 
 
-def _write_csv(target: PathOrStream, header: list[str], rows: Iterable[list[str]]) -> None:
+def write_csv(target: PathOrStream, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
+    """Write one CSV artifact; every table the package writes goes through here.
+
+    UTF-8, ``\\n`` line endings and minimal quoting. ``csv`` converts the
+    cells: a float (numpy float64 included) becomes its shortest
+    round-trip repr, an int its ``str`` and ``None`` an empty cell.
+    """
     if isinstance(target, (str, Path)):
         fh: IO[str] = open(target, "w", encoding="utf-8", newline="")
         own = True
@@ -230,24 +226,32 @@ def _write_csv(target: PathOrStream, header: list[str], rows: Iterable[list[str]
             fh.detach()  # leave the caller's byte stream open
 
 
+def read_csv(source: PathOrStream) -> tuple[list[str] | None, list[list[str]]]:
+    """The header (None for an empty file) and the data rows of a CSV table."""
+    if isinstance(source, (str, Path)):
+        fh: IO[str] = open(source, "r", encoding="utf-8", newline="")
+    else:
+        fh = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    with fh:
+        reader = csv.reader(fh)
+        return next(reader, None), list(reader)
+
+
+def _read_canonical(path: str | Path, columns: list[str], name: str, parse_row, records):
+    rejects = _parse_rows(path, columns, name, parse_row, records)
+    if rejects:
+        raise SchemaError(f"{path}: line {rejects[0].line}: {rejects[0].reason}")
+    return records
+
+
 def read_deals_csv(path: str | Path) -> list[DealRecord]:
     """Read back a canonical deals file; any reject is a hard error."""
-    with open(path, "rb") as deal_fh:
-        result = parse_deals(deal_fh, io.BytesIO(b"firm_id,subsector,country,status,status_date\n"))
-    if result.deal_rejects:
-        first = result.deal_rejects[0]
-        raise SchemaError(f"{path}: line {first.line}: {first.reason}")
-    return result.deals
+    return _read_canonical(path, DEAL_COLUMNS, "deals.csv", _parse_deal_row, [])
 
 
 def read_firms_csv(path: str | Path) -> dict[str, FirmMeta]:
     """Read back a canonical firms file; any reject is a hard error."""
-    with open(path, "rb") as firm_fh:
-        result = parse_deals(io.BytesIO(b"firm_id,investor_id,round_id,date,amount\n"), firm_fh)
-    if result.firm_rejects:
-        first = result.firm_rejects[0]
-        raise SchemaError(f"{path}: line {first.line}: {first.reason}")
-    return result.firms
+    return _read_canonical(path, FIRM_COLUMNS, "firms.csv", _parse_firm_row, {})
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ isolation; rerunning with unchanged inputs rewrites identical bytes.
 The manifest echoes the configuration, input digests, per-stage counts
 and the package version, and never contains timestamps, so two runs
 with the same config and seed produce byte-identical artifact trees.
-Warnings raised by preprocessing, k-means and the window sweeps are
+Warnings raised in the features, trajectories and regress stages (a
+balanced ensemble short of ``balance_reps`` replicates included) are
 recorded there too (``n_warnings`` and the sorted distinct
 ``warning_messages`` of the stage) instead of being printed.
 """
@@ -35,7 +36,8 @@ from .features import (correlation_dendrogram, cut_groups, enumerate_configs,
 from .graph import BOTH, FIRM, INVESTOR, build_bipartite, first_rounds, project_firms, \
     project_investors, write_projection_csv
 from .ingest import (SyntheticConfig, generate_synthetic, parse_deals, read_deals_csv,
-                     read_firms_csv, write_deals, write_firms, write_planted_regimes, write_rejects)
+                     read_firms_csv, write_csv, write_deals, write_firms, write_planted_regimes,
+                     write_rejects)
 from .regress import (PipelineData, balanced_ensemble, confusion_vs_standard,
                       fit_function_on_scalar, linear_fit_dict, logistic_fit_dict,
                       perturbation_sweep, responses, select_model, window_sweep,
@@ -215,15 +217,16 @@ def stage_graph(cfg: RunConfig, out: Path) -> dict:
     g = build_bipartite(deals)
     stage_dir = out / "graph"
     stage_dir.mkdir(parents=True, exist_ok=True)
-    with open(stage_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("year,n_nodes,n_firm_role,n_investor_role,n_both_role,n_edges\n")
-        for year in g.years():
-            snap = g.snapshot_deals(year)
-            firm_side = {d.firm_id for d in snap}
-            inv_side = {d.investor_id for d in snap}
-            both = firm_side & inv_side
-            fh.write(f"{year},{len(firm_side | inv_side)},{len(firm_side - both)},"
-                     f"{len(inv_side - both)},{len(both)},{len(snap)}\n")
+    summary = []
+    for year in g.years():
+        snap = g.snapshot_deals(year)
+        firm_side = {d.firm_id for d in snap}
+        inv_side = {d.investor_id for d in snap}
+        both = firm_side & inv_side
+        summary.append([year, len(firm_side | inv_side), len(firm_side - both),
+                        len(inv_side - both), len(both), len(snap)])
+    write_csv(stage_dir / "summary.csv", ["year", "n_nodes", "n_firm_role", "n_investor_role",
+                                          "n_both_role", "n_edges"], summary)
     if cfg.dump_graphs:
         for year in _frame_years(cfg, g):
             write_projection_csv(project_firms(g, year, cfg.projection_window), stage_dir)
@@ -312,6 +315,13 @@ def stage_trajectories(cfg: RunConfig, out: Path) -> dict:
 
 
 def stage_regress(cfg: RunConfig, out: Path) -> dict:
+    info: dict = {}
+    with _record_warnings(info):
+        _regress(cfg, out, info)
+    return info
+
+
+def _regress(cfg: RunConfig, out: Path, info: dict) -> None:
     deals, firms = _load_ingested(out)
     covs = read_covariates_csv(_require(out / "centrality" / "covariates.csv"))
     fm = read_feature_matrix_csv(_require(out / "features" / "features.csv"))
@@ -332,7 +342,7 @@ def stage_regress(cfg: RunConfig, out: Path) -> dict:
                           f"{cfg.window_years}-year trajectory (window_years={cfg.window_years})")
 
     # Binary (HIGH/LOW regime), log aggregate and log differential money responses.
-    info: dict = {"n_fit_firms": len(trajs)}
+    info["n_fit_firms"] = len(trajs)
     sub_fm = fm.take_rows([t.firm_id for t in trajs])
     ys, selections = {}, {}
     for kind, response in (("logistic", None), ("linear_agg", "log_aggregate_money"),
@@ -379,11 +389,13 @@ def stage_regress(cfg: RunConfig, out: Path) -> dict:
         "n_reps": ens.n_reps,
         "n_discarded": ens.n_discarded,
     })
-    with open(stage_dir / "balanced_replicates.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("replicate,term,estimate,p_value\n")
-        for r in range(ens.n_reps):
-            for j, term in enumerate(ens.columns):
-                fh.write(f"{r},{term},{ens.coefs[r, j]!r},{ens.p_values[r, j]!r}\n")
+    coefs, p_values = ens.coefs.tolist(), ens.p_values.tolist()
+    write_csv(stage_dir / "balanced_replicates.csv", ["replicate", "term", "estimate", "p_value"],
+              ([r, term, coefs[r][j], p_values[r][j]]
+               for r in range(ens.n_reps) for j, term in enumerate(ens.columns)))
+    if ens.n_reps < cfg.balance_reps:
+        _warnings.warn(f"balanced ensemble kept {ens.n_reps} of {cfg.balance_reps} replicates "
+                       f"({ens.n_discarded} discarded)")
     info["ensemble_reps"] = ens.n_reps
     info["ensemble_discarded"] = ens.n_discarded
 
@@ -400,16 +412,13 @@ def stage_regress(cfg: RunConfig, out: Path) -> dict:
                         kmeans_log_scale=cfg.kmeans_log_scale)
     wlo, whi = cfg.sweep_windows
     w_range = list(range(wlo, whi + 1))
-    with _record_warnings(info):
-        sweep_lin = window_sweep(data, best_agg.covariates, w_range, "linear_agg")
-        sweep_log = window_sweep(data, best_log.covariates, w_range, "logistic")
-    with open(stage_dir / "window_sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("kind,window,n_firms,term,t,estimate,se,lo95,hi95\n")
-        for kind, rows in (("linear_agg", sweep_lin.rows), ("logistic", sweep_log.rows)):
-            for r in rows:
-                fh.write(f"{kind},{r.window},{r.n_firms},{r.term},"
-                         f"{'' if r.grid_t is None else r.grid_t},"
-                         f"{r.estimate!r},{r.se!r},{r.lo95!r},{r.hi95!r}\n")
+    sweep_lin = window_sweep(data, best_agg.covariates, w_range, "linear_agg")
+    sweep_log = window_sweep(data, best_log.covariates, w_range, "logistic")
+    write_csv(stage_dir / "window_sweep.csv",
+              ["kind", "window", "n_firms", "term", "t", "estimate", "se", "lo95", "hi95"],
+              ([kind, r.window, r.n_firms, r.term, r.grid_t, r.estimate, r.se, r.lo95, r.hi95]
+               for kind, sweep in (("linear_agg", sweep_lin), ("logistic", sweep_log))
+               for r in sweep.rows))
     info["sweep_firm_counts"] = {str(w): n for w, n in sweep_lin.firm_counts.items()}
     info["sweep_warnings"] = sweep_lin.warnings + sweep_log.warnings
 
@@ -422,7 +431,6 @@ def stage_regress(cfg: RunConfig, out: Path) -> dict:
                 {"tp": conf.tp, "fn": conf.fn, "fp": conf.fp, "tn": conf.tn,
                  "accuracy": conf.accuracy, "precision": conf.precision, "recall": conf.recall})
     info["confusion_accuracy"] = conf.accuracy
-    return info
 
 
 def stage_backtest(cfg: RunConfig, out: Path) -> dict:

@@ -22,7 +22,6 @@ fixed window to trace how coefficients move with the specification.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
@@ -30,12 +29,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
-from scipy.special import expit
+from scipy.special import expit, fdtrc, stdtr
 
 from .errors import ConfigError, RankDeficientError, VcnetError
 from .features import FeatureMatrix
-from .ingest import FirmMeta
+from .ingest import FirmMeta, write_csv
 from .seeding import derive_seed
 from .trajectories import (HIGH, ClusterAssignment, Trajectory, build_trajectories,
                            functional_kmeans)
@@ -424,13 +422,13 @@ def fit_linear(y: np.ndarray, X: np.ndarray | None, C: np.ndarray | None = None,
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         tvals = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    pvals = 2.0 * scipy.stats.t.sf(np.abs(tvals), n - q)
+    pvals = 2.0 * stdtr(n - q, -np.abs(tvals))
     r2 = 1.0 - rss / tss
     adj = 1.0 - (1.0 - r2) * (n - 1) / (n - q)
     if q > 1:
         if rss > 0:
             fstat = ((tss - rss) / (q - 1)) / (rss / (n - q))
-            f_p = float(scipy.stats.f.sf(fstat, q - 1, n - q))
+            f_p = float(fdtrc(q - 1, n - q, fstat))
         else:
             fstat, f_p = math.inf, 0.0  # exact fit
     else:
@@ -558,7 +556,7 @@ def _fit_stack(kind: str, y: np.ndarray, designs: np.ndarray,
     if kind == "logistic":
         beta, _, converged = _irls(stack, y)
         good = converged & ~_separated(beta)
-        scores[fit_idx[good]] = _log_likelihood(stack, beta, y)[good]
+        scores[fit_idx[good]] = _log_likelihood(stack[good], beta[good], y)
         for b in fit_idx[~good]:
             errors[b] = "did not converge"
     else:
@@ -914,15 +912,11 @@ def linear_fit_dict(fit: LinearFit) -> dict:
 
 
 def write_leaderboard_csv(selection: ModelSelection, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "config_id", "covariates", "score", "error"])
-        for rank, r in enumerate(selection.ranked, start=1):
-            writer.writerow([str(rank), str(r.config_id), ";".join(r.covariates),
-                             repr(float(r.score)), ""])
-        for r in selection.results:
-            if r.score is None:
-                writer.writerow(["", str(r.config_id), ";".join(r.covariates), "", r.error or "failed"])
+    write_csv(path, ["rank", "config_id", "covariates", "score", "error"],
+              [[rank, r.config_id, ";".join(r.covariates), r.score, None]
+               for rank, r in enumerate(selection.ranked, start=1)]
+              + [[None, r.config_id, ";".join(r.covariates), None, r.error or "failed"]
+                 for r in selection.results if r.score is None])
 
 
 def write_functional_curves(fit: FunctionalFit, out_dir: str | Path) -> list[Path]:
@@ -930,25 +924,15 @@ def write_functional_curves(fit: FunctionalFit, out_dir: str | Path) -> list[Pat
     out = []
     for j, name in enumerate(fit.columns):
         path = Path(out_dir) / f"functional_{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "estimate", "se", "lo95", "hi95"])
-            for t in range(fit.coef.shape[1]):
-                writer.writerow([str(t), repr(float(fit.coef[j, t])), repr(float(fit.se[j, t])),
-                                 repr(float(fit.lo95[j, t])), repr(float(fit.hi95[j, t]))])
+        write_csv(path, ["t", "estimate", "se", "lo95", "hi95"],
+                  zip(range(fit.coef.shape[1]), fit.coef[j].tolist(), fit.se[j].tolist(),
+                      fit.lo95[j].tolist(), fit.hi95[j].tolist()))
         out.append(path)
     return out
 
 
 def write_perturbation_csv(result: PerturbationResult, groups_path: str | Path,
                            samples_path: str | Path) -> None:
-    with open(groups_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["group", "mean", "sd", "n_configs"])
-        for g in result.groups:
-            writer.writerow([str(g.group), repr(g.mean), repr(g.sd), str(g.n_configs)])
-    with open(samples_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["group", "config_id", "covariate", "estimate"])
-        for grp, cid, cov, est in result.samples:
-            writer.writerow([str(grp), str(cid), cov, repr(est)])
+    write_csv(groups_path, ["group", "mean", "sd", "n_configs"],
+              ([g.group, g.mean, g.sd, g.n_configs] for g in result.groups))
+    write_csv(samples_path, ["group", "config_id", "covariate", "estimate"], result.samples)

@@ -21,7 +21,6 @@ currency units.
 
 from __future__ import annotations
 
-import csv
 import warnings as _warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .ingest import DealRecord, FirmMeta, UNKNOWN
+from .ingest import UNKNOWN, DealRecord, FirmMeta, read_csv, write_csv
 from .seeding import derive_seed
 
 HIGH = "HIGH"
@@ -250,52 +249,30 @@ def regime_rates(ca: ClusterAssignment) -> tuple[int, int, float]:
 # ---------------------------------------------------------------------------
 
 def write_trajectories_csv(ts: TrajectorySet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["firm_id", "subsector", "first_year"] + [f"t{t}" for t in range(ts.window + 1)])
-        for tr in sorted(ts.trajectories, key=lambda t: t.firm_id):
-            writer.writerow([tr.firm_id, tr.subsector, str(tr.first_year)] + [str(v) for v in tr.values])
+    write_csv(path, ["firm_id", "subsector", "first_year"] + [f"t{t}" for t in range(ts.window + 1)],
+              ([tr.firm_id, tr.subsector, tr.first_year, *tr.values]
+               for tr in sorted(ts.trajectories, key=lambda t: t.firm_id)))
 
 
 def read_trajectories_csv(path: str | Path) -> TrajectorySet:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        window = len(header) - 4
-        trajs = [Trajectory(row[0], row[1], int(row[2]), tuple(int(v) for v in row[3:]))
-                 for row in reader]
-    return TrajectorySet(window, trajs)
+    header, rows = read_csv(path)
+    return TrajectorySet(len(header) - 4, [
+        Trajectory(row[0], row[1], int(row[2]), tuple(int(v) for v in row[3:])) for row in rows])
 
 
 def write_exclusions_csv(ts: TrajectorySet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["firm_id", "reason"])
-        for firm, reason in ts.exclusions:
-            writer.writerow([firm, reason])
+    write_csv(path, ["firm_id", "reason"], ts.exclusions)
 
 
 def write_assignments_csv(ca: ClusterAssignment, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["firm_id", "regime"])
-        for firm in sorted(ca.regimes):
-            writer.writerow([firm, ca.regimes[firm]])
+    write_csv(path, ["firm_id", "regime"], sorted(ca.regimes.items()))
 
 
 def read_assignments_csv(path: str | Path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return {row[0]: row[1] for row in reader}
+    return {row[0]: row[1] for row in read_csv(path)[1]}
 
 
 def write_centroids_csv(ca: ClusterAssignment, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subsector", "cluster", "regime", "scale"]
-                        + [f"t{t}" for t in range(ca.window + 1)])
-        for sub in sorted(ca.centroids):
-            for j, row in enumerate(ca.centroids[sub]):
-                writer.writerow([sub, str(j), ca.cluster_regimes[sub][j], ca.scale]
-                                + [repr(float(x)) for x in row])
+    write_csv(path, ["subsector", "cluster", "regime", "scale"] + [f"t{t}" for t in range(ca.window + 1)],
+              ([sub, j, ca.cluster_regimes[sub][j], ca.scale, *row]
+               for sub in sorted(ca.centroids) for j, row in enumerate(ca.centroids[sub].tolist())))

@@ -3,13 +3,17 @@
 import csv
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vcnet
 from vcnet import trajectories
 from vcnet.cli import build_parser, main
 from vcnet.errors import ConfigError
@@ -275,7 +279,69 @@ class TestTypedInternalErrors:
         assert manifest["stages"]["trajectories"]["status"] == "failed"
 
 
+def read_table(path: Path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestArtifactFormat:
+    def test_balanced_replicates_hold_plain_floats(self, finished_run):
+        out, _ = finished_run
+        header, *rows = read_table(out / "regress" / "balanced_replicates.csv")
+        assert header == ["replicate", "term", "estimate", "p_value"] and rows
+        for row in rows:
+            float(row[2]), float(row[3])
+        for path in sorted(out.rglob("*")):
+            if path.is_file():
+                assert b"np." not in path.read_bytes(), path
+
+    def test_subsector_with_a_comma_is_quoted_in_every_artifact(self, tmp_path):
+        src = tmp_path / "inputs"
+        assert main(["synth", "--out_dir", str(src), "--synthetic", json.dumps(SYNTH)]) == 0
+        firms = read_table(src / "firms.csv")
+        for row in firms[1:]:
+            if row[1] == "S02":
+                row[1] = "Z, Pharma"
+        with open(src / "firms.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(firms)
+        out = tmp_path / "out"
+        cfg = RunConfig.from_dict({"out_dir": str(out), **FAST, "deals_csv": str(src / "deals.csv"),
+                                   "firms_csv": str(src / "firms.csv")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_pipeline(cfg)
+        for path in sorted(out.rglob("*.csv")):
+            header, *rows = read_table(path)
+            assert all(len(row) == len(header) for row in rows), path
+        header, *rows = read_table(out / "regress" / "window_sweep.csv")
+        terms = {row[header.index("term")] for row in rows}
+        assert "subsector_Z, Pharma" in terms
+
+
 class TestDegenerateRuns:
+    def test_run_without_exits_records_its_warnings_instead_of_printing(self, tmp_path):
+        # With no exits, one selection design ends unconverged with NaN
+        # coefficients, and the balanced ensemble keeps fewer replicates
+        # than asked for. Neither may reach stderr; the shortfall is counted.
+        synth = {**SYNTH, "seed": 5, "exit_rate_high": 0.0, "exit_rate_low": 0.0}
+        out = tmp_path / "no_exits"
+        src = str(Path(vcnet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run(
+            [sys.executable, "-m", "vcnet.cli", "run", "--out_dir", str(out),
+             "--synthetic", json.dumps(synth), "--kmeans_inits", "5", "--balance_reps", "50",
+             "--dendrogram_k", "5", "--config_limit", "3000"],
+            capture_output=True, text=True, timeout=180, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        regress = json.loads((out / "manifest.json").read_text())["stages"]["regress"]
+        kept, discarded = regress["ensemble_reps"], regress["ensemble_discarded"]
+        assert kept < 50
+        assert regress["n_warnings"] == 1
+        assert regress["warning_messages"] == [
+            f"balanced ensemble kept {kept} of 50 replicates ({discarded} discarded)"]
+
     def test_empty_fit_sample_exits_2_naming_the_window(self, tmp_path, capsys):
         # an 8-year data range cannot hold a 10-year trajectory, so no firm is kept
         synth = {"n_firms": 40, "n_investors": 20, "n_subsectors": 2,

@@ -4,13 +4,14 @@ import io
 import statistics
 from datetime import date as Date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcnet.errors import ConfigError, SchemaError
 from vcnet.ingest import (DealRecord, FirmMeta, SyntheticConfig, generate_synthetic, parse_deals,
-                          write_deals, write_firms)
+                          read_csv, write_csv, write_deals, write_firms)
 
 DEAL_HEADER = b"firm_id,investor_id,round_id,date,amount\n"
 FIRM_HEADER = b"firm_id,subsector,country,status,status_date\n"
@@ -133,6 +134,27 @@ class TestRoundTrip:
         buf.seek(0)
         result = parse_deals(io.BytesIO(DEAL_HEADER), buf)
         assert [result.firms[m.firm_id] for m in metas] == metas
+
+
+class TestTableFormat:
+    def test_cells_follow_the_csv_convention(self):
+        buf = io.BytesIO()
+        write_csv(buf, ["a", "b", "c", "d"], [[np.float64(-14.2), 3, None, "Z, Pharma"],
+                                              [float("nan"), -0.0, 5e-324, -np.inf]])
+        assert buf.getvalue() == b'a,b,c,d\n-14.2,3,,"Z, Pharma"\nnan,-0.0,5e-324,-inf\n'
+        buf.seek(0)
+        assert read_csv(buf) == (["a", "b", "c", "d"], [["-14.2", "3", "", "Z, Pharma"],
+                                                        ["nan", "-0.0", "5e-324", "-inf"]])
+
+    def test_empty_table_has_no_header(self):
+        assert read_csv(io.BytesIO(b"")) == (None, [])
+
+    @given(st.floats())
+    @settings(max_examples=300, deadline=None)
+    def test_float_cells_are_the_shortest_round_trip_repr(self, x):
+        buf = io.BytesIO()
+        write_csv(buf, ["x"], [[x], [np.float64(x)]])
+        assert buf.getvalue().decode().split("\n")[1:3] == [repr(x)] * 2
 
 
 GOLDEN_CFG = SyntheticConfig(n_firms=500, n_investors=200, n_subsectors=4,

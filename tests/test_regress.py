@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -715,6 +718,26 @@ class TestSelectEngine:
         np.testing.assert_array_equal(beta[2], single.coef)
         np.testing.assert_array_equal(beta[1], np.zeros(3))
 
+    def test_unconverged_fit_is_not_scored(self, monkeypatch):
+        # a design whose IRLS run ends unconverged with NaN coefficients
+        # fails quietly: its log-likelihood is never evaluated
+        fm, _, y, _, _ = self._problem(307)
+        configs = [(c,) for c in fm.columns if c.startswith("c")]
+        irls = regress._irls
+
+        def diverging(designs, y):
+            beta, n_iter, converged = irls(designs, y)
+            if len(designs) > 1:  # the selection stack, not the refit of the best
+                beta[0], converged[0] = np.nan, False
+            return beta, n_iter, converged
+
+        monkeypatch.setattr(regress, "_irls", diverging)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sel = select_model("logistic", y, fm, configs)
+        assert sel.results[0].error == "did not converge"
+        assert all(r.score is not None for r in sel.results[1:])
+
     def test_constant_response_fails_every_config_like_the_oracle(self):
         fm, _, _, C, configs = self._problem(303, n=40)
         configs = configs[:90]
@@ -753,3 +776,11 @@ class TestSelectEngine:
         low, high = sorted(["a", "far"], key=lambda c: r2[c])
         sel = select_model("linear", y, fm, [(low,), (high,)])
         assert [r.config_id for r in sel.ranked] == [1, 0]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, vcnet, vcnet.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
