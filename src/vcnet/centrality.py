@@ -1,12 +1,14 @@
 """Node-level statistics on projected graphs and per-firm covariates.
 
 All measures are computed on the unweighted simple projection (edge
-multiplicities are kept on the graph for diagnostics but ignored here).
-The distance measures (betweenness, closeness, harmonic) share one
-all-pairs hop-distance pass per projection, cached with the adjacency
-and the component labels on ``ProjectedGraph.arrays()``. Graphs are
-typically disconnected, so distance-based measures use
-component-corrected normalizations that stay finite and comparable:
+multiplicities are kept on the graph for diagnostics but ignored here),
+from the one read-only adjacency ``ProjectedGraph.csr``. The local
+measures (neighbor degree, clustering, k-core) are sparse products on
+it. The distance measures (betweenness, closeness, harmonic) share one
+all-pairs hop-distance pass per projection, cached with the component
+labels on the ``ProjectedGraph``. Graphs are typically disconnected, so
+distance-based measures use component-corrected normalizations that
+stay finite and comparable:
 
 * ``closeness``: (r/(n-1)) * (r/sum of distances), r = #reachable nodes;
 * ``harmonic``: sum of inverse distances divided by (n-1), 1/inf = 0;
@@ -24,7 +26,6 @@ Ties anywhere (VoteRank election, rankings) break by node-id order.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,56 +65,41 @@ def degree_centrality(pg: ProjectedGraph) -> dict[str, float]:
     n = len(pg)
     if n <= 1:
         return {v: 0.0 for v in pg.nodes}
-    deg = pg.arrays().degrees
-    return {v: float(deg[i]) / (n - 1) for i, v in enumerate(pg.nodes)}
+    return {v: float(pg.degrees[i]) / (n - 1) for i, v in enumerate(pg.nodes)}
 
 
 def average_neighbor_degree(pg: ProjectedGraph) -> dict[str, float]:
     """Mean degree over neighbors; 0 for isolated nodes."""
-    arr = pg.arrays()
-    out = {}
-    for i, v in enumerate(pg.nodes):
-        nbrs = arr.adj[i]
-        out[v] = float(arr.degrees[nbrs].mean()) if nbrs.size else 0.0
-    return out
+    deg = pg.degrees
+    values = np.divide(pg.csr @ deg, deg, out=np.zeros(len(pg)), where=deg > 0)
+    return {v: float(values[i]) for i, v in enumerate(pg.nodes)}
 
 
 def clustering(pg: ProjectedGraph) -> dict[str, float]:
-    """triangles(v) / C(deg v, 2); 0 when deg(v) < 2."""
-    arr = pg.arrays()
-    adj_sets = [set(a.tolist()) for a in arr.adj]
-    out = {}
-    for i, v in enumerate(pg.nodes):
-        k = int(arr.degrees[i])
-        if k < 2:
-            out[v] = 0.0
-            continue
-        links = sum(len(adj_sets[i] & adj_sets[u]) for u in arr.adj[i]) // 2
-        out[v] = 2.0 * links / (k * (k - 1))
-    return out
+    """triangles(v) / C(deg v, 2); 0 when deg(v) < 2.
+
+    Row v of (A @ A) * A counts each triangle at v twice, as an exact integer.
+    """
+    A, k = pg.csr, pg.degrees
+    twice_triangles = np.asarray((A @ A).multiply(A).sum(axis=1)).ravel()
+    values = np.divide(twice_triangles, k * (k - 1), out=np.zeros(len(pg)), where=k >= 2)
+    return {v: float(values[i]) for i, v in enumerate(pg.nodes)}
 
 
 def core_number(pg: ProjectedGraph) -> dict[str, int]:
-    """k-core number via iterative peeling of minimum-degree nodes."""
-    arr = pg.arrays()
-    n = len(pg.nodes)
-    deg = arr.degrees.copy()
-    removed = np.zeros(n, dtype=bool)
-    heap = [(int(deg[i]), i) for i in range(n)]
-    heapq.heapify(heap)
-    core = np.zeros(n, dtype=np.int64)
-    current = 0
-    while heap:
-        d, i = heapq.heappop(heap)
-        if removed[i] or d != deg[i]:
+    """k-core number by peeling: at level k, every node of remaining degree <= k at once."""
+    deg = pg.degrees.copy()
+    alive = np.ones(len(pg), dtype=bool)
+    core = np.zeros(len(pg), dtype=np.int64)
+    k = 0
+    while alive.any():
+        peeled = alive & (deg <= k)
+        if not peeled.any():
+            k = int(deg[alive].min())
             continue
-        current = max(current, d)
-        core[i] = current
-        removed[i] = True
-        for u in arr.adj[i]:
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (int(deg[u]), int(u)))
+        core[peeled] = k
+        alive &= ~peeled
+        deg -= (pg.csr @ peeled).astype(np.int64)
     return {v: int(core[i]) for i, v in enumerate(pg.nodes)}
 
 
@@ -141,11 +127,10 @@ def betweenness(pg: ProjectedGraph) -> dict[str, float]:
     n = len(pg)
     if n < 3:
         return {v: 0.0 for v in pg.nodes}
-    arr = pg.arrays()
-    A = arr.csr
+    A = pg.csr
     bc = np.zeros(n)
     for lo in range(0, n, _SOURCE_BLOCK):
-        D = arr.dist[:, lo:lo + _SOURCE_BLOCK]  # column j: distances from source lo + j
+        D = pg.dist[:, lo:lo + _SOURCE_BLOCK]  # column j: distances from source lo + j
         depth = int(D[np.isfinite(D)].max())
         level = [D == d for d in range(depth + 1)]
         sigma = level[0].astype(float)  # shortest-path counts from each source
@@ -162,7 +147,7 @@ def betweenness(pg: ProjectedGraph) -> dict[str, float]:
 
 def _reachable(pg: ProjectedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Hop distances and the mask of other nodes in the same component."""
-    D = pg.arrays().dist
+    D = pg.dist
     return D, np.isfinite(D) & (D > 0)
 
 
@@ -193,7 +178,7 @@ def harmonic(pg: ProjectedGraph) -> dict[str, float]:
 
 def _components(pg: ProjectedGraph) -> list[np.ndarray]:
     """Node indices of each connected component, ascending within each."""
-    labels = pg.arrays().labels
+    labels = pg.labels
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
@@ -207,7 +192,7 @@ def eigenvector(pg: ProjectedGraph, tol: float = 1e-10, max_iter: int = 10000) -
     """
     n = len(pg)
     values = np.zeros(n)
-    A = pg.arrays().csr
+    A = pg.csr
     for comp in _components(pg):
         if comp.size < 2:
             continue
@@ -236,8 +221,8 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85,
     n = len(pg)
     if n == 0:
         return {}
-    A = pg.arrays().csr
-    deg = pg.arrays().degrees.astype(float)
+    A = pg.csr
+    deg = pg.degrees.astype(float)
     dangling = deg == 0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
     p = np.full(n, 1.0 / n)
@@ -270,7 +255,7 @@ def newman_betweenness(pg: ProjectedGraph) -> dict[str, float]:
     n = len(pg)
     values = np.zeros(n)
     if n >= 3:
-        A = pg.arrays().csr
+        A = pg.csr
         for comp in _components(pg):
             nc = comp.size
             if nc < 3:
@@ -312,8 +297,7 @@ def voterank(pg: ProjectedGraph) -> dict[str, int]:
     n = len(pg)
     if n == 0:
         return {}
-    arr = pg.arrays()
-    A = arr.csr.astype(np.int64)
+    A = pg.csr.astype(np.int64)
     m2 = 2 * pg.n_edges()  # common ability denominator; one vote costs n units
     num = np.full(n, m2, dtype=np.int64)
     selectable = np.ones(n, dtype=bool)
@@ -327,7 +311,7 @@ def voterank(pg: ProjectedGraph) -> dict[str, int]:
         order.append(best)
         selectable[best] = False
         num[best] = 0
-        nbrs = arr.adj[best]
+        nbrs = A.indices[A.indptr[best]:A.indptr[best + 1]]
         num[nbrs] = np.maximum(0, num[nbrs] - n)
     ranks = {pg.nodes[i]: r + 1 for r, i in enumerate(order)}
     shared = len(order) + 1
@@ -355,12 +339,13 @@ class CentralityFrame:
 
 
 def compute_frame(pg: ProjectedGraph, g: TemporalBipartiteGraph | None = None,
-                  damping: float = 0.85, measures: tuple[str, ...] | None = None) -> CentralityFrame:
+                  measures: tuple[str, ...] | None = None) -> CentralityFrame:
     """Compute the requested measures (default: all) on a projection.
 
     ``core_number`` and ``n_investors`` are firm-layer-only;
     ``n_investors`` additionally needs the bipartite graph ``g``.
     """
+    # Looked up when called, so a measure replaced on the module is the one used.
     fns = {
         "degree_centrality": degree_centrality,
         "average_neighbor_degree": average_neighbor_degree,
@@ -368,17 +353,17 @@ def compute_frame(pg: ProjectedGraph, g: TemporalBipartiteGraph | None = None,
         "newman_betweenness": newman_betweenness,
         "closeness_centrality": closeness,
         "harmonic_centrality": harmonic,
-        "eigenvector_centrality": lambda p: eigenvector(p),
-        "pagerank": lambda p: pagerank(p, damping=damping),
+        "eigenvector_centrality": eigenvector,
+        "pagerank": pagerank,
         "clustering": clustering,
         "voterank": voterank,
     }
     wanted = measures if measures is not None else COMMON_MEASURES
     out: dict[str, dict[str, float]] = {name: fns[name](pg) for name in wanted if name in fns}
     if pg.layer == FIRM:
-        if measures is None or "core_number" in (measures or ()):
+        if measures is None or "core_number" in measures:
             out["core_number"] = core_number(pg)
-        if g is not None and (measures is None or "n_investors" in (measures or ())):
+        if g is not None and (measures is None or "n_investors" in measures):
             counts: dict[str, set] = {v: set() for v in pg.nodes}
             for d in g.snapshot_deals(pg.snapshot_year):
                 if d.firm_id in counts:
@@ -420,6 +405,7 @@ def assemble_covariates(firm_frame: CentralityFrame, investor_frame: CentralityF
     year = firm_frame.snapshot_year
     rounds = first_rounds(g)
     n_investors = firm_frame.measures["n_investors"]
+    inv = [investor_frame.measures[m] for m in COMMON_MEASURES]
     rows: list[FirmCovariates] = []
     for firm in sorted(rounds):
         fr = rounds[firm]
@@ -433,20 +419,14 @@ def assemble_covariates(firm_frame: CentralityFrame, investor_frame: CentralityF
             values[f"{m}_org"] = float(firm_frame.measures[m].get(firm, 0.0))
         values["core_number_org"] = float(firm_frame.measures["core_number"].get(firm, 0.0))
 
-        missing = False
-        present = [i for i in sorted(fr.investors)
-                   if i in investor_frame.measures[COMMON_MEASURES[0]]]
-        if not present:
-            missing = True
-        for m in COMMON_MEASURES:
-            if present:
-                vals = np.array([investor_frame.measures[m][i] for i in present], dtype=float)
-                values[f"{m}_max"] = float(vals.max())
-                values[f"{m}_min"] = float(vals.min())
-                values[f"{m}_median"] = float(np.median(vals))
-            else:
-                values[f"{m}_max"] = values[f"{m}_min"] = values[f"{m}_median"] = 0.0
-        rows.append(FirmCovariates(firm, year, values, missing))
+        present = [i for i in sorted(fr.investors) if i in inv[0]]
+        # One row per present investor, one column per measure; no investor gives zeros.
+        vals = np.array([[measure[i] for measure in inv] for i in present], dtype=float)
+        summaries = ((vals.max(axis=0), vals.min(axis=0), np.median(vals, axis=0)) if present
+                     else (np.zeros(len(inv)),) * len(SUMMARIES))
+        for s, summary in zip(SUMMARIES, summaries):
+            values.update((f"{m}_{s}", float(x)) for m, x in zip(COMMON_MEASURES, summary))
+        rows.append(FirmCovariates(firm, year, values, not present))
     return rows
 
 

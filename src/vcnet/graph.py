@@ -100,7 +100,14 @@ def build_bipartite(deals: list[DealRecord]) -> TemporalBipartiteGraph:
 
 
 class ProjectedGraph:
-    """Simple undirected graph from one bipartite layer at one snapshot."""
+    """Simple undirected graph from one bipartite layer at one snapshot.
+
+    The integer-indexed views that every measure shares are built once
+    and are read-only: ``csr`` (the unweighted symmetric adjacency, rows
+    and columns in ``nodes`` order) and ``degrees`` on creation, ``dist``
+    (all-pairs hop distances, ``inf`` between components) and ``labels``
+    (connected-component ids) on first use.
+    """
 
     def __init__(self, layer: str, snapshot_year: int, nodes: set[str],
                  edge_witnesses: dict[tuple[str, str], set], window_years: int | None = None):
@@ -111,7 +118,16 @@ class ProjectedGraph:
         self.edges: dict[tuple[str, str], int] = {
             pair: len(wit) for pair, wit in sorted(edge_witnesses.items())
         }
-        self._arrays: _GraphArrays | None = None
+        pos = {node: i for i, node in enumerate(self.nodes)}
+        n = len(self.nodes)
+        uv = np.array([(pos[u], pos[v]) for u, v in self.edges], dtype=np.int64).reshape(-1, 2)
+        rows = np.concatenate([uv[:, 0], uv[:, 1]])
+        cols = np.concatenate([uv[:, 1], uv[:, 0]])
+        self.csr = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        self.csr.sort_indices()
+        for part in (self.csr.data, self.csr.indices, self.csr.indptr):
+            _read_only(part)
+        self.degrees = _read_only(np.diff(self.csr.indptr).astype(np.int64))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -119,37 +135,8 @@ class ProjectedGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def arrays(self) -> "_GraphArrays":
-        if self._arrays is None:
-            self._arrays = _GraphArrays(self.nodes, self.edges)
-        return self._arrays
-
     def sorted_edges(self) -> list[tuple[str, str, int]]:
         return [(u, v, w) for (u, v), w in self.edges.items()]
-
-
-class _GraphArrays:
-    """Integer-indexed adjacency and hop distances, built once per projection.
-
-    ``csr`` (the unweighted symmetric adjacency) is built on creation;
-    ``dist`` (all-pairs hop distances, ``inf`` between components) and
-    ``labels`` (connected-component ids) on first use. All are read-only
-    and shared by every measure computed on the projection.
-    """
-
-    def __init__(self, nodes: tuple[str, ...], edges: dict[tuple[str, str], int]):
-        self.pos = {node: i for i, node in enumerate(nodes)}
-        n = len(nodes)
-        uv = np.array([(self.pos[u], self.pos[v]) for u, v in edges], dtype=np.int64).reshape(-1, 2)
-        rows = np.concatenate([uv[:, 0], uv[:, 1]])
-        cols = np.concatenate([uv[:, 1], uv[:, 0]])
-        self.csr = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        self.csr.sort_indices()
-        for part in (self.csr.data, self.csr.indices, self.csr.indptr):
-            _read_only(part)
-        ptr = self.csr.indptr
-        self.adj = [self.csr.indices[ptr[i]:ptr[i + 1]] for i in range(n)]
-        self.degrees = _read_only(np.diff(ptr).astype(np.int64))
 
     @cached_property
     def dist(self) -> np.ndarray:

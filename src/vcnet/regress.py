@@ -35,8 +35,7 @@ from .errors import ConfigError, RankDeficientError, VcnetError
 from .features import FeatureMatrix
 from .ingest import FirmMeta, write_csv
 from .seeding import derive_seed
-from .trajectories import (HIGH, ClusterAssignment, Trajectory, build_trajectories,
-                           functional_kmeans)
+from .trajectories import HIGH, Trajectory, build_trajectories, functional_kmeans
 
 INTERCEPT = "intercept"
 
@@ -847,15 +846,13 @@ def confusion_metrics(tp: int, fn: int, fp: int, tn: int) -> ConfusionReport:
     return ConfusionReport(tp, fn, fp, tn, accuracy, precision, recall)
 
 
-def confusion_vs_standard(ca: ClusterAssignment | dict[str, str], meta: dict[str, FirmMeta],
+def confusion_vs_standard(regimes: dict[str, str], meta: dict[str, FirmMeta],
                           first_years: dict[str, int], window: int) -> ConfusionReport:
-    """Compare HIGH-regime membership against exit-based success.
+    """Compare HIGH-regime membership (firm -> regime) against exit-based success.
 
     Standard success means an ACQUIRED/IPO/MERGED status dated within
-    ``window`` calendar years of the firm's first investment. ``ca`` may
-    be a ClusterAssignment or a bare firm->regime mapping.
+    ``window`` calendar years of the firm's first investment.
     """
-    regimes = ca.regimes if isinstance(ca, ClusterAssignment) else ca
     tp = fn = fp = tn = 0
     for firm, regime in regimes.items():
         m = meta.get(firm)

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (ALL_MEASURE_ORACLES, bf_betweenness, bf_brandes_betweenness, bf_closeness,
-                     bf_current_flow_betweenness, bf_harmonic)
+from oracles import (ALL_MEASURE_ORACLES, bf_average_neighbor_degree, bf_betweenness,
+                     bf_brandes_betweenness, bf_closeness, bf_clustering, bf_core_number,
+                     bf_current_flow_betweenness, bf_harmonic, bf_voterank)
 from conftest import deal, make_pg, random_multi_component_pg, random_pg, random_tree_pg
 
 import vcnet.centrality as C
@@ -238,16 +239,56 @@ def _assert_matches(computed, reference, label):
         assert abs(computed[v] - reference[v]) <= REFERENCE_TOL, f"{label} mismatch at {v}"
 
 
+def _multi_component_pg(k):
+    rng = np.random.default_rng(500 + k)
+    return random_multi_component_pg(rng, 30 + 6 * k)  # 30..144 nodes: one or two source blocks
+
+
+def _nested_shell_pg():
+    """A 7-clique, then shells 5..1 of four nodes each, every node of shell s linked
+    to s random nodes added before it, plus two isolated nodes; shuffled names.
+
+    A shell-s node has degree s and all its neighbors lie in cores above s, so
+    its core number is exactly s, and no later shell raises an earlier core.
+    """
+    rng = np.random.default_rng(2003)
+    expected = [6] * 7 + [s for s in range(5, 0, -1) for _ in range(4)] + [0, 0]
+    edges = [(i, j) for i, j in itertools.combinations(range(7), 2)]
+    for v in range(7, len(expected) - 2):
+        edges += [(int(u), v) for u in rng.choice(v, size=expected[v], replace=False)]
+    names = [f"v{int(i):02d}" for i in rng.permutation(len(expected))]
+    pg = make_pg(names, [(names[u], names[v]) for u, v in edges])
+    return pg, {names[v]: core for v, core in enumerate(expected)}
+
+
 class TestReferenceGraphs:
-    """Distance measures on graphs too large for path enumeration."""
+    """Measures on graphs too large for path enumeration."""
 
     @pytest.mark.parametrize("k", range(20))
     def test_distance_measures_on_multi_component_graphs(self, k):
-        rng = np.random.default_rng(500 + k)
-        pg = random_multi_component_pg(rng, 30 + 6 * k)  # 30..144 nodes: one or two source blocks
+        pg = _multi_component_pg(k)
         _assert_matches(C.betweenness(pg), bf_brandes_betweenness(pg), "betweenness")
         _assert_matches(C.closeness(pg), bf_closeness(pg), "closeness")
         _assert_matches(C.harmonic(pg), bf_harmonic(pg), "harmonic")
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_local_measures_exact_on_multi_component_graphs(self, k):
+        # Integer counts divided once: equal to the oracles to the last bit.
+        pg = _multi_component_pg(k)
+        assert C.clustering(pg) == bf_clustering(pg)
+        assert C.average_neighbor_degree(pg) == bf_average_neighbor_degree(pg)
+        assert C.core_number(pg) == bf_core_number(pg)
+
+    def test_nested_shells_core_numbers(self):
+        pg, expected = _nested_shell_pg()
+        assert set(expected.values()) == set(range(7))
+        core = C.core_number(pg)
+        assert core == expected
+        assert core == bf_core_number(pg)
+
+    def test_nested_shells_voterank(self):
+        pg, _ = _nested_shell_pg()
+        assert C.voterank(pg) == bf_voterank(pg)
 
     def test_ladder(self):
         rungs = 40

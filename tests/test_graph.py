@@ -146,6 +146,37 @@ class TestProjectionOracle:
             prev_f, prev_i = ef, ei
 
 
+class TestProjectionArrays:
+    """The integer-indexed views every measure reads are shared and read-only."""
+
+    @pytest.mark.parametrize("layer", [FIRM, INVESTOR])
+    def test_shared_arrays_read_only_and_built_once(self, layer):
+        deals = random_deals(np.random.default_rng(31), 60)
+        g = build_bipartite(deals)
+        pg = project_firms(g, 2010, 7) if layer == FIRM else project_investors(g, 2010)
+        assert pg.n_edges() > 0
+        shared = {"csr.data": pg.csr.data, "csr.indices": pg.csr.indices,
+                  "csr.indptr": pg.csr.indptr, "degrees": pg.degrees, "dist": pg.dist,
+                  "labels": pg.labels}
+        for name, array in shared.items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[...] = 0
+        assert pg.dist is pg.dist and pg.labels is pg.labels
+        assert pg.csr is pg.csr and pg.degrees is pg.degrees
+
+    def test_adjacency_follows_node_order(self):
+        deals = random_deals(np.random.default_rng(32), 60)
+        pg = project_firms(build_bipartite(deals), 2012, 7)
+        pos = {v: i for i, v in enumerate(pg.nodes)}
+        A = pg.csr.toarray()
+        expected = np.zeros_like(A)
+        for u, v in pg.edges:
+            expected[pos[u], pos[v]] = expected[pos[v], pos[u]] = 1.0
+        assert np.array_equal(A, expected)
+        assert pg.degrees.tolist() == A.sum(axis=1).astype(int).tolist()
+
+
 def _first_round(g, firm):
     """The package's first round of ``firm``, checked against the oracle."""
     fr = first_rounds(g)[firm]

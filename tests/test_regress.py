@@ -21,7 +21,7 @@ from vcnet.regress import (SELECT_CHUNK, TIE_RTOL, PipelineData, balanced_ensemb
                            confusion_metrics, confusion_vs_standard, fit_function_on_scalar,
                            fit_linear, fit_logistic, perturbation_sweep, responses,
                            select_model, window_sweep, _balanced_rows, _irls, _wald)
-from vcnet.trajectories import HIGH, LOW, ClusterAssignment, Trajectory, build_trajectories
+from vcnet.trajectories import HIGH, LOW, Trajectory, build_trajectories
 
 
 def sigmoid(x):
@@ -565,12 +565,6 @@ class TestConfusion:
         rep = confusion_vs_standard(regimes, meta, first, 10)
         # hit: exit within 8y -> TP; late: exit after 19y -> FP; alive: TN
         assert (rep.tp, rep.fn, rep.fp, rep.tn) == (1, 0, 1, 1)
-
-    def test_accepts_cluster_assignment(self):
-        ca = ClusterAssignment(10, "log1p", {"a": HIGH}, {}, {}, {})
-        meta = {"a": FirmMeta("a")}
-        rep = confusion_vs_standard(ca, meta, {"a": 2000}, 10)
-        assert (rep.tp, rep.fn, rep.fp, rep.tn) == (0, 0, 1, 0)
 
 
 class TestResponses:
