@@ -11,8 +11,8 @@ from vcnet import (SyntheticConfig, assemble_covariates, build_bipartite, comput
 from vcnet.graph import ProjectedGraph
 
 # --- toy graph: one investor funding three firms makes a triangle ----------
-toy = ProjectedGraph("FIRM", 2005, {"a", "b", "c"},
-                     {("a", "b"): {1}, ("a", "c"): {1}, ("b", "c"): {1}})
+# nodes in sorted order; edges as index pairs (u < v) with their weights
+toy = ProjectedGraph("FIRM", 2005, ("a", "b", "c"), [(0, 1), (0, 2), (1, 2)], [1, 1, 1])
 frame = compute_frame(toy)
 print("triangle a-b-c (a clique from one shared investor):")
 for measure in ("degree_centrality", "clustering", "betweenness", "newman_betweenness",

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import ConvergenceError
-from .graph import FIRM, ProjectedGraph, TemporalBipartiteGraph, first_rounds
+from .graph import FIRM, SOURCE_BLOCK, ProjectedGraph, TemporalBipartiteGraph, first_rounds
 from .ingest import read_csv, write_csv
 
 #: Measures computed on both layers, keyed as they appear in covariate names.
@@ -107,8 +107,6 @@ def core_number(pg: ProjectedGraph) -> dict[str, int]:
 # Distance measures (all read the projection's cached hop-distance matrix)
 # ---------------------------------------------------------------------------
 
-#: Sources per block in ``betweenness``; its work arrays are n x block.
-_SOURCE_BLOCK = 128
 #: Edges per block in ``newman_betweenness``; its work array is block x component size.
 _EDGE_BLOCK = 256
 #: Relative singular-value cutoff of the Laplacian pseudo-inverse in ``newman_betweenness``.
@@ -129,8 +127,8 @@ def betweenness(pg: ProjectedGraph) -> dict[str, float]:
         return {v: 0.0 for v in pg.nodes}
     A = pg.csr
     bc = np.zeros(n)
-    for lo in range(0, n, _SOURCE_BLOCK):
-        D = pg.dist[:, lo:lo + _SOURCE_BLOCK]  # column j: distances from source lo + j
+    for lo in range(0, n, SOURCE_BLOCK):
+        D = pg.dist[:, lo:lo + SOURCE_BLOCK]  # column j: distances from source lo + j
         depth = int(D[np.isfinite(D)].max())
         level = [D == d for d in range(depth + 1)]
         sigma = level[0].astype(float)  # shortest-path counts from each source

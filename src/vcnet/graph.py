@@ -19,12 +19,14 @@ import warnings
 from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.typing import ArrayLike
 from scipy.sparse import csgraph
 
 from .ingest import DealRecord, write_csv
@@ -34,6 +36,9 @@ DAYS_PER_YEAR = 365.25
 FIRM = "FIRM"
 INVESTOR = "INVESTOR"
 BOTH = "BOTH"
+
+#: Sources per block of the hop-distance search, and of ``centrality.betweenness``.
+SOURCE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,7 @@ class TemporalBipartiteGraph:
         else:
             self.min_year = self.max_year = None
         self._first_rounds: Mapping[str, FirstRound] | None = None
+        self._links: dict = {}  # link tables by (layer, window), see _project
 
     def __len__(self) -> int:
         return len(self.roles)
@@ -102,27 +108,27 @@ def build_bipartite(deals: list[DealRecord]) -> TemporalBipartiteGraph:
 class ProjectedGraph:
     """Simple undirected graph from one bipartite layer at one snapshot.
 
-    The integer-indexed views that every measure shares are built once
-    and are read-only: ``csr`` (the unweighted symmetric adjacency, rows
-    and columns in ``nodes`` order) and ``degrees`` on creation, ``dist``
-    (all-pairs hop distances, ``inf`` between components) and ``labels``
+    ``nodes`` are the node ids in sorted order; ``pairs`` holds one row
+    ``(u, v)``, ``u < v``, of indices into ``nodes`` per edge, in sorted
+    order, and ``weights`` the edge multiplicities. The integer-indexed
+    views that every measure shares are built once and are read-only:
+    ``csr`` (the unweighted symmetric adjacency, rows and columns in
+    ``nodes`` order) and ``degrees`` on creation, ``dist`` (all-pairs hop
+    distances, ``inf`` between components) and ``labels``
     (connected-component ids) on first use.
     """
 
-    def __init__(self, layer: str, snapshot_year: int, nodes: set[str],
-                 edge_witnesses: dict[tuple[str, str], set], window_years: int | None = None):
+    def __init__(self, layer: str, snapshot_year: int, nodes: Sequence[str], pairs: ArrayLike,
+                 weights: ArrayLike, window_years: int | None = None):
         self.layer = layer
         self.snapshot_year = snapshot_year
         self.window_years = window_years
-        self.nodes: tuple[str, ...] = tuple(sorted(nodes))
-        self.edges: dict[tuple[str, str], int] = {
-            pair: len(wit) for pair, wit in sorted(edge_witnesses.items())
-        }
-        pos = {node: i for i, node in enumerate(self.nodes)}
+        self.nodes: tuple[str, ...] = tuple(nodes)
+        self.pairs = _read_only(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+        self.weights = _read_only(np.asarray(weights, dtype=np.int64))
         n = len(self.nodes)
-        uv = np.array([(pos[u], pos[v]) for u, v in self.edges], dtype=np.int64).reshape(-1, 2)
-        rows = np.concatenate([uv[:, 0], uv[:, 1]])
-        cols = np.concatenate([uv[:, 1], uv[:, 0]])
+        u, v = self.pairs.T
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
         self.csr = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
         self.csr.sort_indices()
         for part in (self.csr.data, self.csr.indices, self.csr.indptr):
@@ -133,14 +139,45 @@ class ProjectedGraph:
         return len(self.nodes)
 
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.weights)
+
+    @cached_property
+    def edges(self) -> Mapping[tuple[str, str], int]:
+        """Edge weights keyed by node-id pair, in sorted order."""
+        names = self.nodes
+        return MappingProxyType({(names[u], names[v]): w for (u, v), w
+                                 in zip(self.pairs.tolist(), self.weights.tolist())})
 
     def sorted_edges(self) -> list[tuple[str, str, int]]:
         return [(u, v, w) for (u, v), w in self.edges.items()]
 
     @cached_property
     def dist(self) -> np.ndarray:
-        return _read_only(csgraph.shortest_path(self.csr, directed=False, unweighted=True))
+        """Hop distances by breadth-first search, ``SOURCE_BLOCK`` sources at a time.
+
+        Each level of a block is one product of the adjacency with the
+        block's frontier (Kepner & Gilbert 2011). The products run in
+        float32: they only tell a node with frontier neighbours from one
+        without, and a sum of ones is never 0, whatever its rounding.
+        """
+        n = len(self)
+        A = self.csr.astype(np.float32)
+        dist = np.empty((n, n))
+        for lo in range(0, n, SOURCE_BLOCK):
+            sources = np.arange(lo, min(lo + SOURCE_BLOCK, n))
+            block = np.full((n, sources.size), np.inf)  # column j: distances from lo + j
+            block[sources, sources - lo] = 0.0
+            unseen = np.isinf(block)
+            frontier = (~unseen).astype(np.float32)
+            level = 0
+            while frontier.any():
+                level += 1
+                reached = (A @ frontier).astype(bool) & unseen
+                block[reached] = level
+                unseen &= ~reached
+                frontier = reached.astype(np.float32)
+            dist[lo:lo + sources.size] = block.T
+        return _read_only(dist)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -152,8 +189,97 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _empty_projection(layer: str, year: int, window: int | None) -> ProjectedGraph:
-    return ProjectedGraph(layer, year, set(), {}, window)
+@dataclass(frozen=True)
+class _LinkTable:
+    """Every link of one layer's projections, with the year-end it appears by.
+
+    ``names`` are the layer's node ids, sorted, and ``first_year`` each
+    node's first deal year. Row r links ``names[u[r]] < names[v[r]]``
+    through one witness, from year-end ``birth[r]`` on; rows are sorted
+    by ``(u, v)``.
+    """
+
+    names: list[str]
+    first_year: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    birth: np.ndarray
+
+    def project(self, layer: str, year: int, window_years: int | None) -> ProjectedGraph:
+        """The snapshot at ``year``: witnesses born by then, counted per pair."""
+        present = self.first_year <= year
+        local = np.cumsum(present) - 1
+        born = self.birth <= year
+        u, v = local[self.u[born]], local[self.v[born]]
+        new = np.ones(u.size, dtype=bool)
+        new[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        starts = np.flatnonzero(new)
+        return ProjectedGraph(layer, year, list(compress(self.names, present)),
+                              np.column_stack([u[starts], v[starts]]),
+                              np.diff(np.append(starts, u.size)), window_years)
+
+
+def _codes(values: list) -> tuple[list, np.ndarray]:
+    """Sorted distinct values and every value's index among them."""
+    names = sorted(set(values))
+    index = {value: i for i, value in enumerate(names)}
+    return names, np.array([index[value] for value in values], dtype=np.int64)
+
+
+def _pairs_within(end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair ``(i, k)`` with ``i < k < end[i]``."""
+    count = np.maximum(end - np.arange(end.size) - 1, 0)
+    i = np.repeat(np.arange(end.size), count)
+    return i, i + 1 + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _link_table(deals: list[DealRecord], node_ids: list[str], group_ids: list,
+                gap_days: int) -> _LinkTable:
+    """Links between two nodes with deals in one group, at most ``gap_days`` apart.
+
+    ``deals`` are in date order; ``node_ids`` and ``group_ids`` name each
+    deal's node and group, and the group is the witness. A pair of deals
+    links its nodes from the later deal's year on, and each
+    (u, v, witness) keeps its earliest year.
+    """
+    names, nodes = _codes(node_ids)
+    _, groups = _codes(group_ids)
+    day = np.array([d.date.toordinal() for d in deals], dtype=np.int64)
+    year = np.array([d.date.year for d in deals], dtype=np.int64)
+    first_year = year[np.unique(nodes, return_index=True)[1]]
+    order = np.argsort(groups, kind="stable")  # each group's deals stay in date order
+    nodes, groups, day, year = nodes[order], groups[order], day[order], year[order]
+    # Ordinals are below 2**22 and the gap is capped at 2**31: no key reaches the next group's.
+    key = (groups << 32) + day
+    i, k = _pairs_within(np.searchsorted(key, key + min(gap_days, 1 << 31), side="right"))
+    apart = nodes[i] != nodes[k]
+    i, k = i[apart], k[apart]
+    u, v = np.minimum(nodes[i], nodes[k]), np.maximum(nodes[i], nodes[k])
+    witness, birth = groups[i], year[k]  # deal k is the later one
+    order = np.lexsort((birth, witness, v, u))
+    u, v, witness, birth = u[order], v[order], witness[order], birth[order]
+    first = np.ones(u.size, dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1]) | (witness[1:] != witness[:-1])
+    return _LinkTable(names, first_year, u[first], v[first], birth[first])
+
+
+def _project(g: TemporalBipartiteGraph, layer: str, year: int,
+             window_years: int | None) -> ProjectedGraph:
+    if g.min_year is None or not g.min_year <= year <= g.max_year:
+        warnings.warn(f"snapshot year {year} outside data range; returning empty projection")
+        return ProjectedGraph(layer, year, (), (), (), window_years)
+    key = (layer, window_years)
+    if key not in g._links:
+        deals = g.edges
+        if layer == FIRM:
+            # Whole days apart, so |days| <= window * 365.25 means days <= its floor.
+            g._links[key] = _link_table(deals, [d.firm_id for d in deals],
+                                        [d.investor_id for d in deals],
+                                        int(window_years * DAYS_PER_YEAR))
+        else:  # any two deals of one round, whatever their dates
+            g._links[key] = _link_table(deals, [d.investor_id for d in deals],
+                                        [(d.firm_id, d.round_id) for d in deals], 1 << 31)
+    return g._links[key].project(layer, year, window_years)
 
 
 def project_firms(g: TemporalBipartiteGraph, snapshot_year: int, window_years: int = 7) -> ProjectedGraph:
@@ -162,51 +288,20 @@ def project_firms(g: TemporalBipartiteGraph, snapshot_year: int, window_years: i
     Firms f1 and f2 are linked when some investor holds deals in both,
     dated at most ``window_years`` apart (symmetric, in exact days) and
     both on or before the snapshot's year end. Edge weight counts the
-    distinct common investors.
+    distinct common investors. The links of all snapshots are found once
+    per graph and window (cached on ``g``); a snapshot keeps those born
+    by its year end.
     """
-    if g.min_year is None or not g.min_year <= snapshot_year <= g.max_year:
-        warnings.warn(f"snapshot year {snapshot_year} outside data range; returning empty projection")
-        return _empty_projection(FIRM, snapshot_year, window_years)
-
-    deals = g.snapshot_deals(snapshot_year)
-    nodes = {d.firm_id for d in deals}
-    max_gap_days = window_years * DAYS_PER_YEAR
-
-    by_investor: dict[str, dict[str, list[Date]]] = {}
-    for d in deals:
-        by_investor.setdefault(d.investor_id, {}).setdefault(d.firm_id, []).append(d.date)
-
-    witnesses: dict[tuple[str, str], set] = {}
-    for investor, portfolio in by_investor.items():
-        firms = sorted(portfolio)
-        for i, f1 in enumerate(firms):
-            d1s = portfolio[f1]
-            for f2 in firms[i + 1:]:
-                if any(abs((a - b).days) <= max_gap_days for a in d1s for b in portfolio[f2]):
-                    witnesses.setdefault((f1, f2), set()).add(investor)
-    return ProjectedGraph(FIRM, snapshot_year, nodes, witnesses, window_years)
+    return _project(g, FIRM, snapshot_year, window_years)
 
 
 def project_investors(g: TemporalBipartiteGraph, snapshot_year: int) -> ProjectedGraph:
-    """Project onto the investor layer: co-membership in a firm's round."""
-    if g.min_year is None or not g.min_year <= snapshot_year <= g.max_year:
-        warnings.warn(f"snapshot year {snapshot_year} outside data range; returning empty projection")
-        return _empty_projection(INVESTOR, snapshot_year, None)
+    """Project onto the investor layer: co-membership in a firm's round.
 
-    deals = g.snapshot_deals(snapshot_year)
-    nodes = {d.investor_id for d in deals}
-
-    by_round: dict[tuple[str, str], set] = {}
-    for d in deals:
-        by_round.setdefault((d.firm_id, d.round_id), set()).add(d.investor_id)
-
-    witnesses: dict[tuple[str, str], set] = {}
-    for round_key, members in by_round.items():
-        ordered = sorted(members)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1:]:
-                witnesses.setdefault((u, v), set()).add(round_key)
-    return ProjectedGraph(INVESTOR, snapshot_year, nodes, witnesses, None)
+    Edge weight counts the distinct common rounds; links are found once
+    per graph, as for firms.
+    """
+    return _project(g, INVESTOR, snapshot_year, None)
 
 
 def first_rounds(g: TemporalBipartiteGraph) -> Mapping[str, FirstRound]:

@@ -35,7 +35,7 @@ from .errors import ConfigError, RankDeficientError, VcnetError
 from .features import FeatureMatrix
 from .ingest import FirmMeta, write_csv
 from .seeding import derive_seed
-from .trajectories import HIGH, Trajectory, build_trajectories, functional_kmeans
+from .trajectories import HIGH, Trajectory, TrajectorySet, build_trajectories, functional_kmeans
 
 INTERCEPT = "intercept"
 
@@ -669,6 +669,13 @@ class PipelineData:
     kmeans_inits: int = 100
     kmeans_seed: int = 0
     kmeans_log_scale: bool = True
+    _trajectories: dict[int, TrajectorySet] = field(default_factory=dict, init=False, repr=False)
+
+    def trajectories(self, window: int) -> TrajectorySet:
+        """Every firm's trajectory at ``window``, built once per window and shared by the sweeps."""
+        if window not in self._trajectories:
+            self._trajectories[window] = build_trajectories(self.deals, self.meta, window)
+        return self._trajectories[window]
 
 
 def build_controls(firms: list[str], first_amounts: dict[str, float],
@@ -731,8 +738,9 @@ def window_sweep(data: PipelineData, config: tuple[str, ...],
                  w_range: list[int], kind: str = "linear_agg") -> WindowSweepResult:
     """Refit the fixed best configuration for each window size.
 
-    Rebuilds trajectories (and, for ``logistic``, the k-means regimes),
-    the ``responses`` and the fit sample per window and reports each
+    Takes each window's trajectories from ``data`` (built once per window
+    for every sweep over it), rebuilds the k-means regimes for
+    ``logistic``, the ``responses`` and the fit sample, and reports each
     coefficient with its 1.96-standard-error band plus the per-window
     firm count. A firm count that increases with the window is recorded
     as a warning.
@@ -741,8 +749,7 @@ def window_sweep(data: PipelineData, config: tuple[str, ...],
     in_fm = set(data.fm.row_ids)
     prev_count = None
     for window in w_range:
-        ts = build_trajectories(data.deals, data.meta, window)
-        trajs = [t for t in ts.trajectories if t.firm_id in in_fm]
+        trajs = [t for t in data.trajectories(window).trajectories if t.firm_id in in_fm]
         regimes = None
         if kind == "logistic":
             regimes = functional_kmeans(trajs, k=data.kmeans_k, n_init=data.kmeans_inits,

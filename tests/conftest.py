@@ -18,12 +18,13 @@ def make_pg(n_or_names, edges, layer=FIRM, year=2010, window=7) -> ProjectedGrap
         names = [f"n{i:02d}" for i in range(n_or_names)]
     else:
         names = list(n_or_names)
-    witnesses = {}
+    nodes = sorted(set(names))
+    pos = {name: i for i, name in enumerate(nodes)}
+    pairs = set()
     for u, v in edges:
         u, v = (names[u], names[v]) if isinstance(u, int) else (u, v)
-        pair = tuple(sorted((u, v)))
-        witnesses[pair] = {pair}
-    return ProjectedGraph(layer, year, set(names), witnesses, window)
+        pairs.add(tuple(sorted((pos[u], pos[v]))))
+    return ProjectedGraph(layer, year, nodes, sorted(pairs), [1] * len(pairs), window)
 
 
 def random_pg(rng: np.random.Generator, n: int, p: float) -> ProjectedGraph:

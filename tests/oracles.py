@@ -327,10 +327,11 @@ ALL_MEASURE_ORACLES = {
 
 
 # ---------------------------------------------------------------------------
-# Projection oracle: exhaustive deal-pair enumeration
+# Projection oracles: exhaustive deal-pair enumeration, and per-snapshot
+# pair loops over each investor's portfolio and each round's members
 # ---------------------------------------------------------------------------
 
-def bf_project_firms(deals, snapshot_year, window_years):
+def bf_scan_firms(deals, snapshot_year, window_years):
     """Edge set/weights from scanning every ordered pair of deals."""
     max_gap = window_years * 365.25
     witnesses = {}
@@ -347,7 +348,7 @@ def bf_project_firms(deals, snapshot_year, window_years):
     return nodes, {pair: len(w) for pair, w in witnesses.items()}
 
 
-def bf_project_investors(deals, snapshot_year):
+def bf_scan_investors(deals, snapshot_year):
     witnesses = {}
     for d1 in deals:
         for d2 in deals:
@@ -361,6 +362,49 @@ def bf_project_investors(deals, snapshot_year):
             witnesses.setdefault(pair, set()).add((d1.firm_id, d1.round_id))
     nodes = {d.investor_id for d in deals if d.date.year <= snapshot_year}
     return nodes, {pair: len(w) for pair, w in witnesses.items()}
+
+
+def bf_project_firms(g, snapshot_year, window_years):
+    """Sorted nodes and sorted edge weights of one snapshot, from its deals alone.
+
+    Groups the snapshot's deals by investor and tests every pair of its
+    firms; empty outside the data range.
+    """
+    if g.min_year is None or not g.min_year <= snapshot_year <= g.max_year:
+        return (), {}
+    deals = g.snapshot_deals(snapshot_year)
+    max_gap_days = window_years * 365.25
+    by_investor = {}
+    for d in deals:
+        by_investor.setdefault(d.investor_id, {}).setdefault(d.firm_id, []).append(d.date)
+    witnesses = {}
+    for investor, portfolio in by_investor.items():
+        firms = sorted(portfolio)
+        for i, f1 in enumerate(firms):
+            d1s = portfolio[f1]
+            for f2 in firms[i + 1:]:
+                if any(abs((a - b).days) <= max_gap_days for a in d1s for b in portfolio[f2]):
+                    witnesses.setdefault((f1, f2), set()).add(investor)
+    nodes = tuple(sorted({d.firm_id for d in deals}))
+    return nodes, {pair: len(wit) for pair, wit in sorted(witnesses.items())}
+
+
+def bf_project_investors(g, snapshot_year):
+    """As ``bf_project_firms``, for co-membership of a firm's round."""
+    if g.min_year is None or not g.min_year <= snapshot_year <= g.max_year:
+        return (), {}
+    deals = g.snapshot_deals(snapshot_year)
+    by_round = {}
+    for d in deals:
+        by_round.setdefault((d.firm_id, d.round_id), set()).add(d.investor_id)
+    witnesses = {}
+    for round_key, members in by_round.items():
+        ordered = sorted(members)
+        for i, u in enumerate(ordered):
+            for v in ordered[i + 1:]:
+                witnesses.setdefault((u, v), set()).add(round_key)
+    nodes = tuple(sorted({d.investor_id for d in deals}))
+    return nodes, {pair: len(wit) for pair, wit in sorted(witnesses.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import (ALL_MEASURE_ORACLES, bf_project_firms, bf_project_investors,
+from oracles import (ALL_MEASURE_ORACLES, bf_scan_firms, bf_scan_investors,
                      logistic_score_max_norm)
 from conftest import make_pg, random_deals, random_pg, random_tree_pg
 
@@ -108,10 +108,10 @@ def test_c4_projection_oracle():
         year = int(rng.integers(2002, 2013))
         window = int(rng.choice([5, 7, 10]))
         pg = project_firms(g, year, window)
-        nodes, edges = bf_project_firms(deals, year, window)
+        nodes, edges = bf_scan_firms(deals, year, window)
         assert set(pg.nodes) == nodes and pg.edges == edges
         pgi = project_investors(g, year)
-        nodes_i, edges_i = bf_project_investors(deals, year)
+        nodes_i, edges_i = bf_scan_investors(deals, year)
         assert set(pgi.nodes) == nodes_i and pgi.edges == edges_i
         e5 = set(project_firms(g, year, 5).edges)
         e7 = set(project_firms(g, year, 7).edges)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from oracles import (ALL_MEASURE_ORACLES, bf_average_neighbor_degree, bf_betweenness,
                      bf_brandes_betweenness, bf_closeness, bf_clustering, bf_core_number,
@@ -13,7 +14,7 @@ from conftest import deal, make_pg, random_multi_component_pg, random_pg, random
 
 import vcnet.centrality as C
 from vcnet.errors import ConvergenceError
-from vcnet.graph import FIRM, INVESTOR, build_bipartite, project_firms
+from vcnet.graph import FIRM, INVESTOR, SOURCE_BLOCK, build_bipartite, project_firms
 
 
 class TestLocalMeasures:
@@ -244,6 +245,20 @@ def _multi_component_pg(k):
     return random_multi_component_pg(rng, 30 + 6 * k)  # 30..144 nodes: one or two source blocks
 
 
+def _ladder_pg(rungs=40):
+    edges = ([(i, i + 1) for i in range(rungs - 1)]
+             + [(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
+             + [(i, rungs + i) for i in range(rungs)])
+    return make_pg(2 * rungs, edges)
+
+
+def _assert_csgraph_distances(pg):
+    """The breadth-first hop distances equal scipy's, dtype and ``inf`` included."""
+    expected = csgraph.shortest_path(pg.csr, directed=False, unweighted=True)
+    assert pg.dist.dtype == expected.dtype
+    assert np.array_equal(pg.dist, expected)
+
+
 def _nested_shell_pg():
     """A 7-clique, then shells 5..1 of four nodes each, every node of shell s linked
     to s random nodes added before it, plus two isolated nodes; shuffled names.
@@ -272,6 +287,19 @@ class TestReferenceGraphs:
         _assert_matches(C.harmonic(pg), bf_harmonic(pg), "harmonic")
 
     @pytest.mark.parametrize("k", range(20))
+    def test_distances_equal_csgraph_on_multi_component_graphs(self, k):
+        _assert_csgraph_distances(_multi_component_pg(k))
+
+    def test_distances_equal_csgraph_on_ladder_and_over_three_source_blocks(self):
+        _assert_csgraph_distances(_ladder_pg())
+        big = random_multi_component_pg(np.random.default_rng(900), 2 * SOURCE_BLOCK + 7)
+        _assert_csgraph_distances(big)
+
+    @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (2, []), (2, [(0, 1)])])
+    def test_distances_equal_csgraph_on_tiny_graphs(self, n, edges):
+        _assert_csgraph_distances(make_pg(n, edges))
+
+    @pytest.mark.parametrize("k", range(20))
     def test_local_measures_exact_on_multi_component_graphs(self, k):
         # Integer counts divided once: equal to the oracles to the last bit.
         pg = _multi_component_pg(k)
@@ -291,11 +319,7 @@ class TestReferenceGraphs:
         assert C.voterank(pg) == bf_voterank(pg)
 
     def test_ladder(self):
-        rungs = 40
-        edges = ([(i, i + 1) for i in range(rungs - 1)]
-                 + [(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
-                 + [(i, rungs + i) for i in range(rungs)])
-        pg = make_pg(2 * rungs, edges)
+        pg = _ladder_pg()
         _assert_matches(C.betweenness(pg), bf_brandes_betweenness(pg), "betweenness")
 
     def test_diamond_chain_path_counts_double_per_diamond(self):

@@ -1,13 +1,57 @@
 """Bipartite construction, projections, and first-round extraction."""
 
+import warnings
+from datetime import date as Date
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import NotFoundError, bf_first_round, bf_project_firms, bf_project_investors
+from oracles import (NotFoundError, bf_first_round, bf_project_firms, bf_project_investors,
+                     bf_scan_firms, bf_scan_investors)
 from conftest import deal, random_deals
 
 from vcnet.graph import (BOTH, FIRM, INVESTOR, build_bipartite, first_rounds,
                          project_firms, project_investors)
+from vcnet.ingest import DealRecord
+
+_DAY0 = Date(2000, 1, 1).toordinal()
+
+
+@st.composite
+def _deal_sets(draw):
+    """A window and up to 16 deals among 4 firms and 3 investors over about 16 years.
+
+    Day offsets favour 0 and multiples of the window's exact-day gap and
+    one day past it, so same-day pairs and pairs exactly ``window * 365.25``
+    days apart (whole days when the window is a multiple of 4) occur
+    often. Firm ``I0`` is also an investor, and round ids repeat across
+    firms.
+    """
+    window = draw(st.integers(1, 12))
+    gap = int(window * 365.25)
+    offsets = st.one_of(st.integers(0, 6000), st.sampled_from([0, gap, gap + 1, 2 * gap]))
+    deals = [DealRecord(draw(st.sampled_from(["F0", "F1", "F2", "I0"])),
+                        draw(st.sampled_from(["I0", "I1", "I2"])),
+                        f"R{draw(st.integers(0, 2))}",
+                        Date.fromordinal(_DAY0 + draw(offsets)), 1)
+             for _ in range(draw(st.integers(0, 16)))]
+    return deals, window
+
+
+def _assert_projection(pg, nodes, edges):
+    """``pg`` has the oracle's nodes, edges and weights, in order, and its adjacency."""
+    assert pg.nodes == nodes
+    assert list(pg.edges.items()) == list(edges.items())
+    assert pg.sorted_edges() == [(u, v, w) for (u, v), w in edges.items()]
+    assert pg.n_edges() == len(edges)
+    pos = {v: i for i, v in enumerate(nodes)}
+    expected = np.zeros((len(nodes), len(nodes)))
+    for u, v in edges:
+        expected[pos[u], pos[v]] = expected[pos[v], pos[u]] = 1.0
+    assert pg.csr.shape == expected.shape and pg.csr.has_canonical_format
+    assert np.array_equal(pg.csr.toarray(), expected)
 
 
 class TestBuildBipartite:
@@ -111,7 +155,7 @@ class TestProjectionOracle:
         for year in (2004, 2008, 2012):
             for window in (5, 7, 10):
                 pg = project_firms(g, year, window)
-                nodes, edges = bf_project_firms(deals, year, window)
+                nodes, edges = bf_scan_firms(deals, year, window)
                 assert set(pg.nodes) == nodes
                 assert pg.edges == edges
 
@@ -121,7 +165,7 @@ class TestProjectionOracle:
         g = build_bipartite(deals)
         for year in (2004, 2008, 2012):
             pg = project_investors(g, year)
-            nodes, edges = bf_project_investors(deals, year)
+            nodes, edges = bf_scan_investors(deals, year)
             assert set(pg.nodes) == nodes
             assert pg.edges == edges
 
@@ -144,6 +188,39 @@ class TestProjectionOracle:
             ei = set(project_investors(g, year).edges)
             assert prev_f <= ef and prev_i <= ei
             prev_f, prev_i = ef, ei
+
+
+class TestProjectionSlices:
+    """Every snapshot sliced from the link tables equals the per-snapshot pair loops."""
+
+    @given(_deal_sets())
+    @example(([deal("I0", "I1", "R0", "2001-03-01"), deal("F0", "I1", "R0", "2001-03-01"),
+               deal("F1", "I1", "R1", "2005-03-01"), deal("F2", "I0", "R0", "2001-03-01"),
+               deal("F2", "I1", "R0", "2001-03-01"), deal("F0", "I2", "R0", "2001-03-01"),
+               deal("F0", "I2", "R0", "2003-06-01")], 4))
+    @settings(max_examples=200, deadline=None)
+    def test_sliced_projections_equal_pair_loops(self, case):
+        deals, window = case
+        g = build_bipartite(deals)
+        for year in range(1998, 2019):  # the deals fall in 2000-2016
+            out_of_range = g.min_year is None or not g.min_year <= year <= g.max_year
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                firms, investors = project_firms(g, year, window), project_investors(g, year)
+            assert len(caught) == 2 * out_of_range
+            _assert_projection(firms, *bf_project_firms(g, year, window))
+            _assert_projection(investors, *bf_project_investors(g, year))
+
+    def test_deals_exactly_the_window_apart_link(self):
+        # As in the explicit example above: a dual-role node, and deals
+        # exactly 4 * 365.25 = 1461 days apart (2001-03-01 to 2005-03-01).
+        g = build_bipartite([deal("I0", "I1", "R0", "2001-03-01"),
+                             deal("F1", "I1", "R1", "2005-03-01"),
+                             deal("F2", "I0", "R0", "2001-03-01")])
+        assert g.roles["I0"] == BOTH
+        assert (Date(2005, 3, 1) - Date(2001, 3, 1)).days == 4 * 365.25
+        assert project_firms(g, 2005, 4).sorted_edges() == [("F1", "I0", 1)]
+        assert project_firms(g, 2005, 3).sorted_edges() == []
 
 
 class TestProjectionArrays:

@@ -469,6 +469,20 @@ class TestWindowSweep:
         for r in res.rows:
             assert r.lo95 == pytest.approx(r.estimate - 1.96 * r.se)
 
+    def test_sweeps_share_each_windows_trajectories(self, monkeypatch):
+        ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=85, n_firms=80)
+        built = []
+        real = regress.build_trajectories
+        monkeypatch.setattr(regress, "build_trajectories",
+                            lambda deals, meta, window: built.append(window) or real(deals, meta, window))
+        data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors, kmeans_inits=5)
+        lin = window_sweep(data, ("log_n_investors",), [6, 7], "linear_agg")
+        log = window_sweep(data, ("log_n_investors",), [6, 7], "logistic")
+        assert built == [6, 7]
+        fresh = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors, kmeans_inits=5)
+        assert window_sweep(fresh, ("log_n_investors",), [6, 7], "logistic") == log
+        assert lin.firm_counts == log.firm_counts
+
     def test_stable_coefficient_for_stationary_process(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=82)
         data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors)
