@@ -116,13 +116,21 @@ def _parse_rows(source: PathOrStream, columns: list[str], name: str,
     """Check the header, then let ``parse_row`` add each data row to ``records``.
 
     ``parse_row`` returns the reason a row is rejected, or None once it
-    has added the row; the rejects carry 1-based line numbers.
+    has added the row; the rejects carry 1-based line numbers. A row with
+    a carriage return in a field is rejected first: before Python 3.13,
+    ``write_csv`` leaves a bare ``\\r`` unquoted, so the row would split
+    when an artifact is read back.
     """
     header, rows = read_csv(source)
     if header != columns:
         raise SchemaError(f"{name} header must be {','.join(columns)!r}, got {header!r}")
-    return [Reject(lineno, reason) for lineno, row in enumerate(rows, start=2)
-            if (reason := parse_row(row, records)) is not None]
+    rejects = []
+    for lineno, row in enumerate(rows, start=2):
+        reason = ("carriage return in a field" if any("\r" in cell for cell in row)
+                  else parse_row(row, records))
+        if reason is not None:
+            rejects.append(Reject(lineno, reason))
+    return rejects
 
 
 def _parse_deal_row(row: list[str], deals: list[DealRecord]) -> str | None:

@@ -9,13 +9,16 @@ exactly with the scalar fit on that cross-section.
 
 Model selection fits one covariate per dendrogram group for every
 configuration and ranks logistic fits by log-likelihood and linear fits
-by R^2. Configurations of one length are fitted in fixed-size chunks of
-stacked designs through the same IRLS and QR kernels that single fits
-run with a stack of one, so a configuration scores the same in any
-chunk. Each keeps only its score and covariate coefficients; scores
-within a relative ``TIE_RTOL`` of their run's leader rank by
-configuration id; only the best configuration is refit with standard
-errors and p-values. Two stability sweeps rerun the chosen
+by R^2. Every design is a column subset of one full design
+``Z = [1, F, C] = QR``, factored once per selection (Furnival & Wilson
+1974): rank is decided on a configuration's ``R`` columns, a linear fit
+runs the single-fit QR kernel on ``R[:, S]`` against ``Qᵀy``, and a
+logistic fit runs the single-fit IRLS kernel on the full design, in
+fixed-size chunks whose result does not depend on the chunk. Each keeps
+only its score and covariate coefficients; scores within a relative
+``TIE_RTOL`` of their run's leader rank by configuration id; only the
+best configuration is refit with standard errors and p-values, and it
+reports the refit's score. Two stability sweeps rerun the chosen
 configuration over window sizes and rerun every configuration at a
 fixed window to trace how coefficients move with the specification.
 """
@@ -59,17 +62,20 @@ def _collinear_columns(design: np.ndarray, names: list[str]) -> list[str]:
     return sorted(names[piv[i]] for i in range(q) if i >= len(diag) or diag[i] <= cut)
 
 
-def _full_rank(designs: np.ndarray) -> np.ndarray:
-    """Full-column-rank flags of a (B, n, q) design stack.
+def _full_rank(stack: np.ndarray, n: int) -> np.ndarray:
+    """Full-column-rank flags of a (B, m, q) stack of n-row designs or of their R columns.
 
-    ``matrix_rank`` runs the same SVD and threshold on every matrix of
-    the stack, so a decision never depends on the batch it was made in.
+    The rule is ``matrix_rank``'s default on the n-row design: singular
+    values above max(n, q) * eps times the largest. ``R[:, S]`` has the
+    singular values of ``Z[:, S] = Q R[:, S]``. Every matrix of the stack
+    gets the same SVD and threshold, so no decision depends on its batch.
     """
-    return np.linalg.matrix_rank(designs) == designs.shape[2]
+    q = stack.shape[2]
+    return np.linalg.matrix_rank(stack, rtol=max(n, q) * np.finfo(float).eps) == q
 
 
 def _check_rank(design: np.ndarray, names: list[str]) -> None:
-    if not _full_rank(design[None])[0]:
+    if not _full_rank(design[None], len(design))[0]:
         raise RankDeficientError(_collinear_columns(design, names))
 
 
@@ -82,9 +88,10 @@ def _wald_p(z: np.ndarray) -> np.ndarray:
 # Fitting kernels over (B, n, q) design stacks
 #
 # A single fit is the B = 1 case, so single fits and model selection share
-# one IRLS loop and one least-squares solve. Every step acts on each matrix
-# of a stack on its own (stacked LAPACK calls, per-matrix BLAS products,
-# row-wise reductions), so a design's result does not depend on its batch.
+# one IRLS loop and one least-squares solve (selection's linear fits run it
+# on R columns). Every step acts on each matrix of a stack on its own
+# (stacked LAPACK calls, per-matrix BLAS products, row-wise reductions), so
+# a design's result does not depend on its batch.
 # ---------------------------------------------------------------------------
 
 def _binary_p_hat(y: np.ndarray) -> float:
@@ -141,7 +148,8 @@ def _irls(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     with one response per design. Each design takes Newton (IRLS) steps
     until its largest step is below ``IRLS_TOL``, for at most
     ``IRLS_MAX_ITER`` iterations. A design whose information matrix turns
-    singular stops where it is, unconverged. Returns coefficients (B, q),
+    singular, or whose coefficients turn non-finite, stops where it is,
+    unconverged, and leaves the stack. Returns coefficients (B, q),
     iteration counts (B,) and convergence flags (B,).
     """
     n_fits, _, q = designs.shape
@@ -157,14 +165,14 @@ def _irls(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         info = stack_t @ (stack * (mu * (1.0 - mu)))
         step, failed = _solve_each(info, stack_t @ (y_col - mu))
         b += step
-        done = np.abs(step).max(axis=(1, 2)) < IRLS_TOL  # converged, so far
+        dead = ~np.isfinite(b).all(axis=(1, 2))
         if failed is not None:
-            converged[active[done & ~failed]] = True
-            done |= failed
-        elif done.any():
-            converged[active[done]] = True
-        else:
+            dead |= failed
+        done = np.abs(step).max(axis=(1, 2)) < IRLS_TOL
+        if not (done.any() or dead.any()):
             continue
+        converged[active[done & ~dead]] = True
+        done |= dead
         beta[active] = b[:, :, 0]
         n_iter[active[done]] = it
         if done.all():
@@ -208,10 +216,11 @@ def _ols(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     """Least squares of ``y`` on every full-rank design of a (B, n, q) stack.
 
     Returns coefficients (B, q), residual sums of squares (B,) and the
-    triangular QR factors (B, q, q).
+    triangular QR factors (B, q, q). The back-substitution is numpy's
+    stacked ``solve``, which runs the whole stack in one call.
     """
     qmat, rmat = np.linalg.qr(designs)
-    beta = scipy.linalg.solve_triangular(rmat, np.swapaxes(qmat, 1, 2) @ y[:, None])
+    beta = np.linalg.solve(rmat, qmat.mT @ y[:, None])
     resid = y - (designs @ beta)[:, :, 0]
     return beta[:, :, 0], (resid * resid).sum(axis=1), rmat
 
@@ -331,7 +340,7 @@ def balanced_ensemble(y: np.ndarray, X: np.ndarray, n_reps: int = 1000, seed: in
                          for a in range(attempt, attempt + size)])
         attempt += size
         designs = design[rows]
-        full = _full_rank(designs)
+        full = _full_rank(designs, designs.shape[1])
         if not full.any():
             continue
         designs, ys = designs[full], y[rows[full]]
@@ -514,45 +523,42 @@ class ModelSelection:
         return self.ranked[0] if self.ranked else None
 
 
-def _stack_designs(fm: FeatureMatrix, combos: list[tuple[str, ...]],
-                   controls: np.ndarray) -> np.ndarray:
-    """(B, n, 1 + k + c) designs ``[1, X, C]`` for configurations of one length k."""
-    idx = np.array([[fm.columns.index(c) for c in combo] for combo in combos],
-                   dtype=np.intp).reshape(len(combos), -1)
-    k = idx.shape[1]
-    designs = np.empty((len(combos), fm.data.shape[0], 1 + k + controls.shape[1]))
-    designs[:, :, 0] = 1.0
-    designs[:, :, 1:1 + k] = fm.data[:, idx].transpose(1, 0, 2)
-    designs[:, :, 1 + k:] = controls
-    return designs
+def _columns(M: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(B, rows, q) stack of the column subsets ``cols`` (B, q) of ``M``."""
+    return np.ascontiguousarray(M[:, cols].transpose(1, 0, 2))
 
 
-def _fit_stack(kind: str, y: np.ndarray, designs: np.ndarray,
+def _fit_stack(kind: str, y: np.ndarray, full: np.ndarray,
+               factor: tuple[np.ndarray, np.ndarray, float], cols: np.ndarray,
                names: list[list[str]]) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
-    """Scores, coefficients and error texts of one design stack.
+    """Scores, coefficients and error texts of the designs ``full[:, cols[b]]``.
 
-    The checks and their messages are those of ``fit_logistic`` and
-    ``fit_linear``, in the same order; a failed design scores NaN.
+    ``factor`` is ``(R, Qᵀy, ‖y − QQᵀy‖²)`` of ``full = QR``. Rank and
+    linear fits run on the R columns; logistic fits iterate on the full
+    designs. The checks and their messages are those of ``fit_logistic``
+    and ``fit_linear``, in the same order; a failed design scores NaN.
     """
-    n_fits, n, q = designs.shape
+    n_fits, q = cols.shape
+    rmat, qty, rss_perp = factor
     scores = np.full(n_fits, np.nan)
     coefs = np.full((n_fits, q), np.nan)
     try:
         if kind == "logistic":
             _binary_p_hat(y)
         else:
-            _require_rows(n, q)
+            _require_rows(len(y), q)
     except VcnetError as exc:
         return scores, coefs, [str(exc)] * n_fits
-    ok = _full_rank(designs)
+    small = _columns(rmat, cols)
+    ok = _full_rank(small, len(y))
     errors: list[str | None] = [
-        None if full else str(RankDeficientError(_collinear_columns(designs[b], names[b])))
-        for b, full in enumerate(ok)]
+        None if rank_ok else str(RankDeficientError(_collinear_columns(full[:, cols[b]], names[b])))
+        for b, rank_ok in enumerate(ok)]
     fit_idx = np.flatnonzero(ok)
     if not fit_idx.size:
         return scores, coefs, errors
-    stack = designs if fit_idx.size == n_fits else designs[fit_idx]
     if kind == "logistic":
+        stack = _columns(full, cols[fit_idx])
         beta, _, converged = _irls(stack, y)
         good = converged & ~_separated(beta)
         scores[fit_idx[good]] = _log_likelihood(stack[good], beta[good], y)
@@ -565,8 +571,9 @@ def _fit_stack(kind: str, y: np.ndarray, designs: np.ndarray,
             for b in fit_idx:
                 errors[b] = str(exc)
             return scores, coefs, errors
-        beta, rss, _ = _ols(stack, y)
-        scores[fit_idx] = 1.0 - rss / tss
+        # ‖y − Z_S β‖² = ‖y − QQᵀy‖² + ‖Qᵀy − R_S β‖²
+        beta, rss, _ = _ols(small[fit_idx], qty)
+        scores[fit_idx] = 1.0 - (rss_perp + rss) / tss
     coefs[fit_idx] = beta
     return scores, coefs, errors
 
@@ -593,12 +600,15 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix,
     """Fit every configuration and rank by goodness of fit.
 
     Logistic configurations rank by log-likelihood, linear ones by R^2.
-    Configurations of one length are fitted ``SELECT_CHUNK`` at a time as
-    stacked designs; each keeps only its score and covariate
-    coefficients, and the best is refit with ``fit_logistic`` or
-    ``fit_linear`` for its inference. Individual failures are recorded,
-    not fatal. ``limit`` > 0 truncates the enumeration (the truncation is
-    reported so callers can surface it).
+    Every design is a column subset of the fit sample's full design
+    ``Z = [1, F, C]``, which is factored once, ``Z = QR``. Configurations
+    of one length are fitted ``SELECT_CHUNK`` at a time as stacks of
+    their ``R`` columns (linear) or of their full designs (logistic);
+    each keeps only its score and covariate coefficients, and the best is
+    refit with ``fit_logistic`` or ``fit_linear`` for its inference and
+    takes that fit's score. Individual failures are recorded, not fatal.
+    ``limit`` > 0 truncates the enumeration (the truncation is reported
+    so callers can surface it).
     """
     if kind not in ("logistic", "linear"):
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -607,6 +617,13 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix,
     C, ctl_names = (None, []) if kind == "logistic" else _block(controls, control_columns, "c")
     if C is None:
         C = np.empty((len(y), 0))
+    full = np.hstack([np.ones((len(y), 1)), fm.data, C])
+    qmat, rmat = np.linalg.qr(full)
+    qty = qmat.T @ y
+    resid = y - qmat @ qty
+    factor = (rmat, qty, float(resid @ resid))
+    col = {c: 1 + j for j, c in enumerate(fm.columns)}
+    ctl_idx = list(range(1 + fm.data.shape[1], full.shape[1]))
     by_length: dict[int, list[int]] = {}
     for i, combo in enumerate(todo):
         by_length.setdefault(len(combo), []).append(i)
@@ -617,7 +634,9 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix,
             chunk = ids[start:start + SELECT_CHUNK]
             combos = [todo[i] for i in chunk]
             names = [[INTERCEPT, *combo, *ctl_names] for combo in combos]
-            scores, coefs, errors = _fit_stack(kind, y, _stack_designs(fm, combos, C), names)
+            cols = np.array([[0, *(col[c] for c in combo), *ctl_idx] for combo in combos],
+                            dtype=np.intp)
+            scores, coefs, errors = _fit_stack(kind, y, full, factor, cols, names)
             for i, combo, score, coef, err in zip(chunk, combos, scores, coefs, errors):
                 scored = err is None
                 results[i] = ConfigFit(i, combo, float(score) if scored else None,
@@ -626,8 +645,12 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix,
     if ranked:
         best = ranked[0]
         X = fm.select(best.covariates)
-        best.fit = (fit_logistic(y, X, list(best.covariates)) if kind == "logistic" else
-                    fit_linear(y, X, controls, list(best.covariates), control_columns))
+        if kind == "logistic":
+            best.fit = fit_logistic(y, X, list(best.covariates))
+            best.score = best.fit.log_likelihood
+        else:
+            best.fit = fit_linear(y, X, controls, list(best.covariates), control_columns)
+            best.score = best.fit.r2
     n_failed = sum(1 for r in results if r.score is None)
     return ModelSelection(kind, results, ranked, n_failed, truncated=len(todo) < len(configs))
 

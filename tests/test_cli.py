@@ -14,15 +14,33 @@ import numpy as np
 import pytest
 
 import vcnet
-from vcnet import trajectories
+from vcnet import regress, trajectories
 from vcnet.cli import build_parser, main
 from vcnet.errors import ConfigError
+from vcnet.features import read_configs_csv, read_feature_matrix_csv
 from vcnet.pipeline import RunConfig, run_pipeline, run_stage
+from vcnet.trajectories import read_assignments_csv, read_trajectories_csv
 
 SYNTH = {"n_firms": 80, "n_investors": 40, "n_subsectors": 2,
          "year_range": [2000, 2020], "high_regime_fraction": 0.25, "seed": 13}
 
 FAST = {"kmeans_inits": 5, "balance_reps": 20, "config_limit": 60}
+
+#: A run without exits: its logistic selection holds a design whose IRLS
+#: coefficients turn NaN, and its balanced ensemble falls short.
+NO_EXITS = {**SYNTH, "seed": 5, "exit_rate_high": 0.0, "exit_rate_low": 0.0}
+NO_EXITS_FLAGS = {"kmeans_inits": 5, "balance_reps": 50, "dendrogram_k": 5, "config_limit": 3000}
+
+#: Degenerate runs, each with its synthetic overrides, extra flags, the
+#: stage that fails and the pinned error message.
+DEGENERATE_RUNS = {
+    "one_firm": ({"n_firms": 1}, [], "features", "cannot cut 0 covariates into 7 groups"),
+    "one_subsector": ({"n_subsectors": 1, "seed": 11}, [], "regress",
+                      "no logistic configuration converged"),
+    "one_investor": ({"n_investors": 1}, [], "regress", "no logistic configuration converged"),
+    "kmeans_k_12": ({}, ["--kmeans_k", "12"], "regress",
+                    "minority class has 3 rows; need at least 8"),
+}
 
 
 def make_cfg(out_dir, **over):
@@ -323,15 +341,14 @@ class TestDegenerateRuns:
         # With no exits, one selection design ends unconverged with NaN
         # coefficients, and the balanced ensemble keeps fewer replicates
         # than asked for. Neither may reach stderr; the shortfall is counted.
-        synth = {**SYNTH, "seed": 5, "exit_rate_high": 0.0, "exit_rate_low": 0.0}
         out = tmp_path / "no_exits"
         src = str(Path(vcnet.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        flags = [a for k, v in NO_EXITS_FLAGS.items() for a in (f"--{k}", str(v))]
         result = subprocess.run(
             [sys.executable, "-m", "vcnet.cli", "run", "--out_dir", str(out),
-             "--synthetic", json.dumps(synth), "--kmeans_inits", "5", "--balance_reps", "50",
-             "--dendrogram_k", "5", "--config_limit", "3000"],
+             "--synthetic", json.dumps(NO_EXITS), *flags],
             capture_output=True, text=True, timeout=180, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stderr == ""
@@ -341,6 +358,62 @@ class TestDegenerateRuns:
         assert regress["n_warnings"] == 1
         assert regress["warning_messages"] == [
             f"balanced ensemble kept {kept} of 50 replicates ({discarded} discarded)"]
+
+    def test_irls_retires_the_design_whose_coefficients_turn_non_finite(self, tmp_path,
+                                                                          monkeypatch):
+        # The run without exits selects over one design whose IRLS
+        # coefficients turn NaN part-way. It leaves the stack there,
+        # unconverged, and its chunk stops with the last of the others.
+        out = tmp_path / "no_exits"
+        cfg = make_cfg(out, synthetic=NO_EXITS, **NO_EXITS_FLAGS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for stage in ("ingest", "graph", "centrality", "features", "trajectories"):
+                run_stage(stage, cfg)
+        fm = read_feature_matrix_csv(out / "features" / "features.csv")
+        configs = read_configs_csv(out / "features" / "configs.csv")[:cfg.config_limit]
+        ts = read_trajectories_csv(out / "trajectories" / "trajectories.csv")
+        trajs = [t for t in ts.trajectories if t.firm_id in set(fm.row_ids)]
+        regimes = read_assignments_csv(out / "trajectories" / "assignments.csv")
+        firms, y, _, _ = regress.responses("logistic", trajs, regimes, {}, {})
+        sub = fm.take_rows(firms)
+        # C-ordered like the selection's stacks: a diverging IRLS run is
+        # sensitive to the last bit, and so to the memory order of its design
+        designs = np.ascontiguousarray(
+            np.stack([np.column_stack([np.ones(len(y)), sub.select(c)]) for c in configs]))
+        beta, _, _ = regress._irls(designs, y)
+        dead = np.flatnonzero(~np.isfinite(beta).all(axis=1))
+        assert len(dead) == 1
+
+        start = dead[0] - dead[0] % regress.SELECT_CHUNK
+        chunk = designs[start:start + regress.SELECT_CHUNK]
+        d = dead[0] - start
+        others = np.delete(np.arange(len(chunk)), d)
+        solve_each, iterations = regress._solve_each, []
+        monkeypatch.setattr(regress, "_solve_each",
+                            lambda a, b: iterations.append(len(a)) or solve_each(a, b))
+        beta, n_iter, converged = regress._irls(chunk, y)
+        monkeypatch.undo()
+        assert not converged[d] and not np.isfinite(beta[d]).all()
+        assert n_iter[d] < regress.IRLS_MAX_ITER
+        assert len(iterations) == n_iter[others].max() < regress.IRLS_MAX_ITER
+        alone = regress._irls(chunk[others], y)
+        for got, want in zip((beta[others], n_iter[others], converged[others]), alone):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", DEGENERATE_RUNS)
+    def test_degenerate_run_exits_2_with_its_pinned_message(self, name, tmp_path, capsys):
+        synth, flags, stage, message = DEGENERATE_RUNS[name]
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["run", "--out_dir", str(out), "--synthetic", json.dumps({**SYNTH, **synth}),
+                         *(a for k, v in FAST.items() for a in (f"--{k}", str(v))), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert [s for s, entry in stages.items() if entry["status"] == "failed"] == [stage]
+        assert stages[stage]["error"] == message
 
     def test_empty_fit_sample_exits_2_naming_the_window(self, tmp_path, capsys):
         # an 8-year data range cannot hold a 10-year trajectory, so no firm is kept

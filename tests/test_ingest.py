@@ -1,7 +1,9 @@
 """Parsing, serialization round-trips, and the synthetic generator."""
 
+import csv
 import io
 import statistics
+import sys
 from datetime import date as Date
 
 import numpy as np
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcnet.errors import ConfigError, SchemaError
-from vcnet.ingest import (DealRecord, FirmMeta, SyntheticConfig, generate_synthetic, parse_deals,
-                          read_csv, write_csv, write_deals, write_firms)
+from vcnet.ingest import (DEAL_COLUMNS, FIRM_COLUMNS, STATUSES, DealRecord, FirmMeta, Reject,
+                          SyntheticConfig, generate_synthetic, parse_deals, read_csv, write_csv,
+                          write_deals, write_firms)
 
 DEAL_HEADER = b"firm_id,investor_id,round_id,date,amount\n"
 FIRM_HEADER = b"firm_id,subsector,country,status,status_date\n"
@@ -96,6 +99,12 @@ class TestParseFirms:
         assert result.firms["f1"].subsector == "bio"
         assert result.firm_rejects[0].line == 3
 
+    def test_carriage_return_in_a_field_rejected(self):
+        result = parse(b'f1,"i\r1",r1,2005-03-01,5\n', b'"f\r2",bio,US,ACTIVE,\n')
+        assert result.deals == [] and result.firms == {}
+        assert result.deal_rejects == [Reject(2, "carriage return in a field")]
+        assert result.firm_rejects == [Reject(2, "carriage return in a field")]
+
     def test_exit_parsed(self):
         result = parse(firm_bytes=b"f1,bio,US,IPO,2012-06-30\n")
         meta = result.firms["f1"]
@@ -134,6 +143,60 @@ class TestRoundTrip:
         buf.seek(0)
         result = parse_deals(io.BytesIO(DEAL_HEADER), buf)
         assert [result.firms[m.firm_id] for m in metas] == metas
+
+
+# Python 3.10's csv reader fails on any NUL character (csv.Error), so NUL
+# is drawn only where the reader accepts it
+cells = st.text(st.characters(exclude_categories=("Cs",),
+                              exclude_characters="\x00" if sys.version_info < (3, 11) else ""),
+                max_size=12)
+# cells that parse: ids, dates, amounts and statuses, shuffled with arbitrary text
+deal_cells = st.one_of(cells, ids, st.dates().map(Date.isoformat),
+                       st.integers(-5, 10 ** 6).map(str))
+firm_cells = st.one_of(cells, ids, st.dates().map(Date.isoformat), st.sampled_from(STATUSES))
+rows_of = lambda cell: st.lists(st.lists(cell, max_size=7), max_size=12)
+headers_of = lambda columns: st.one_of(st.just(columns), st.lists(cells, max_size=6))
+
+
+def quoted_csv(header, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows([header, *rows])
+    return io.BytesIO(buf.getvalue().encode())
+
+
+class TestParseArbitraryRows:
+    @given(headers_of(DEAL_COLUMNS), rows_of(deal_cells),
+           headers_of(FIRM_COLUMNS), rows_of(firm_cells))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_become_records_or_rejects_and_round_trip(self, deal_header, deal_rows,
+                                                            firm_header, firm_rows):
+        # every cell quoted, so each drawn row is one CSV record, bare \r included
+        deal_buf, firm_buf = quoted_csv(deal_header, deal_rows), quoted_csv(firm_header, firm_rows)
+        if deal_header != DEAL_COLUMNS or firm_header != FIRM_COLUMNS:
+            with pytest.raises(SchemaError):
+                parse_deals(deal_buf, firm_buf)
+            return
+        result = parse_deals(deal_buf, firm_buf)
+
+        rejected = [r.line for r in result.deal_rejects]
+        assert rejected == sorted(set(rejected))
+        kept = [row for line, row in enumerate(deal_rows, start=2) if line not in rejected]
+        assert len(kept) + len(rejected) == len(deal_rows)
+        assert [[d.firm_id, d.investor_id, d.round_id] for d in result.deals] == [
+            row[:3] for row in kept]
+        firm_lines = [r.line for r in result.firm_rejects]
+        assert firm_lines == sorted(set(firm_lines))
+        n_synthesized = len(result.warnings)
+        assert len(result.firms) - n_synthesized + len(firm_lines) == len(firm_rows)
+
+        deal_buf, firm_buf = io.BytesIO(), io.BytesIO()
+        write_deals(result.deals, deal_buf)
+        write_firms(result.firms.values(), firm_buf)
+        deal_buf.seek(0)
+        firm_buf.seek(0)
+        again = parse_deals(deal_buf, firm_buf)
+        assert again.deals == result.deals and again.firms == result.firms
+        assert again.deal_rejects == again.firm_rejects == again.warnings == []
 
 
 class TestTableFormat:

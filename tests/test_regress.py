@@ -8,6 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (band_halfwidth, bf_balanced_ensemble, bf_select_model,
                      logistic_score_max_norm, neg_log_p)
@@ -26,6 +29,12 @@ from vcnet.trajectories import HIGH, LOW, Trajectory, build_trajectories
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+#: How far the stacked ``solve`` in ``_ols`` may move a single linear fit
+#: (coefficients, standard errors, t, p, R^2, F and its p-value), relative
+#: to a ``solve_triangular`` back-substitution of the same QR factor.
+SOLVE_RTOL = 1e-12
 
 
 def fm_from(data, columns):
@@ -327,6 +336,31 @@ class TestFitLinear:
     def test_too_few_rows_raises(self):
         with pytest.raises(ConfigError):
             fit_linear(np.arange(3.0), np.eye(3))
+
+    def test_stacked_solve_moves_single_fits_within_stated_tolerance(self, monkeypatch):
+        # _ols back-substitutes with numpy's stacked solve; against the
+        # one-matrix-at-a-time solve_triangular it replaced, every output of a
+        # single fit stays within SOLVE_RTOL relative
+        def triangular_ols(designs, y):
+            qmat, rmat = np.linalg.qr(designs)
+            beta = scipy.linalg.solve_triangular(rmat, qmat.mT @ y[:, None])
+            resid = y - (designs @ beta)[:, :, 0]
+            return beta[:, :, 0], (resid * resid).sum(axis=1), rmat
+
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            n = int(rng.integers(12, 120))
+            k, c = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+            X, C = rng.normal(size=(n, k)), rng.normal(size=(n, c))
+            coef = rng.uniform(0.3, 1.0, size=1 + k + c) * rng.choice([-1.0, 1.0], size=1 + k + c)
+            y = coef[0] + np.column_stack([X, C]) @ coef[1:] + rng.normal(size=n)
+            new = fit_linear(y, X, C)
+            with monkeypatch.context() as m:
+                m.setattr(regress, "_ols", triangular_ols)
+                old = fit_linear(y, X, C)
+            for name in ("coef", "se", "t", "p", "r2", "adj_r2", "fstat", "f_pvalue", "sigma2"):
+                np.testing.assert_allclose(getattr(new, name), getattr(old, name),
+                                           rtol=SOLVE_RTOL, atol=0, err_msg=name)
 
 
 class TestFunctionOnScalar:
@@ -764,6 +798,100 @@ class TestSelectEngine:
         assert [r.error for r in sel.results] == [
             None, "need more observations than parameters: n=6, q=6",
             None, "need more observations than parameters: n=6, q=6"]
+
+    def test_more_feature_columns_than_rows(self):
+        # Z = [1, F, C] is wider than tall, so R has n rows, not P
+        rng = np.random.default_rng(308)
+        n, n_feat = 12, 20
+        names = [f"c{j}" for j in range(n_feat)]
+        fm = fm_from(rng.normal(size=(n, n_feat)), names)
+        C = rng.normal(size=(n, 2))
+        y = fm.data[:, :4].sum(axis=1) + 0.3 * rng.normal(size=n)
+        y_bin = np.tile([0.0, 1.0], n // 2)
+        assert 1 + n_feat + C.shape[1] > n
+        configs = [tuple(names[j] for j in sorted(rng.choice(n_feat, size=length, replace=False)))
+                   for length in (1, 2, 3, 5, 8, 9, 12) for _ in range(6)]
+        sel = select_model("linear", y, fm, configs, C, ["ctl", "flag"])
+        results = _assert_matches_oracle(sel, "linear", y, fm, configs, C, ["ctl", "flag"])
+        assert {r[4] for r in results} == {
+            None, "need more observations than parameters: n=12, q=12",
+            "need more observations than parameters: n=12, q=15"}
+        sel = select_model("logistic", y_bin, fm, configs)
+        results = _assert_matches_oracle(sel, "logistic", y_bin, fm, configs)
+        assert any(r[4] and r[4].startswith("design matrix is rank deficient") for r in results)
+
+    def test_covariate_duplicating_a_control_is_rank_deficient(self):
+        # the collinear pair straddles the covariate/control boundary of Z
+        fm, y, _, C, _ = self._problem(309)
+        fm = fm_from(np.column_stack([fm.data, C[:, 1]]), fm.columns + ["flag_copy"])
+        configs = [("c0",), ("flag_copy",), ("c1", "flag_copy"), ("c2", "c3"), ("flag_copy", "c4")]
+        sel = select_model("linear", y, fm, configs, C, ["ctl", "flag"])
+        _assert_matches_oracle(sel, "linear", y, fm, configs, C, ["ctl", "flag"])
+        deficient = [r.config_id for r in sel.results if r.error is not None]
+        assert deficient == [1, 2, 4]
+        for i in deficient:
+            assert sel.results[i].error.startswith("design matrix is rank deficient")
+            assert {"flag", "flag_copy"} & set(sel.results[i].error.split(": ")[1].split(", "))
+        assert [r.config_id for r in sel.ranked] == sorted(
+            (0, 3), key=lambda i: -fit_linear(y, fm.select(configs[i]), C).r2)
+
+    def test_rank_decision_on_r_columns_equals_the_full_design(self):
+        # a + delta * e beside a: from clearly full rank to exactly collinear.
+        # The smallest singular value crosses matrix_rank's threshold
+        # max(n, q) * eps between delta 1e-13 (3.7 times above it) and 1e-14
+        # (0.37 times), far enough that rounding cannot flip either decision
+        rng = np.random.default_rng(310)
+        n = 60
+        a, e = rng.normal(size=n), rng.normal(size=n)
+        deltas = [1e-8, 1e-10, 1e-11, 1e-12, 3e-13, 1e-13, 1e-14, 1e-15, 1e-16, 0.0]
+        names = [f"near{i}" for i in range(len(deltas))]
+        fm = fm_from(np.column_stack([a] + [a + d * e for d in deltas]), ["a"] + names)
+        configs = [("a", name) for name in names]
+        C = rng.normal(size=(n, 1))
+        y = a + rng.normal(size=n)
+        y_bin = (rng.random(n) < sigmoid(a)).astype(float)
+        for kind, response, controls in (("linear", y, C), ("logistic", y_bin, None)):
+            sel = select_model(kind, response, fm, configs, controls)
+            got = [not (r.error or "").startswith("design matrix is rank deficient")
+                   for r in sel.results]
+            want = []
+            for combo in configs:
+                blocks = [np.ones((n, 1)), fm.select(combo)] + ([] if controls is None else [controls])
+                design = np.hstack(blocks)
+                want.append(bool(np.linalg.matrix_rank(design) == design.shape[1]))
+            assert got == want, kind
+            assert True in want and False in want
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_problems_match_the_oracle(self, data):
+        # every covariate loads on one factor that drives the response, so
+        # every R^2 stays well away from 0 and relative score tolerances apply
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        n = data.draw(st.integers(4, 40), label="n")
+        n_feat = data.draw(st.integers(1, 10), label="n_feat")
+        n_ctl = data.draw(st.integers(0, 3), label="n_ctl")
+        kind = data.draw(st.sampled_from(["linear", "logistic"]), label="kind")
+        names = [f"x{j}" for j in range(n_feat)]
+        subsets = st.sets(st.sampled_from(names), min_size=1, max_size=min(4, n_feat))
+        configs = data.draw(st.lists(subsets.map(sorted).map(tuple), min_size=1, max_size=20),
+                            label="configs")
+        rng = np.random.default_rng(seed)
+        factor = rng.normal(size=n)
+        fm = fm_from(factor[:, None] + 0.5 * rng.normal(size=(n, n_feat)), names)
+        C = rng.normal(size=(n, n_ctl))
+        cnames = [f"k{j}" for j in range(n_ctl)]
+        if kind == "linear":
+            y = factor + C.sum(axis=1) + 0.3 * rng.normal(size=n)
+            sel = select_model(kind, y, fm, configs, C, cnames)
+            _assert_matches_oracle(sel, kind, y, fm, configs, C, cnames)
+        else:
+            y = (rng.random(n) < sigmoid(2.0 * factor)).astype(float)
+            sel = select_model(kind, y, fm, configs)
+            _assert_matches_oracle(sel, kind, y, fm, configs)
+        if sel.best is not None:  # the best row reports its refit's score
+            fit = sel.best.fit
+            assert sel.best.score == (fit.r2 if kind == "linear" else fit.log_likelihood)
 
     def test_near_equal_scores_rank_by_config_id(self):
         rng = np.random.default_rng(305)
