@@ -336,9 +336,8 @@ class CentralityFrame:
         return sorted(next(iter(self.measures.values())))
 
 
-def compute_frame(pg: ProjectedGraph, g: TemporalBipartiteGraph | None = None,
-                  measures: tuple[str, ...] | None = None) -> CentralityFrame:
-    """Compute the requested measures (default: all) on a projection.
+def compute_frame(pg: ProjectedGraph, g: TemporalBipartiteGraph | None = None) -> CentralityFrame:
+    """Compute every measure on a projection.
 
     ``core_number`` and ``n_investors`` are firm-layer-only;
     ``n_investors`` additionally needs the bipartite graph ``g``.
@@ -356,12 +355,10 @@ def compute_frame(pg: ProjectedGraph, g: TemporalBipartiteGraph | None = None,
         "clustering": clustering,
         "voterank": voterank,
     }
-    wanted = measures if measures is not None else COMMON_MEASURES
-    out: dict[str, dict[str, float]] = {name: fns[name](pg) for name in wanted if name in fns}
+    out: dict[str, dict[str, float]] = {name: fns[name](pg) for name in COMMON_MEASURES}
     if pg.layer == FIRM:
-        if measures is None or "core_number" in measures:
-            out["core_number"] = core_number(pg)
-        if g is not None and (measures is None or "n_investors" in measures):
+        out["core_number"] = core_number(pg)
+        if g is not None:
             counts: dict[str, set] = {v: set() for v in pg.nodes}
             for d in g.snapshot_deals(pg.snapshot_year):
                 if d.firm_id in counts:

@@ -18,7 +18,7 @@ import typing
 from pathlib import Path
 
 from .errors import ConfigError, MissingArtifactError, SchemaError, VcnetError
-from .ingest import generate_synthetic, read_csv, write_deals, write_firms, write_planted_regimes
+from .ingest import generate_synthetic, read_csv, write_synthetic
 from .pipeline import STAGES, RunConfig, load_manifest, run_pipeline, run_stage
 
 EXIT_OK = 0
@@ -104,9 +104,7 @@ def _cmd_synth(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds = generate_synthetic(cfg.synthetic)
-    write_deals(ds.deals, out / "deals.csv")
-    write_firms([ds.firms[f] for f in sorted(ds.firms)], out / "firms.csv")
-    write_planted_regimes(ds.planted_regimes, out / "planted_regimes.csv")
+    write_synthetic(ds, out)
     print(f"wrote {len(ds.deals)} deals for {len(ds.firms)} firms under {out}")
     return EXIT_OK
 

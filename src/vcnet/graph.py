@@ -16,6 +16,7 @@ all centrality computations downstream ignore the weights.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
@@ -80,24 +81,12 @@ class TemporalBipartiteGraph:
 
     def snapshot_deals(self, year: int) -> list[DealRecord]:
         """Deals dated on or before Dec 31 of ``year`` (cumulative)."""
-        cut = _bisect_year(self.edges, year)
-        return self.edges[:cut]
+        return self.edges[:bisect_right(self.edges, year, key=lambda d: d.date.year)]
 
     def years(self) -> range:
         if self.min_year is None:
             return range(0)
         return range(self.min_year, self.max_year + 1)
-
-
-def _bisect_year(edges: list[DealRecord], year: int) -> int:
-    lo, hi = 0, len(edges)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if edges[mid].date.year <= year:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def build_bipartite(deals: list[DealRecord]) -> TemporalBipartiteGraph:

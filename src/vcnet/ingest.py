@@ -9,7 +9,9 @@ Empty strings encode UNKNOWN/absent. Dates are ISO-8601 ``YYYY-MM-DD``.
 Amounts are whole currency units (a single currency is assumed
 throughout; no conversion is attempted). Rows violating an invariant are
 collected into a rejects report instead of aborting the run; only a bad
-header is fatal.
+header, or a line the csv reader cannot split (a field longer than
+131,072 characters; a NUL byte before Python 3.11), is fatal. Bytes that
+are not UTF-8 reject their row; in the header they fail the header check.
 """
 
 from __future__ import annotations
@@ -116,21 +118,32 @@ def _parse_rows(source: PathOrStream, columns: list[str], name: str,
     """Check the header, then let ``parse_row`` add each data row to ``records``.
 
     ``parse_row`` returns the reason a row is rejected, or None once it
-    has added the row; the rejects carry 1-based line numbers. A row with
-    a carriage return in a field is rejected first: before Python 3.13,
-    ``write_csv`` leaves a bare ``\\r`` unquoted, so the row would split
-    when an artifact is read back.
+    has added the row; the rejects carry 1-based line numbers. Two kinds
+    of row are rejected first: one with a carriage return in a field
+    (before Python 3.13, ``write_csv`` leaves a bare ``\\r`` unquoted, so
+    the row would split when an artifact is read back) and one holding
+    bytes that are not UTF-8 (``read_csv`` keeps them as lone surrogates,
+    which no artifact could encode).
     """
     header, rows = read_csv(source)
     if header != columns:
         raise SchemaError(f"{name} header must be {','.join(columns)!r}, got {header!r}")
     rejects = []
     for lineno, row in enumerate(rows, start=2):
-        reason = ("carriage return in a field" if any("\r" in cell for cell in row)
-                  else parse_row(row, records))
+        reason = _row_fault(row) or parse_row(row, records)
         if reason is not None:
             rejects.append(Reject(lineno, reason))
     return rejects
+
+
+def _row_fault(row: list[str]) -> str | None:
+    if any("\r" in cell for cell in row):
+        return "carriage return in a field"
+    try:
+        "".join(row).encode("utf-8")
+    except UnicodeEncodeError:
+        return "invalid UTF-8 in a field"
+    return None
 
 
 def _parse_deal_row(row: list[str], deals: list[DealRecord]) -> str | None:
@@ -199,11 +212,6 @@ def write_firms(firms: Iterable[FirmMeta], target: PathOrStream) -> None:
     ))
 
 
-def write_planted_regimes(regimes: dict[str, str], target: PathOrStream) -> None:
-    """Serialize a synthetic dataset's planted regimes as ``firm_id,regime`` rows."""
-    write_csv(target, ["firm_id", "regime"], ([firm, regimes[firm]] for firm in sorted(regimes)))
-
-
 def write_rejects(rejects: Iterable[Reject], target: PathOrStream) -> None:
     """Write a rejects report: CSV ``line,reason``."""
     write_csv(target, ["line", "reason"], ([r.line, r.reason] for r in rejects))
@@ -235,14 +243,23 @@ def write_csv(target: PathOrStream, header: list[str], rows: Iterable[Iterable[A
 
 
 def read_csv(source: PathOrStream) -> tuple[list[str] | None, list[list[str]]]:
-    """The header (None for an empty file) and the data rows of a CSV table."""
+    """The header (None for an empty file) and the data rows of a CSV table.
+
+    Bytes that are not UTF-8 come back as lone surrogates
+    (``surrogateescape``). A line the csv reader cannot split raises
+    ``SchemaError`` naming the file and the line.
+    """
     if isinstance(source, (str, Path)):
-        fh: IO[str] = open(source, "r", encoding="utf-8", newline="")
+        fh: IO[str] = open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
     else:
-        fh = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        fh = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
     with fh:
         reader = csv.reader(fh)
-        return next(reader, None), list(reader)
+        try:
+            return next(reader, None), list(reader)
+        except csv.Error as exc:
+            raise SchemaError(f"{getattr(fh, 'name', 'CSV stream')}: line {reader.line_num}: "
+                              f"{exc}") from exc
 
 
 def _read_canonical(path: str | Path, columns: list[str], name: str, parse_row, records):
@@ -308,6 +325,14 @@ class SyntheticDataset:
     deals: list[DealRecord]
     firms: dict[str, FirmMeta]
     planted_regimes: dict[str, str]  # firm_id -> HIGH | LOW
+
+
+def write_synthetic(ds: SyntheticDataset, directory: Path) -> None:
+    """Write ``deals.csv``, ``firms.csv`` (by firm id) and ``planted_regimes.csv``."""
+    write_deals(ds.deals, directory / "deals.csv")
+    write_firms([ds.firms[f] for f in sorted(ds.firms)], directory / "firms.csv")
+    write_csv(directory / "planted_regimes.csv", ["firm_id", "regime"],
+              ([firm, ds.planted_regimes[firm]] for firm in sorted(ds.planted_regimes)))
 
 
 # Regime-specific shape constants of the generator. High-regime firms get

@@ -4,13 +4,16 @@ Stages run in the order ingest, graph, centrality, features,
 trajectories, regress, backtest. Each stage reads only files written by
 earlier stages (or the configured inputs), so any stage can be rerun in
 isolation; rerunning with unchanged inputs rewrites identical bytes.
-The manifest echoes the configuration, input digests, per-stage counts
-and the package version, and never contains timestamps, so two runs
-with the same config and seed produce byte-identical artifact trees.
-Warnings raised in the features, trajectories and regress stages (a
-balanced ensemble short of ``balance_reps`` replicates included) are
-recorded there too (``n_warnings`` and the sorted distinct
-``warning_messages`` of the stage) instead of being printed.
+``run_stage`` is the one runner: it gives stage ``<name>`` its directory
+``out_dir/<name>``, records the warnings the stage raises and writes the
+stage's manifest entry, ``ok`` with the stage's counts or ``failed`` with
+its error. The manifest echoes the configuration, input digests,
+per-stage counts and the package version, and never contains
+timestamps, so two runs with the same config and seed produce
+byte-identical artifact trees. Every entry, a failed one included,
+records the stage's warnings (a balanced ensemble short of
+``balance_reps`` replicates among them) as ``n_warnings`` and the sorted
+distinct ``warning_messages`` instead of printing them.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .features import (correlation_dendrogram, cut_groups, enumerate_configs,
 from .graph import BOTH, FIRM, INVESTOR, build_bipartite, first_rounds, project_firms, \
     project_investors, write_projection_csv
 from .ingest import (SyntheticConfig, generate_synthetic, parse_deals, read_deals_csv,
-                     read_firms_csv, write_csv, write_deals, write_firms, write_planted_regimes,
-                     write_rejects)
+                     read_firms_csv, write_csv, write_deals, write_firms, write_rejects,
+                     write_synthetic)
 from .regress import (PipelineData, balanced_ensemble, confusion_vs_standard,
                       fit_function_on_scalar, linear_fit_dict, logistic_fit_dict,
                       perturbation_sweep, responses, select_model, window_sweep,
@@ -47,9 +50,6 @@ from .trajectories import (ClusterAssignment, build_trajectories, functional_kme
                            read_assignments_csv, read_trajectories_csv, regime_rates,
                            write_assignments_csv, write_centroids_csv, write_exclusions_csv,
                            write_trajectories_csv)
-
-STAGES = ("ingest", "graph", "centrality", "features", "trajectories", "regress", "backtest")
-
 
 @dataclass
 class RunConfig:
@@ -158,13 +158,16 @@ def _record_warnings(counts: dict):
     """Record the block's warnings in ``counts`` instead of printing them.
 
     Every warning is kept (no once-per-location filtering), so the count
-    and the sorted distinct messages are the same on every run.
+    and the sorted distinct messages are the same on every run. They are
+    recorded when the block raises too.
     """
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        yield
-    counts["n_warnings"] = len(caught)
-    counts["warning_messages"] = sorted({str(w.message) for w in caught})
+        try:
+            yield
+        finally:
+            counts["n_warnings"] = len(caught)
+            counts["warning_messages"] = sorted({str(w.message) for w in caught})
 
 
 def _require(path: Path) -> Path:
@@ -177,18 +180,13 @@ def _require(path: Path) -> Path:
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_ingest(cfg: RunConfig, out: Path) -> dict:
-    stage_dir = out / "ingest"
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    counts: dict = {}
+def stage_ingest(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     if cfg.synthetic is not None:
         ds = generate_synthetic(cfg.synthetic)
-        write_deals(ds.deals, stage_dir / "deals.csv")
-        write_firms([ds.firms[f] for f in sorted(ds.firms)], stage_dir / "firms.csv")
+        write_synthetic(ds, stage_dir)
         write_rejects([], stage_dir / "rejects_deals.csv")
         write_rejects([], stage_dir / "rejects_firms.csv")
-        write_planted_regimes(ds.planted_regimes, stage_dir / "planted_regimes.csv")
-        counts.update(n_deals=len(ds.deals), n_firms=len(ds.firms),
+        counts = dict(n_deals=len(ds.deals), n_firms=len(ds.firms),
                       n_deal_rejects=0, n_firm_rejects=0, source="synthetic")
     else:
         with open(cfg.deals_csv, "rb") as dfh, open(cfg.firms_csv, "rb") as ffh:
@@ -197,7 +195,7 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict:
         write_firms([result.firms[f] for f in sorted(result.firms)], stage_dir / "firms.csv")
         write_rejects(result.deal_rejects, stage_dir / "rejects_deals.csv")
         write_rejects(result.firm_rejects, stage_dir / "rejects_firms.csv")
-        counts.update(n_deals=len(result.deals), n_firms=len(result.firms),
+        counts = dict(n_deals=len(result.deals), n_firms=len(result.firms),
                       n_deal_rejects=len(result.deal_rejects),
                       n_firm_rejects=len(result.firm_rejects),
                       warnings=len(result.warnings), source="csv")
@@ -212,11 +210,9 @@ def _load_ingested(out: Path):
     return deals, firms
 
 
-def stage_graph(cfg: RunConfig, out: Path) -> dict:
+def stage_graph(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     deals, _ = _load_ingested(out)
     g = build_bipartite(deals)
-    stage_dir = out / "graph"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     summary = []
     for year in g.years():
         snap = g.snapshot_deals(year)
@@ -249,11 +245,9 @@ def _frame_years(cfg: RunConfig, g) -> list[int]:
     return sorted(years)
 
 
-def stage_centrality(cfg: RunConfig, out: Path) -> dict:
+def stage_centrality(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     deals, _ = _load_ingested(out)
     g = build_bipartite(deals)
-    stage_dir = out / "centrality"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     frames = []
     covariates = []
     for year in _frame_years(cfg, g):
@@ -267,15 +261,10 @@ def stage_centrality(cfg: RunConfig, out: Path) -> dict:
             "n_flagged_rows": sum(1 for c in covariates if c.investor_measures_missing)}
 
 
-def stage_features(cfg: RunConfig, out: Path) -> dict:
+def stage_features(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     covs = read_covariates_csv(_require(out / "centrality" / "covariates.csv"))
-    stage_dir = out / "features"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     feature_cols = [c for c in covariate_columns() if c != "first_amount"]
-    raw = matrix_from_covariates(covs, feature_cols)
-    counts: dict = {}
-    with _record_warnings(counts):
-        fm = preprocess(raw, cfg.skew_threshold)
+    fm = preprocess(matrix_from_covariates(covs, feature_cols), cfg.skew_threshold)
     fg = cut_groups(correlation_dendrogram(fm), cfg.dendrogram_k)
     configs = enumerate_configs(fg)
     write_feature_matrix_csv(fm, stage_dir / "features.csv")
@@ -283,45 +272,32 @@ def stage_features(cfg: RunConfig, out: Path) -> dict:
     write_dendrogram_csv(fg, stage_dir / "dendrogram.csv")
     write_grouping_csv(fg, stage_dir / "groups.csv")
     write_configs_csv(configs, stage_dir / "configs.csv")
-    counts.update(n_features=len(fm.columns), n_dropped=len(fm.dropped),
-                  n_groups=cfg.dendrogram_k, n_configs=len(configs))
-    return counts
+    return {"n_features": len(fm.columns), "n_dropped": len(fm.dropped),
+            "n_groups": cfg.dendrogram_k, "n_configs": len(configs)}
 
 
-def stage_trajectories(cfg: RunConfig, out: Path) -> dict:
+def stage_trajectories(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     deals, firms = _load_ingested(out)
-    stage_dir = out / "trajectories"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     ts = build_trajectories(deals, firms, cfg.window_years)
-    counts: dict = {}
-    with _record_warnings(counts):
-        if ts.trajectories:
-            ca = functional_kmeans(ts.trajectories, k=cfg.kmeans_k, n_init=cfg.kmeans_inits,
-                                   seed=derive_seed(cfg.seed, "trajectories"),
-                                   log_scale=cfg.kmeans_log_scale)
-        else:
-            _warnings.warn(f"no firm retained for a {cfg.window_years}-year window")
-            ca = ClusterAssignment(ts.window, "log1p" if cfg.kmeans_log_scale else "raw",
-                                   {}, {}, {}, {})
+    if ts.trajectories:
+        ca = functional_kmeans(ts.trajectories, k=cfg.kmeans_k, n_init=cfg.kmeans_inits,
+                               seed=derive_seed(cfg.seed, "trajectories"),
+                               log_scale=cfg.kmeans_log_scale)
+    else:
+        _warnings.warn(f"no firm retained for a {cfg.window_years}-year window")
+        ca = ClusterAssignment(ts.window, "log1p" if cfg.kmeans_log_scale else "raw",
+                               {}, {}, {}, {})
     write_trajectories_csv(ts, stage_dir / "trajectories.csv")
     write_exclusions_csv(ts, stage_dir / "exclusions.csv")
     write_assignments_csv(ca, stage_dir / "assignments.csv")
     write_centroids_csv(ca, stage_dir / "centroids.csv")
     n_high, n_low, share = regime_rates(ca)
-    counts.update(n_retained=len(ts.trajectories), n_excluded=len(ts.exclusions),
-                  n_high=n_high, n_low=n_low, share_high=share,
-                  kmeans_warnings=len(ca.warnings))
-    return counts
+    return {"n_retained": len(ts.trajectories), "n_excluded": len(ts.exclusions),
+            "n_high": n_high, "n_low": n_low, "share_high": share,
+            "kmeans_warnings": len(ca.warnings)}
 
 
-def stage_regress(cfg: RunConfig, out: Path) -> dict:
-    info: dict = {}
-    with _record_warnings(info):
-        _regress(cfg, out, info)
-    return info
-
-
-def _regress(cfg: RunConfig, out: Path, info: dict) -> None:
+def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     deals, firms = _load_ingested(out)
     covs = read_covariates_csv(_require(out / "centrality" / "covariates.csv"))
     fm = read_feature_matrix_csv(_require(out / "features" / "features.csv"))
@@ -329,8 +305,6 @@ def _regress(cfg: RunConfig, out: Path, info: dict) -> None:
     configs = read_configs_csv(_require(out / "features" / "configs.csv"))
     ts = read_trajectories_csv(_require(out / "trajectories" / "trajectories.csv"))
     regimes = read_assignments_csv(_require(out / "trajectories" / "assignments.csv"))
-    stage_dir = out / "regress"
-    stage_dir.mkdir(parents=True, exist_ok=True)
 
     first_amounts = {c.firm_id: c.values["first_amount"] for c in covs}
     first_years = {c.firm_id: c.first_year for c in covs}
@@ -342,7 +316,7 @@ def _regress(cfg: RunConfig, out: Path, info: dict) -> None:
                           f"{cfg.window_years}-year trajectory (window_years={cfg.window_years})")
 
     # Binary (HIGH/LOW regime), log aggregate and log differential money responses.
-    info["n_fit_firms"] = len(trajs)
+    info: dict = {"n_fit_firms": len(trajs)}
     sub_fm = fm.take_rows([t.firm_id for t in trajs])
     ys, selections = {}, {}
     for kind, response in (("logistic", None), ("linear_agg", "log_aggregate_money"),
@@ -431,16 +405,15 @@ def _regress(cfg: RunConfig, out: Path, info: dict) -> None:
                 {"tp": conf.tp, "fn": conf.fn, "fp": conf.fp, "tn": conf.tn,
                  "accuracy": conf.accuracy, "precision": conf.precision, "recall": conf.recall})
     info["confusion_accuracy"] = conf.accuracy
+    return info
 
 
-def stage_backtest(cfg: RunConfig, out: Path) -> dict:
+def stage_backtest(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     frames_all = read_frames_csv(_require(out / "centrality" / "frames.csv"))
     covs = read_covariates_csv(_require(out / "centrality" / "covariates.csv"))
     _, firms = _load_ingested(out)
     groups_path = out / "features" / "groups.csv"
     groups = read_grouping_csv(groups_path) if groups_path.exists() else {}
-    stage_dir = out / "backtest"
-    stage_dir.mkdir(parents=True, exist_ok=True)
 
     firm_frames = {year: frame for (year, layer), frame in frames_all.items() if layer == FIRM}
     first_years = {c.firm_id: c.first_year for c in covs}
@@ -466,31 +439,34 @@ _STAGE_FNS = {
     "regress": stage_regress,
     "backtest": stage_backtest,
 }
-
-
-def _check_inputs(cfg: RunConfig) -> None:
-    if cfg.synthetic is None:
-        for path in (cfg.deals_csv, cfg.firms_csv):
-            if not Path(path).exists():
-                raise ConfigError(f"input file not found: {path}")
+STAGES = tuple(_STAGE_FNS)
 
 
 def run_stage(name: str, cfg: RunConfig) -> dict:
-    """Run a single stage against the configured output directory."""
+    """Run one stage in ``out_dir/<name>`` and record its manifest entry.
+
+    The entry holds the stage's counts and warnings, or, if the stage
+    raises, its error and the warnings raised before it.
+    """
     if name not in _STAGE_FNS:
         raise ConfigError(f"unknown stage {name!r}; expected one of {', '.join(STAGES)}")
     cfg.validate()
-    if name == "ingest":
-        _check_inputs(cfg)
+    if name == "ingest" and cfg.synthetic is None:
+        for path in (cfg.deals_csv, cfg.firms_csv):
+            if not Path(path).exists():
+                raise ConfigError(f"input file not found: {path}")
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    stage_dir = out / name
+    stage_dir.mkdir(parents=True, exist_ok=True)
     manifest = load_manifest(out)
     manifest["version"] = __version__
     manifest["config"] = asdict(cfg)
+    counts: dict = {}
     try:
-        counts = _STAGE_FNS[name](cfg, out)
+        with _record_warnings(counts):
+            counts.update(_STAGE_FNS[name](cfg, out, stage_dir))
     except Exception as exc:
-        manifest["stages"][name] = {"status": "failed", "error": str(exc)}
+        manifest["stages"][name] = {"status": "failed", "error": str(exc), **counts}
         save_manifest(out, manifest)
         raise
     manifest["stages"][name] = {"status": "ok", **counts}
@@ -500,8 +476,6 @@ def run_stage(name: str, cfg: RunConfig) -> dict:
 
 def run_pipeline(cfg: RunConfig) -> dict:
     """Run every stage in order; returns the final manifest."""
-    cfg.validate()
-    _check_inputs(cfg)
     for name in STAGES:
         run_stage(name, cfg)
     return load_manifest(Path(cfg.out_dir))

@@ -463,19 +463,17 @@ class FunctionalFit:
 
 
 def fit_function_on_scalar(Y: np.ndarray, X: np.ndarray,
-                           columns: list[str] | None = None,
-                           log_response: bool = True) -> FunctionalFit:
+                           columns: list[str] | None = None) -> FunctionalFit:
     """Pointwise OLS of a trajectory matrix on scalar covariates.
 
-    Column t of ``Y`` (log(1+x)-transformed unless ``log_response`` is
-    off) is regressed on ``X`` independently, so the coefficient curves
-    at year t equal the scalar fit on that cross-section exactly.
+    Column t of ``Y``, log(1+x)-transformed, is regressed on ``X``
+    independently, so the coefficient curves at year t equal the scalar
+    fit on that cross-section exactly.
     Confidence bands are pointwise at 1.96 standard errors.
     """
     Y = np.asarray(Y, dtype=float)
     n, n_grid = Y.shape
-    fits = [fit_linear(np.log1p(Y[:, t]) if log_response else Y[:, t], X, None, columns)
-            for t in range(n_grid)]
+    fits = [fit_linear(np.log1p(Y[:, t]), X, None, columns) for t in range(n_grid)]
     coef = np.column_stack([f.coef for f in fits])
     se = np.column_stack([f.se for f in fits])
     return FunctionalFit(

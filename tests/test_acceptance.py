@@ -19,7 +19,7 @@ from conftest import make_pg, random_deals, random_pg, random_tree_pg
 
 import vcnet.centrality as C
 from vcnet.backtest import hypergeom_pvalue, run_strategy
-from vcnet.graph import build_bipartite, first_rounds, project_firms, project_investors
+from vcnet.graph import FIRM, build_bipartite, first_rounds, project_firms, project_investors
 from vcnet.ingest import SyntheticConfig, generate_synthetic
 from vcnet.pipeline import RunConfig, run_pipeline
 from vcnet.regress import (balanced_ensemble, confusion_metrics, fit_function_on_scalar,
@@ -260,8 +260,8 @@ def test_c8_planted_structure_recovery():
 
     # centrality-ranked strategy vs the hypergeometric random baseline
     g = build_bipartite(ds.deals)
-    frames = {year: C.compute_frame(project_firms(g, year, 7),
-                                    measures=("closeness_centrality",))
+    frames = {year: C.CentralityFrame(year, FIRM, {
+                  "closeness_centrality": C.closeness(project_firms(g, year, 7))})
               for year in range(2000, 2011)}
     fy = {f: fr.date.year for f, fr in first_rounds(g).items()}
     rep = run_strategy(frames, ds.firms, fy, "closeness_centrality",

@@ -404,8 +404,7 @@ def _manual_frames(g, year, inv_values):
     investor frame from a dict."""
     firm_measures = {m: {"fA": 0.5} for m in C.COMMON_MEASURES}
     firm_measures["core_number"] = {"fA": 1}
-    firm_measures["n_investors"] = C.compute_frame(project_firms(g, year, 7), g,
-                                                   measures=("n_investors",)).measures["n_investors"]
+    firm_measures["n_investors"] = C.compute_frame(project_firms(g, year, 7), g).measures["n_investors"]
     inv_measures = {m: dict(inv_values) for m in C.COMMON_MEASURES}
     return (C.CentralityFrame(year, FIRM, firm_measures),
             C.CentralityFrame(year, INVESTOR, inv_measures))

@@ -18,7 +18,7 @@ from vcnet import regress, trajectories
 from vcnet.cli import build_parser, main
 from vcnet.errors import ConfigError
 from vcnet.features import read_configs_csv, read_feature_matrix_csv
-from vcnet.pipeline import RunConfig, run_pipeline, run_stage
+from vcnet.pipeline import STAGES, RunConfig, run_pipeline, run_stage
 from vcnet.trajectories import read_assignments_csv, read_trajectories_csv
 
 SYNTH = {"n_firms": 80, "n_investors": 40, "n_subsectors": 2,
@@ -194,6 +194,26 @@ class TestCliCommands:
                     "regress/logistic_best.json", "backtest/backtest.csv"):
             assert (out / rel).read_bytes() == (synth_out / rel).read_bytes()
 
+    def _ingest_csv(self, tmp_path, deal_bytes):
+        deals, firms = tmp_path / "deals.csv", tmp_path / "firms.csv"
+        deals.write_bytes(deal_bytes)
+        firms.write_bytes(b"firm_id,subsector,country,status,status_date\n")
+        return main(["stage", "ingest", "--out_dir", str(tmp_path / "out"),
+                     "--deals_csv", str(deals), "--firms_csv", str(firms)])
+
+    def test_invalid_utf8_header_exits_2(self, tmp_path, capsys):
+        code = self._ingest_csv(tmp_path, b"\xff\xfefirm_id,investor_id,round_id,date,amount\n")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: deals.csv header must be ")
+
+    def test_field_over_the_csv_limit_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        code = self._ingest_csv(tmp_path, b"firm_id,investor_id,round_id,date,amount\n"
+                                          b"f1,i1,r1,2005-03-01,5\n"
+                                          b"f2," + b"x" * 200_000 + b",r2,2006-01-02,7\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'deals.csv'}: line 3: field larger than")
+
     def test_report_summarizes_run(self, finished_run, capsys):
         out, _ = finished_run
         assert main(["report", "--out_dir", str(out)]) == 0
@@ -276,7 +296,7 @@ class TestRecordedWarnings:
 
     def test_clean_run_records_zero_warnings(self, finished_run):
         _, manifest = finished_run
-        for stage in ("features", "trajectories", "regress"):
+        for stage in STAGES:
             assert manifest["stages"][stage]["n_warnings"] == 0
             assert manifest["stages"][stage]["warning_messages"] == []
 
@@ -414,6 +434,11 @@ class TestDegenerateRuns:
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert [s for s, entry in stages.items() if entry["status"] == "failed"] == [stage]
         assert stages[stage]["error"] == message
+        # the failed entry keeps the warnings raised before the error
+        failed = stages[stage]
+        assert failed["n_warnings"] >= len(failed["warning_messages"])
+        if name == "one_firm":
+            assert "covariate 'n_investors' has zero variance; dropped" in failed["warning_messages"]
 
     def test_empty_fit_sample_exits_2_naming_the_window(self, tmp_path, capsys):
         # an 8-year data range cannot hold a 10-year trajectory, so no firm is kept

@@ -49,6 +49,7 @@ class TestParseDeals:
         (b"f1,,r1,2005-03-01,5", "investor_id"),
         (b"f1,i1,,2005-03-01,5", "round_id"),
         (b"f1,i1,r1,2005-03-01", "fields"),
+        (b"\xff\xfef1,i1,r1,2005-03-01,5", "invalid UTF-8 in a field"),
     ])
     def test_bad_rows_rejected_not_fatal(self, row, fragment):
         result = parse(row + b"\nf2,i2,r2,2006-01-02,7\n")

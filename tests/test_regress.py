@@ -369,7 +369,7 @@ class TestFunctionOnScalar:
         n, T = 60, 6
         x = rng.normal(size=n)
         Y = np.tile((2.0 + 3.0 * x)[:, None], (1, T))
-        fit = fit_function_on_scalar(Y, x, ["x"], log_response=False)
+        fit = fit_function_on_scalar(np.expm1(Y), x, ["x"])
         assert np.allclose(fit.coef[0], 2.0, atol=1e-9)
         assert np.allclose(fit.coef[1], 3.0, atol=1e-9)
 
@@ -400,7 +400,7 @@ class TestFunctionOnScalar:
         T = W + 1
         truth = np.array([t / W for t in range(T)])
         Y = truth[None, :] * x[:, None] + 0.1 * rng.normal(size=(n, T))
-        fit = fit_function_on_scalar(Y, x, ["x"], log_response=False)
+        fit = fit_function_on_scalar(np.expm1(Y), x, ["x"])
         for t in range(T):
             assert abs(fit.coef[1, t] - truth[t]) < 3 * fit.se[1, t]
 
