@@ -12,8 +12,14 @@ Clustering runs separately per subsector with a Lloyd-style functional
 k-means: squared L2 distance between curves under trapezoidal
 quadrature weights, best of ``n_init`` seeded restarts. The restarts of
 a subsector run as one stacked Lloyd loop over a (restarts, k, T)
-centroid stack, ``RESTART_BLOCK`` restarts at a time, with a per-restart
-active mask, so each restart ends exactly where it would alone.
+centroid stack, ``RESTART_BLOCK`` restarts at a time, and share their
+paths: an assignment without an empty cluster fixes every later pass,
+so a restart that reaches one already reached by another restart of
+the subsector stops and takes that restart's result. That result is
+exactly its own: it takes it only if the followed path converged within
+``max_iter`` passes counted from its own arrival, and reruns alone from
+its initial centroids otherwise; the objective check of the first pass
+it skips runs against its own arriving objective.
 Distances are computed on log(1+x)-scaled curves by default since
 funding spans orders of magnitude; pass ``log_scale=False`` for raw
 currency units.
@@ -21,6 +27,8 @@ currency units.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings as _warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,7 +94,7 @@ def build_trajectories(deals: list[DealRecord], meta: dict[str, FirmMeta], windo
         values = [0] * (window + 1)
         for d in inside:
             values[d.date.year - first_year] += d.amount
-        cumulative = tuple(int(x) for x in np.cumsum(values))
+        cumulative = tuple(itertools.accumulate(values))
         if cumulative[0] == 0:
             result.exclusions.append((firm, "no funding in first calendar year"))
             continue
@@ -120,47 +128,95 @@ def _quad_weights(n_grid: int) -> np.ndarray:
 RESTART_BLOCK = 64
 
 
-def _restart_stack(X: np.ndarray, centroids: np.ndarray, w: np.ndarray,
-                   max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lloyd iterations of every restart of a (B, k, T) initial-centroid stack.
+def _objective_rose(new, old):
+    return new > old * (1 + 1e-12) + 1e-9
+
+
+@dataclass
+class _Paths:
+    """Lloyd states reached by the restarts of one subsector.
+
+    A state is an assignment without an empty cluster: its centroids, and
+    so every later pass, depend on the assignment alone.
+    """
+    ids: dict[bytes, int] = field(default_factory=dict)  # assignment bytes -> state
+    owner: list[int] = field(default_factory=list)       # the restart that reached it first
+    reached: list[int] = field(default_factory=list)     # the pass at which it did
+    next_obj: list[float] = field(default_factory=list)  # the objective of the pass after
+    # restart -> (restart it follows, pass lag, state, objective on arriving)
+    follows: dict[int, tuple[int, int, int, float]] = field(default_factory=dict)
+
+
+def _lloyd_stack(X: np.ndarray, centroids: np.ndarray, d2: np.ndarray, w: np.ndarray,
+                 max_iter: int, paths: _Paths | None, first: int) -> list[np.ndarray]:
+    """Lloyd passes of a (B, k, T) centroid stack, restarts ``first``.. of a subsector.
+
+    ``d2`` (B, n, k) holds the first pass's weighted squared distances.
 
     Each restart iterates to an assignment fixed point or for ``max_iter``
-    iterations; an empty cluster is re-seeded at the point farthest from
-    its current centroid. Distances reduce over the grid axis and a
-    centroid is the sum of its curves in row order over their count, so a
-    restart's result does not depend on the others in its stack.
-    Returns assignments (B, n), centroids (B, k, T) and objectives (B,).
+    passes; an empty cluster is re-seeded at the point farthest from its
+    current centroid. Distances reduce over the grid axis and a centroid is
+    the sum of its curves in row order over their count, so a restart's
+    passes do not depend on the others in its stack. With ``paths``, a
+    restart that reaches a state already there stops and is recorded as
+    following it. Returns assignments (B, n), centroids (B, k, T),
+    objectives (B,) and the pass at which each restart converged (-1 if
+    it did not).
     """
     n_restarts, k, n_grid = centroids.shape
     n = len(X)
     assign = np.full((n_restarts, n), -1)
     obj = np.full(n_restarts, np.inf)
+    stop = np.full(n_restarts, -1)
+    state = np.full(n_restarts, -1)  # the state each restart is at, -1 for none
     active = np.arange(n_restarts)  # the restarts still iterating
     # (((X - C) ** 2) * w).sum(axis=-1) is formed in place in one buffer; curves
     # and weights repeated per cluster let each product run over whole rows
     X_k = np.repeat(X[:, None, :], k, axis=1)
     w_k = np.broadcast_to(w, X_k.shape).copy()
     buffer = np.empty((n_restarts, n, k, n_grid))
-    for _ in range(max_iter):
-        work = buffer[:len(active)]
-        np.subtract(X_k, centroids[active, None, :, :], out=work)
-        np.square(work, out=work)
-        work *= w_k
-        d2 = work.sum(axis=-1)
+    for p in range(max_iter):
+        if p:
+            work = buffer[:len(active)]
+            np.subtract(X_k, centroids[active, None, :, :], out=work)
+            np.square(work, out=work)
+            work *= w_k
+            d2 = work.sum(axis=-1)
         new_assign = d2.argmin(axis=2)
         own = np.take_along_axis(d2, new_assign[..., None], axis=2)[..., 0]
         new_obj = own.sum(axis=1)
-        if (new_obj > obj[active] * (1 + 1e-12) + 1e-9).any():
+        if _objective_rose(new_obj, obj[active]).any():
             raise InvariantError("k-means objective increased across an iteration")
+        if paths is not None:
+            for s, o in zip(state[active].tolist(), new_obj.tolist()):
+                if s >= 0:
+                    paths.next_obj[s] = o
         obj[active] = new_obj
         moved = (new_assign != assign[active]).any(axis=1)
+        stop[active[~moved]] = p
         active, new_assign, own = active[moved], new_assign[moved], own[moved]
+        assign[active] = new_assign
+        counts = (new_assign[..., None] == np.arange(k)).sum(axis=1)
+        if paths is not None:
+            state[active] = -1
+            going = np.ones(len(active), dtype=bool)
+            for i in np.flatnonzero(counts.all(axis=1)):
+                b = int(active[i])
+                s = paths.ids.setdefault(new_assign[i].tobytes(), len(paths.owner))
+                if s < len(paths.owner):
+                    lag = p - paths.reached[s]
+                    paths.follows[first + b] = (paths.owner[s], lag, s, float(obj[b]))
+                    going[i] = False
+                else:
+                    paths.owner.append(first + b)
+                    paths.reached.append(p)
+                    paths.next_obj.append(np.nan)
+                    state[b] = s
+            active, new_assign, own, counts = (a[going] for a in (active, new_assign, own, counts))
         if not active.size:
             break
-        assign[active] = new_assign
         n_active = len(active)
         cells = new_assign + k * np.arange(n_active)[:, None]  # each curve's (restart, cluster)
-        counts = np.bincount(cells.ravel(), minlength=n_active * k).reshape(n_active, k)
         # bincount adds each cell's curves in row order starting from zero, so a
         # centroid is bit-identical to X[mask].mean(axis=0) of its restart alone
         sums = np.bincount((cells[..., None] * n_grid + np.arange(n_grid)).ravel(),
@@ -175,7 +231,84 @@ def _restart_stack(X: np.ndarray, centroids: np.ndarray, w: np.ndarray,
                 used.append(int(dist.argmax()))
                 update[b, j] = X[used[-1]]
         centroids[active] = update
-    return assign, centroids, obj
+    return [assign, centroids, obj, stop]
+
+
+def _lloyd_blocks(X: np.ndarray, centroids: np.ndarray, w: np.ndarray, max_iter: int,
+                  paths: _Paths | None) -> list[np.ndarray]:
+    """``_lloyd_stack`` over ``RESTART_BLOCK`` restarts at a time."""
+    n_restarts, k, n_grid = centroids.shape
+    # the first pass's distances, once per distinct initial centroid
+    rows, of_row = np.unique(centroids.reshape(-1, n_grid), axis=0, return_inverse=True)
+    d2 = (((X[:, None, :] - rows) ** 2) * w).sum(axis=-1)
+    of_row = of_row.reshape(n_restarts, k)
+    blocks = [_lloyd_stack(X, centroids[start:start + RESTART_BLOCK],
+                           d2[:, of_row[start:start + RESTART_BLOCK]].transpose(1, 0, 2),
+                           w, max_iter, paths, start)
+              for start in range(0, n_restarts, RESTART_BLOCK)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+def _restart_stack(X: np.ndarray, centroids: np.ndarray, w: np.ndarray,
+                   max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd iterations of every restart of a (R, k, T) initial-centroid stack.
+
+    The restarts share their paths: one that reaches a state (an assignment
+    without an empty cluster) that an earlier pass or restart of the stack
+    reached stops there, and takes the final assignment, centroids and
+    objective of the restart it follows. Each restart still ends exactly
+    where ``max_iter`` passes alone would take it:
+
+    * reaching the state ``lag`` passes later, it converges ``lag`` passes
+      later; it takes the result only if the path it follows (through any
+      chain of followed restarts, lags summed) converged by pass
+      ``max_iter - 1``, and otherwise reruns alone from its initial
+      centroids;
+    * the objective of the pass after the state, the first that the
+      follower skips, is checked against the follower's own objective on
+      arriving there.
+
+    Returns assignments (R, n), centroids (R, k, T) and objectives (R,).
+    """
+    paths = _Paths()
+    assign, ends, obj, stop = _lloyd_blocks(X, centroids.copy(), w, max_iter, paths)
+    rerun, followers, roots = [], [], []
+    for restart in paths.follows:
+        root, lag, arrivals = restart, 0, []
+        for _ in range(len(paths.follows)):  # a longer chain is a cycle: it never converges
+            if root not in paths.follows:
+                break
+            root, step, s, arrived_obj = paths.follows[root]
+            lag += step
+            arrivals.append((s, arrived_obj))
+        if root in paths.follows or stop[root] < 0 or stop[root] + lag >= max_iter:
+            rerun.append(restart)
+            continue
+        if any(_objective_rose(paths.next_obj[s], o) for s, o in arrivals):
+            raise InvariantError("k-means objective increased across an iteration")
+        followers.append(restart)
+        roots.append(root)
+    for out in (assign, ends, obj):
+        out[followers] = out[roots]
+    if rerun:
+        for out, part in zip((assign, ends, obj),
+                             _lloyd_blocks(X, centroids[rerun], w, max_iter, None)):
+            out[rerun] = part
+    return assign, ends, obj
+
+
+@functools.lru_cache(maxsize=256)
+def _init_rows(seed: int, sub: str, n: int, k: int, n_init: int) -> np.ndarray:
+    """Each restart's k initial-centroid rows, sorted, drawn from its own seed.
+
+    Cached, read-only: the window sweep clusters subsectors of the same
+    size again, and the draws depend on nothing else.
+    """
+    idx = np.array([np.random.default_rng(derive_seed(seed, "kmeans", sub, restart))
+                    .choice(n, size=k, replace=False) for restart in range(n_init)])
+    idx.sort(axis=1)
+    idx.flags.writeable = False
+    return idx
 
 
 def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
@@ -188,8 +321,8 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
     are assigned entirely to LOW with a warning. Restart seeds derive
     from ``seed`` and the (subsector, restart) labels, so results do not
     depend on scheduling order. Restarts run ``RESTART_BLOCK`` at a time
-    as one stacked Lloyd loop; the best is the lowest objective, the
-    lowest restart among ties.
+    as one stacked Lloyd loop and share their paths (``_restart_stack``);
+    the best is the lowest objective, the lowest restart among ties.
     """
     if k < 1 or n_init < 1:
         raise ConfigError("k and n_init must both be >= 1")
@@ -216,13 +349,8 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
                 ca.regimes[t.firm_id] = LOW
             continue
 
-        inits = np.array([
-            X[np.sort(np.random.default_rng(derive_seed(seed, "kmeans", sub, restart))
-                      .choice(len(group), size=k, replace=False))]
-            for restart in range(n_init)])
-        blocks = [_restart_stack(X, inits[start:start + RESTART_BLOCK], w, max_iter)
-                  for start in range(0, n_init, RESTART_BLOCK)]
-        assigns, centroid_stack, objs = (np.concatenate(parts) for parts in zip(*blocks))
+        inits = X[_init_rows(seed, sub, len(group), k, n_init)]
+        assigns, centroid_stack, objs = _restart_stack(X, inits, w, max_iter)
         best = int(objs.argmin())
         assign, centroids = assigns[best], centroid_stack[best].copy()
         terminal = centroids[:, -1]

@@ -80,6 +80,14 @@ class TestBuildTrajectories:
             assert (diffs >= 0).all()
             assert t.values[0] > 0
 
+    def test_amounts_past_int64_stay_exact(self):
+        # parse_deals bounds no amount: a cumulative sum past 2**63 must not wrap
+        deals = [deal("f1", "i1", "r1", "2000-03-01", 6 * 10**18),
+                 deal("f1", "i2", "r2", "2001-07-01", 6 * 10**18)]
+        ts = build_trajectories(deals, META, 3, data_end_year=2003)
+        assert ts.trajectories[0].values == (6 * 10**18,) + (12 * 10**18,) * 3
+        assert np.isfinite(np.log1p(np.array(ts.trajectories[0].values, dtype=float))).all()
+
     def test_bad_window_raises(self):
         with pytest.raises(ConfigError):
             build_trajectories([], META, 0)
@@ -279,13 +287,41 @@ class TestStackedRestarts:
         trajs = [Trajectory(f"f{i:02d}", data.draw(st.sampled_from(["a", "b"])), 2000,
                             tuple(np.cumsum([1 + c[0]] + c[1:]).tolist()))
                  for i, c in enumerate(curves)]
-        kwargs = dict(k=data.draw(st.integers(1, 3)), n_init=data.draw(st.integers(1, 5)),
+        kwargs = dict(k=data.draw(st.integers(1, 3)), n_init=data.draw(st.integers(1, 30)),
                       seed=data.draw(st.integers(0, 3)), log_scale=data.draw(st.booleans()),
-                      max_iter=data.draw(st.sampled_from([1, 2, 500])))
-        with warnings.catch_warnings():
+                      max_iter=data.draw(st.sampled_from([1, 2, 3, 500])))
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("ignore")
+            mp.setattr(trajectories, "RESTART_BLOCK", data.draw(st.sampled_from([1, 3, 64])))
             got = functional_kmeans(trajs, **kwargs)
         assert_same_clustering(got, bf_functional_kmeans(trajs, **kwargs))
+
+    def test_objective_check_holds_on_shared_paths(self, monkeypatch):
+        # mixed-sign weights make Lloyd passes raise the objective; a restart that
+        # follows another's path skips passes whose check must still be made
+        rng = np.random.default_rng(31)
+        n_raised = 0
+        for _ in range(300):
+            n, n_grid = int(rng.integers(3, 14)), int(rng.integers(2, 5))
+            X = rng.integers(0, 6, size=(n, n_grid)).astype(float)
+            w = rng.normal(size=n_grid)
+            k, n_init = int(rng.integers(1, 4)), int(rng.integers(1, 31))
+            max_iter = int(rng.choice([1, 2, 3, 500]))
+            monkeypatch.setattr(trajectories, "RESTART_BLOCK", int(rng.choice([1, 3, 64])))
+            inits = X[np.sort([rng.choice(n, size=k, replace=False) for _ in range(n_init)], axis=1)]
+            try:
+                want = [bf_lloyd(X, init.copy(), w, max_iter) for init in inits]
+            except InvariantError:
+                n_raised += 1
+                with pytest.raises(InvariantError, match="objective increased"):
+                    trajectories._restart_stack(X, inits, w, max_iter)
+                continue
+            assign, centroids, obj = trajectories._restart_stack(X, inits, w, max_iter)
+            for b, (want_assign, want_centroids, want_obj) in enumerate(want):
+                assert assign[b].tolist() == want_assign.tolist()
+                assert np.array_equal(centroids[b], want_centroids)
+                assert obj[b] == want_obj
+        assert 30 < n_raised < 270
 
 
 class TestRegimeRates:
