@@ -7,11 +7,13 @@ Input schema (UTF-8 CSV with headers, exact column order):
 
 Empty strings encode UNKNOWN/absent. Dates are ISO-8601 ``YYYY-MM-DD``.
 Amounts are whole currency units (a single currency is assumed
-throughout; no conversion is attempted). Rows violating an invariant are
-collected into a rejects report instead of aborting the run; only a bad
-header, or a line the csv reader cannot split (a field longer than
-131,072 characters; a NUL byte before Python 3.11), is fatal. Bytes that
-are not UTF-8 reject their row; in the header they fail the header check.
+throughout; no conversion is attempted) from 0 to ``MAX_AMOUNT``
+(2**63 - 1), so every per-firm sum stays a finite float. Rows violating
+an invariant are collected into a rejects report instead of aborting the
+run; only a bad header, or a line the csv reader cannot split (a field
+longer than 131,072 characters; a NUL byte before Python 3.11), is
+fatal. Bytes that are not UTF-8 reject their row; in the header they
+fail the header check.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ STATUSES = ("ACTIVE", "ACQUIRED", "IPO", "MERGED", "INACTIVE")
 EXIT_STATUSES = frozenset({"ACQUIRED", "IPO", "MERGED"})
 
 UNKNOWN = ""
+
+#: The largest deal amount accepted: the largest int64, far below the float limit.
+MAX_AMOUNT = 2**63 - 1
 
 PathOrStream = Union[str, Path, IO[bytes]]
 
@@ -166,6 +171,8 @@ def _parse_deal_row(row: list[str], deals: list[DealRecord]) -> str | None:
         return f"invalid amount {raw_amount!r}"
     if amount < 0:
         return f"negative amount {amount}"
+    if amount > MAX_AMOUNT:
+        return f"amount above the limit {MAX_AMOUNT}"
     deals.append(DealRecord(firm_id, investor_id, round_id, when, amount))
     return None
 

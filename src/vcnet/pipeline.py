@@ -204,14 +204,8 @@ def stage_ingest(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     return counts
 
 
-def _load_ingested(out: Path):
-    deals = read_deals_csv(_require(out / "ingest" / "deals.csv"))
-    firms = read_firms_csv(_require(out / "ingest" / "firms.csv"))
-    return deals, firms
-
-
 def stage_graph(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
-    deals, _ = _load_ingested(out)
+    deals = read_deals_csv(_require(out / "ingest" / "deals.csv"))
     g = build_bipartite(deals)
     summary = []
     for year in g.years():
@@ -246,7 +240,7 @@ def _frame_years(cfg: RunConfig, g) -> list[int]:
 
 
 def stage_centrality(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
-    deals, _ = _load_ingested(out)
+    deals = read_deals_csv(_require(out / "ingest" / "deals.csv"))
     g = build_bipartite(deals)
     frames = []
     covariates = []
@@ -277,7 +271,8 @@ def stage_features(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
 
 
 def stage_trajectories(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
-    deals, firms = _load_ingested(out)
+    deals = read_deals_csv(_require(out / "ingest" / "deals.csv"))
+    firms = read_firms_csv(_require(out / "ingest" / "firms.csv"))
     ts = build_trajectories(deals, firms, cfg.window_years)
     if ts.trajectories:
         ca = functional_kmeans(ts.trajectories, k=cfg.kmeans_k, n_init=cfg.kmeans_inits,
@@ -298,7 +293,8 @@ def stage_trajectories(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
 
 
 def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
-    deals, firms = _load_ingested(out)
+    deals = read_deals_csv(_require(out / "ingest" / "deals.csv"))
+    firms = read_firms_csv(_require(out / "ingest" / "firms.csv"))
     covs = read_covariates_csv(_require(out / "centrality" / "covariates.csv"))
     fm = read_feature_matrix_csv(_require(out / "features" / "features.csv"))
     groups = read_grouping_csv(_require(out / "features" / "groups.csv"))
@@ -411,7 +407,7 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
 def stage_backtest(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     frames_all = read_frames_csv(_require(out / "centrality" / "frames.csv"))
     covs = read_covariates_csv(_require(out / "centrality" / "covariates.csv"))
-    _, firms = _load_ingested(out)
+    firms = read_firms_csv(_require(out / "ingest" / "firms.csv"))
     groups_path = out / "features" / "groups.csv"
     groups = read_grouping_csv(groups_path) if groups_path.exists() else {}
 

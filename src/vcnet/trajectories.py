@@ -13,13 +13,11 @@ k-means: squared L2 distance between curves under trapezoidal
 quadrature weights, best of ``n_init`` seeded restarts. The restarts of
 a subsector run as one stacked Lloyd loop over a (restarts, k, T)
 centroid stack, ``RESTART_BLOCK`` restarts at a time, and share their
-paths: an assignment without an empty cluster fixes every later pass,
-so a restart that reaches one already reached by another restart of
-the subsector stops and takes that restart's result. That result is
-exactly its own: it takes it only if the followed path converged within
-``max_iter`` passes counted from its own arrival, and reruns alone from
-its initial centroids otherwise; the objective check of the first pass
-it skips runs against its own arriving objective.
+paths (``_restart_stack``): an assignment without an empty cluster fixes
+every later pass, so restarts that reach one at the same pass continue
+as one, and a restart that reaches one on a converged path takes its
+result if that comes within ``max_iter`` passes of its own. Each
+restart's result stays exactly its own.
 Distances are computed on log(1+x)-scaled curves by default since
 funding spans orders of magnitude; pass ``log_scale=False`` for raw
 currency units.
@@ -123,52 +121,45 @@ def _quad_weights(n_grid: int) -> np.ndarray:
     return w
 
 
-#: Restarts run together as one (block, k, T) centroid stack. Bounds the Lloyd
-#: loop's work memory to O(block * n * k * T) whatever ``n_init``.
-RESTART_BLOCK = 64
+#: Restarts run together as one (block, k, T) centroid stack, which bounds the
+#: Lloyd loop's work memory to O(block * n * k * T) whatever ``n_init``. 128
+#: keeps every restart of a subsector in one stack at the default
+#: ``kmeans_inits`` (100), so same-pass merges can reach all of them.
+RESTART_BLOCK = 128
 
 
-def _objective_rose(new, old):
-    return new > old * (1 + 1e-12) + 1e-9
+def _check_objective(new, old) -> None:
+    if (new > old * (1 + 1e-12) + 1e-9).any():  # arrays or numpy scalars
+        raise InvariantError("k-means objective increased across an iteration")
 
 
-@dataclass
-class _Paths:
-    """Lloyd states reached by the restarts of one subsector.
-
-    A state is an assignment without an empty cluster: its centroids, and
-    so every later pass, depend on the assignment alone.
-    """
-    ids: dict[bytes, int] = field(default_factory=dict)  # assignment bytes -> state
-    owner: list[int] = field(default_factory=list)       # the restart that reached it first
-    reached: list[int] = field(default_factory=list)     # the pass at which it did
-    next_obj: list[float] = field(default_factory=list)  # the objective of the pass after
-    # restart -> (restart it follows, pass lag, state, objective on arriving)
-    follows: dict[int, tuple[int, int, int, float]] = field(default_factory=dict)
+def _record(joins: dict, path: list, stop: int, final: tuple) -> None:
+    """Enter each [assignment, pass, next objective] of a path that converged at ``stop``."""
+    for key, reached, next_obj in path:
+        joins.setdefault(key, (stop - reached, next_obj, final))
 
 
 def _lloyd_stack(X: np.ndarray, centroids: np.ndarray, d2: np.ndarray, w: np.ndarray,
-                 max_iter: int, paths: _Paths | None, first: int) -> list[np.ndarray]:
-    """Lloyd passes of a (B, k, T) centroid stack, restarts ``first``.. of a subsector.
+                 max_iter: int, joins: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd passes of a (B, k, T) centroid stack, sharing paths as ``_restart_stack`` says.
 
-    ``d2`` (B, n, k) holds the first pass's weighted squared distances.
+    ``d2`` (B, n, k) holds the first pass's weighted squared distances;
+    ``joins`` is the subsector's table of converged paths.
 
     Each restart iterates to an assignment fixed point or for ``max_iter``
     passes; an empty cluster is re-seeded at the point farthest from its
     current centroid. Distances reduce over the grid axis and a centroid is
     the sum of its curves in row order over their count, so a restart's
-    passes do not depend on the others in its stack. With ``paths``, a
-    restart that reaches a state already there stops and is recorded as
-    following it. Returns assignments (B, n), centroids (B, k, T),
-    objectives (B,) and the pass at which each restart converged (-1 if
-    it did not).
+    passes do not depend on the others in its stack. Returns assignments
+    (B, n), centroids (B, k, T) and objectives (B,).
     """
     n_restarts, k, n_grid = centroids.shape
     n = len(X)
     assign = np.full((n_restarts, n), -1)
     obj = np.full(n_restarts, np.inf)
-    stop = np.full(n_restarts, -1)
-    state = np.full(n_restarts, -1)  # the state each restart is at, -1 for none
+    leader = np.arange(n_restarts)  # the restart each one continues as
+    paths = [[] for _ in range(n_restarts)]  # each restart's [assignment, pass, next objective]
+    seen = {}  # assignment -> (restart, path entry) reached at the previous pass
     active = np.arange(n_restarts)  # the restarts still iterating
     # (((X - C) ** 2) * w).sum(axis=-1) is formed in place in one buffer; curves
     # and weights repeated per cluster let each product run over whole rows
@@ -185,33 +176,37 @@ def _lloyd_stack(X: np.ndarray, centroids: np.ndarray, d2: np.ndarray, w: np.nda
         new_assign = d2.argmin(axis=2)
         own = np.take_along_axis(d2, new_assign[..., None], axis=2)[..., 0]
         new_obj = own.sum(axis=1)
-        if _objective_rose(new_obj, obj[active]).any():
-            raise InvariantError("k-means objective increased across an iteration")
-        if paths is not None:
-            for s, o in zip(state[active].tolist(), new_obj.tolist()):
-                if s >= 0:
-                    paths.next_obj[s] = o
+        _check_objective(new_obj, obj[active])
         obj[active] = new_obj
+        for b, entry in seen.values():
+            entry[2] = obj[b]
         moved = (new_assign != assign[active]).any(axis=1)
-        stop[active[~moved]] = p
+        for b in active[~moved]:
+            _record(joins, paths[b], p, (assign[b].copy(), centroids[b].copy(), obj[b]))
         active, new_assign, own = active[moved], new_assign[moved], own[moved]
         assign[active] = new_assign
         counts = (new_assign[..., None] == np.arange(k)).sum(axis=1)
-        if paths is not None:
-            state[active] = -1
+        seen = {}
+        if p + 1 < max_iter:
             going = np.ones(len(active), dtype=bool)
             for i in np.flatnonzero(counts.all(axis=1)):
-                b = int(active[i])
-                s = paths.ids.setdefault(new_assign[i].tobytes(), len(paths.owner))
-                if s < len(paths.owner):
-                    lag = p - paths.reached[s]
-                    paths.follows[first + b] = (paths.owner[s], lag, s, float(obj[b]))
-                    going[i] = False
+                b, key = int(active[i]), new_assign[i].tobytes()
+                hit = joins.get(key)
+                if hit is not None and p + hit[0] < max_iter:
+                    lag, next_obj, final = hit
+                    _check_objective(next_obj, obj[b])
+                    assign[b], centroids[b], obj[b] = final
+                    _record(joins, paths[b], p + lag, final)
+                elif key in seen:
+                    first = seen[key][0]
+                    leader[b] = first
+                    obj[first] = min(obj[first], obj[b])
+                    paths[first] += paths[b]
                 else:
-                    paths.owner.append(first + b)
-                    paths.reached.append(p)
-                    paths.next_obj.append(np.nan)
-                    state[b] = s
+                    seen[key] = b, [key, p, np.nan]
+                    paths[b].append(seen[key][1])
+                    continue
+                going[i] = False
             active, new_assign, own, counts = (a[going] for a in (active, new_assign, own, counts))
         if not active.size:
             break
@@ -231,70 +226,43 @@ def _lloyd_stack(X: np.ndarray, centroids: np.ndarray, d2: np.ndarray, w: np.nda
                 used.append(int(dist.argmax()))
                 update[b, j] = X[used[-1]]
         centroids[active] = update
-    return [assign, centroids, obj, stop]
-
-
-def _lloyd_blocks(X: np.ndarray, centroids: np.ndarray, w: np.ndarray, max_iter: int,
-                  paths: _Paths | None) -> list[np.ndarray]:
-    """``_lloyd_stack`` over ``RESTART_BLOCK`` restarts at a time."""
-    n_restarts, k, n_grid = centroids.shape
-    # the first pass's distances, once per distinct initial centroid
-    rows, of_row = np.unique(centroids.reshape(-1, n_grid), axis=0, return_inverse=True)
-    d2 = (((X[:, None, :] - rows) ** 2) * w).sum(axis=-1)
-    of_row = of_row.reshape(n_restarts, k)
-    blocks = [_lloyd_stack(X, centroids[start:start + RESTART_BLOCK],
-                           d2[:, of_row[start:start + RESTART_BLOCK]].transpose(1, 0, 2),
-                           w, max_iter, paths, start)
-              for start in range(0, n_restarts, RESTART_BLOCK)]
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+    while (leader[leader] != leader).any():  # merged restarts take their leader's result
+        leader = leader[leader]
+    return assign[leader], centroids[leader], obj[leader]
 
 
 def _restart_stack(X: np.ndarray, centroids: np.ndarray, w: np.ndarray,
                    max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lloyd iterations of every restart of a (R, k, T) initial-centroid stack.
 
-    The restarts share their paths: one that reaches a state (an assignment
-    without an empty cluster) that an earlier pass or restart of the stack
-    reached stops there, and takes the final assignment, centroids and
-    objective of the restart it follows. Each restart still ends exactly
-    where ``max_iter`` passes alone would take it:
+    Restarts run ``RESTART_BLOCK`` at a time and share paths by two rules,
+    each decided at the pass where it applies; both rest on an assignment
+    without an empty cluster fixing every later pass.
 
-    * reaching the state ``lag`` passes later, it converges ``lag`` passes
-      later; it takes the result only if the path it follows (through any
-      chain of followed restarts, lags summed) converged by pass
-      ``max_iter - 1``, and otherwise reruns alone from its initial
-      centroids;
-    * the objective of the pass after the state, the first that the
-      follower skips, is checked against the follower's own objective on
-      arriving there.
+    * Same-pass merge: restarts of a block that reach one at the same pass,
+      not the last, continue as the first of them, whose next objective is
+      checked against the least of theirs.
+    * Converged-path join: a restart that converges at pass ``q`` records
+      each one it reached at pass ``r`` with ``q - r``, the objective of
+      pass ``r + 1`` and its result, in a table shared by the blocks. A
+      restart that reaches a recorded one at pass ``p``, not the last, with
+      ``p + q - r < max_iter`` checks that objective against its own, takes
+      the result and records its own path; otherwise it continues.
 
+    So each restart ends exactly where ``max_iter`` passes alone would take it.
     Returns assignments (R, n), centroids (R, k, T) and objectives (R,).
     """
-    paths = _Paths()
-    assign, ends, obj, stop = _lloyd_blocks(X, centroids.copy(), w, max_iter, paths)
-    rerun, followers, roots = [], [], []
-    for restart in paths.follows:
-        root, lag, arrivals = restart, 0, []
-        for _ in range(len(paths.follows)):  # a longer chain is a cycle: it never converges
-            if root not in paths.follows:
-                break
-            root, step, s, arrived_obj = paths.follows[root]
-            lag += step
-            arrivals.append((s, arrived_obj))
-        if root in paths.follows or stop[root] < 0 or stop[root] + lag >= max_iter:
-            rerun.append(restart)
-            continue
-        if any(_objective_rose(paths.next_obj[s], o) for s, o in arrivals):
-            raise InvariantError("k-means objective increased across an iteration")
-        followers.append(restart)
-        roots.append(root)
-    for out in (assign, ends, obj):
-        out[followers] = out[roots]
-    if rerun:
-        for out, part in zip((assign, ends, obj),
-                             _lloyd_blocks(X, centroids[rerun], w, max_iter, None)):
-            out[rerun] = part
-    return assign, ends, obj
+    n_restarts, k, n_grid = centroids.shape
+    # the first pass's distances, once per distinct initial centroid
+    rows, of_row = np.unique(centroids.reshape(-1, n_grid), axis=0, return_inverse=True)
+    d2 = (((X[:, None, :] - rows) ** 2) * w).sum(axis=-1)
+    of_row = of_row.reshape(n_restarts, k)
+    joins: dict = {}
+    blocks = [_lloyd_stack(X, centroids[start:start + RESTART_BLOCK].copy(),
+                           d2[:, of_row[start:start + RESTART_BLOCK]].transpose(1, 0, 2),
+                           w, max_iter, joins)
+              for start in range(0, n_restarts, RESTART_BLOCK)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 @functools.lru_cache(maxsize=256)
@@ -321,8 +289,9 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
     are assigned entirely to LOW with a warning. Restart seeds derive
     from ``seed`` and the (subsector, restart) labels, so results do not
     depend on scheduling order. Restarts run ``RESTART_BLOCK`` at a time
-    as one stacked Lloyd loop and share their paths (``_restart_stack``);
-    the best is the lowest objective, the lowest restart among ties.
+    as one stacked Lloyd loop, merging and joining paths as
+    ``_restart_stack`` says; the best is the lowest objective, the lowest
+    restart among ties.
     """
     if k < 1 or n_init < 1:
         raise ConfigError("k and n_init must both be >= 1")

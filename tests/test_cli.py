@@ -194,6 +194,23 @@ class TestCliCommands:
                     "regress/logistic_best.json", "backtest/backtest.csv"):
             assert (out / rel).read_bytes() == (synth_out / rel).read_bytes()
 
+    def test_oversized_amount_is_rejected_and_the_run_exits_0(self, tmp_path):
+        # 10**400 does not fit a float: accepted, it would fail centrality with exit 1
+        src = tmp_path / "inputs"
+        assert main(["synth", "--out_dir", str(src), "--synthetic", json.dumps(SYNTH)]) == 0
+        header, first, *rest = (src / "deals.csv").read_text().splitlines()
+        first = first.rsplit(",", 1)[0] + "," + str(10**400)
+        (src / "deals.csv").write_text("\n".join([header, first, *rest]) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["run", "--out_dir", str(out), "--deals_csv", str(src / "deals.csv"),
+                         "--firms_csv", str(src / "firms.csv"),
+                         *(a for k, v in FAST.items() for a in (f"--{k}", str(v)))])
+        assert code == 0
+        assert read_table(out / "ingest" / "rejects_deals.csv")[1:] == [
+            ["2", "amount above the limit 9223372036854775807"]]
+
     def _ingest_csv(self, tmp_path, deal_bytes):
         deals, firms = tmp_path / "deals.csv", tmp_path / "firms.csv"
         deals.write_bytes(deal_bytes)

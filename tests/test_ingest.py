@@ -42,9 +42,17 @@ class TestParseDeals:
         assert result.deal_rejects[0].line == 2
         assert "-5" in result.deal_rejects[0].reason
 
+    def test_amount_limit_is_inclusive(self):
+        result = parse(b"f1,i1,r1,2005-03-01,9223372036854775807\n"
+                       b"f1,i1,r2,2005-03-01,9223372036854775808\n")
+        assert [d.amount for d in result.deals] == [2**63 - 1]
+        assert [r.line for r in result.deal_rejects] == [3]
+
     @pytest.mark.parametrize("row,fragment", [
         (b"f1,i1,r1,2005-13-01,5", "date"),
         (b"f1,i1,r1,2005-03-01,1.5", "amount"),
+        pytest.param(b"f1,i1,r1,2005-03-01,1" + b"0" * 400,
+                     "amount above the limit 9223372036854775807", id="amount-10**400"),
         (b",i1,r1,2005-03-01,5", "firm_id"),
         (b"f1,,r1,2005-03-01,5", "investor_id"),
         (b"f1,i1,,2005-03-01,5", "round_id"),
