@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import ConvergenceError
 from .graph import FIRM, SOURCE_BLOCK, ProjectedGraph, TemporalBipartiteGraph, first_rounds
@@ -259,7 +258,8 @@ def newman_betweenness(pg: ProjectedGraph) -> dict[str, float]:
             if nc < 3:
                 continue
             sub = A[np.ix_(comp, comp)]
-            pinv = np.linalg.pinv(csgraph.laplacian(sub).toarray(), rcond=_PINV_RCOND)
+            laplacian = np.diag(pg.degrees[comp]) - sub.toarray()  # exact integers
+            pinv = np.linalg.pinv(laplacian, rcond=_PINV_RCOND)
             upper = sp.triu(sub, k=1).tocoo()
             u, v = upper.row, upper.col
             # Sum over source<target pairs of |current through edge e|, where

@@ -20,7 +20,7 @@ import numpy as np
 
 from .centrality import FirmCovariates
 from .errors import ConfigError
-from .ingest import read_csv, write_csv
+from .ingest import iter_csv, read_csv, write_csv
 
 
 @dataclass
@@ -260,4 +260,13 @@ def write_configs_csv(configs: list[tuple[str, ...]], path: str | Path) -> None:
 
 
 def read_configs_csv(path: str | Path) -> list[tuple[str, ...]]:
-    return [tuple(row[1].split(";")) for row in read_csv(path)[1]]
+    """The configurations, read row by row; equal names share one string.
+
+    The list grows with the product of the group sizes, so no raw row is
+    kept, and each tuple holds the first string read for each name.
+    """
+    rows = iter_csv(path)
+    next(rows, None)  # the header
+    shared: dict[str, str] = {}
+    return [tuple(map(shared.setdefault, names, names))
+            for names in (row[1].split(";") for row in rows)]

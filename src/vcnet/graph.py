@@ -28,7 +28,6 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 from numpy.typing import ArrayLike
-from scipy.sparse import csgraph
 
 from .ingest import DealRecord, write_csv
 
@@ -170,7 +169,15 @@ class ProjectedGraph:
 
     @cached_property
     def labels(self) -> np.ndarray:
-        return _read_only(csgraph.connected_components(self.csr, directed=False)[1])
+        """Component labels, numbered in the order of each component's smallest index.
+
+        A node's component is its smallest reachable index in ``dist``;
+        this is the numbering of scipy's ``connected_components``.
+        """
+        if len(self) == 0:
+            return _read_only(np.zeros(0, dtype=np.intp))
+        first = np.isfinite(self.dist).argmax(axis=1)
+        return _read_only(np.unique(first, return_inverse=True)[1])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

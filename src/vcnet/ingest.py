@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Union
+from typing import IO, Any, Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -127,10 +127,11 @@ def _parse_rows(source: PathOrStream, columns: list[str], name: str,
     of row are rejected first: one with a carriage return in a field
     (before Python 3.13, ``write_csv`` leaves a bare ``\\r`` unquoted, so
     the row would split when an artifact is read back) and one holding
-    bytes that are not UTF-8 (``read_csv`` keeps them as lone surrogates,
+    bytes that are not UTF-8 (``iter_csv`` keeps them as lone surrogates,
     which no artifact could encode).
     """
-    header, rows = read_csv(source)
+    rows = iter_csv(source)
+    header = next(rows, None)
     if header != columns:
         raise SchemaError(f"{name} header must be {','.join(columns)!r}, got {header!r}")
     rejects = []
@@ -249,8 +250,8 @@ def write_csv(target: PathOrStream, header: list[str], rows: Iterable[Iterable[A
             fh.detach()  # leave the caller's byte stream open
 
 
-def read_csv(source: PathOrStream) -> tuple[list[str] | None, list[list[str]]]:
-    """The header (None for an empty file) and the data rows of a CSV table.
+def iter_csv(source: PathOrStream) -> Iterator[list[str]]:
+    """The rows of a CSV table, header first, one at a time; the only CSV reader.
 
     Bytes that are not UTF-8 come back as lone surrogates
     (``surrogateescape``). A line the csv reader cannot split raises
@@ -263,10 +264,16 @@ def read_csv(source: PathOrStream) -> tuple[list[str] | None, list[list[str]]]:
     with fh:
         reader = csv.reader(fh)
         try:
-            return next(reader, None), list(reader)
+            yield from reader
         except csv.Error as exc:
             raise SchemaError(f"{getattr(fh, 'name', 'CSV stream')}: line {reader.line_num}: "
                               f"{exc}") from exc
+
+
+def read_csv(source: PathOrStream) -> tuple[list[str] | None, list[list[str]]]:
+    """The header (None for an empty file) and the data rows of a CSV table."""
+    rows = iter_csv(source)
+    return next(rows, None), list(rows)
 
 
 def _read_canonical(path: str | Path, columns: list[str], name: str, parse_row, records):

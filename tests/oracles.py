@@ -284,6 +284,40 @@ def bf_current_flow_betweenness(pg):
     return {v: out[v] * scale for v in nodes}
 
 
+def csgraph_current_flow_betweenness(pg):
+    """``centrality.newman_betweenness``'s formula on scipy's Laplacian and components.
+
+    The same arithmetic step for step, with the Laplacian from
+    ``csgraph.laplacian`` and the components from
+    ``csgraph.connected_components``, so the package's own Laplacian and
+    labels must give equal values, not close ones.
+    """
+    from scipy.sparse import csgraph, triu
+
+    from vcnet.centrality import _EDGE_BLOCK, _PINV_RCOND
+    n = len(pg)
+    values = np.zeros(n)
+    if n >= 3:
+        labels = csgraph.connected_components(pg.csr, directed=False)[1]
+        for c in range(labels.max() + 1):
+            comp = np.flatnonzero(labels == c)
+            nc = comp.size
+            if nc < 3:
+                continue
+            sub = pg.csr[np.ix_(comp, comp)]
+            pinv = np.linalg.pinv(csgraph.laplacian(sub).toarray(), rcond=_PINV_RCOND)
+            upper = triu(sub, k=1).tocoo()
+            u, v = upper.row, upper.col
+            coef = 2.0 * np.arange(nc) - nc + 1.0
+            per_edge = np.concatenate([
+                np.sort(pinv[u[k:k + _EDGE_BLOCK]] - pinv[v[k:k + _EDGE_BLOCK]], axis=1) @ coef
+                for k in range(0, u.size, _EDGE_BLOCK)])
+            through = 0.5 * (np.bincount(u, per_edge, nc) + np.bincount(v, per_edge, nc))
+            through -= (nc - 1) / 2.0
+            values[comp] = through * 2.0 / ((n - 1) * (n - 2))
+    return {v: float(values[i]) for i, v in enumerate(pg.nodes)}
+
+
 def bf_voterank(pg):
     """Re-derived voting loop in exact rational arithmetic."""
     nodes, adj = adj_from_pg(pg)

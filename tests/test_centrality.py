@@ -9,7 +9,8 @@ from scipy.sparse import csgraph
 
 from oracles import (ALL_MEASURE_ORACLES, bf_average_neighbor_degree, bf_betweenness,
                      bf_brandes_betweenness, bf_closeness, bf_clustering, bf_core_number,
-                     bf_current_flow_betweenness, bf_harmonic, bf_voterank)
+                     bf_current_flow_betweenness, bf_harmonic, bf_voterank,
+                     csgraph_current_flow_betweenness)
 from conftest import deal, make_pg, random_multi_component_pg, random_pg, random_tree_pg
 
 import vcnet.centrality as C
@@ -42,8 +43,9 @@ class TestLocalMeasures:
 
     def test_empty_graph(self):
         pg = make_pg(0, [])
-        for fn in (C.degree_centrality, C.betweenness, C.closeness, C.harmonic,
-                   C.eigenvector, C.pagerank, C.clustering, C.core_number, C.voterank):
+        for fn in (C.degree_centrality, C.betweenness, C.newman_betweenness, C.closeness,
+                   C.harmonic, C.eigenvector, C.pagerank, C.clustering, C.core_number,
+                   C.voterank):
             assert fn(pg) == {}
 
     def test_core_monotone_under_edge_addition(self):
@@ -259,6 +261,13 @@ def _assert_csgraph_distances(pg):
     assert np.array_equal(pg.dist, expected)
 
 
+def _assert_csgraph_labels_and_current_flow(pg):
+    """Component labels equal scipy's element for element, and current flow equals
+    the same formula built on ``csgraph.laplacian``, to the last bit."""
+    assert pg.labels.tolist() == csgraph.connected_components(pg.csr, directed=False)[1].tolist()
+    assert C.newman_betweenness(pg) == csgraph_current_flow_betweenness(pg)
+
+
 def _nested_shell_pg():
     """A 7-clique, then shells 5..1 of four nodes each, every node of shell s linked
     to s random nodes added before it, plus two isolated nodes; shuffled names.
@@ -298,6 +307,18 @@ class TestReferenceGraphs:
     @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (2, []), (2, [(0, 1)])])
     def test_distances_equal_csgraph_on_tiny_graphs(self, n, edges):
         _assert_csgraph_distances(make_pg(n, edges))
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_labels_and_current_flow_equal_csgraph_on_multi_component_graphs(self, k):
+        _assert_csgraph_labels_and_current_flow(_multi_component_pg(k))
+
+    @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (4, []), (5, [(0, 1)]),
+                                          (6, [(3, 4), (4, 5), (5, 3)])])
+    def test_labels_and_current_flow_equal_csgraph_on_tiny_graphs(self, n, edges):
+        _assert_csgraph_labels_and_current_flow(make_pg(n, edges))
+
+    def test_labels_and_current_flow_equal_csgraph_on_ladder(self):
+        _assert_csgraph_labels_and_current_flow(_ladder_pg())
 
     @pytest.mark.parametrize("k", range(20))
     def test_local_measures_exact_on_multi_component_graphs(self, k):

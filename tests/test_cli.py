@@ -477,3 +477,24 @@ class TestDegenerateRuns:
             "no firm retained for a 10-year window"]
         assert stages["regress"]["status"] == "failed"
         assert stages["regress"]["error"] == err[len("error: "):].strip()
+
+
+def test_run_leaves_scipy_csgraph_and_sparse_linalg_unloaded(tmp_path):
+    # Current flow builds its own Laplacian and the component labels come
+    # from the hop distances, so no stage needs scipy.sparse.csgraph or the
+    # scipy.sparse.linalg it imports.
+    code = ("import json, sys, warnings, vcnet, vcnet.cli\n"
+            "from vcnet.pipeline import RunConfig, run_pipeline\n"
+            "warnings.simplefilter('ignore')\n"
+            "manifest = run_pipeline(RunConfig.from_dict(json.loads(sys.argv[1])))\n"
+            "print(json.dumps([sorted({s['status'] for s in manifest['stages'].values()}),\n"
+            "                  [m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg')\n"
+            "                   if m in sys.modules]]))\n")
+    src = str(Path(vcnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    raw = {"out_dir": str(tmp_path / "out"), "synthetic": SYNTH, **FAST}
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(raw)],
+                            capture_output=True, text=True, timeout=180, env=env)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [["ok"], []]

@@ -1,5 +1,8 @@
 """Preprocessing, correlation dendrogram, group cutting, config enumeration."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
@@ -10,7 +13,9 @@ from oracles import fm_column
 
 from vcnet.errors import ConfigError
 from vcnet.features import (FeatureMatrix, correlation_dendrogram, cut_groups, enumerate_configs,
-                            group_members, leaf_order, preprocess, sample_skewness)
+                            group_members, leaf_order, preprocess, read_configs_csv,
+                            sample_skewness, write_configs_csv)
+from vcnet.ingest import read_csv
 
 
 def fm_from(data, columns):
@@ -211,3 +216,49 @@ class TestEnumerateConfigs:
         fg = self._grouping([2, 2, 3, 1])
         sizes = [len(m) for m in group_members(fg).values()]
         assert len(enumerate_configs(fg)) == int(np.prod(sizes)) == 12
+
+
+class TestConfigsReadBack:
+    """``read_configs_csv`` streams the rows and shares one string per name."""
+
+    #: Group sizes whose product is 24,480, the configuration count of the
+    #: benchmark's ``select`` inputs; names as long as the covariates'.
+    SIZES = (17, 10, 8, 6, 3, 1)
+
+    def _configs(self):
+        groups = [[f"investor_newman_betweenness_median_g{g}_{j}" for j in range(size)]
+                  for g, size in enumerate(self.SIZES)]
+        return list(itertools.product(*groups))
+
+    def test_equals_naive_parse_with_shared_names(self, tmp_path):
+        path = tmp_path / "configs.csv"
+        configs = self._configs()[:500]
+        write_configs_csv(configs, path)
+        got = read_configs_csv(path)
+        assert got == [tuple(row[1].split(";")) for row in read_csv(path)[1]] == configs
+        first = {}
+        for combo in got:
+            for name in combo:
+                assert first.setdefault(name, name) is name
+
+    def test_header_only_and_empty_files(self, tmp_path):
+        path = tmp_path / "configs.csv"
+        write_configs_csv([], path)
+        assert read_configs_csv(path) == []
+        path.write_bytes(b"")
+        assert read_configs_csv(path) == []
+
+    def test_memory_stays_small_on_24480_rows(self, tmp_path):
+        path = tmp_path / "configs.csv"
+        configs = self._configs()
+        write_configs_csv(configs, path)
+        assert len(configs) == 24_480
+        del configs
+        tracemalloc.start()
+        try:
+            got = read_configs_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 24_480
+        assert peak < 6 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
