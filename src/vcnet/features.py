@@ -114,64 +114,60 @@ class FeatureGrouping:
 def correlation_dendrogram(fm: FeatureMatrix) -> FeatureGrouping:
     """Agglomerate covariates under complete linkage on 1 - |pearson|.
 
-    Merge order is deterministic: ties in linkage distance break on the
-    lexicographically smallest leaf names of the two clusters.
+    ``M[a, b]`` holds the largest distance from a member of cluster a to
+    one of cluster b, in both orientations, since ``np.corrcoef`` need
+    not be exactly symmetric; a merged cluster's row and column are the
+    elementwise max of its children's (Lance & Williams 1967). Each step
+    merges the active pair a < b of least ``M[a, b]``; ties break on the
+    lexicographically smallest leaf names of the two clusters. Raises
+    ``ConfigError`` when a correlation is undefined.
     """
     p = len(fm.columns)
     if p == 0:
         return FeatureGrouping([], [])
-    corr = np.corrcoef(fm.data, rowvar=False).reshape(p, p)
-    dist = 1.0 - np.abs(corr)
+    dist = 1.0 - np.abs(np.corrcoef(fm.data, rowvar=False).reshape(p, p))
     np.fill_diagonal(dist, 0.0)
-    dist = np.clip(dist, 0.0, None)
-
-    members: dict[int, list[int]] = {i: [i] for i in range(p)}
-    rep: dict[int, str] = {i: fm.columns[i] for i in range(p)}
+    if np.isnan(dist).any():
+        raise ConfigError("covariate correlations are undefined (a constant or non-finite column)")
+    n = 2 * p - 1
+    M = np.full((n, n), np.inf)  # inactive clusters stay at inf
+    M[:p, :p] = np.clip(dist, 0.0, None)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    rep = list(fm.columns)  # each cluster's smallest leaf name
     merges: list[tuple[int, int, int, float]] = []
-
-    def linkage(a: int, b: int) -> float:
-        return max(dist[i, j] for i in members[a] for j in members[b])
-
     for step in range(p - 1):
-        active = sorted(members)
-        best = None
-        for ai, a in enumerate(active):
-            for b in active[ai + 1:]:
-                d = linkage(a, b)
-                lo, hi = sorted((rep[a], rep[b]))
-                key = (d, lo, hi)
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        (d, _, _), a, b = best
-        left, right = (a, b) if rep[a] <= rep[b] else (b, a)
+        linkage = np.where(upper, M, np.inf)
+        d = linkage.min()
+        a, b = min(zip(*np.nonzero(linkage == d)), key=lambda ab: sorted((rep[ab[0]], rep[ab[1]])))
+        left, right = (int(a), int(b)) if rep[a] <= rep[b] else (int(b), int(a))
         new = p + step
-        members[new] = members.pop(a) + members.pop(b)
-        rep[new] = min(fm.columns[i] for i in members[new])
+        M[new] = np.maximum(M[a], M[b])
+        M[:, new] = np.maximum(M[:, a], M[:, b])
+        M[[a, b]] = M[:, [a, b]] = np.inf
+        rep.append(min(rep[a], rep[b]))
         merges.append((step, left, right, float(d)))
     return FeatureGrouping(list(fm.columns), merges)
 
 
-def leaf_order(fg: FeatureGrouping) -> list[str]:
-    """Dendrogram leaf order: depth-first traversal of the merge tree."""
-    p = len(fg.leaves)
-    if p == 0:
-        return []
-    if p == 1:
-        return list(fg.leaves)
-    children = {p + step: (left, right) for step, left, right, _ in fg.merges}
-    root = p + len(fg.merges) - 1
+def _cut(fg: FeatureGrouping, k: int) -> list[list[str]]:
+    """The k groups of the cut, in leaf order, each listing its leaves in leaf order.
 
-    order: list[str] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node < p:
-            order.append(fg.leaves[node])
-        else:
-            left, right = children[node]
-            stack.append(right)
-            stack.append(left)
-    return order
+    A merged cluster lists its left child's leaves, then its right
+    child's. Each node of the replay holds its groups: the first p - k
+    merges fuse two groups into one, and the rest only place them side
+    by side.
+    """
+    p = len(fg.leaves)
+    nodes = {i: [[leaf]] for i, leaf in enumerate(fg.leaves)}
+    for step, left, right, _ in fg.merges:
+        a, b = nodes.pop(left), nodes.pop(right)
+        nodes[p + step] = [a[0] + b[0]] if step < p - k else a + b
+    return [group for groups in nodes.values() for group in groups]
+
+
+def leaf_order(fg: FeatureGrouping) -> list[str]:
+    """Dendrogram leaf order: every left subtree's leaves before its right sibling's."""
+    return [leaf for group in _cut(fg, len(fg.leaves)) for leaf in group]
 
 
 def cut_groups(fg: FeatureGrouping, k: int) -> FeatureGrouping:
@@ -179,39 +175,18 @@ def cut_groups(fg: FeatureGrouping, k: int) -> FeatureGrouping:
     p = len(fg.leaves)
     if k > p or k < 1:
         raise ConfigError(f"cannot cut {p} covariates into {k} groups")
-    parent = list(range(2 * p - 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for step, left, right, _ in fg.merges[: p - k]:
-        new = p + step
-        parent[find(left)] = new
-        parent[find(right)] = new
-
-    cluster_of = {fg.leaves[i]: find(i) for i in range(p)}
-    numbering: dict[int, int] = {}
-    for leaf in leaf_order(fg):
-        root = cluster_of[leaf]
-        if root not in numbering:
-            numbering[root] = len(numbering) + 1
-    groups = {leaf: numbering[cluster_of[leaf]] for leaf in fg.leaves}
-    return FeatureGrouping(list(fg.leaves), list(fg.merges), groups, k)
+    group_of = {leaf: g for g, group in enumerate(_cut(fg, k), start=1) for leaf in group}
+    return FeatureGrouping(list(fg.leaves), list(fg.merges),
+                           {leaf: group_of[leaf] for leaf in fg.leaves}, k)
 
 
 def group_members(fg: FeatureGrouping) -> dict[int, list[str]]:
     """Members of each group, in dendrogram leaf order."""
     if not fg.groups:
         raise ConfigError("grouping has not been cut into groups yet")
-    order = {name: i for i, name in enumerate(leaf_order(fg))}
     out: dict[int, list[str]] = {}
-    for col, grp in fg.groups.items():
-        out.setdefault(grp, []).append(col)
-    for grp in out:
-        out[grp].sort(key=lambda c: order[c])
+    for leaf in leaf_order(fg):
+        out.setdefault(fg.groups[leaf], []).append(leaf)
     return dict(sorted(out.items()))
 
 
@@ -269,4 +244,4 @@ def read_configs_csv(path: str | Path) -> list[tuple[str, ...]]:
     next(rows, None)  # the header
     shared: dict[str, str] = {}
     return [tuple(map(shared.setdefault, names, names))
-            for names in (row[1].split(";") for row in rows)]
+            for names in (row[1].split(";") for _, row in rows)]

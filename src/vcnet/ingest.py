@@ -10,10 +10,11 @@ Amounts are whole currency units (a single currency is assumed
 throughout; no conversion is attempted) from 0 to ``MAX_AMOUNT``
 (2**63 - 1), so every per-firm sum stays a finite float. Rows violating
 an invariant are collected into a rejects report instead of aborting the
-run; only a bad header, or a line the csv reader cannot split (a field
-longer than 131,072 characters; a NUL byte before Python 3.11), is
-fatal. Bytes that are not UTF-8 reject their row; in the header they
-fail the header check.
+run, each with the first physical line of its record (a quoted line
+break makes a record span lines); only a bad header, or a line the csv
+reader cannot split (a field longer than 131,072 characters; a NUL byte
+before Python 3.11), is fatal. Bytes that are not UTF-8 reject their
+row; in the header they fail the header check.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
@@ -71,7 +73,7 @@ class FirmMeta:
 
 @dataclass(frozen=True)
 class Reject:
-    """A rejected input row: 1-based line number plus the violated rule."""
+    """A rejected input row: the 1-based line its record starts on, plus the violated rule."""
 
     line: int
     reason: str
@@ -123,7 +125,8 @@ def _parse_rows(source: PathOrStream, columns: list[str], name: str,
     """Check the header, then let ``parse_row`` add each data row to ``records``.
 
     ``parse_row`` returns the reason a row is rejected, or None once it
-    has added the row; the rejects carry 1-based line numbers. Two kinds
+    has added the row; a reject carries the 1-based physical line its
+    record starts on (a quoted line break spans lines). Two kinds
     of row are rejected first: one with a carriage return in a field
     (before Python 3.13, ``write_csv`` leaves a bare ``\\r`` unquoted, so
     the row would split when an artifact is read back) and one holding
@@ -131,14 +134,14 @@ def _parse_rows(source: PathOrStream, columns: list[str], name: str,
     which no artifact could encode).
     """
     rows = iter_csv(source)
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header != columns:
         raise SchemaError(f"{name} header must be {','.join(columns)!r}, got {header!r}")
     rejects = []
-    for lineno, row in enumerate(rows, start=2):
+    for line, row in rows:
         reason = _row_fault(row) or parse_row(row, records)
         if reason is not None:
-            rejects.append(Reject(lineno, reason))
+            rejects.append(Reject(line, reason))
     return rejects
 
 
@@ -225,6 +228,23 @@ def write_rejects(rejects: Iterable[Reject], target: PathOrStream) -> None:
     write_csv(target, ["line", "reason"], ([r.line, r.reason] for r in rejects))
 
 
+@contextmanager
+def _text(target: PathOrStream, mode: str, **kwargs: str) -> Iterator[IO[str]]:
+    """UTF-8 text on a path, opened and closed here, or on the caller's byte stream, left open."""
+    if isinstance(target, (str, Path)):
+        with open(target, mode, encoding="utf-8", newline="", **kwargs) as fh:
+            yield fh
+    else:
+        fh = io.TextIOWrapper(target, encoding="utf-8", newline="", **kwargs)
+        try:
+            yield fh
+        finally:
+            # flushes, and leaves the caller's byte stream open; a reader left
+            # unfinished may end only after the caller has closed the stream
+            if not target.closed:
+                fh.detach()
+
+
 def write_csv(target: PathOrStream, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
     """Write one CSV artifact; every table the package writes goes through here.
 
@@ -232,39 +252,28 @@ def write_csv(target: PathOrStream, header: list[str], rows: Iterable[Iterable[A
     cells: a float (numpy float64 included) becomes its shortest
     round-trip repr, an int its ``str`` and ``None`` an empty cell.
     """
-    if isinstance(target, (str, Path)):
-        fh: IO[str] = open(target, "w", encoding="utf-8", newline="")
-        own = True
-    else:
-        fh = io.TextIOWrapper(target, encoding="utf-8", newline="")
-        own = False
-    try:
+    with _text(target, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        fh.flush()
-    finally:
-        if own:
-            fh.close()
-        else:
-            fh.detach()  # leave the caller's byte stream open
 
 
-def iter_csv(source: PathOrStream) -> Iterator[list[str]]:
-    """The rows of a CSV table, header first, one at a time; the only CSV reader.
+def iter_csv(source: PathOrStream) -> Iterator[tuple[int, list[str]]]:
+    """The records of a CSV table, header first, one at a time; the only CSV reader.
 
-    Bytes that are not UTF-8 come back as lone surrogates
-    (``surrogateescape``). A line the csv reader cannot split raises
-    ``SchemaError`` naming the file and the line.
+    Each record comes with the 1-based physical line it starts on; a
+    quoted line break (``\\n``, ``\\r`` or ``\\r\\n``) makes a record span
+    more than one line. Bytes that are not UTF-8 come back as lone
+    surrogates (``surrogateescape``). A line the csv reader cannot split
+    raises ``SchemaError`` naming the file and the line.
     """
-    if isinstance(source, (str, Path)):
-        fh: IO[str] = open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
-    else:
-        fh = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
-    with fh:
+    with _text(source, "r", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
+        start = 1
         try:
-            yield from reader
+            for row in reader:
+                yield start, row
+                start = reader.line_num + 1
         except csv.Error as exc:
             raise SchemaError(f"{getattr(fh, 'name', 'CSV stream')}: line {reader.line_num}: "
                               f"{exc}") from exc
@@ -272,7 +281,7 @@ def iter_csv(source: PathOrStream) -> Iterator[list[str]]:
 
 def read_csv(source: PathOrStream) -> tuple[list[str] | None, list[list[str]]]:
     """The header (None for an empty file) and the data rows of a CSV table."""
-    rows = iter_csv(source)
+    rows = (row for _, row in iter_csv(source))
     return next(rows, None), list(rows)
 
 

@@ -661,6 +661,94 @@ def bf_functional_kmeans(trajs, k=2, n_init=100, seed=0, log_scale=True, max_ite
 
 
 # ---------------------------------------------------------------------------
+# Covariate grouping: pairwise complete linkage, DFS leaf order, union-find cut
+# ---------------------------------------------------------------------------
+
+def bf_correlation_dendrogram(fm):
+    """``correlation_dendrogram`` recomputing every cluster pair's linkage at every step.
+
+    The linkage of clusters a < b is the largest ``dist[i, j]`` over
+    i in a, j in b (that orientation, since ``np.corrcoef`` need not be
+    exactly symmetric); ties break on the clusters' smallest leaf names.
+    """
+    from vcnet.features import FeatureGrouping
+
+    p = len(fm.columns)
+    if p == 0:
+        return FeatureGrouping([], [])
+    corr = np.corrcoef(fm.data, rowvar=False).reshape(p, p)
+    dist = 1.0 - np.abs(corr)
+    np.fill_diagonal(dist, 0.0)
+    dist = np.clip(dist, 0.0, None)
+
+    members = {i: [i] for i in range(p)}
+    rep = {i: fm.columns[i] for i in range(p)}
+    merges = []
+
+    def linkage(a, b):
+        return max(dist[i, j] for i in members[a] for j in members[b])
+
+    for step in range(p - 1):
+        active = sorted(members)
+        best = None
+        for ai, a in enumerate(active):
+            for b in active[ai + 1:]:
+                d = linkage(a, b)
+                lo, hi = sorted((rep[a], rep[b]))
+                key = (d, lo, hi)
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        (d, _, _), a, b = best
+        left, right = (a, b) if rep[a] <= rep[b] else (b, a)
+        new = p + step
+        members[new] = members.pop(a) + members.pop(b)
+        rep[new] = min(fm.columns[i] for i in members[new])
+        merges.append((step, left, right, float(d)))
+    return FeatureGrouping(list(fm.columns), merges)
+
+
+def bf_leaf_order(fg):
+    """Dendrogram leaf order by an explicit depth-first walk, left child first."""
+    p = len(fg.leaves)
+    if p <= 1:
+        return list(fg.leaves)
+    children = {p + step: (left, right) for step, left, right, _ in fg.merges}
+    order = []
+    stack = [p + len(fg.merges) - 1]
+    while stack:
+        node = stack.pop()
+        if node < p:
+            order.append(fg.leaves[node])
+        else:
+            left, right = children[node]
+            stack.append(right)
+            stack.append(left)
+    return order
+
+
+def bf_cut_groups(fg, k):
+    """Covariate -> group after the first p - k merges, by union-find; groups numbered in leaf order."""
+    p = len(fg.leaves)
+    parent = list(range(2 * p - 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for step, left, right, _ in fg.merges[: p - k]:
+        new = p + step
+        parent[find(left)] = new
+        parent[find(right)] = new
+    cluster_of = {fg.leaves[i]: find(i) for i in range(p)}
+    numbering = {}
+    for leaf in bf_leaf_order(fg):
+        numbering.setdefault(cluster_of[leaf], len(numbering) + 1)
+    return {leaf: numbering[cluster_of[leaf]] for leaf in fg.leaves}
+
+
+# ---------------------------------------------------------------------------
 # Exact hypergeometric tail by rational enumeration
 # ---------------------------------------------------------------------------
 

@@ -9,7 +9,7 @@ import scipy.cluster.hierarchy as sch
 import scipy.stats
 from scipy.spatial.distance import squareform
 
-from oracles import fm_column
+from oracles import bf_correlation_dendrogram, bf_cut_groups, bf_leaf_order, fm_column
 
 from vcnet.errors import ConfigError
 from vcnet.features import (FeatureMatrix, correlation_dendrogram, cut_groups, enumerate_configs,
@@ -183,6 +183,63 @@ class TestCutGroups:
             if grp not in seen:
                 seen.append(grp)
         assert seen == [1, 2, 3]
+
+
+def _tied_matrix(rng):
+    """A random covariate matrix with duplicated, scaled and negated columns.
+
+    Such copies lie at distance 0 from their source and at equal distance
+    from every other column, so merges tie exactly; names are drawn so
+    that ties break on names out of column order.
+    """
+    p, n = int(rng.integers(0, 13)), int(rng.integers(3, 40))
+    data = rng.normal(size=(n, p))
+    for j in range(1, p):
+        if rng.random() < 0.4:
+            data[:, j] = rng.choice([1.0, -1.0, 2.5, -0.3]) * data[:, rng.integers(0, j)]
+    names = [f"c{int(x):03d}" for x in rng.choice(1000, size=p, replace=False)]
+    return fm_from(data, names)
+
+
+class TestGroupingOracle:
+    """The linkage-matrix dendrogram and the merge replay equal the pairwise oracles."""
+
+    def _check(self, fm):
+        fg, ref = correlation_dendrogram(fm), bf_correlation_dendrogram(fm)
+        assert fg.merges == ref.merges
+        assert leaf_order(fg) == bf_leaf_order(ref)
+        for k in range(1, len(fm.columns) + 1):
+            assert list(cut_groups(fg, k).groups.items()) == list(bf_cut_groups(ref, k).items())
+        return fg
+
+    def test_random_matrices_with_exact_ties(self):
+        rng = np.random.default_rng(14)
+        asymmetric = tied = 0
+        for _ in range(240):
+            fm = _tied_matrix(rng)
+            p = len(fm.columns)
+            corr = np.corrcoef(fm.data, rowvar=False).reshape(p, p)
+            asymmetric += bool((corr != corr.T).any())
+            heights = [h for *_, h in self._check(fm).merges]
+            tied += len(set(heights)) < len(heights)
+        # both hazards occur often enough to matter
+        assert asymmetric >= 100 and tied >= 50, (asymmetric, tied)
+
+    def test_undefined_correlation_raises(self):
+        data = np.random.default_rng(3).normal(size=(20, 3))
+        data[:, 1] = 1.0
+        with np.errstate(invalid="ignore"), pytest.raises(ConfigError, match="undefined"):
+            correlation_dendrogram(fm_from(data, ["a", "b", "c"]))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_smallest_trees(self, p):
+        fm = fm_from(np.random.default_rng(p).normal(size=(10, p)), ["b", "a"][:p])
+        fg = self._check(fm)
+        assert len(fg.merges) == max(p - 1, 0)
+        assert leaf_order(fg) == (["a", "b"] if p == 2 else fm.columns)
+        if p == 0:
+            with pytest.raises(ConfigError):
+                cut_groups(fg, 1)
 
 
 class TestEnumerateConfigs:

@@ -1,7 +1,9 @@
 """Parsing, serialization round-trips, and the synthetic generator."""
 
 import csv
+import gc
 import io
+import re
 import statistics
 import sys
 from datetime import date as Date
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 
 from vcnet.errors import ConfigError, SchemaError
 from vcnet.ingest import (DEAL_COLUMNS, FIRM_COLUMNS, STATUSES, DealRecord, FirmMeta, Reject,
-                          SyntheticConfig, generate_synthetic, parse_deals, read_csv, write_csv,
-                          write_deals, write_firms)
+                          SyntheticConfig, generate_synthetic, iter_csv, parse_deals, read_csv,
+                          read_deals_csv, write_csv, write_deals, write_firms)
 
 DEAL_HEADER = b"firm_id,investor_id,round_id,date,amount\n"
 FIRM_HEADER = b"firm_id,subsector,country,status,status_date\n"
@@ -79,6 +81,22 @@ class TestParseDeals:
         result = parse(row + row)
         assert len(result.deals) == 2
         assert result.deals[0] == result.deals[1]
+
+    def test_reject_line_is_the_first_line_of_its_record(self, tmp_path):
+        # the first record spans lines 2-3, so the bad date sits on line 4
+        body = b'"f\n1",i1,r1,2005-01-01,10\nf2,i1,r1,2005-13-01,10\n'
+        result = parse(body)
+        assert [d.firm_id for d in result.deals] == ["f\n1"]
+        assert result.deal_rejects == [Reject(4, "invalid date '2005-13-01'")]
+        path = tmp_path / "deals.csv"
+        path.write_bytes(DEAL_HEADER + body)
+        with pytest.raises(SchemaError, match=r"deals.csv: line 4: invalid date"):
+            read_deals_csv(path)
+
+    def test_reject_lines_count_carriage_returns_as_line_breaks(self):
+        result = parse(b'f1,"i\r\n1",r1,2005-03-01,5\nf1,"i\r1",r2,2005-03-01,x\n'
+                       b'f1,i1,r3,2005-03-01,x\n')
+        assert [r.line for r in result.deal_rejects] == [2, 4, 6]
 
     def test_file_order_preserved(self):
         result = parse(b"f2,i1,r1,2007-03-01,5\nf1,i1,r1,2005-03-01,5\n")
@@ -173,6 +191,19 @@ def quoted_csv(header, rows):
     return io.BytesIO(buf.getvalue().encode())
 
 
+def record_lines(rows):
+    """The physical line each data record of ``quoted_csv`` starts on.
+
+    The reader splits lines on ``\\n``, ``\\r`` and ``\\r\\n``, so a record
+    spans one line plus one per such break inside its (quoted) cells.
+    """
+    lines, line = [], 2
+    for row in rows:
+        lines.append(line)
+        line += 1 + sum(len(re.findall(r"\r\n|\r|\n", cell)) for cell in row)
+    return lines
+
+
 class TestParseArbitraryRows:
     @given(headers_of(DEAL_COLUMNS), rows_of(deal_cells),
            headers_of(FIRM_COLUMNS), rows_of(firm_cells))
@@ -189,12 +220,15 @@ class TestParseArbitraryRows:
 
         rejected = [r.line for r in result.deal_rejects]
         assert rejected == sorted(set(rejected))
-        kept = [row for line, row in enumerate(deal_rows, start=2) if line not in rejected]
+        assert set(rejected) <= set(record_lines(deal_rows))
+        kept = [row for line, row in zip(record_lines(deal_rows), deal_rows)
+                if line not in rejected]
         assert len(kept) + len(rejected) == len(deal_rows)
         assert [[d.firm_id, d.investor_id, d.round_id] for d in result.deals] == [
             row[:3] for row in kept]
         firm_lines = [r.line for r in result.firm_rejects]
         assert firm_lines == sorted(set(firm_lines))
+        assert set(firm_lines) <= set(record_lines(firm_rows))
         n_synthesized = len(result.warnings)
         assert len(result.firms) - n_synthesized + len(firm_lines) == len(firm_rows)
 
@@ -220,6 +254,30 @@ class TestTableFormat:
 
     def test_empty_table_has_no_header(self):
         assert read_csv(io.BytesIO(b"")) == (None, [])
+
+    def test_caller_streams_stay_open(self):
+        deal_buf, firm_buf = io.BytesIO(DEAL_HEADER + b"f1,i1,r1,2005-03-01,5\n"), io.BytesIO(FIRM_HEADER)
+        assert len(parse_deals(deal_buf, firm_buf).deals) == 1
+        assert not deal_buf.closed and not firm_buf.closed
+        bad = io.BytesIO(b"firm,investor\n")
+        with pytest.raises(SchemaError):
+            parse_deals(bad, io.BytesIO(FIRM_HEADER))
+        assert not bad.closed
+        buf = io.BytesIO(b"a,b\n1,2\n")
+        assert read_csv(buf) == (["a", "b"], [["1", "2"]])
+        assert not buf.closed
+        write_csv(buf, ["c"], [[3]])
+        assert buf.getvalue() == b"a,b\n1,2\nc\n3\n"
+
+    def test_unfinished_reader_may_outlive_the_stream(self, monkeypatch):
+        raised = []
+        monkeypatch.setattr(sys, "unraisablehook", raised.append)
+        with io.BytesIO(b"a\n1\n2\n") as buf:
+            rows = iter_csv(buf)
+            assert next(rows) == (1, ["a"])
+        del rows
+        gc.collect()
+        assert raised == []
 
     @given(st.floats())
     @settings(max_examples=300, deadline=None)
