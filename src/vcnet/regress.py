@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit, fdtrc, stdtr
 
 from .errors import ConfigError, RankDeficientError, VcnetError
 from .features import FeatureMatrix
@@ -54,12 +52,37 @@ SELECT_CHUNK = 64
 
 
 def _collinear_columns(design: np.ndarray, names: list[str]) -> list[str]:
-    """Columns that pivoted QR pushes past the rank cut of a rank-deficient design."""
-    q = design.shape[1]
-    _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    cut = diag.max() * max(design.shape) * np.finfo(float).eps if diag.size else 0.0
-    return sorted(names[piv[i]] for i in range(q) if i >= len(diag) or diag[i] <= cut)
+    """Columns that pivoted QR leaves past the rank cut of a rank-deficient design.
+
+    Householder QR that, like LAPACK's ``geqp3``, swaps into place at
+    each step the column of largest remaining norm. Norms within
+    ``max(n, q) * eps`` of the largest, relative, are ties, and the first
+    of them in the current column order wins, so columns that exact
+    arithmetic cannot tell apart (copies, sign flips, two parts of a sum)
+    are decided the same way whatever the rounding. The QR stops, and
+    names the columns not yet pivoted in, once the largest remaining norm
+    is at most that tolerance times the largest column norm.
+    """
+    a = np.array(design, dtype=float)
+    n, q = a.shape
+    rtol = max(n, q) * np.finfo(float).eps
+    cut = rtol * math.sqrt((a * a).sum(axis=0).max(initial=0.0))
+    order, k = list(range(q)), 0
+    while k < min(n, q):
+        sq = (a[k:, k:] ** 2).sum(axis=0)
+        j = k + int(np.argmax(sq >= sq.max() * (1.0 - rtol)))
+        norm = math.sqrt(sq[j - k])
+        if norm <= cut:
+            break
+        a[:, [k, j]] = a[:, [j, k]]
+        order[k], order[j] = order[j], order[k]
+        v = a[k:, k].copy()
+        v[0] += math.copysign(norm, v[0])
+        v /= math.sqrt(v @ v)
+        # column by column, so that equal columns stay bit-equal
+        a[k:, k + 1:] -= 2.0 * v[:, None] * (v[:, None] * a[k:, k + 1:]).sum(axis=0)
+        k += 1
+    return sorted(names[i] for i in order[k:])
 
 
 def _full_rank(stack: np.ndarray, n: int) -> np.ndarray:
@@ -84,6 +107,54 @@ def _wald_p(z: np.ndarray) -> np.ndarray:
                      for v in z.ravel()]).reshape(z.shape)
 
 
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta ``I_x(a, b)``, given ``x`` and ``y = 1 − x``.
+
+    The caller computes ``y`` directly rather than as ``1 − x``, which
+    would lose its digits when x is close to 1. The continued fraction
+    (Lentz's method) runs on the side of the mean where it converges
+    fast; the other side is ``I_x(a, b) = 1 − I_y(b, a)``.
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x, y = b, a, y, x
+    tiny, eps = 1e-300, np.finfo(float).eps
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    frac = d
+    for m in range(1, 1000):  # 60 at most over df 1 to 1e6
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            frac *= c * d
+        if abs(c * d - 1.0) <= eps:
+            break
+    log_front = (a * math.log(x) + b * math.log(y)
+                 + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    value = math.exp(log_front) * frac / a
+    return 1.0 - value if swap else value
+
+
+def _t_p(df: int, t: float) -> float:
+    """Two-sided p-value of a t statistic on ``df`` degrees of freedom."""
+    if not math.isfinite(t):
+        return 0.0 if math.isinf(t) else math.nan
+    t2 = t * t
+    return _betainc(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+
+
+def _f_p(df1: int, df2: int, f: float) -> float:
+    """Upper-tail p-value of an F statistic; 1 for F = 0."""
+    return _betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f), df1 * f / (df2 + df1 * f))
+
+
 # ---------------------------------------------------------------------------
 # Fitting kernels over (B, n, q) design stacks
 #
@@ -93,6 +164,12 @@ def _wald_p(z: np.ndarray) -> np.ndarray:
 # (stacked LAPACK calls, per-matrix BLAS products, row-wise reductions), so
 # a design's result does not depend on its batch.
 # ---------------------------------------------------------------------------
+
+def _expit(eta: np.ndarray) -> np.ndarray:
+    """The logistic link; ``exp`` overflows to inf below eta = -709, giving 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-eta))
+
 
 def _binary_p_hat(y: np.ndarray) -> float:
     if ((y != 0.0) & (y != 1.0)).any():
@@ -160,7 +237,7 @@ def _irls(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     active, stack, b = np.arange(n_fits), designs, np.zeros((n_fits, q, 1))
     y_col = y[..., None]  # (n, 1) shared, or (B, n, 1) following the active designs
     for it in range(1, IRLS_MAX_ITER + 1):
-        mu = expit(stack @ b)
+        mu = _expit(stack @ b)
         stack_t = stack.mT
         info = stack_t @ (stack * (mu * (1.0 - mu)))
         step, failed = _solve_each(info, stack_t @ (y_col - mu))
@@ -201,7 +278,7 @@ def _wald(designs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     whose information matrix is singular gets NaN standard errors (and
     infinite z) on its own.
     """
-    mu = expit(designs @ beta[:, :, None])
+    mu = _expit(designs @ beta[:, :, None])
     info = designs.mT @ (designs * (mu * (1.0 - mu)))
     cov, failed = _solve_each(info, np.broadcast_to(np.eye(designs.shape[2]), info.shape))
     se = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
@@ -425,18 +502,19 @@ def fit_linear(y: np.ndarray, X: np.ndarray | None, C: np.ndarray | None = None,
     beta, rss, rmat = betas[0], float(rsss[0]), rmats[0]
     tss = _total_ss(y)
     sigma2 = rss / (n - q)
-    rinv = scipy.linalg.solve_triangular(rmat, np.eye(q))
+    rinv = np.linalg.inv(rmat)
     cov = sigma2 * (rinv @ rinv.T)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         tvals = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    pvals = 2.0 * stdtr(n - q, -np.abs(tvals))
+    pvals = np.array([_t_p(n - q, float(t)) for t in tvals])
     r2 = 1.0 - rss / tss
     adj = 1.0 - (1.0 - r2) * (n - 1) / (n - q)
     if q > 1:
         if rss > 0:
-            fstat = ((tss - rss) / (q - 1)) / (rss / (n - q))
-            f_p = float(fdtrc(q - 1, n - q, fstat))
+            # covariates that explain nothing can leave rss a rounding above tss
+            fstat = max(0.0, ((tss - rss) / (q - 1)) / (rss / (n - q)))
+            f_p = _f_p(q - 1, n - q, fstat)
         else:
             fstat, f_p = math.inf, 0.0  # exact fit
     else:

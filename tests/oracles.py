@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, fdtrc, stdtr
 
 
 def adj_from_pg(pg):
@@ -571,6 +571,50 @@ def bf_balanced_ensemble(y, X, n_reps=1000, seed=0, columns=None):
         max_pseudo_r2=float(np.max([f.pseudo_r2 for f in fits])),
         n_reps=len(fits), n_discarded=discarded,
     )
+
+
+# ---------------------------------------------------------------------------
+# Linear-model inference: scipy's p-values, exact pivoted rank
+# ---------------------------------------------------------------------------
+
+#: How far ``fit_linear``'s t and F p-values may sit from scipy's, relative,
+#: over df 1-1000, |t| up to 40 and F up to 1e3.
+P_VALUE_RTOL = 1e-10
+
+
+def scipy_t_p(df, t):
+    """Two-sided p-values of t statistics by scipy's ``stdtr``."""
+    return 2.0 * stdtr(df, -np.abs(t))
+
+
+def scipy_f_p(df1, df2, f):
+    """Upper-tail p-value of an F statistic by scipy's ``fdtrc``."""
+    return float(fdtrc(df1, df2, f))
+
+
+def bf_collinear_columns(design, names):
+    """Columns past the rank of an integer-valued design, by exact pivoted Gram-Schmidt.
+
+    Rational arithmetic, so every rank decision and every tie is exact.
+    Each step swaps into place the column of largest squared residual
+    norm, the first in the current order on ties (the pivot order of
+    LAPACK's ``geqp3``), and projects it out of the columns after it. The
+    columns left when no residual is non-zero are named.
+    """
+    assert (design == np.round(design)).all()
+    cols = [[Fraction(int(v)) for v in design[:, j]] for j in range(design.shape[1])]
+    order = list(range(len(cols)))
+    for k in range(len(cols)):
+        sq = [sum(v * v for v in cols[i]) for i in order[k:]]
+        if max(sq) == 0:
+            return sorted(names[i] for i in order[k:])
+        j = k + sq.index(max(sq))
+        order[k], order[j] = order[j], order[k]
+        pivot = cols[order[k]]
+        for i in order[k + 1:]:
+            c = sum(a * b for a, b in zip(cols[i], pivot)) / max(sq)
+            cols[i] = [a - c * b for a, b in zip(cols[i], pivot)]
+    return []
 
 
 # ---------------------------------------------------------------------------

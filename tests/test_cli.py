@@ -17,9 +17,7 @@ import vcnet
 from vcnet import regress, trajectories
 from vcnet.cli import build_parser, main
 from vcnet.errors import ConfigError
-from vcnet.features import read_configs_csv, read_feature_matrix_csv
 from vcnet.pipeline import STAGES, RunConfig, run_pipeline, run_stage
-from vcnet.trajectories import read_assignments_csv, read_trajectories_csv
 
 SYNTH = {"n_firms": 80, "n_investors": 40, "n_subsectors": 2,
          "year_range": [2000, 2020], "high_regime_fraction": 0.25, "seed": 13}
@@ -396,29 +394,22 @@ class TestDegenerateRuns:
         assert regress["warning_messages"] == [
             f"balanced ensemble kept {kept} of 50 replicates ({discarded} discarded)"]
 
-    def test_irls_retires_the_design_whose_coefficients_turn_non_finite(self, tmp_path,
-                                                                          monkeypatch):
-        # The run without exits selects over one design whose IRLS
-        # coefficients turn NaN part-way. It leaves the stack there,
-        # unconverged, and its chunk stops with the last of the others.
-        out = tmp_path / "no_exits"
-        cfg = make_cfg(out, synthetic=NO_EXITS, **NO_EXITS_FLAGS)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for stage in ("ingest", "graph", "centrality", "features", "trajectories"):
-                run_stage(stage, cfg)
-        fm = read_feature_matrix_csv(out / "features" / "features.csv")
-        configs = read_configs_csv(out / "features" / "configs.csv")[:cfg.config_limit]
-        ts = read_trajectories_csv(out / "trajectories" / "trajectories.csv")
-        trajs = [t for t in ts.trajectories if t.firm_id in set(fm.row_ids)]
-        regimes = read_assignments_csv(out / "trajectories" / "assignments.csv")
-        firms, y, _, _ = regress.responses("logistic", trajs, regimes, {}, {})
-        sub = fm.take_rows(firms)
-        # C-ordered like the selection's stacks: a diverging IRLS run is
-        # sensitive to the last bit, and so to the memory order of its design
-        designs = np.ascontiguousarray(
-            np.stack([np.column_stack([np.ones(len(y)), sub.select(c)]) for c in configs]))
-        beta, _, _ = regress._irls(designs, y)
+    def test_irls_retires_the_design_whose_coefficients_turn_non_finite(self, monkeypatch):
+        # Two chunks of seeded logistic designs on one response, as the
+        # selection stacks them. One design's covariate is scaled to 1e160,
+        # so its information matrix overflows and its IRLS coefficients turn
+        # NaN. It leaves the stack there, unconverged, and its chunk stops
+        # with the last of the others.
+        rng = np.random.default_rng(41)
+        n, n_designs = 120, 2 * regress.SELECT_CHUNK
+        z = rng.normal(size=n)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-1.5 * z))).astype(float)
+        noise = rng.uniform(0.1, 2.0, size=(n_designs, 1, 1))
+        covariates = z[None, :, None] + noise * rng.normal(size=(n_designs, n, 2))
+        covariates[n_designs // 2 + 7, :, 1] *= 1e160
+        designs = np.concatenate([np.ones((n_designs, n, 1)), covariates], axis=2)
+        with np.errstate(over="ignore"):
+            beta, _, _ = regress._irls(designs, y)
         dead = np.flatnonzero(~np.isfinite(beta).all(axis=1))
         assert len(dead) == 1
 
@@ -429,7 +420,8 @@ class TestDegenerateRuns:
         solve_each, iterations = regress._solve_each, []
         monkeypatch.setattr(regress, "_solve_each",
                             lambda a, b: iterations.append(len(a)) or solve_each(a, b))
-        beta, n_iter, converged = regress._irls(chunk, y)
+        with np.errstate(over="ignore"):
+            beta, n_iter, converged = regress._irls(chunk, y)
         monkeypatch.undo()
         assert not converged[d] and not np.isfinite(beta[d]).all()
         assert n_iter[d] < regress.IRLS_MAX_ITER
@@ -482,13 +474,23 @@ class TestDegenerateRuns:
 def test_run_leaves_scipy_csgraph_and_sparse_linalg_unloaded(tmp_path):
     # Current flow builds its own Laplacian and the component labels come
     # from the hop distances, so no stage needs scipy.sparse.csgraph or the
-    # scipy.sparse.linalg it imports.
-    code = ("import json, sys, warnings, vcnet, vcnet.cli\n"
+    # scipy.sparse.linalg it imports. The fits' link, p-values and pivoted
+    # QR are numpy, so neither a run nor a selection that meets a
+    # rank-deficient configuration loads scipy.linalg or scipy.special.
+    code = ("import json, sys, warnings, numpy as np, vcnet, vcnet.cli\n"
+            "from vcnet.features import FeatureMatrix\n"
             "from vcnet.pipeline import RunConfig, run_pipeline\n"
+            "from vcnet.regress import select_model\n"
             "warnings.simplefilter('ignore')\n"
             "manifest = run_pipeline(RunConfig.from_dict(json.loads(sys.argv[1])))\n"
-            "print(json.dumps([sorted({s['status'] for s in manifest['stages'].values()}),\n"
-            "                  [m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg')\n"
+            "x = np.arange(40.0) % 7\n"
+            "fm = FeatureMatrix([f'r{i}' for i in range(40)], ['a', 'twice_a'],\n"
+            "                   np.column_stack([x, 2 * x]))\n"
+            "errors = [select_model(kind, y, fm, [('a', 'twice_a')]).results[0].error\n"
+            "          for kind, y in (('linear', np.sin(x)), ('logistic', x % 2))]\n"
+            "print(json.dumps([sorted({s['status'] for s in manifest['stages'].values()}), errors,\n"
+            "                  [m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg',\n"
+            "                               'scipy.linalg', 'scipy.special')\n"
             "                   if m in sys.modules]]))\n")
     src = str(Path(vcnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -497,4 +499,5 @@ def test_run_leaves_scipy_csgraph_and_sparse_linalg_unloaded(tmp_path):
     result = subprocess.run([sys.executable, "-c", code, json.dumps(raw)],
                             capture_output=True, text=True, timeout=180, env=env)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [["ok"], []]
+    deficient = "design matrix is rank deficient; collinear columns: a"
+    assert json.loads(result.stdout) == [["ok"], [deficient, deficient], []]

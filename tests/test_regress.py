@@ -9,11 +9,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (band_halfwidth, bf_balanced_ensemble, bf_select_model,
-                     logistic_score_max_norm, neg_log_p)
+from oracles import (P_VALUE_RTOL, band_halfwidth, bf_balanced_ensemble, bf_collinear_columns,
+                     bf_select_model, logistic_score_max_norm, neg_log_p, scipy_f_p, scipy_t_p)
 
 from vcnet import regress
 
@@ -33,8 +34,13 @@ def sigmoid(x):
 
 #: How far the stacked ``solve`` in ``_ols`` may move a single linear fit
 #: (coefficients, standard errors, t, p, R^2, F and its p-value), relative
-#: to a ``solve_triangular`` back-substitution of the same QR factor.
+#: to a triangular back-substitution of the same QR factor.
 SOLVE_RTOL = 1e-12
+
+#: How far numpy's logistic link moves logistic fits and selection scores
+#: (coefficients, standard errors, z, p, log-likelihoods), relative to
+#: scipy's ``expit``: their ``exp`` can differ in the last bit.
+LINK_RTOL = 1e-12
 
 
 def fm_from(data, columns):
@@ -120,6 +126,33 @@ class TestFitLogistic:
     def test_constant_response_rejected(self):
         with pytest.raises(ConfigError):
             fit_logistic(np.ones(10), np.empty((10, 0)))
+
+    def test_numpy_link_moves_fits_within_stated_tolerance(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        for _ in range(100):
+            n, k = int(rng.integers(40, 300)), int(rng.integers(1, 6))
+            X = rng.normal(size=(n, k))
+            y = (rng.random(n) < sigmoid(X @ rng.uniform(-1.5, 1.5, size=k) - 0.5)).astype(float)
+            new = fit_logistic(y, X)
+            with monkeypatch.context() as m:
+                m.setattr(regress, "_expit", scipy.special.expit)
+                old = fit_logistic(y, X)
+            assert (new.n_iter, new.converged) == (old.n_iter, old.converged)
+            for name in ("coef", "se", "z", "p", "log_likelihood", "pseudo_r2"):
+                np.testing.assert_allclose(getattr(new, name), getattr(old, name),
+                                           rtol=LINK_RTOL, atol=0, err_msg=name)
+        # selection: the same ranking, scores within the tolerance
+        base = rng.normal(size=(200, 8))
+        y = (rng.random(200) < sigmoid(base[:, 0] - 0.7 * base[:, 3])).astype(float)
+        fm = fm_from(base, [f"c{j}" for j in range(8)])
+        configs = list(itertools.combinations(fm.columns, 2))
+        new = select_model("logistic", y, fm, configs)
+        with monkeypatch.context() as m:
+            m.setattr(regress, "_expit", scipy.special.expit)
+            old = select_model("logistic", y, fm, configs)
+        assert [r.config_id for r in new.ranked] == [r.config_id for r in old.ranked]
+        np.testing.assert_allclose([r.score for r in new.ranked], [r.score for r in old.ranked],
+                                   rtol=LINK_RTOL, atol=0)
 
 
 class TestBalancedEnsemble:
@@ -338,9 +371,9 @@ class TestFitLinear:
             fit_linear(np.arange(3.0), np.eye(3))
 
     def test_stacked_solve_moves_single_fits_within_stated_tolerance(self, monkeypatch):
-        # _ols back-substitutes with numpy's stacked solve; against the
-        # one-matrix-at-a-time solve_triangular it replaced, every output of a
-        # single fit stays within SOLVE_RTOL relative
+        # _ols back-substitutes with numpy's stacked solve; against scipy's
+        # one-matrix-at-a-time solve_triangular, every output of a single fit
+        # stays within SOLVE_RTOL relative
         def triangular_ols(designs, y):
             qmat, rmat = np.linalg.qr(designs)
             beta = scipy.linalg.solve_triangular(rmat, qmat.mT @ y[:, None])
@@ -361,6 +394,142 @@ class TestFitLinear:
             for name in ("coef", "se", "t", "p", "r2", "adj_r2", "fstat", "f_pvalue", "sigma2"):
                 np.testing.assert_allclose(getattr(new, name), getattr(old, name),
                                            rtol=SOLVE_RTOL, atol=0, err_msg=name)
+
+
+    def test_covariates_that_explain_nothing_get_f_p_value_one(self):
+        # x is orthogonal to 1 and y, so R^2 is 0 up to rounding, which can
+        # leave rss above tss: F is clamped at 0, whose p-value is 1
+        rng = np.random.default_rng(56)
+        fits = []
+        for _ in range(300):
+            n = int(rng.integers(20, 200))
+            y = rng.normal(size=n)
+            x = rng.normal(size=n)
+            basis = np.column_stack([np.ones(n), y])
+            x -= basis @ np.linalg.lstsq(basis, x, rcond=None)[0]
+            fits.append(fit_linear(y, x))
+        assert all(f.fstat >= 0.0 and 0.0 <= f.f_pvalue <= 1.0 for f in fits)
+        assert all(f.f_pvalue == 1.0 for f in fits if f.fstat == 0.0)
+        assert any(f.fstat == 0.0 for f in fits)
+
+    def test_p_values_match_scipy_within_stated_tolerance(self):
+        rng = np.random.default_rng(57)
+        for _ in range(100):
+            n = int(rng.integers(8, 400))
+            k, c = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+            X, C = rng.normal(size=(n, k)), rng.normal(size=(n, c))
+            y = X @ rng.uniform(-0.5, 0.5, size=k) + rng.normal(size=n)
+            fit = fit_linear(y, X, C)
+            df = n - len(fit.columns)
+            np.testing.assert_allclose(fit.p, scipy_t_p(df, fit.t), rtol=P_VALUE_RTOL, atol=0)
+            assert fit.f_pvalue == pytest.approx(scipy_f_p(*fit.f_df, fit.fstat),
+                                                 rel=P_VALUE_RTOL, abs=0)
+
+
+t_p = np.vectorize(regress._t_p)
+
+
+class TestPValues:
+    """The incomplete-beta p-values of ``fit_linear`` on their own."""
+
+    DF = [*range(1, 31), 47, 64, 99, 128, 200, 301, 487, 512, 750, 999, 1000]
+
+    def test_t_matches_scipy_over_df_and_t(self):
+        rng = np.random.default_rng(58)
+        t = np.concatenate([[0.0, 40.0], np.geomspace(1e-6, 40, 80), rng.uniform(0, 40, 80)])
+        for df in self.DF:
+            np.testing.assert_allclose(t_p(df, t), scipy_t_p(df, t),
+                                       rtol=P_VALUE_RTOL, atol=0, err_msg=str(df))
+            np.testing.assert_array_equal(t_p(df, -t), t_p(df, t))
+
+    def test_f_matches_scipy_over_df_and_f(self):
+        # Below about 1e-250 scipy's fdtrc loses digits as its intermediates
+        # underflow (4e-11 relative at 1.3e-300 for F(14, 870), 3e-3 at
+        # 5.7e-308, against 60-digit arithmetic); the closed forms below
+        # check that tail instead.
+        rng = np.random.default_rng(59)
+        f = np.concatenate([[0.0, 1e3], np.geomspace(1e-6, 1e3, 40), rng.uniform(0, 1e3, 40)])
+        for df1 in (1, 2, 3, 4, 5, 7, 9, 12, 14):
+            for df2 in self.DF:
+                for v in f:
+                    want = scipy_f_p(df1, df2, v)
+                    if want >= 1e-250:
+                        assert regress._f_p(df1, df2, v) == pytest.approx(
+                            want, rel=P_VALUE_RTOL, abs=0), (df1, df2, v)
+
+    def test_closed_forms_near_zero_and_deep_in_the_tail(self):
+        # df 1 and 2 for t, df1 = 2 for F have closed forms; scipy's stdtr
+        # at df 1 is off by 3e-9 relative at t = 1e-8, these are not
+        t = np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 120)])
+        np.testing.assert_allclose(t_p(1, t), 2.0 / math.pi * np.arctan2(1.0, t),
+                                   rtol=P_VALUE_RTOL, atol=0)
+        s = np.sqrt(2.0 + t * t)
+        np.testing.assert_allclose(t_p(2, t), 2.0 / (s * (s + t)),
+                                   rtol=P_VALUE_RTOL, atol=0)
+        for df2 in self.DF:
+            for v in np.geomspace(1e-6, 1e3, 30):
+                want = (df2 / (df2 + 2.0 * v)) ** (df2 / 2.0)
+                assert regress._f_p(2, df2, v) == pytest.approx(want, rel=P_VALUE_RTOL, abs=0)
+        assert regress._f_p(3, 40, 0.0) == 1.0
+        assert t_p(5, np.array([np.inf, -np.inf, np.nan]))[:2].tolist() == [0.0, 0.0]
+        assert np.isnan(t_p(5, np.array([np.nan]))[0])
+
+
+def rank_deficient_designs(seed, count, integer):
+    """Seeded ``(family, design, names)`` triples: ``[1, X]`` plus one
+    column made from the others, inserted at a random place.
+
+    The families are ``copy``, ``flip`` (sign), ``multiple``, ``sum`` (of
+    two columns), ``weighted`` (a sum with weights of distinct sizes) and
+    ``zero``. Integer designs hold small integers, which exact arithmetic
+    can check.
+    """
+    rng = np.random.default_rng(seed)
+    families = ["copy", "flip", "multiple", "sum", "weighted", "zero"]
+    for i in range(count):
+        family = families[i % len(families)]
+        n = int(rng.integers(6, 30) if integer else rng.integers(5, 300))
+        k = int(rng.integers(1, 7 if integer else 12))
+        X = (rng.integers(-3, 4, size=(n, k)).astype(float) if integer else
+             rng.normal(size=(n, k)) * rng.uniform(0.1, 10.0, size=k))
+        cols = [np.ones(n), *X.T]
+        a, b = (cols[j] for j in rng.choice(len(cols), size=2, replace=False))
+        new = {"copy": a, "flip": -a, "multiple": rng.choice([2.0, 3.0, -5.0]) * a,
+               "sum": a + b, "weighted": 2.0 * a - 3.0 * b if integer else
+               rng.uniform(0.2, 0.6) * a + rng.uniform(1.5, 3.0) * b,
+               "zero": np.zeros(n)}[family]
+        cols.insert(int(rng.integers(0, len(cols) + 1)), new.copy())
+        yield family, np.column_stack(cols), [f"c{j}" for j in range(len(cols))]
+
+
+class TestCollinearColumns:
+    def test_equal_exact_pivoting_on_integer_designs(self):
+        for family, design, names in rank_deficient_designs(60, 360, integer=True):
+            got = regress._collinear_columns(design, names)
+            assert got == bf_collinear_columns(design, names), family
+            assert len(got) == design.shape[1] - np.linalg.matrix_rank(design)
+
+    def test_name_the_columns_scipy_names(self):
+        # Where exact arithmetic leaves a tie, LAPACK's pick is a last-bit
+        # matter: a copy or sign flip is compared by its values, and a sum
+        # of two columns, whose two parts tie exactly, is left to the exact
+        # oracle above.
+        def values(design, names, named):
+            return sorted(np.abs(design[:, names.index(c)]).tobytes() for c in named)
+
+        for family, design, names in rank_deficient_designs(61, 600, integer=False):
+            if family == "sum":
+                continue
+            got = regress._collinear_columns(design, names)
+            _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+            diag = np.abs(np.diag(r))
+            cut = diag.max() * max(design.shape) * np.finfo(float).eps
+            want = sorted(names[piv[i]] for i in range(design.shape[1])
+                          if i >= len(diag) or diag[i] <= cut)
+            if family in ("copy", "flip"):
+                assert values(design, names, got) == values(design, names, want)
+            else:
+                assert got == want, family
 
 
 class TestFunctionOnScalar:
@@ -915,8 +1084,10 @@ class TestSelectEngine:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, vcnet, vcnet.cli; print('scipy.stats' in sys.modules)"
+    # nor scipy.linalg and scipy.special: numpy and scipy.sparse are all it loads
+    code = ("import sys, vcnet, vcnet.cli\n"
+            "print([m for m in ('scipy.stats', 'scipy.linalg', 'scipy.special') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
