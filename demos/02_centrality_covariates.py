@@ -14,7 +14,7 @@ from vcnet.graph import ProjectedGraph
 # nodes in sorted order; edges as index pairs (u < v) with their weights
 toy = ProjectedGraph("FIRM", 2005, ("a", "b", "c"), [(0, 1), (0, 2), (1, 2)], [1, 1, 1])
 frame = compute_frame(toy)
-print("triangle a-b-c (a clique from one shared investor):")
+print(f"triangle a-b-c (a clique from one shared investor), values in node order {frame.nodes}:")
 for measure in ("degree_centrality", "clustering", "betweenness", "newman_betweenness",
                 "closeness_centrality", "pagerank", "eigenvector_centrality", "voterank"):
     print(f"  {measure:<24} {frame.measures[measure]}")

@@ -107,14 +107,11 @@ def run_strategy(frames: dict[int, CentralityFrame], meta: dict[str, FirmMeta],
             if fy == year and not _exited_by(meta.get(firm), year)
         )
         frame = frames.get(year)
-        values = frame.measures.get(measure, {}) if frame is not None else {}
-        missing_value = math.inf if ascending else -math.inf
-
-        def sort_key(firm: str):
-            v = values.get(firm, missing_value)
-            return (v if ascending else -v, firm)
-
-        ranked = sorted(pool, key=sort_key)
+        # Smaller key ranks first; a firm without a value ranks last.
+        key = {}
+        if frame is not None and measure in frame.measures:
+            key = dict(zip(frame.nodes, (frame.measures[measure] * (1 if ascending else -1)).tolist()))
+        ranked = sorted(pool, key=lambda firm: (key.get(firm, math.inf), firm))
         selected = ranked[:top_n]
         successes = sum(1 for f in selected if _success_within(meta.get(f), year, horizon))
         pool_successes = sum(1 for f in pool if _success_within(meta.get(f), year, horizon))

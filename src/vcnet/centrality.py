@@ -2,7 +2,9 @@
 
 All measures are computed on the unweighted simple projection (edge
 multiplicities are kept on the graph for diagnostics but ignored here),
-from the one read-only adjacency ``ProjectedGraph.csr``. The local
+from the one read-only adjacency ``ProjectedGraph.csr``. Each measure
+returns one numpy array aligned with ``pg.nodes`` (sorted node ids):
+float64, except ``core_number`` and ``voterank``, which are int64. The local
 measures (neighbor degree, clustering, k-core) are sparse products on
 it. The distance measures (betweenness, closeness, harmonic) share one
 all-pairs hop-distance pass per projection, cached with the component
@@ -27,6 +29,7 @@ Ties anywhere (VoteRank election, rankings) break by node-id order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +54,9 @@ COMMON_MEASURES = (
 )
 #: Additional firm-layer-only columns.
 FIRM_ONLY_MEASURES = ("core_number", "n_investors")
+#: Measure functions named differently from their measure.
+_FUNCTION_OF = {"closeness_centrality": "closeness", "harmonic_centrality": "harmonic",
+                "eigenvector_centrality": "eigenvector"}
 
 SUMMARIES = ("max", "min", "median")
 
@@ -59,33 +65,29 @@ SUMMARIES = ("max", "min", "median")
 # Elementary measures
 # ---------------------------------------------------------------------------
 
-def degree_centrality(pg: ProjectedGraph) -> dict[str, float]:
+def degree_centrality(pg: ProjectedGraph) -> np.ndarray:
     """deg(v) / (n - 1); zero on graphs with fewer than two nodes."""
     n = len(pg)
-    if n <= 1:
-        return {v: 0.0 for v in pg.nodes}
-    return {v: float(pg.degrees[i]) / (n - 1) for i, v in enumerate(pg.nodes)}
+    return pg.degrees / (n - 1) if n > 1 else np.zeros(n)
 
 
-def average_neighbor_degree(pg: ProjectedGraph) -> dict[str, float]:
+def average_neighbor_degree(pg: ProjectedGraph) -> np.ndarray:
     """Mean degree over neighbors; 0 for isolated nodes."""
     deg = pg.degrees
-    values = np.divide(pg.csr @ deg, deg, out=np.zeros(len(pg)), where=deg > 0)
-    return {v: float(values[i]) for i, v in enumerate(pg.nodes)}
+    return np.divide(pg.csr @ deg, deg, out=np.zeros(len(pg)), where=deg > 0)
 
 
-def clustering(pg: ProjectedGraph) -> dict[str, float]:
+def clustering(pg: ProjectedGraph) -> np.ndarray:
     """triangles(v) / C(deg v, 2); 0 when deg(v) < 2.
 
     Row v of (A @ A) * A counts each triangle at v twice, as an exact integer.
     """
     A, k = pg.csr, pg.degrees
     twice_triangles = np.asarray((A @ A).multiply(A).sum(axis=1)).ravel()
-    values = np.divide(twice_triangles, k * (k - 1), out=np.zeros(len(pg)), where=k >= 2)
-    return {v: float(values[i]) for i, v in enumerate(pg.nodes)}
+    return np.divide(twice_triangles, k * (k - 1), out=np.zeros(len(pg)), where=k >= 2)
 
 
-def core_number(pg: ProjectedGraph) -> dict[str, int]:
+def core_number(pg: ProjectedGraph) -> np.ndarray:
     """k-core number by peeling: at level k, every node of remaining degree <= k at once."""
     deg = pg.degrees.copy()
     alive = np.ones(len(pg), dtype=bool)
@@ -99,7 +101,7 @@ def core_number(pg: ProjectedGraph) -> dict[str, int]:
         core[peeled] = k
         alive &= ~peeled
         deg -= (pg.csr @ peeled).astype(np.int64)
-    return {v: int(core[i]) for i, v in enumerate(pg.nodes)}
+    return core
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ _EDGE_BLOCK = 256
 _PINV_RCOND = 1e-10
 
 
-def betweenness(pg: ProjectedGraph) -> dict[str, float]:
+def betweenness(pg: ProjectedGraph) -> np.ndarray:
     """Shortest-path betweenness with Brandes-style accumulation.
 
     Path counts and dependencies are accumulated for a block of sources
@@ -123,7 +125,7 @@ def betweenness(pg: ProjectedGraph) -> dict[str, float]:
     """
     n = len(pg)
     if n < 3:
-        return {v: 0.0 for v in pg.nodes}
+        return np.zeros(n)
     A = pg.csr
     bc = np.zeros(n)
     for lo in range(0, n, SOURCE_BLOCK):
@@ -138,8 +140,7 @@ def betweenness(pg: ProjectedGraph) -> dict[str, float]:
             share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level[d])
             delta += np.where(level[d - 1], sigma * (A @ share), 0.0)
         bc += delta.sum(axis=1)
-    bc /= (n - 1) * (n - 2)  # each unordered pair was accumulated twice
-    return {v: float(bc[i]) for i, v in enumerate(pg.nodes)}
+    return bc / ((n - 1) * (n - 2))  # each unordered pair was accumulated twice
 
 
 def _reachable(pg: ProjectedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -148,25 +149,24 @@ def _reachable(pg: ProjectedGraph) -> tuple[np.ndarray, np.ndarray]:
     return D, np.isfinite(D) & (D > 0)
 
 
-def closeness(pg: ProjectedGraph) -> dict[str, float]:
+def closeness(pg: ProjectedGraph) -> np.ndarray:
     """Component-corrected closeness: (r/(n-1)) * (r/total distance)."""
     n = len(pg)
     D, reach = _reachable(pg)
     r = reach.sum(axis=1)
     total = np.where(reach, D, 0.0).sum(axis=1)  # integer-valued, so exact in any order
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(r > 0, (r / (n - 1)) * (r / total), 0.0)
-    return {v: float(values[i]) for i, v in enumerate(pg.nodes)}
+        return np.where(r > 0, (r / (n - 1)) * (r / total), 0.0)
 
 
-def harmonic(pg: ProjectedGraph) -> dict[str, float]:
+def harmonic(pg: ProjectedGraph) -> np.ndarray:
     """Mean inverse distance to all other nodes (1/inf = 0)."""
     n = len(pg)
     if n <= 1:
-        return {v: 0.0 for v in pg.nodes}
+        return np.zeros(n)
     D, reach = _reachable(pg)
     # Row by row over the reachable entries only: the float sum keeps its order.
-    return {v: float((1.0 / D[i][reach[i]]).sum()) / (n - 1) for i, v in enumerate(pg.nodes)}
+    return np.array([(1.0 / D[i][reach[i]]).sum() for i in range(n)]) / (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def _components(pg: ProjectedGraph) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
-def eigenvector(pg: ProjectedGraph, tol: float = 1e-10, max_iter: int = 10000) -> dict[str, float]:
+def eigenvector(pg: ProjectedGraph, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
     """Dominant-eigenvector centrality, unit Euclidean norm per component.
 
     Power iteration runs on A + I, which has the same dominant
@@ -205,11 +205,11 @@ def eigenvector(pg: ProjectedGraph, tol: float = 1e-10, max_iter: int = 10000) -
         else:
             raise ConvergenceError("eigenvector power iteration did not converge", residual)
         values[comp] = x
-    return {v: float(values[i]) for i, v in enumerate(pg.nodes)}
+    return values
 
 
 def pagerank(pg: ProjectedGraph, damping: float = 0.85,
-             tol: float = 1e-12, max_iter: int = 10000) -> dict[str, float]:
+             tol: float = 1e-12, max_iter: int = 10000) -> np.ndarray:
     """PageRank of the degree-normalized walk with uniform teleport.
 
     Walk mass at degree-0 nodes teleports uniformly, so the values sum
@@ -217,7 +217,7 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85,
     """
     n = len(pg)
     if n == 0:
-        return {}
+        return np.zeros(0)
     A = pg.csr
     deg = pg.degrees.astype(float)
     dangling = deg == 0
@@ -233,14 +233,14 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85,
             break
     else:
         raise ConvergenceError("pagerank power iteration did not converge", residual)
-    return {v: float(p[i]) for i, v in enumerate(pg.nodes)}
+    return p
 
 
 # ---------------------------------------------------------------------------
 # Current-flow (random-walk) betweenness
 # ---------------------------------------------------------------------------
 
-def newman_betweenness(pg: ProjectedGraph) -> dict[str, float]:
+def newman_betweenness(pg: ProjectedGraph) -> np.ndarray:
     """Current-flow betweenness via the component Laplacian pseudo-inverse.
 
     A unit current is injected between every source-target pair in a
@@ -272,14 +272,14 @@ def newman_betweenness(pg: ProjectedGraph) -> dict[str, float]:
             through = 0.5 * (np.bincount(u, per_edge, nc) + np.bincount(v, per_edge, nc))
             through -= (nc - 1) / 2.0  # endpoint flow of the nc-1 pairs at each node
             values[comp] = through * 2.0 / ((n - 1) * (n - 2))
-    return {v: float(values[i]) for i, v in enumerate(pg.nodes)}
+    return values
 
 
 # ---------------------------------------------------------------------------
 # VoteRank
 # ---------------------------------------------------------------------------
 
-def voterank(pg: ProjectedGraph) -> dict[str, int]:
+def voterank(pg: ProjectedGraph) -> np.ndarray:
     """Iterative voting rank; rank 1 is the strongest spreader.
 
     Nodes vote with ability starting at 1; each round the unselected
@@ -293,8 +293,6 @@ def voterank(pg: ProjectedGraph) -> dict[str, int]:
     cannot depend on float summation order.
     """
     n = len(pg)
-    if n == 0:
-        return {}
     A = pg.csr.astype(np.int64)
     m2 = 2 * pg.n_edges()  # common ability denominator; one vote costs n units
     num = np.full(n, m2, dtype=np.int64)
@@ -311,10 +309,8 @@ def voterank(pg: ProjectedGraph) -> dict[str, int]:
         num[best] = 0
         nbrs = A.indices[A.indptr[best]:A.indptr[best + 1]]
         num[nbrs] = np.maximum(0, num[nbrs] - n)
-    ranks = {pg.nodes[i]: r + 1 for r, i in enumerate(order)}
-    shared = len(order) + 1
-    for v in pg.nodes:
-        ranks.setdefault(v, shared)
+    ranks = np.full(n, len(order) + 1, dtype=np.int64)
+    ranks[order] = np.arange(1, len(order) + 1)
     return ranks
 
 
@@ -324,16 +320,12 @@ def voterank(pg: ProjectedGraph) -> dict[str, int]:
 
 @dataclass
 class CentralityFrame:
-    """Per-node values of every measure at one (layer, snapshot year)."""
+    """Every measure at one (layer, snapshot year), one array per measure in ``nodes`` order."""
 
     snapshot_year: int
     layer: str
-    measures: dict[str, dict[str, float]]
-
-    def nodes(self) -> list[str]:
-        if not self.measures:
-            return []
-        return sorted(next(iter(self.measures.values())))
+    nodes: tuple[str, ...]
+    measures: dict[str, np.ndarray]
 
 
 def compute_frame(pg: ProjectedGraph, g: TemporalBipartiteGraph | None = None) -> CentralityFrame:
@@ -342,29 +334,16 @@ def compute_frame(pg: ProjectedGraph, g: TemporalBipartiteGraph | None = None) -
     ``core_number`` and ``n_investors`` are firm-layer-only;
     ``n_investors`` additionally needs the bipartite graph ``g``.
     """
-    # Looked up when called, so a measure replaced on the module is the one used.
-    fns = {
-        "degree_centrality": degree_centrality,
-        "average_neighbor_degree": average_neighbor_degree,
-        "betweenness": betweenness,
-        "newman_betweenness": newman_betweenness,
-        "closeness_centrality": closeness,
-        "harmonic_centrality": harmonic,
-        "eigenvector_centrality": eigenvector,
-        "pagerank": pagerank,
-        "clustering": clustering,
-        "voterank": voterank,
-    }
-    out: dict[str, dict[str, float]] = {name: fns[name](pg) for name in COMMON_MEASURES}
+    # Looked up in the module when called, so a measure replaced on the module is the one used.
+    out = {m: globals()[_FUNCTION_OF.get(m, m)](pg) for m in COMMON_MEASURES}
     if pg.layer == FIRM:
         out["core_number"] = core_number(pg)
         if g is not None:
-            counts: dict[str, set] = {v: set() for v in pg.nodes}
-            for d in g.snapshot_deals(pg.snapshot_year):
-                if d.firm_id in counts:
-                    counts[d.firm_id].add(d.investor_id)
-            out["n_investors"] = {v: len(s) for v, s in counts.items()}
-    return CentralityFrame(pg.snapshot_year, pg.layer, out)
+            pos = {v: i for i, v in enumerate(pg.nodes)}
+            links = {(pos[d.firm_id], d.investor_id) for d in g.snapshot_deals(pg.snapshot_year)
+                     if d.firm_id in pos}
+            out["n_investors"] = np.bincount([i for i, _ in links], minlength=len(pg))
+    return CentralityFrame(pg.snapshot_year, pg.layer, pg.nodes, out)
 
 
 @dataclass
@@ -399,29 +378,24 @@ def assemble_covariates(firm_frame: CentralityFrame, investor_frame: CentralityF
     """
     year = firm_frame.snapshot_year
     rounds = first_rounds(g)
-    n_investors = firm_frame.measures["n_investors"]
-    inv = [investor_frame.measures[m] for m in COMMON_MEASURES]
+    cols = covariate_columns()
+    firm_pos = {v: i for i, v in enumerate(firm_frame.nodes)}
+    inv_pos = {v: i for i, v in enumerate(investor_frame.nodes)}
+    # One row per node, one float column per measure, in covariate column order.
+    own_measures = ["n_investors", *COMMON_MEASURES, "core_number"]
+    own = np.column_stack([firm_frame.measures[m] for m in own_measures])
+    inv = np.column_stack([investor_frame.measures[m] for m in COMMON_MEASURES])
     rows: list[FirmCovariates] = []
     for firm in sorted(rounds):
         fr = rounds[firm]
         if fr.date.year != year:
             continue
-        values: dict[str, float] = {
-            "first_amount": float(fr.amount_total),
-            "n_investors": float(n_investors[firm]),
-        }
-        for m in COMMON_MEASURES:
-            values[f"{m}_org"] = float(firm_frame.measures[m].get(firm, 0.0))
-        values["core_number_org"] = float(firm_frame.measures["core_number"].get(firm, 0.0))
-
-        present = [i for i in sorted(fr.investors) if i in inv[0]]
-        # One row per present investor, one column per measure; no investor gives zeros.
-        vals = np.array([[measure[i] for measure in inv] for i in present], dtype=float)
-        summaries = ((vals.max(axis=0), vals.min(axis=0), np.median(vals, axis=0)) if present
-                     else (np.zeros(len(inv)),) * len(SUMMARIES))
-        for s, summary in zip(SUMMARIES, summaries):
-            values.update((f"{m}_{s}", float(x)) for m, x in zip(COMMON_MEASURES, summary))
-        rows.append(FirmCovariates(firm, year, values, not present))
+        # One row per first-round investor in the frame; no such investor gives zeros.
+        vals = inv[[inv_pos[i] for i in sorted(fr.investors) if i in inv_pos]]
+        summaries = (np.column_stack([vals.max(axis=0), vals.min(axis=0), np.median(vals, axis=0)])
+                     if len(vals) else np.zeros((len(COMMON_MEASURES), len(SUMMARIES))))
+        row = [float(fr.amount_total), *own[firm_pos[firm]].tolist(), *summaries.ravel().tolist()]
+        rows.append(FirmCovariates(firm, year, dict(zip(cols, row)), not len(vals)))
     return rows
 
 
@@ -433,23 +407,26 @@ _FRAME_COLUMNS = list(COMMON_MEASURES) + list(FIRM_ONLY_MEASURES)
 
 
 def write_frames_csv(frames: list[CentralityFrame], path: str | Path) -> None:
+    """One row per node of every frame; a measure the frame lacks is a blank column."""
     write_csv(path, ["year", "layer", "node"] + _FRAME_COLUMNS, (
-        [frame.snapshot_year, frame.layer, node]
-        + [float(frame.measures[m][node]) if m in frame.measures else None for m in _FRAME_COLUMNS]
+        [frame.snapshot_year, frame.layer, *cells]
         for frame in sorted(frames, key=lambda f: (f.snapshot_year, f.layer))
-        for node in frame.nodes()))
+        for cells in zip(frame.nodes, *(frame.measures[m].astype(float).tolist()
+                                        if m in frame.measures else repeat(None)
+                                        for m in _FRAME_COLUMNS))))
 
 
 def read_frames_csv(path: str | Path) -> dict[tuple[int, str], CentralityFrame]:
     header, rows = read_csv(path)
-    measure_names = header[3:]
-    frames: dict[tuple[int, str], CentralityFrame] = {}
+    tables: dict[tuple[int, str], list[list[str]]] = {}
     for row in rows:
-        year, layer, node = int(row[0]), row[1], row[2]
-        frame = frames.setdefault((year, layer), CentralityFrame(year, layer, {}))
-        for m, raw in zip(measure_names, row[3:]):
-            if raw != "":
-                frame.measures.setdefault(m, {})[node] = float(raw)
+        tables.setdefault((int(row[0]), row[1]), []).append(row[2:])
+    frames: dict[tuple[int, str], CentralityFrame] = {}
+    for (year, layer), table in tables.items():
+        nodes, *columns = zip(*table)
+        frames[year, layer] = CentralityFrame(year, layer, nodes, {
+            m: np.array([float(raw) for raw in column])
+            for m, column in zip(header[3:], columns) if column[0] != ""})
     return frames
 
 

@@ -23,10 +23,12 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date as Date
+from numbers import Integral, Real
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Union
+from typing import (IO, Any, Callable, Iterable, Iterator, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -306,6 +308,31 @@ def read_firms_csv(path: str | Path) -> dict[str, FirmMeta]:
 # Synthetic data with planted two-regime structure
 # ---------------------------------------------------------------------------
 
+def check_field_types(cfg: Any) -> None:
+    """Raise ``ConfigError`` naming the first field of dataclass ``cfg`` its annotation rejects.
+
+    An ``int`` field takes an integer that is not a bool, a ``float`` field
+    also an integer, a ``bool`` field only a bool, a ``tuple[int, int]``
+    field two integers and any other class its instances; ``X | None`` also
+    takes None.
+    """
+    hints = get_type_hints(type(cfg))
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not _fits(value, hints[f.name]):
+            raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+
+
+def _fits(value: Any, hint: Any) -> bool:
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and len(value) == len(args) and all(map(_fits, value, args))
+    if args:  # X | None
+        return any(_fits(value, a) for a in args)
+    return (isinstance(value, {int: Integral, float: Real}.get(hint, hint))
+            and isinstance(value, bool) == (hint is bool))
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters of the seeded synthetic deal generator.
@@ -330,6 +357,7 @@ class SyntheticConfig:
     exit_rate_low: float = 0.04
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if min(self.n_firms, self.n_investors, self.n_subsectors) < 1:
             raise ConfigError("n_firms, n_investors and n_subsectors must all be >= 1")
         start, end = self.year_range

@@ -38,9 +38,9 @@ from .features import (correlation_dendrogram, cut_groups, enumerate_configs,
                        write_transforms_csv)
 from .graph import BOTH, FIRM, INVESTOR, build_bipartite, first_rounds, project_firms, \
     project_investors, write_projection_csv
-from .ingest import (SyntheticConfig, generate_synthetic, parse_deals, read_deals_csv,
-                     read_firms_csv, write_csv, write_deals, write_firms, write_rejects,
-                     write_synthetic)
+from .ingest import (SyntheticConfig, check_field_types, generate_synthetic, parse_deals,
+                     read_deals_csv, read_firms_csv, write_csv, write_deals, write_firms,
+                     write_rejects, write_synthetic)
 from .regress import (PipelineData, balanced_ensemble, confusion_vs_standard,
                       fit_function_on_scalar, linear_fit_dict, logistic_fit_dict,
                       perturbation_sweep, responses, select_model, window_sweep,
@@ -77,6 +77,7 @@ class RunConfig:
     frames_years: str = "needed"  # needed | all
 
     def validate(self) -> None:
+        check_field_types(self)
         has_files = self.deals_csv is not None or self.firms_csv is not None
         if has_files and (self.deals_csv is None or self.firms_csv is None):
             raise ConfigError("deals_csv and firms_csv must be given together")
@@ -108,16 +109,17 @@ class RunConfig:
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if data.get("synthetic") is not None:
+        # JSON gives lists for pairs and a dict for ``synthetic``; ``validate`` rejects other types.
+        if isinstance(data.get("synthetic"), dict):
             syn = dict(data["synthetic"])
-            if "year_range" in syn:
+            if isinstance(syn.get("year_range"), list):
                 syn["year_range"] = tuple(syn["year_range"])
             try:
                 data["synthetic"] = SyntheticConfig(**syn)
             except TypeError as exc:
                 raise ConfigError(f"bad synthetic config: {exc}") from exc
         for key in ("start_years", "sweep_windows"):
-            if key in data and data[key] is not None:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         try:
             cfg = cls(**data)
@@ -384,9 +386,10 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     w_range = list(range(wlo, whi + 1))
     sweep_lin = window_sweep(data, best_agg.covariates, w_range, "linear_agg")
     sweep_log = window_sweep(data, best_log.covariates, w_range, "logistic")
+    # The grid-year column ``t`` stays, always empty, so the table keeps its layout.
     write_csv(stage_dir / "window_sweep.csv",
               ["kind", "window", "n_firms", "term", "t", "estimate", "se", "lo95", "hi95"],
-              ([kind, r.window, r.n_firms, r.term, r.grid_t, r.estimate, r.se, r.lo95, r.hi95]
+              ([kind, r.window, r.n_firms, r.term, None, r.estimate, r.se, r.lo95, r.hi95]
                for kind, sweep in (("linear_agg", sweep_lin), ("logistic", sweep_log))
                for r in sweep.rows))
     info["sweep_firm_counts"] = {str(w): n for w, n in sweep_lin.firm_counts.items()}

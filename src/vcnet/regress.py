@@ -740,7 +740,6 @@ class SweepRow:
     window: int
     n_firms: int
     term: str
-    grid_t: int | None
     estimate: float
     se: float
     lo95: float
@@ -842,8 +841,11 @@ def window_sweep(data: PipelineData, config: tuple[str, ...],
     ``logistic``, the ``responses`` and the fit sample, and reports each
     coefficient with its 1.96-standard-error band plus the per-window
     firm count. A firm count that increases with the window is recorded
-    as a warning.
+    as a warning. ``kind`` is a scalar response: ``linear_agg``,
+    ``linear_diff`` or ``logistic``.
     """
+    if kind == "functional":
+        raise ConfigError("window_sweep refits scalar responses; 'functional' is not one")
     result = WindowSweepResult(kind, [], {})
     in_fm = set(data.fm.row_ids)
     prev_count = None
@@ -874,21 +876,13 @@ def window_sweep(data: PipelineData, config: tuple[str, ...],
 def _fit_one_window(result: WindowSweepResult, window: int, firms: list[str],
                     y: np.ndarray, X: np.ndarray, C: np.ndarray, cnames: list[str],
                     config: tuple[str, ...], kind: str) -> None:
-    if kind == "functional":
-        fit = fit_function_on_scalar(y, X, list(config))
-        for j, name in enumerate(fit.columns):
-            for t in range(fit.coef.shape[1]):
-                result.rows.append(SweepRow(window, len(firms), name, t,
-                                            float(fit.coef[j, t]), float(fit.se[j, t]),
-                                            float(fit.lo95[j, t]), float(fit.hi95[j, t])))
-        return
     if kind == "logistic":
         fit = fit_logistic(y, X, list(config))
     else:
         fit = fit_linear(y, X, C, list(config), cnames)
     for j, name in enumerate(fit.columns):
         half = 1.96 * float(fit.se[j])
-        result.rows.append(SweepRow(window, len(firms), name, None,
+        result.rows.append(SweepRow(window, len(firms), name,
                                     float(fit.coef[j]), float(fit.se[j]),
                                     float(fit.coef[j]) - half, float(fit.coef[j]) + half))
 

@@ -27,6 +27,17 @@ def make_pg(n_or_names, edges, layer=FIRM, year=2010, window=7) -> ProjectedGrap
     return ProjectedGraph(layer, year, nodes, sorted(pairs), [1] * len(pairs), window)
 
 
+def by_node(graph, values: np.ndarray) -> dict:
+    """A measure's array as ``{node: value}``, paired with ``graph.nodes`` in order.
+
+    ``graph`` is a projection or a frame; the array must hold exactly one
+    value per node. ``tolist`` keeps every value exact, so ``==`` against
+    literal dicts and the dict-based oracles stays exact too.
+    """
+    assert isinstance(values, np.ndarray) and values.shape == (len(graph.nodes),)
+    return dict(zip(graph.nodes, values.tolist()))
+
+
 def random_pg(rng: np.random.Generator, n: int, p: float) -> ProjectedGraph:
     edges = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
     return make_pg(n, edges)

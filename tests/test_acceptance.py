@@ -15,7 +15,7 @@ import pytest
 
 from oracles import (ALL_MEASURE_ORACLES, bf_scan_firms, bf_scan_investors,
                      logistic_score_max_norm)
-from conftest import make_pg, random_deals, random_pg, random_tree_pg
+from conftest import by_node, make_pg, random_deals, random_pg, random_tree_pg
 
 import vcnet.centrality as C
 from vcnet.backtest import hypergeom_pvalue, run_strategy
@@ -62,7 +62,7 @@ def test_c1_centrality_oracle_suite():
     n_checked = 0
     for pg in _suite_graphs():
         for measure, fn in ALL_FNS.items():
-            mine = fn(pg)
+            mine = by_node(pg, fn(pg))
             oracle = ALL_MEASURE_ORACLES[measure](pg)
             for v in pg.nodes:
                 assert mine[v] == pytest.approx(oracle[v], abs=1e-8), \
@@ -80,8 +80,8 @@ def test_c2_tree_identity():
     worst = 0.0
     for _ in range(50):
         pg = random_tree_pg(rng, int(rng.integers(2, 31)))
-        cf = C.newman_betweenness(pg)
-        sp = C.betweenness(pg)
+        cf = by_node(pg, C.newman_betweenness(pg))
+        sp = by_node(pg, C.betweenness(pg))
         for v in pg.nodes:
             worst = max(worst, abs(cf[v] - sp[v]))
             assert cf[v] == pytest.approx(sp[v], abs=1e-8)
@@ -91,10 +91,10 @@ def test_c2_tree_identity():
 
 def test_c3_pagerank_conservation():
     for pg in _suite_graphs():
-        total = sum(C.pagerank(pg).values())
+        total = sum(by_node(pg, C.pagerank(pg)).values())
         assert abs(total - 1.0) < 1e-9
     k3 = make_pg(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
-    for value in C.pagerank(k3).values():
+    for value in by_node(k3, C.pagerank(k3)).values():
         assert abs(value - 1.0 / 3.0) < 1e-12
     report(3, "pagerank conservation",
            "mass sums to 1 +/- 1e-9 on all 200 graphs; K3 gives exact thirds +/- 1e-12")
@@ -260,9 +260,10 @@ def test_c8_planted_structure_recovery():
 
     # centrality-ranked strategy vs the hypergeometric random baseline
     g = build_bipartite(ds.deals)
-    frames = {year: C.CentralityFrame(year, FIRM, {
-                  "closeness_centrality": C.closeness(project_firms(g, year, 7))})
-              for year in range(2000, 2011)}
+    projections = [project_firms(g, year, 7) for year in range(2000, 2011)]
+    frames = {pg.snapshot_year: C.CentralityFrame(pg.snapshot_year, FIRM, pg.nodes,
+                                                  {"closeness_centrality": C.closeness(pg)})
+              for pg in projections}
     fy = {f: fr.date.year for f, fr in first_rounds(g).items()}
     rep = run_strategy(frames, ds.firms, fy, "closeness_centrality",
                        top_n=25, horizon=8, start_years=(2000, 2010))

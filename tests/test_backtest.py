@@ -76,8 +76,10 @@ class TestHypergeomPvalue:
 
 
 def _frame(year, values):
-    return CentralityFrame(year, FIRM, {"closeness_centrality": dict(values),
-                                        "voterank": {k: i + 1 for i, k in enumerate(sorted(values))}})
+    nodes = tuple(sorted(values))
+    return CentralityFrame(year, FIRM, nodes,
+                           {"closeness_centrality": np.array([values[f] for f in nodes]),
+                            "voterank": np.arange(1, len(nodes) + 1)})
 
 
 def _meta(firm, exit_year=None):

@@ -11,68 +11,69 @@ from oracles import (ALL_MEASURE_ORACLES, bf_average_neighbor_degree, bf_between
                      bf_brandes_betweenness, bf_closeness, bf_clustering, bf_core_number,
                      bf_current_flow_betweenness, bf_harmonic, bf_voterank,
                      csgraph_current_flow_betweenness)
-from conftest import deal, make_pg, random_multi_component_pg, random_pg, random_tree_pg
+from conftest import by_node, deal, make_pg, random_multi_component_pg, random_pg, random_tree_pg
 
 import vcnet.centrality as C
 from vcnet.errors import ConvergenceError
-from vcnet.graph import FIRM, INVESTOR, SOURCE_BLOCK, build_bipartite, project_firms
+from vcnet.graph import (FIRM, INVESTOR, SOURCE_BLOCK, build_bipartite, project_firms,
+                         project_investors)
 
 
 class TestLocalMeasures:
     def test_k3_clustering_and_core(self, k3_pg):
-        assert C.clustering(k3_pg) == {"a": 1.0, "b": 1.0, "c": 1.0}
-        assert C.core_number(k3_pg) == {"a": 2, "b": 2, "c": 2}
+        assert by_node(k3_pg, C.clustering(k3_pg)) == {"a": 1.0, "b": 1.0, "c": 1.0}
+        assert by_node(k3_pg, C.core_number(k3_pg)) == {"a": 2, "b": 2, "c": 2}
 
     def test_k4_degree_centrality_is_one(self):
         k4 = make_pg(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        assert all(v == 1.0 for v in C.degree_centrality(k4).values())
+        assert all(v == 1.0 for v in by_node(k4, C.degree_centrality(k4)).values())
 
     def test_path_average_neighbor_degree(self, path3_pg):
-        and_ = C.average_neighbor_degree(path3_pg)
+        and_ = by_node(path3_pg, C.average_neighbor_degree(path3_pg))
         assert and_ == {"a": 2.0, "b": 1.0, "c": 2.0}
-        assert C.clustering(path3_pg) == {"a": 0.0, "b": 0.0, "c": 0.0}
+        assert by_node(path3_pg, C.clustering(path3_pg)) == {"a": 0.0, "b": 0.0, "c": 0.0}
 
     def test_isolated_node_conventions(self):
         pg = make_pg(["x"], [])
-        assert C.degree_centrality(pg) == {"x": 0.0}
-        assert C.average_neighbor_degree(pg) == {"x": 0.0}
-        assert C.clustering(pg) == {"x": 0.0}
-        assert C.core_number(pg) == {"x": 0}
-        assert C.closeness(pg) == {"x": 0.0}
-        assert C.harmonic(pg) == {"x": 0.0}
+        assert by_node(pg, C.degree_centrality(pg)) == {"x": 0.0}
+        assert by_node(pg, C.average_neighbor_degree(pg)) == {"x": 0.0}
+        assert by_node(pg, C.clustering(pg)) == {"x": 0.0}
+        assert by_node(pg, C.core_number(pg)) == {"x": 0}
+        assert by_node(pg, C.closeness(pg)) == {"x": 0.0}
+        assert by_node(pg, C.harmonic(pg)) == {"x": 0.0}
 
     def test_empty_graph(self):
         pg = make_pg(0, [])
         for fn in (C.degree_centrality, C.betweenness, C.newman_betweenness, C.closeness,
                    C.harmonic, C.eigenvector, C.pagerank, C.clustering, C.core_number,
                    C.voterank):
-            assert fn(pg) == {}
+            assert by_node(pg, fn(pg)) == {}
 
     def test_core_monotone_under_edge_addition(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
             n = int(rng.integers(4, 10))
             pg = random_pg(rng, n, 0.4)
-            before = C.core_number(pg)
+            before = by_node(pg, C.core_number(pg))
             missing = [(u, v) for i, u in enumerate(pg.nodes) for v in pg.nodes[i + 1:]
                        if (u, v) not in pg.edges]
             if not missing:
                 continue
             u, v = missing[int(rng.integers(0, len(missing)))]
             bigger = make_pg(list(pg.nodes), list(pg.edges) + [(u, v)])
-            after = C.core_number(bigger)
+            after = by_node(bigger, C.core_number(bigger))
             assert after[u] >= before[u] and after[v] >= before[v]
 
 
 class TestBetweenness:
     def test_path_middle_is_one(self, path3_pg):
-        assert C.betweenness(path3_pg) == {"a": 0.0, "b": 1.0, "c": 0.0}
+        assert by_node(path3_pg, C.betweenness(path3_pg)) == {"a": 0.0, "b": 1.0, "c": 0.0}
 
     def test_k3_no_intermediaries(self, k3_pg):
-        assert C.betweenness(k3_pg) == {"a": 0.0, "b": 0.0, "c": 0.0}
+        assert by_node(k3_pg, C.betweenness(k3_pg)) == {"a": 0.0, "b": 0.0, "c": 0.0}
 
     def test_star_center_is_one(self, star5_pg):
-        bc = C.betweenness(star5_pg)
+        bc = by_node(star5_pg, C.betweenness(star5_pg))
         assert bc["c0"] == pytest.approx(1.0, abs=1e-12)
         assert all(bc[l] == 0.0 for l in ("l1", "l2", "l3", "l4"))
 
@@ -82,8 +83,8 @@ class TestCurrentFlowBetweenness:
         rng = np.random.default_rng(7)
         for _ in range(10):
             pg = random_tree_pg(rng, int(rng.integers(3, 20)))
-            cf = C.newman_betweenness(pg)
-            sp = C.betweenness(pg)
+            cf = by_node(pg, C.newman_betweenness(pg))
+            sp = by_node(pg, C.betweenness(pg))
             for v in pg.nodes:
                 assert cf[v] == pytest.approx(sp[v], abs=1e-8)
 
@@ -91,67 +92,67 @@ class TestCurrentFlowBetweenness:
         # By symmetry all three nodes are equal; the oracle value under the
         # endpoint-excluded, shortest-path-normalized convention is 1/3
         # (each intermediate carries one third of the pair current).
-        cf = C.newman_betweenness(k3_pg)
+        cf = by_node(k3_pg, C.newman_betweenness(k3_pg))
         values = list(cf.values())
         assert max(values) - min(values) < 1e-10
         assert values[0] == pytest.approx(1.0 / 3.0, abs=1e-10)
 
     def test_four_cycle_vertex_transitive(self):
-        cf = C.newman_betweenness(make_pg(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-        values = list(cf.values())
+        pg = make_pg(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        values = list(by_node(pg, C.newman_betweenness(pg)).values())
         assert max(values) - min(values) < 1e-10
 
     def test_small_components_get_zero(self):
         pg = make_pg(5, [(0, 1)])  # one edge + three isolated nodes
-        assert all(v == 0.0 for v in C.newman_betweenness(pg).values())
+        assert all(v == 0.0 for v in by_node(pg, C.newman_betweenness(pg)).values())
 
 
 class TestClosenessHarmonic:
     def test_path_values(self, path3_pg):
-        cl = C.closeness(path3_pg)
+        cl = by_node(path3_pg, C.closeness(path3_pg))
         assert cl["b"] == pytest.approx(1.0)
         assert cl["a"] == pytest.approx(2.0 / 3.0)
-        h = C.harmonic(path3_pg)
+        h = by_node(path3_pg, C.harmonic(path3_pg))
         assert h["b"] == pytest.approx(1.0)
         assert h["a"] == pytest.approx(0.75)
 
     def test_k3_all_ones(self, k3_pg):
-        assert all(v == pytest.approx(1.0) for v in C.closeness(k3_pg).values())
+        assert all(v == pytest.approx(1.0) for v in by_node(k3_pg, C.closeness(k3_pg)).values())
 
     def test_component_correction(self):
         # two disjoint edges: each node reaches 1 of 3 others at distance 1
         pg = make_pg(4, [(0, 1), (2, 3)])
-        for v, val in C.closeness(pg).items():
+        for v, val in by_node(pg, C.closeness(pg)).items():
             assert val == pytest.approx((1 / 3) * (1 / 1))
-        for v, val in C.harmonic(pg).items():
+        for v, val in by_node(pg, C.harmonic(pg)).items():
             assert val == pytest.approx(1 / 3)
 
 
 class TestEigenvector:
     def test_path_ratio_sqrt2(self, path3_pg):
-        ev = C.eigenvector(path3_pg)
+        ev = by_node(path3_pg, C.eigenvector(path3_pg))
         assert ev["b"] / ev["a"] == pytest.approx(math.sqrt(2), abs=1e-9)
         norm = math.sqrt(sum(v * v for v in ev.values()))
         assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_k3_uniform(self, k3_pg):
-        ev = C.eigenvector(k3_pg)
+        ev = by_node(k3_pg, C.eigenvector(k3_pg))
         assert all(v == pytest.approx(1 / math.sqrt(3), abs=1e-9) for v in ev.values())
 
     def test_unit_norm_per_component_and_isolated_zero(self):
         pg = make_pg(5, [(0, 1), (1, 2), (3, 4)])  # path + edge + nothing isolated
-        ev = C.eigenvector(pg)
+        ev = by_node(pg, C.eigenvector(pg))
         comp1 = [ev["n00"], ev["n01"], ev["n02"]]
         comp2 = [ev["n03"], ev["n04"]]
         assert np.linalg.norm(comp1) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.norm(comp2) == pytest.approx(1.0, abs=1e-9)
-        lone = C.eigenvector(make_pg(3, [(0, 1)]))
-        assert lone["n02"] == 0.0
+        pg = make_pg(3, [(0, 1)])
+        assert by_node(pg, C.eigenvector(pg))["n02"] == 0.0
 
     def test_bipartite_component_converges(self):
         # even cycles are bipartite; plain power iteration would oscillate
         c6 = make_pg(6, [(i, (i + 1) % 6) for i in range(6)])
-        ev = C.eigenvector(c6)
+        ev = by_node(c6, C.eigenvector(c6))
         assert all(v == pytest.approx(1 / math.sqrt(6), abs=1e-8) for v in ev.values())
 
     def test_iteration_cap_raises_with_residual(self, path3_pg):
@@ -162,13 +163,13 @@ class TestEigenvector:
 
 class TestPageRank:
     def test_k3_exact_thirds(self, k3_pg):
-        pr = C.pagerank(k3_pg)
+        pr = by_node(k3_pg, C.pagerank(k3_pg))
         assert all(abs(v - 1.0 / 3.0) < 1e-12 for v in pr.values())
 
     def test_star_frozen_closed_form(self, star5_pg):
         # solving the two-equation fixed point for K_{1,4} at damping 0.85:
         # center = 0.132/0.2775, each leaf = (1 - center)/4
-        pr = C.pagerank(star5_pg)
+        pr = by_node(star5_pg, C.pagerank(star5_pg))
         center = 0.132 / 0.2775
         assert pr["c0"] == pytest.approx(center, abs=1e-9)
         for leaf in ("l1", "l2", "l3", "l4"):
@@ -179,12 +180,12 @@ class TestPageRank:
         rng = np.random.default_rng(11)
         for _ in range(20):
             pg = random_pg(rng, int(rng.integers(2, 12)), 0.25)
-            pr = C.pagerank(pg)
+            pr = by_node(pg, C.pagerank(pg))
             assert sum(pr.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_isolated_node_gets_teleport_share_only(self):
         pg = make_pg(3, [(0, 1)])
-        pr = C.pagerank(pg)
+        pr = by_node(pg, C.pagerank(pg))
         # the isolated node receives no walk edges; only teleport + dangling
         assert pr["n02"] < pr["n00"] == pr["n01"]
         assert sum(pr.values()) == pytest.approx(1.0, abs=1e-12)
@@ -192,11 +193,11 @@ class TestPageRank:
 
 class TestVoteRank:
     def test_star_center_first(self, star5_pg):
-        assert C.voterank(star5_pg)["c0"] == 1
+        assert by_node(star5_pg, C.voterank(star5_pg))["c0"] == 1
 
     def test_edgeless_all_share_rank_one(self):
         pg = make_pg(4, [])
-        assert C.voterank(pg) == {f"n{i:02d}": 1 for i in range(4)}
+        assert by_node(pg, C.voterank(pg)) == {f"n{i:02d}": 1 for i in range(4)}
 
     def test_two_triangles_frozen_trace(self):
         # hand trace: a1 elected (tie on ids), then b1, then a2 (score 1/2 tie),
@@ -204,7 +205,8 @@ class TestVoteRank:
         tri2 = make_pg(["a1", "a2", "a3", "b1", "b2", "b3"],
                        [("a1", "a2"), ("a1", "a3"), ("a2", "a3"),
                         ("b1", "b2"), ("b1", "b3"), ("b2", "b3")])
-        assert C.voterank(tri2) == {"a1": 1, "b1": 2, "a2": 3, "b2": 4, "a3": 5, "b3": 5}
+        assert by_node(tri2, C.voterank(tri2)) == {"a1": 1, "b1": 2, "a2": 3, "b2": 4,
+                                                   "a3": 5, "b3": 5}
 
 
 class TestOracleEquivalence:
@@ -213,17 +215,17 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(1000 * seed + int(p * 10))
         pg = random_pg(rng, int(rng.integers(2, 13)), p)
         computed = {
-            "degree_centrality": C.degree_centrality(pg),
-            "average_neighbor_degree": C.average_neighbor_degree(pg),
-            "betweenness": C.betweenness(pg),
-            "newman_betweenness": C.newman_betweenness(pg),
-            "closeness_centrality": C.closeness(pg),
-            "harmonic_centrality": C.harmonic(pg),
-            "eigenvector_centrality": C.eigenvector(pg),
-            "pagerank": C.pagerank(pg),
-            "clustering": C.clustering(pg),
-            "core_number": C.core_number(pg),
-            "voterank": C.voterank(pg),
+            "degree_centrality": by_node(pg, C.degree_centrality(pg)),
+            "average_neighbor_degree": by_node(pg, C.average_neighbor_degree(pg)),
+            "betweenness": by_node(pg, C.betweenness(pg)),
+            "newman_betweenness": by_node(pg, C.newman_betweenness(pg)),
+            "closeness_centrality": by_node(pg, C.closeness(pg)),
+            "harmonic_centrality": by_node(pg, C.harmonic(pg)),
+            "eigenvector_centrality": by_node(pg, C.eigenvector(pg)),
+            "pagerank": by_node(pg, C.pagerank(pg)),
+            "clustering": by_node(pg, C.clustering(pg)),
+            "core_number": by_node(pg, C.core_number(pg)),
+            "voterank": by_node(pg, C.voterank(pg)),
         }
         for measure, values in computed.items():
             oracle = ALL_MEASURE_ORACLES[measure](pg)
@@ -265,7 +267,7 @@ def _assert_csgraph_labels_and_current_flow(pg):
     """Component labels equal scipy's element for element, and current flow equals
     the same formula built on ``csgraph.laplacian``, to the last bit."""
     assert pg.labels.tolist() == csgraph.connected_components(pg.csr, directed=False)[1].tolist()
-    assert C.newman_betweenness(pg) == csgraph_current_flow_betweenness(pg)
+    assert by_node(pg, C.newman_betweenness(pg)) == csgraph_current_flow_betweenness(pg)
 
 
 def _nested_shell_pg():
@@ -291,9 +293,9 @@ class TestReferenceGraphs:
     @pytest.mark.parametrize("k", range(20))
     def test_distance_measures_on_multi_component_graphs(self, k):
         pg = _multi_component_pg(k)
-        _assert_matches(C.betweenness(pg), bf_brandes_betweenness(pg), "betweenness")
-        _assert_matches(C.closeness(pg), bf_closeness(pg), "closeness")
-        _assert_matches(C.harmonic(pg), bf_harmonic(pg), "harmonic")
+        _assert_matches(by_node(pg, C.betweenness(pg)), bf_brandes_betweenness(pg), "betweenness")
+        _assert_matches(by_node(pg, C.closeness(pg)), bf_closeness(pg), "closeness")
+        _assert_matches(by_node(pg, C.harmonic(pg)), bf_harmonic(pg), "harmonic")
 
     @pytest.mark.parametrize("k", range(20))
     def test_distances_equal_csgraph_on_multi_component_graphs(self, k):
@@ -324,24 +326,24 @@ class TestReferenceGraphs:
     def test_local_measures_exact_on_multi_component_graphs(self, k):
         # Integer counts divided once: equal to the oracles to the last bit.
         pg = _multi_component_pg(k)
-        assert C.clustering(pg) == bf_clustering(pg)
-        assert C.average_neighbor_degree(pg) == bf_average_neighbor_degree(pg)
-        assert C.core_number(pg) == bf_core_number(pg)
+        assert by_node(pg, C.clustering(pg)) == bf_clustering(pg)
+        assert by_node(pg, C.average_neighbor_degree(pg)) == bf_average_neighbor_degree(pg)
+        assert by_node(pg, C.core_number(pg)) == bf_core_number(pg)
 
     def test_nested_shells_core_numbers(self):
         pg, expected = _nested_shell_pg()
         assert set(expected.values()) == set(range(7))
-        core = C.core_number(pg)
+        core = by_node(pg, C.core_number(pg))
         assert core == expected
         assert core == bf_core_number(pg)
 
     def test_nested_shells_voterank(self):
         pg, _ = _nested_shell_pg()
-        assert C.voterank(pg) == bf_voterank(pg)
+        assert by_node(pg, C.voterank(pg)) == bf_voterank(pg)
 
     def test_ladder(self):
         pg = _ladder_pg()
-        _assert_matches(C.betweenness(pg), bf_brandes_betweenness(pg), "betweenness")
+        _assert_matches(by_node(pg, C.betweenness(pg)), bf_brandes_betweenness(pg), "betweenness")
 
     def test_diamond_chain_path_counts_double_per_diamond(self):
         # hub 0 - {a, b} - hub 3 - {a, b} - hub 6 ...: 2**k shortest paths across k diamonds
@@ -351,7 +353,7 @@ class TestReferenceGraphs:
             h, a, b, nxt = 3 * d, 3 * d + 1, 3 * d + 2, 3 * d + 3
             edges += [(h, a), (h, b), (a, nxt), (b, nxt)]
         pg = make_pg(3 * diamonds + 1, edges)
-        _assert_matches(C.betweenness(pg), bf_brandes_betweenness(pg), "betweenness")
+        _assert_matches(by_node(pg, C.betweenness(pg)), bf_brandes_betweenness(pg), "betweenness")
 
     def test_current_flow_over_several_edge_blocks(self):
         rng = np.random.default_rng(77)
@@ -359,7 +361,7 @@ class TestReferenceGraphs:
         # plus a path component and an isolated node, which change the normalization
         pg = make_pg(30, dense + [(26, 27), (27, 28)])
         assert len(dense) > C._EDGE_BLOCK
-        _assert_matches(C.newman_betweenness(pg), bf_current_flow_betweenness(pg),
+        _assert_matches(by_node(pg, C.newman_betweenness(pg)), bf_current_flow_betweenness(pg),
                         "newman_betweenness")
 
     def test_brandes_reference_matches_path_enumeration(self):
@@ -380,28 +382,52 @@ class TestFrames:
 
     def test_compute_frame_layer_columns(self):
         g = self._graph()
-        firm_frame = C.compute_frame(project_firms(g, 2005, 7), g)
+        pg = project_firms(g, 2005, 7)
+        firm_frame = C.compute_frame(pg, g)
+        assert firm_frame.nodes == pg.nodes
         assert "core_number" in firm_frame.measures
-        assert firm_frame.measures["n_investors"] == {"fA": 2, "fB": 2}
-        from vcnet.graph import project_investors
+        assert by_node(firm_frame, firm_frame.measures["n_investors"]) == {"fA": 2, "fB": 2}
         inv_frame = C.compute_frame(project_investors(g, 2005))
         assert "core_number" not in inv_frame.measures
         assert "n_investors" not in inv_frame.measures
         assert set(inv_frame.measures) == set(C.COMMON_MEASURES)
 
+    @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (2, []),
+                                          (6, [(0, 1), (1, 2), (3, 4)])])
+    def test_frame_holds_one_array_per_measure_in_node_order(self, n, edges):
+        pg = make_pg(n, edges)
+        frame = C.compute_frame(pg)
+        assert frame.nodes == pg.nodes
+        assert set(frame.measures) == set(C.COMMON_MEASURES) | {"core_number"}
+        for m, values in frame.measures.items():
+            assert values.shape == (n,)
+            assert values.dtype == (np.int64 if m in ("core_number", "voterank") else np.float64), m
+
     def test_frames_csv_round_trip(self, tmp_path):
-        from vcnet.graph import project_investors
-        g = self._graph()
-        frames = [C.compute_frame(project_firms(g, 2005, 7), g),
-                  C.compute_frame(project_investors(g, 2005))]
+        # Two components and an isolated node on each layer, so the values
+        # differ between nodes and each must come back on its own node.
+        g = build_bipartite([
+            deal("fA", "i1", "rA1", "2005-02-01", 100),
+            deal("fA", "i4", "rA1", "2005-02-01", 60),
+            deal("fB", "i1", "rB1", "2005-06-01", 70),
+            deal("fC", "i2", "rC1", "2005-03-01", 30),
+            deal("fD", "i2", "rD1", "2005-04-01", 40),
+            deal("fD", "i5", "rD1", "2005-04-01", 45),
+            deal("fE", "i3", "rE1", "2005-05-01", 90),
+        ])
+        firm_pg, inv_pg = project_firms(g, 2005, 7), project_investors(g, 2005)
+        assert firm_pg.labels.max() == inv_pg.labels.max() == 2
+        frames = [C.compute_frame(firm_pg, g), C.compute_frame(inv_pg)]
         path = tmp_path / "frames.csv"
         C.write_frames_csv(frames, path)
         back = C.read_frames_csv(path)
         assert set(back) == {(2005, FIRM), (2005, INVESTOR)}
         for frame in frames:
             again = back[(frame.snapshot_year, frame.layer)]
+            assert again.nodes == frame.nodes
+            assert set(again.measures) == set(frame.measures)
             for m, values in frame.measures.items():
-                assert again.measures[m] == pytest.approx(values)
+                assert by_node(again, again.measures[m]) == by_node(frame, values)
 
 
 class TestCovariateColumns:
@@ -421,14 +447,16 @@ class TestCovariateColumns:
 
 
 def _manual_frames(g, year, inv_values):
-    """Firm frame with constant own values and ``g``'s investor counts;
-    investor frame from a dict."""
-    firm_measures = {m: {"fA": 0.5} for m in C.COMMON_MEASURES}
-    firm_measures["core_number"] = {"fA": 1}
-    firm_measures["n_investors"] = C.compute_frame(project_firms(g, year, 7), g).measures["n_investors"]
-    inv_measures = {m: dict(inv_values) for m in C.COMMON_MEASURES}
-    return (C.CentralityFrame(year, FIRM, firm_measures),
-            C.CentralityFrame(year, INVESTOR, inv_measures))
+    """Firm frame over ``g``'s firm projection with constant own values and
+    ``g``'s investor counts; investor frame over the nodes of a dict."""
+    pg = project_firms(g, year, 7)
+    firm_measures = {m: np.full(len(pg), 0.5) for m in C.COMMON_MEASURES}
+    firm_measures["core_number"] = np.ones(len(pg), dtype=np.int64)
+    firm_measures["n_investors"] = C.compute_frame(pg, g).measures["n_investors"]
+    inv_nodes = tuple(sorted(inv_values))
+    inv_measures = {m: np.array([inv_values[i] for i in inv_nodes]) for m in C.COMMON_MEASURES}
+    return (C.CentralityFrame(year, FIRM, pg.nodes, firm_measures),
+            C.CentralityFrame(year, INVESTOR, inv_nodes, inv_measures))
 
 
 class TestAssembleCovariates:

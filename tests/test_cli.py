@@ -41,6 +41,21 @@ DEGENERATE_RUNS = {
 }
 
 
+#: Config values of the wrong type: (RunConfig keys, synthetic keys) over a 40-firm run.
+WRONG_TYPES = {
+    "start_years_one_year": ({"start_years": [2000]}, {}),
+    "sweep_windows_one_window": ({"sweep_windows": [5]}, {}),
+    "window_years_string": ({"window_years": "10"}, {}),
+    "kmeans_inits_float": ({"kmeans_inits": 2.5}, {}),
+    "top_n_null": ({"top_n": None}, {}),
+    "skew_threshold_string": ({"skew_threshold": "x"}, {}),
+    "dendrogram_k_bool": ({"dendrogram_k": True}, {}),
+    "n_firms_float": ({}, {"n_firms": 40.5}),
+    "year_range_one_year": ({}, {"year_range": [2000]}),
+    "seed_string": ({}, {"seed": "x"}),
+}
+
+
 def make_cfg(out_dir, **over):
     raw = {"out_dir": str(out_dir), "synthetic": SYNTH, **FAST, **over}
     return RunConfig.from_dict(raw)
@@ -274,6 +289,18 @@ class TestCliCommands:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"out_dir": "x", "synthetic": SYNTH, "typo_key": 1}))
         assert main(["stage", "ingest", "--config", str(cfg_file)]) == 2
+
+
+    @pytest.mark.parametrize("name", WRONG_TYPES)
+    def test_wrong_type_in_config_file_exits_2_naming_the_key(self, name, tmp_path, capsys):
+        over, synthetic = WRONG_TYPES[name]
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **FAST, **over,
+                                        "synthetic": {**SYNTH, "n_firms": 40, **synthetic}}))
+        assert main(["run", "--config", str(cfg_file)]) == 2
+        (key,) = {**over, **synthetic}
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGraphDumps:

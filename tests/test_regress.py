@@ -705,12 +705,11 @@ class TestWindowSweep:
         res = window_sweep(data, ("log_n_investors",), [], "linear_agg")
         assert res.rows == [] and res.firm_counts == {}
 
-    def test_functional_kind_emits_grid_rows(self):
+    def test_functional_kind_is_rejected(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=84, n_firms=80)
         data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors)
-        res = window_sweep(data, ("log_n_investors",), [6], "functional")
-        grid = {r.grid_t for r in res.rows}
-        assert grid == set(range(7))
+        with pytest.raises(ConfigError, match="scalar responses"):
+            window_sweep(data, ("log_n_investors",), [6], "functional")
 
 
 class TestPerturbationSweep:
