@@ -7,13 +7,13 @@ returns one numpy array aligned with ``pg.nodes`` (sorted node ids):
 float64, except ``core_number`` and ``voterank``, which are int64. The local
 measures (neighbor degree, clustering, k-core) are sparse products on
 it. The distance measures (betweenness, closeness, harmonic) share one
-all-pairs hop-distance pass per projection, cached with the component
-labels on the ``ProjectedGraph``. Graphs are typically disconnected, so
-distance-based measures use component-corrected normalizations that
-stay finite and comparable:
+all-pairs pass of integer hop counts, and eigenvector and current flow
+one component split, both cached on the ``ProjectedGraph``. Graphs are
+typically disconnected, so distance-based measures use
+component-corrected normalizations that stay finite and comparable:
 
 * ``closeness``: (r/(n-1)) * (r/sum of distances), r = #reachable nodes;
-* ``harmonic``: sum of inverse distances divided by (n-1), 1/inf = 0;
+* ``harmonic``: sum of inverse distances to reachable nodes divided by (n-1);
 * ``eigenvector``: dominant eigenvector per connected component, scaled
   to unit Euclidean norm within the component (isolated nodes get 0);
 * ``newman_betweenness``: current flow per component via the Laplacian
@@ -33,7 +33,6 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError
 from .graph import FIRM, SOURCE_BLOCK, ProjectedGraph, TemporalBipartiteGraph, first_rounds
@@ -105,7 +104,7 @@ def core_number(pg: ProjectedGraph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Distance measures (all read the projection's cached hop-distance matrix)
+# Distance measures (all read the projection's cached hop counts, -1 if unreachable)
 # ---------------------------------------------------------------------------
 
 #: Edges per block in ``newman_betweenness``; its work array is block x component size.
@@ -130,7 +129,7 @@ def betweenness(pg: ProjectedGraph) -> np.ndarray:
     bc = np.zeros(n)
     for lo in range(0, n, SOURCE_BLOCK):
         D = pg.dist[:, lo:lo + SOURCE_BLOCK]  # column j: distances from source lo + j
-        depth = int(D[np.isfinite(D)].max())
+        depth = int(D.max())
         level = [D == d for d in range(depth + 1)]
         sigma = level[0].astype(float)  # shortest-path counts from each source
         for d in range(1, depth + 1):
@@ -143,42 +142,25 @@ def betweenness(pg: ProjectedGraph) -> np.ndarray:
     return bc / ((n - 1) * (n - 2))  # each unordered pair was accumulated twice
 
 
-def _reachable(pg: ProjectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Hop distances and the mask of other nodes in the same component."""
-    D = pg.dist
-    return D, np.isfinite(D) & (D > 0)
-
-
 def closeness(pg: ProjectedGraph) -> np.ndarray:
     """Component-corrected closeness: (r/(n-1)) * (r/total distance)."""
     n = len(pg)
-    D, reach = _reachable(pg)
+    reach = pg.dist > 0  # the other nodes of the same component
     r = reach.sum(axis=1)
-    total = np.where(reach, D, 0.0).sum(axis=1)  # integer-valued, so exact in any order
+    total = np.where(reach, pg.dist, 0.0).sum(axis=1)  # integer-valued, so exact in any order
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(r > 0, (r / (n - 1)) * (r / total), 0.0)
 
 
 def harmonic(pg: ProjectedGraph) -> np.ndarray:
-    """Mean inverse distance to all other nodes (1/inf = 0)."""
-    n = len(pg)
-    if n <= 1:
-        return np.zeros(n)
-    D, reach = _reachable(pg)
+    """Sum of inverse distances to the other nodes of the same component, over n - 1."""
     # Row by row over the reachable entries only: the float sum keeps its order.
-    return np.array([(1.0 / D[i][reach[i]]).sum() for i in range(n)]) / (n - 1)
+    return np.array([(1.0 / row[row > 0]).sum() for row in pg.dist]) / max(len(pg) - 1, 1)
 
 
 # ---------------------------------------------------------------------------
 # Spectral measures
 # ---------------------------------------------------------------------------
-
-def _components(pg: ProjectedGraph) -> list[np.ndarray]:
-    """Node indices of each connected component, ascending within each."""
-    labels = pg.labels
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
-
 
 def eigenvector(pg: ProjectedGraph, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
     """Dominant-eigenvector centrality, unit Euclidean norm per component.
@@ -187,13 +169,11 @@ def eigenvector(pg: ProjectedGraph, tol: float = 1e-10, max_iter: int = 10000) -
     eigenvector as A but converges on bipartite components too. Isolated
     nodes get 0.
     """
-    n = len(pg)
-    values = np.zeros(n)
-    A = pg.csr
-    for comp in _components(pg):
+    values = np.zeros(len(pg))
+    for comp, _ in pg.components:
         if comp.size < 2:
             continue
-        sub = A[np.ix_(comp, comp)].tocsr()
+        sub = pg.csr[np.ix_(comp, comp)]
         x = np.full(comp.size, 1.0 / np.sqrt(comp.size))
         for _ in range(max_iter):
             y = sub @ x + x
@@ -251,27 +231,25 @@ def newman_betweenness(pg: ProjectedGraph) -> np.ndarray:
     """
     n = len(pg)
     values = np.zeros(n)
-    if n >= 3:
-        A = pg.csr
-        for comp in _components(pg):
-            nc = comp.size
-            if nc < 3:
-                continue
-            sub = A[np.ix_(comp, comp)]
-            laplacian = np.diag(pg.degrees[comp]) - sub.toarray()  # exact integers
-            pinv = np.linalg.pinv(laplacian, rcond=_PINV_RCOND)
-            upper = sp.triu(sub, k=1).tocoo()
-            u, v = upper.row, upper.col
-            # Sum over source<target pairs of |current through edge e|, where
-            # pinv[u] - pinv[v] holds e's potential differences for all sinks:
-            # for sorted row x, sum_{s<t} |x_s - x_t| = sum_i (2i - nc + 1) x_(i).
-            coef = 2.0 * np.arange(nc) - nc + 1.0
-            per_edge = np.concatenate([
-                np.sort(pinv[u[k:k + _EDGE_BLOCK]] - pinv[v[k:k + _EDGE_BLOCK]], axis=1) @ coef
-                for k in range(0, u.size, _EDGE_BLOCK)])
-            through = 0.5 * (np.bincount(u, per_edge, nc) + np.bincount(v, per_edge, nc))
-            through -= (nc - 1) / 2.0  # endpoint flow of the nc-1 pairs at each node
-            values[comp] = through * 2.0 / ((n - 1) * (n - 2))
+    for comp, edges in pg.components:
+        nc = comp.size
+        if nc < 3:
+            continue
+        u, v = edges.T
+        laplacian = np.zeros((nc, nc))  # exact integers
+        laplacian[u, v] = laplacian[v, u] = -1.0
+        np.fill_diagonal(laplacian, pg.degrees[comp])
+        pinv = np.linalg.pinv(laplacian, rcond=_PINV_RCOND)
+        # Sum over source<target pairs of |current through edge e|, where
+        # pinv[u] - pinv[v] holds e's potential differences for all sinks:
+        # for sorted row x, sum_{s<t} |x_s - x_t| = sum_i (2i - nc + 1) x_(i).
+        coef = 2.0 * np.arange(nc) - nc + 1.0
+        per_edge = np.concatenate([
+            np.sort(pinv[u[k:k + _EDGE_BLOCK]] - pinv[v[k:k + _EDGE_BLOCK]], axis=1) @ coef
+            for k in range(0, u.size, _EDGE_BLOCK)])
+        through = 0.5 * (np.bincount(u, per_edge, nc) + np.bincount(v, per_edge, nc))
+        through -= (nc - 1) / 2.0  # endpoint flow of the nc-1 pairs at each node
+        values[comp] = through * 2.0 / ((n - 1) * (n - 2))
     return values
 
 

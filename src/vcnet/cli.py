@@ -101,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(cfg: RunConfig) -> int:
     if cfg.synthetic is None:
         raise ConfigError("synth requires a synthetic config section")
+    cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds = generate_synthetic(cfg.synthetic)

@@ -101,9 +101,9 @@ class ProjectedGraph:
     order, and ``weights`` the edge multiplicities. The integer-indexed
     views that every measure shares are built once and are read-only:
     ``csr`` (the unweighted symmetric adjacency, rows and columns in
-    ``nodes`` order) and ``degrees`` on creation, ``dist`` (all-pairs hop
-    distances, ``inf`` between components) and ``labels``
-    (connected-component ids) on first use.
+    ``nodes`` order) and ``degrees`` on creation; ``dist`` (all-pairs hop
+    counts, -1 between components), ``labels`` (component ids) and
+    ``components`` (each component's nodes and edges) on first use.
     """
 
     def __init__(self, layer: str, snapshot_year: int, nodes: Sequence[str], pairs: ArrayLike,
@@ -141,26 +141,27 @@ class ProjectedGraph:
 
     @cached_property
     def dist(self) -> np.ndarray:
-        """Hop distances by breadth-first search, ``SOURCE_BLOCK`` sources at a time.
+        """Hop counts by breadth-first search, ``SOURCE_BLOCK`` sources at a time.
 
-        Each level of a block is one product of the adjacency with the
-        block's frontier (Kepner & Gilbert 2011). The products run in
-        float32: they only tell a node with frontier neighbours from one
-        without, and a sum of ones is never 0, whatever its rounding.
+        -1 marks an unreachable pair, in the smallest signed integer type
+        that holds ``-n`` (int8 up to 128 nodes, int16 up to 32,768). Each
+        level is one product of the adjacency with the block's frontier
+        (Kepner & Gilbert 2011), in float32: it only tells a node with
+        frontier neighbours from one without, and a sum of ones is never 0.
         """
         n = len(self)
         A = self.csr.astype(np.float32)
-        dist = np.empty((n, n))
+        dist = np.empty((n, n), dtype=np.min_scalar_type(-max(n, 1)))
         for lo in range(0, n, SOURCE_BLOCK):
             sources = np.arange(lo, min(lo + SOURCE_BLOCK, n))
-            block = np.full((n, sources.size), np.inf)  # column j: distances from lo + j
-            block[sources, sources - lo] = 0.0
-            unseen = np.isinf(block)
+            block = np.full((n, sources.size), -1, dtype=dist.dtype)  # column j: from lo + j
+            block[sources, sources - lo] = 0
+            unseen = block < 0
             frontier = (~unseen).astype(np.float32)
-            level = 0
-            while frontier.any():
-                level += 1
+            for level in range(1, n):  # a hop count is below n
                 reached = (A @ frontier).astype(bool) & unseen
+                if not reached.any():
+                    break
                 block[reached] = level
                 unseen &= ~reached
                 frontier = reached.astype(np.float32)
@@ -176,8 +177,23 @@ class ProjectedGraph:
         """
         if len(self) == 0:
             return _read_only(np.zeros(0, dtype=np.intp))
-        first = np.isfinite(self.dist).argmax(axis=1)
+        first = (self.dist >= 0).argmax(axis=1)
         return _read_only(np.unique(first, return_inverse=True)[1])
+
+    @cached_property
+    def components(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per component, in ``labels`` order, its node indices (ascending) and its
+        edges in ``pairs`` order as rows ``(u, v)`` of positions among those
+        nodes; every array is read-only."""
+        sizes = np.bincount(self.labels)
+        order = _read_only(np.argsort(self.labels, kind="stable"))
+        starts = np.cumsum(sizes) - sizes
+        local = np.argsort(order) - starts[self.labels]  # each node's position in its component
+        edge_labels = self.labels[self.pairs[:, 0]]
+        edges = _read_only(local[self.pairs[np.argsort(edge_labels, kind="stable")]])
+        counts = np.bincount(edge_labels, minlength=sizes.size)
+        return tuple((order[a:a + s], edges[b:b + m]) for a, s, b, m
+                     in zip(starts, sizes, np.cumsum(counts) - counts, counts))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, triu
 
 from oracles import (ALL_MEASURE_ORACLES, bf_average_neighbor_degree, bf_betweenness,
                      bf_brandes_betweenness, bf_closeness, bf_clustering, bf_core_number,
@@ -256,17 +256,32 @@ def _ladder_pg(rungs=40):
     return make_pg(2 * rungs, edges)
 
 
+def _hop_dtype(n):
+    """The smallest signed integer type that holds -n, for the graphs of these tests."""
+    return np.int8 if n <= 128 else np.int16
+
+
 def _assert_csgraph_distances(pg):
-    """The breadth-first hop distances equal scipy's, dtype and ``inf`` included."""
+    """The breadth-first hop counts equal scipy's distances, -1 read as ``inf``, and
+    are held in the smallest signed integer type that holds -n."""
     expected = csgraph.shortest_path(pg.csr, directed=False, unweighted=True)
-    assert pg.dist.dtype == expected.dtype
-    assert np.array_equal(pg.dist, expected)
+    assert pg.dist.dtype == _hop_dtype(len(pg))
+    assert np.array_equal(np.where(pg.dist == -1, np.inf, pg.dist), expected)
 
 
 def _assert_csgraph_labels_and_current_flow(pg):
-    """Component labels equal scipy's element for element, and current flow equals
-    the same formula built on ``csgraph.laplacian``, to the last bit."""
-    assert pg.labels.tolist() == csgraph.connected_components(pg.csr, directed=False)[1].tolist()
+    """Component labels equal scipy's element for element; each component's nodes are
+    one group of them, in label order, and its local edges the rows of ``triu`` of its
+    adjacency block, in order; and current flow equals the same formula built on
+    ``csgraph.laplacian``, to the last bit."""
+    count, labels = csgraph.connected_components(pg.csr, directed=False)
+    assert pg.labels.tolist() == labels.tolist()
+    assert len(pg.components) == count
+    for c, (nodes, edges) in enumerate(pg.components):
+        assert nodes.tolist() == np.flatnonzero(labels == c).tolist()
+        upper = triu(pg.csr[np.ix_(nodes, nodes)], k=1).tocoo()
+        assert edges.shape == (upper.nnz, 2)
+        assert edges.tolist() == np.column_stack([upper.row, upper.col]).tolist()
     assert by_node(pg, C.newman_betweenness(pg)) == csgraph_current_flow_betweenness(pg)
 
 
@@ -309,6 +324,13 @@ class TestReferenceGraphs:
     @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (2, []), (2, [(0, 1)])])
     def test_distances_equal_csgraph_on_tiny_graphs(self, n, edges):
         _assert_csgraph_distances(make_pg(n, edges))
+
+    @pytest.mark.parametrize("n, dtype", [(128, np.int8), (129, np.int16)])
+    def test_hop_counts_in_smallest_type_holding_minus_n(self, n, dtype):
+        pg = make_pg([f"v{i:03d}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+        assert pg.dist.dtype == dtype
+        assert pg.dist[0, n - 1] == pg.dist[n - 1, 0] == n - 1
+        _assert_csgraph_distances(pg)
 
     @pytest.mark.parametrize("k", range(20))
     def test_labels_and_current_flow_equal_csgraph_on_multi_component_graphs(self, k):

@@ -302,6 +302,12 @@ class TestCliCommands:
         assert f"config key {key!r} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_synth_checks_config_types_exits_2_naming_the_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out_dir": 3, "synthetic": SYNTH}))
+        assert main(["synth", "--config", str(cfg_file)]) == 2
+        assert "config key 'out_dir' must be" in capsys.readouterr().err
+
 
 class TestGraphDumps:
     def test_dump_flag_writes_projection_files(self, tmp_path):

@@ -235,11 +235,14 @@ class TestProjectionArrays:
         shared = {"csr.data": pg.csr.data, "csr.indices": pg.csr.indices,
                   "csr.indptr": pg.csr.indptr, "degrees": pg.degrees, "dist": pg.dist,
                   "labels": pg.labels}
+        assert isinstance(pg.components, tuple)
+        for c, (nodes, edges) in enumerate(pg.components):
+            shared[f"components[{c}].nodes"], shared[f"components[{c}].edges"] = nodes, edges
         for name, array in shared.items():
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):
                 array[...] = 0
-        assert pg.dist is pg.dist and pg.labels is pg.labels
+        assert pg.dist is pg.dist and pg.labels is pg.labels and pg.components is pg.components
         assert pg.csr is pg.csr and pg.degrees is pg.degrees
 
     def test_adjacency_follows_node_order(self):
