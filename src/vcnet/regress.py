@@ -841,7 +841,8 @@ def window_sweep(data: PipelineData, config: tuple[str, ...],
     ``logistic``, the ``responses`` and the fit sample, and reports each
     coefficient with its 1.96-standard-error band plus the per-window
     firm count. A firm count that increases with the window is recorded
-    as a warning. ``kind`` is a scalar response: ``linear_agg``,
+    as a warning, and so is a window without a firm to fit, which is not
+    clustered or fitted. ``kind`` is a scalar response: ``linear_agg``,
     ``linear_diff`` or ``logistic``.
     """
     if kind == "functional":
@@ -852,7 +853,7 @@ def window_sweep(data: PipelineData, config: tuple[str, ...],
     for window in w_range:
         trajs = [t for t in data.trajectories(window).trajectories if t.firm_id in in_fm]
         regimes = None
-        if kind == "logistic":
+        if kind == "logistic" and trajs:
             regimes = functional_kmeans(trajs, k=data.kmeans_k, n_init=data.kmeans_inits,
                                         seed=data.kmeans_seed,
                                         log_scale=data.kmeans_log_scale).regimes
@@ -862,6 +863,10 @@ def window_sweep(data: PipelineData, config: tuple[str, ...],
             result.warnings.append(
                 f"firm count increased from {prev_count} to {len(firms)} at window {window}")
         prev_count = len(firms)
+        if not firms:
+            result.warnings.append(f"window {window}: fit failed (empty fit sample: "
+                                   f"no firm to fit for a {window}-year window)")
+            continue
         sub = data.fm.take_rows(firms)
         X = sub.select(config)
         try:

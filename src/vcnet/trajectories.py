@@ -10,14 +10,11 @@ early enough for the full window to fit in the data range.
 
 Clustering runs separately per subsector with a Lloyd-style functional
 k-means: squared L2 distance between curves under trapezoidal
-quadrature weights, best of ``n_init`` seeded restarts. The restarts of
-a subsector run as one stacked Lloyd loop over a (restarts, k, T)
-centroid stack, ``RESTART_BLOCK`` restarts at a time, and share their
-paths (``_restart_stack``): an assignment without an empty cluster fixes
-every later pass, so restarts that reach one at the same pass continue
-as one, and a restart that reaches one on a converged path takes its
-result if that comes within ``max_iter`` passes of its own. Each
-restart's result stays exactly its own.
+quadrature weights, best of ``n_init`` seeded restarts. A Lloyd pass
+depends only on the centroids it starts from and the assignment before
+it, so the restarts of a subsector share one table of these states
+(``_restart_stack``): each distinct state is iterated once, in stacks of
+up to ``RESTART_BLOCK``, and each restart's result stays exactly its own.
 Distances are computed on log(1+x)-scaled curves by default since
 funding spans orders of magnitude; pass ``log_scale=False`` for raw
 currency units.
@@ -121,148 +118,122 @@ def _quad_weights(n_grid: int) -> np.ndarray:
     return w
 
 
-#: Restarts run together as one (block, k, T) centroid stack, which bounds the
-#: Lloyd loop's work memory to O(block * n * k * T) whatever ``n_init``. 128
-#: keeps every restart of a subsector in one stack at the default
-#: ``kmeans_inits`` (100), so same-pass merges can reach all of them.
+#: Each expansion of waiting Lloyd states stacks at most this many of them in
+#: one (block, n, k, T) distance buffer, which bounds its work memory whatever
+#: ``n_init``; the state table grows with the distinct states times n. 128
+#: expands every initial state of a subsector in one stack at the default
+#: ``kmeans_inits`` (100).
 RESTART_BLOCK = 128
 
 
-def _check_objective(new, old) -> None:
-    if (new > old * (1 + 1e-12) + 1e-9).any():  # arrays or numpy scalars
-        raise InvariantError("k-means objective increased across an iteration")
+def _means(X: np.ndarray, assigns: np.ndarray, k: int) -> np.ndarray:
+    """Each cluster's mean curve under each of an (m, n) stack of assignments, (m, k, T).
 
-
-def _record(joins: dict, path: list, stop: int, final: tuple) -> None:
-    """Enter each [assignment, pass, next objective] of a path that converged at ``stop``."""
-    for key, reached, next_obj in path:
-        joins.setdefault(key, (stop - reached, next_obj, final))
-
-
-def _lloyd_stack(X: np.ndarray, centroids: np.ndarray, d2: np.ndarray, w: np.ndarray,
-                 max_iter: int, joins: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lloyd passes of a (B, k, T) centroid stack, sharing paths as ``_restart_stack`` says.
-
-    ``d2`` (B, n, k) holds the first pass's weighted squared distances;
-    ``joins`` is the subsector's table of converged paths.
-
-    Each restart iterates to an assignment fixed point or for ``max_iter``
-    passes; an empty cluster is re-seeded at the point farthest from its
-    current centroid. Distances reduce over the grid axis and a centroid is
-    the sum of its curves in row order over their count, so a restart's
-    passes do not depend on the others in its stack. Returns assignments
-    (B, n), centroids (B, k, T) and objectives (B,).
+    bincount adds each cell's curves in row order starting from zero, so a
+    mean is bit-identical to ``X[assign == j].mean(axis=0)``; an empty
+    cluster's is nan.
     """
-    n_restarts, k, n_grid = centroids.shape
-    n = len(X)
-    assign = np.full((n_restarts, n), -1)
-    obj = np.full(n_restarts, np.inf)
-    leader = np.arange(n_restarts)  # the restart each one continues as
-    paths = [[] for _ in range(n_restarts)]  # each restart's [assignment, pass, next objective]
-    seen = {}  # assignment -> (restart, path entry) reached at the previous pass
-    active = np.arange(n_restarts)  # the restarts still iterating
-    # (((X - C) ** 2) * w).sum(axis=-1) is formed in place in one buffer; curves
-    # and weights repeated per cluster let each product run over whole rows
-    X_k = np.repeat(X[:, None, :], k, axis=1)
-    w_k = np.broadcast_to(w, X_k.shape).copy()
-    buffer = np.empty((n_restarts, n, k, n_grid))
-    for p in range(max_iter):
-        if p:
-            work = buffer[:len(active)]
-            np.subtract(X_k, centroids[active, None, :, :], out=work)
-            np.square(work, out=work)
-            work *= w_k
-            d2 = work.sum(axis=-1)
-        new_assign = d2.argmin(axis=2)
-        own = np.take_along_axis(d2, new_assign[..., None], axis=2)[..., 0]
-        new_obj = own.sum(axis=1)
-        _check_objective(new_obj, obj[active])
-        obj[active] = new_obj
-        for b, entry in seen.values():
-            entry[2] = obj[b]
-        moved = (new_assign != assign[active]).any(axis=1)
-        for b in active[~moved]:
-            _record(joins, paths[b], p, (assign[b].copy(), centroids[b].copy(), obj[b]))
-        active, new_assign, own = active[moved], new_assign[moved], own[moved]
-        assign[active] = new_assign
-        counts = (new_assign[..., None] == np.arange(k)).sum(axis=1)
-        seen = {}
-        if p + 1 < max_iter:
-            going = np.ones(len(active), dtype=bool)
-            for i in np.flatnonzero(counts.all(axis=1)):
-                b, key = int(active[i]), new_assign[i].tobytes()
-                hit = joins.get(key)
-                if hit is not None and p + hit[0] < max_iter:
-                    lag, next_obj, final = hit
-                    _check_objective(next_obj, obj[b])
-                    assign[b], centroids[b], obj[b] = final
-                    _record(joins, paths[b], p + lag, final)
-                elif key in seen:
-                    first = seen[key][0]
-                    leader[b] = first
-                    obj[first] = min(obj[first], obj[b])
-                    paths[first] += paths[b]
-                else:
-                    seen[key] = b, [key, p, np.nan]
-                    paths[b].append(seen[key][1])
-                    continue
-                going[i] = False
-            active, new_assign, own, counts = (a[going] for a in (active, new_assign, own, counts))
-        if not active.size:
-            break
-        n_active = len(active)
-        cells = new_assign + k * np.arange(n_active)[:, None]  # each curve's (restart, cluster)
-        # bincount adds each cell's curves in row order starting from zero, so a
-        # centroid is bit-identical to X[mask].mean(axis=0) of its restart alone
-        sums = np.bincount((cells[..., None] * n_grid + np.arange(n_grid)).ravel(),
-                           np.broadcast_to(X, (n_active, n, n_grid)).ravel(),
-                           n_active * k * n_grid).reshape(n_active, k, n_grid)
-        with np.errstate(invalid="ignore"):
-            update = sums / counts[..., None]
-        for b in np.flatnonzero((counts == 0).any(axis=1)):
-            dist, used = own[b], []
-            for j in np.flatnonzero(counts[b] == 0):
-                dist[used] = -np.inf
-                used.append(int(dist.argmax()))
-                update[b, j] = X[used[-1]]
-        centroids[active] = update
-    while (leader[leader] != leader).any():  # merged restarts take their leader's result
-        leader = leader[leader]
-    return assign[leader], centroids[leader], obj[leader]
+    m, n = assigns.shape
+    n_grid = X.shape[1]
+    cells = assigns + k * np.arange(m)[:, None]  # each curve's (assignment, cluster)
+    sums = np.bincount((cells[..., None] * n_grid + np.arange(n_grid)).ravel(),
+                       np.broadcast_to(X, (m, n, n_grid)).ravel(), m * k * n_grid)
+    counts = np.bincount(cells.ravel(), minlength=m * k)
+    with np.errstate(invalid="ignore"):
+        return sums.reshape(m, k, n_grid) / counts.reshape(m, k, 1)
 
 
 def _restart_stack(X: np.ndarray, centroids: np.ndarray, w: np.ndarray,
                    max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lloyd iterations of every restart of a (R, k, T) initial-centroid stack.
 
-    Restarts run ``RESTART_BLOCK`` at a time and share paths by two rules,
-    each decided at the pass where it applies; both rest on an assignment
-    without an empty cluster fixing every later pass.
-
-    * Same-pass merge: restarts of a block that reach one at the same pass,
-      not the last, continue as the first of them, whose next objective is
-      checked against the least of theirs.
-    * Converged-path join: a restart that converges at pass ``q`` records
-      each one it reached at pass ``r`` with ``q - r``, the objective of
-      pass ``r + 1`` and its result, in a table shared by the blocks. A
-      restart that reaches a recorded one at pass ``p``, not the last, with
-      ``p + q - r < max_iter`` checks that objective against its own, takes
-      the result and records its own path; otherwise it continues.
-
-    So each restart ends exactly where ``max_iter`` passes alone would take it.
-    Returns assignments (R, n), centroids (R, k, T) and objectives (R,).
+    Each restart iterates to an assignment fixed point or for ``max_iter``
+    passes; an empty cluster is re-seeded at the point farthest from its
+    current centroid. A pass depends only on its state: the centroids it
+    starts from and the assignment before it. A state is keyed by that
+    assignment when the centroids are its means without an empty cluster,
+    else by both. Each distinct state is iterated once: each round expands
+    the states restarts wait at, ``RESTART_BLOCK`` to a stack, and restarts
+    at one state after the same passes move on as a group, checked against
+    the least previous objective of its members. Distances reduce over the
+    grid axis and means come from ``_means``, so each restart's result is
+    exactly its own Lloyd loop's. Returns assignments (R, n), centroids
+    (R, k, T) and objectives (R,).
     """
     n_restarts, k, n_grid = centroids.shape
-    # the first pass's distances, once per distinct initial centroid
-    rows, of_row = np.unique(centroids.reshape(-1, n_grid), axis=0, return_inverse=True)
-    d2 = (((X[:, None, :] - rows) ** 2) * w).sum(axis=-1)
-    of_row = of_row.reshape(n_restarts, k)
-    joins: dict = {}
-    blocks = [_lloyd_stack(X, centroids[start:start + RESTART_BLOCK].copy(),
-                           d2[:, of_row[start:start + RESTART_BLOCK]].transpose(1, 0, 2),
-                           w, max_iter, joins)
-              for start in range(0, n_restarts, RESTART_BLOCK)]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    n = len(X)
+    start: dict = {}  # state key -> (centroids, None for the means of prev; prev assignment)
+    passed: dict = {}  # expanded state key -> (assignment, objective, centroids, next key or None)
+    # (((X - C) ** 2) * w).sum(axis=-1) is formed in place in one buffer; curves
+    # and weights repeated per cluster let each product run over whole rows
+    X_k = np.repeat(X[:, None, :], k, axis=1)
+    w_k = np.broadcast_to(w, X_k.shape).copy()
+    buffer = np.empty((min(RESTART_BLOCK, n_restarts), n, k, n_grid))
+
+    def enter(C: np.ndarray | None, prev: np.ndarray) -> bytes:
+        key = prev.tobytes() if C is None else C.tobytes() + prev.tobytes()
+        start.setdefault(key, (C, prev))
+        return key
+
+    def expand(keys: list) -> None:
+        given = [start[key][0] for key in keys]
+        prev = np.stack([start[key][1] for key in keys])
+        of_means = [i for i, c in enumerate(given) if c is None]
+        C = np.stack([np.empty((k, n_grid)) if c is None else c for c in given])
+        C[of_means] = _means(X, prev[of_means], k)
+        work = buffer[:len(keys)]
+        np.subtract(X_k, C[:, None, :, :], out=work)
+        np.square(work, out=work)
+        work *= w_k
+        d2 = work.sum(axis=-1)
+        assign = d2.argmin(axis=2)
+        own = np.take_along_axis(d2, assign[..., None], axis=2)[..., 0]
+        obj = own.sum(axis=1)
+        moved = (assign != prev).any(axis=1)
+        empty = moved[:, None] & ~(assign[..., None] == np.arange(k)).any(axis=1)
+        reseeded = np.flatnonzero(empty.any(axis=1))
+        seeds = dict(zip(reseeded.tolist(), _means(X, assign[reseeded], k)))
+        for i, seed in seeds.items():
+            dist, used = own[i], []
+            for j in np.flatnonzero(empty[i]):
+                dist[used] = -np.inf
+                used.append(int(dist.argmax()))
+                seed[j] = X[used[-1]]
+        for i, (key, o, go) in enumerate(zip(keys, obj.tolist(), moved.tolist())):
+            passed[key] = assign[i], o, C[i], enter(seeds.get(i), assign[i]) if go else None
+
+    groups: dict = {}  # state key -> [restarts, least previous objective]
+    none = np.full(n, -1)  # the assignment before the first pass
+    for r, C in enumerate(centroids):
+        groups.setdefault(enter(C, none), [[], np.inf])[0].append(r)
+    assigns, finals = np.empty((n_restarts, n), dtype=np.intp), np.empty(centroids.shape)
+    objs = np.empty(n_restarts)
+    at_limit = []  # (restarts, assignment) stopped by max_iter, at that assignment's means
+    for passes in range(1, max_iter + 1):
+        waiting = [key for key in groups if key not in passed]
+        for i in range(0, len(waiting), RESTART_BLOCK):
+            expand(waiting[i:i + RESTART_BLOCK])
+        onward: dict = {}
+        for key, (restarts, least) in groups.items():
+            assign, obj, C, nxt = passed[key]
+            if obj > least * (1 + 1e-12) + 1e-9:
+                raise InvariantError("k-means objective increased across an iteration")
+            if nxt is not None and passes < max_iter:
+                group = onward.setdefault(nxt, [[], np.inf])
+                group[0] += restarts
+                group[1] = min(group[1], obj)
+                continue
+            assigns[restarts], objs[restarts] = assign, obj
+            if nxt is None or start[nxt][0] is not None:
+                finals[restarts] = C if nxt is None else start[nxt][0]
+            else:
+                at_limit.append((restarts, assign))
+        if not (groups := onward):
+            break
+    if at_limit:
+        for (restarts, _), C in zip(at_limit, _means(X, np.stack([a for _, a in at_limit]), k)):
+            finals[restarts] = C
+    return assigns, finals, objs
 
 
 @functools.lru_cache(maxsize=256)
@@ -288,13 +259,12 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
     HIGH, every other cluster LOW. Subsectors with fewer than k firms
     are assigned entirely to LOW with a warning. Restart seeds derive
     from ``seed`` and the (subsector, restart) labels, so results do not
-    depend on scheduling order. Restarts run ``RESTART_BLOCK`` at a time
-    as one stacked Lloyd loop, merging and joining paths as
-    ``_restart_stack`` says; the best is the lowest objective, the lowest
-    restart among ties.
+    depend on scheduling order. The restarts share their Lloyd passes
+    as ``_restart_stack`` says; the best is the lowest objective, the
+    lowest restart among ties.
     """
-    if k < 1 or n_init < 1:
-        raise ConfigError("k and n_init must both be >= 1")
+    if k < 1 or n_init < 1 or max_iter < 1:
+        raise ConfigError(f"k, n_init and max_iter must all be >= 1, got {k}, {n_init}, {max_iter}")
     if not trajs:
         return ClusterAssignment(0, "log1p" if log_scale else "raw", {}, {}, {}, {})
     window = len(trajs[0].values) - 1

@@ -636,11 +636,11 @@ class TestSelectModel:
         assert before == after
 
 
-def _synth_pipeline_data(seed=81, n_firms=150):
+def _synth_pipeline_data(seed=81, n_firms=150, year_range=(2000, 2020), window=10):
     cfg = SyntheticConfig(n_firms=n_firms, n_investors=60, n_subsectors=3,
-                          year_range=(2000, 2020), high_regime_fraction=0.25, seed=seed)
+                          year_range=year_range, high_regime_fraction=0.25, seed=seed)
     ds = generate_synthetic(cfg)
-    ts = build_trajectories(ds.deals, ds.firms, 10)
+    ts = build_trajectories(ds.deals, ds.firms, window)
     firms = sorted({t.firm_id for t in ts.trajectories})
     by_firm = {t.firm_id: t for t in ts.trajectories}
     rng = np.random.default_rng(seed + 1)
@@ -704,6 +704,26 @@ class TestWindowSweep:
         data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors)
         res = window_sweep(data, ("log_n_investors",), [], "linear_agg")
         assert res.rows == [] and res.firm_counts == {}
+
+    @pytest.mark.parametrize("kind", ["linear_agg", "logistic"])
+    def test_window_without_firms_says_so(self, kind, monkeypatch):
+        # an 8-year data range holds no 9-year trajectory
+        ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(
+            seed=86, n_firms=80, year_range=(2000, 2008), window=5)
+        data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors, kmeans_inits=5)
+        clustered = []
+        real = regress.functional_kmeans
+        monkeypatch.setattr(regress, "functional_kmeans",
+                            lambda trajs, **kw: clustered.append(len(trajs)) or real(trajs, **kw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = window_sweep(data, ("log_n_investors",), [8, 9, 10], kind)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert res.firm_counts[8] > 0 and res.firm_counts[9] == res.firm_counts[10] == 0
+        assert res.warnings == [f"window {w}: fit failed (empty fit sample: no firm to fit "
+                                f"for a {w}-year window)" for w in (9, 10)]
+        assert {r.window for r in res.rows} == {8}
+        assert all(clustered) and len(clustered) == (kind == "logistic")
 
     def test_functional_kind_is_rejected(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=84, n_firms=80)

@@ -129,6 +129,13 @@ class TestFunctionalKmeans:
         # re-seeded empty cluster collapses back; everyone co-clusters
         assert len(set(ca.regimes.values())) == 1
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_is_rejected(self, max_iter):
+        # no pass would run, so every firm would be labeled and scored unclustered
+        trajs = [flat(f"lo{i}", 10) for i in range(3)] + [flat(f"hi{i}", 1000) for i in range(3)]
+        with pytest.raises(ConfigError, match="max_iter"):
+            functional_kmeans(trajs, k=2, n_init=3, seed=1, max_iter=max_iter)
+
     def test_small_subsector_all_low_with_warning(self):
         trajs = [flat("only", 10, subsector="tiny")]
         with pytest.warns(UserWarning):
@@ -298,19 +305,23 @@ class TestStackedRestarts:
         assert_same_clustering(got, bf_functional_kmeans(trajs, **kwargs))
 
     def test_objective_check_holds_on_shared_paths(self, monkeypatch):
-        # mixed-sign weights make Lloyd passes raise the objective; a restart that
-        # merges with or joins another's path skips passes whose check must still
-        # be made. Nonnegative weights in half the cases, and max_iter close to
-        # the passes a path takes, reach the join's max_iter rule.
+        # mixed-sign weights make Lloyd passes raise the objective; restarts that
+        # walk one state as a group, or reach a state another restart already
+        # iterated, must still make each check of their own passes. Nonnegative
+        # weights in half the cases, and max_iter close to the passes a path
+        # takes, reach the stop after max_iter passes; curves copied into about
+        # half the rows in every third case reach empty clusters and re-seeds.
         rng = np.random.default_rng(31)
         n_raised = 0
         for case in range(1000):
-            n, n_grid = int(rng.integers(3, 16)), int(rng.integers(2, 5))
+            n, n_grid = int(rng.integers(3, 16)), int(rng.integers(1, 5))
             X = rng.integers(0, 6, size=(n, n_grid)).astype(float)
+            if case % 3 == 0:
+                X[rng.choice(n, size=n // 2, replace=False)] = X[0]
             w = rng.normal(size=n_grid)
             if case % 2:
                 w = np.abs(w)
-            k, n_init = int(rng.integers(1, 4)), int(rng.integers(1, 41))
+            k, n_init = int(rng.integers(1, min(5, n) + 1)), int(rng.integers(1, 41))
             max_iter = int(rng.choice([1, 2, 3, 4, 500]))
             monkeypatch.setattr(trajectories, "RESTART_BLOCK", int(rng.choice([1, 3, 128])))
             inits = X[np.sort([rng.choice(n, size=k, replace=False) for _ in range(n_init)], axis=1)]
