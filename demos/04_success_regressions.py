@@ -40,9 +40,11 @@ print(f"log(1+x) applied to {len(logged)} right-skewed columns, e.g. {logged[:3]
 
 K = 7
 grouping = cut_groups(correlation_dendrogram(fm), K)
+# one row per configuration: the column positions of its covariates, one per group
 configs = enumerate_configs(grouping)
 sizes = {g_: len(m) for g_, m in group_members(grouping).items()}
-print(f"\ndendrogram cut into {K} groups, sizes {sizes} -> {len(configs)} configurations")
+print(f"\ndendrogram cut into {K} groups, sizes {sizes} -> {len(configs)} configurations "
+      f"(a {configs.shape[0]} x {configs.shape[1]} {configs.dtype} array)")
 
 # Responses come from the funding trajectories of the firms with covariates:
 # HIGH/LOW regime membership, log aggregate money and the whole curve.
@@ -61,6 +63,10 @@ print(f"\nlogistic selection over {len(sel_log.results)} configs: "
       f"best log-likelihood {best.fit.log_likelihood:.2f}, "
       f"pseudo-R^2 {best.fit.pseudo_r2:.4f}")
 print(f"  covariates: {', '.join(best.covariates)}")
+scores = sel_log.results["score"]
+for i in sel_log.ranked[1:4].tolist():
+    print(f"  runner-up config {i}: log-likelihood {scores[i]:.2f}")
+print(f"  {sel_log.n_failed} configurations failed to fit")
 
 ens = balanced_ensemble(y_bin, sub.select(best.covariates), n_reps=200, seed=11,
                         columns=list(best.covariates))

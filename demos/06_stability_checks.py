@@ -63,7 +63,7 @@ print("\nspecification sweep at W=10: per-group coefficient distribution")
 print(f"{'group':>6} {'configs':>8} {'mean':>9} {'sd':>8}")
 for gstat in pert.groups:
     print(f"{gstat.group:>6} {gstat.n_configs:>8} {gstat.mean:>9.4f} {gstat.sd:>8.4f}")
-g5 = [est for grp, _, _, est in pert.samples if grp == 5]
-if g5:
+g5 = pert.estimate[pert.group == 5]
+if len(g5):
     print(f"group 5 estimates span [{min(g5):.4f}, {max(g5):.4f}] "
           f"across {len(g5)} configurations")

@@ -6,12 +6,12 @@ the standardization constants are recorded per column so fits stay
 reproducible. Columns are then clustered by the distance
 ``1 - |pearson correlation|`` under complete linkage; cutting the tree
 into k groups (default 7) yields the per-group candidate sets whose
-Cartesian product defines the model configurations.
+Cartesian product defines the model configurations, held as one integer
+array of column positions.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .centrality import FirmCovariates
-from .errors import ConfigError
-from .ingest import iter_csv, read_csv, write_csv
+from .errors import ConfigError, SchemaError
+from .ingest import read_csv, write_csv
 
 
 @dataclass
@@ -190,10 +190,21 @@ def group_members(fg: FeatureGrouping) -> dict[int, list[str]]:
     return dict(sorted(out.items()))
 
 
-def enumerate_configs(fg: FeatureGrouping) -> list[tuple[str, ...]]:
-    """All configurations with exactly one covariate per group."""
-    per_group = group_members(fg)
-    return [tuple(combo) for combo in itertools.product(*per_group.values())]
+def enumerate_configs(fg: FeatureGrouping) -> np.ndarray:
+    """All configurations with exactly one covariate per group, as an (N, g) array.
+
+    Row i holds configuration i's covariates as positions in ``fg.leaves``
+    (the columns of the matrix the grouping was built from), one per
+    group in group order; ``int16`` keeps the array small, since it
+    grows with the product of the group sizes. Rows run in
+    ``itertools.product`` order over each group's members in leaf order:
+    the last group varies fastest.
+    """
+    pos = {leaf: i for i, leaf in enumerate(fg.leaves)}
+    members = [np.array([pos[c] for c in group], dtype=np.int16)
+               for group in group_members(fg).values()]
+    picks = np.indices([len(m) for m in members], dtype=np.int16).reshape(len(members), -1)
+    return np.stack([m[p] for m, p in zip(members, picks)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +241,37 @@ def write_transforms_csv(fm: FeatureMatrix, path: str | Path) -> None:
               + [[col, f"dropped: {reason}", None, None] for col, reason in fm.dropped])
 
 
-def write_configs_csv(configs: list[tuple[str, ...]], path: str | Path) -> None:
-    write_csv(path, ["config_id", "covariates"], enumerate(";".join(combo) for combo in configs))
+def write_configs_csv(configs: np.ndarray, columns: list[str], path: str | Path) -> None:
+    """One row per configuration: its id and its covariates' names, ``;``-joined.
 
-
-def read_configs_csv(path: str | Path) -> list[tuple[str, ...]]:
-    """The configurations, read row by row; equal names share one string.
-
-    The list grows with the product of the group sizes, so no raw row is
-    kept, and each tuple holds the first string read for each name.
+    Rows are named 4096 at a time, so the names never exist for the
+    whole array at once.
     """
-    rows = iter_csv(path)
-    next(rows, None)  # the header
-    shared: dict[str, str] = {}
-    return [tuple(map(shared.setdefault, names, names))
-            for names in (row[1].split(";") for _, row in rows)]
+    names = np.array(columns, dtype=object)
+    rows = (row for start in range(0, len(configs), 4096)
+            for row in names[configs[start:start + 4096]].tolist())
+    write_csv(path, ["config_id", "covariates"], enumerate(map(";".join, rows)))
+
+
+def read_configs(dendrogram_path: str | Path,
+                 groups_path: str | Path) -> tuple[FeatureGrouping, np.ndarray]:
+    """The cut grouping and its configurations, rebuilt from ``dendrogram.csv`` and ``groups.csv``.
+
+    The merges are replayed over the covariates of ``groups.csv``, in
+    its row order, and cut into as many groups as it numbers; the
+    configurations are ``enumerate_configs`` of that cut. Raises
+    ``SchemaError`` naming both files when the files cannot be read as a
+    grouping or the cut does not reproduce the groups of ``groups.csv``.
+    """
+    mismatch = SchemaError(f"{groups_path}: the groups are not the cut of the merges "
+                           f"in {dendrogram_path}")
+    try:
+        groups = read_grouping_csv(groups_path)
+        merges = [(int(step), int(left), int(right), float(height))
+                  for step, left, right, height in read_csv(dendrogram_path)[1]]
+        fg = cut_groups(FeatureGrouping(list(groups), merges), len(set(groups.values())))
+    except (ValueError, IndexError, KeyError, ConfigError) as exc:
+        raise mismatch from exc
+    if fg.groups != groups:
+        raise mismatch
+    return fg, enumerate_configs(fg)

@@ -30,9 +30,9 @@ from .backtest import run_strategy, write_backtest_csv
 from .centrality import (COMMON_MEASURES, FIRM_ONLY_MEASURES, assemble_covariates, compute_frame,
                          covariate_columns, read_covariates_csv, read_frames_csv,
                          write_covariates_csv, write_frames_csv)
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError, MissingArtifactError, SchemaError
 from .features import (correlation_dendrogram, cut_groups, enumerate_configs,
-                       matrix_from_covariates, preprocess, read_configs_csv,
+                       matrix_from_covariates, preprocess, read_configs,
                        read_feature_matrix_csv, read_grouping_csv, write_configs_csv,
                        write_dendrogram_csv, write_feature_matrix_csv, write_grouping_csv,
                        write_transforms_csv)
@@ -267,7 +267,7 @@ def stage_features(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     write_transforms_csv(fm, stage_dir / "transforms.csv")
     write_dendrogram_csv(fg, stage_dir / "dendrogram.csv")
     write_grouping_csv(fg, stage_dir / "groups.csv")
-    write_configs_csv(configs, stage_dir / "configs.csv")
+    write_configs_csv(configs, fg.leaves, stage_dir / "configs.csv")
     return {"n_features": len(fm.columns), "n_dropped": len(fm.dropped),
             "n_groups": cfg.dendrogram_k, "n_configs": len(configs)}
 
@@ -299,8 +299,12 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     firms = read_firms_csv(_require(out / "ingest" / "firms.csv"))
     covs = read_covariates_csv(_require(out / "centrality" / "covariates.csv"))
     fm = read_feature_matrix_csv(_require(out / "features" / "features.csv"))
-    groups = read_grouping_csv(_require(out / "features" / "groups.csv"))
-    configs = read_configs_csv(_require(out / "features" / "configs.csv"))
+    # configs.csv is a report: the configurations come from the grouping itself
+    fg, configs = read_configs(_require(out / "features" / "dendrogram.csv"),
+                               _require(out / "features" / "groups.csv"))
+    if fg.leaves != fm.columns:
+        raise SchemaError(f"{out / 'features' / 'groups.csv'}: the covariates are not the "
+                          f"columns of {out / 'features' / 'features.csv'}")
     ts = read_trajectories_csv(_require(out / "trajectories" / "trajectories.csv"))
     regimes = read_assignments_csv(_require(out / "trajectories" / "assignments.csv"))
 
@@ -395,7 +399,7 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     info["sweep_firm_counts"] = {str(w): n for w, n in sweep_lin.firm_counts.items()}
     info["sweep_warnings"] = sweep_lin.warnings + sweep_log.warnings
 
-    pert = perturbation_sweep(groups, selections["linear_agg"])
+    pert = perturbation_sweep(fg.groups, selections["linear_agg"])
     write_perturbation_csv(pert, stage_dir / "perturbation_groups.csv",
                            stage_dir / "perturbation_samples.csv")
 

@@ -570,33 +570,40 @@ TIE_RTOL = 1e-12
 
 
 @dataclass
-class ConfigFit:
-    """One configuration's selection outcome.
-
-    A scored configuration carries its covariate coefficients in
-    ``covariates`` order; ``fit``, the full fit with inference, is set on
-    the best configuration only. A failed one carries ``error``.
-    """
+class BestConfig:
+    """The best configuration of a selection, refit with standard errors and p-values."""
 
     config_id: int
     covariates: tuple[str, ...]
-    score: float | None
-    coef: np.ndarray | None = None
-    fit: LogisticFit | LinearFit | None = None
-    error: str | None = None
+    score: float                  # the refit's log-likelihood or R^2
+    fit: LogisticFit | LinearFit
 
 
 @dataclass
 class ModelSelection:
+    """Selection over the configurations attempted, indexed by config id.
+
+    ``configs`` holds each configuration's covariates as positions in
+    ``columns``. ``results`` holds one record per configuration: its
+    score (NaN where the fit failed), its covariate coefficients in
+    configuration order (NaN where failed) and its error text (``None``
+    where scored). ``ranked`` lists the scored config ids, best first.
+    """
+
     kind: str  # logistic | linear
-    results: list[ConfigFit]
-    ranked: list[ConfigFit]
-    n_failed: int
+    columns: list[str]
+    configs: np.ndarray           # (N, g) int
+    results: np.ndarray           # (N,) records: score, coef (g,), error
+    ranked: np.ndarray            # (n_scored,) config ids
+    best: BestConfig | None
     truncated: bool
 
     @property
-    def best(self) -> ConfigFit | None:
-        return self.ranked[0] if self.ranked else None
+    def n_failed(self) -> int:
+        return len(self.results) - len(self.ranked)
+
+    def covariates(self, config_id: int) -> tuple[str, ...]:
+        return tuple(self.columns[p] for p in self.configs[config_id].tolist())
 
 
 def _columns(M: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -654,40 +661,44 @@ def _fit_stack(kind: str, y: np.ndarray, full: np.ndarray,
     return scores, coefs, errors
 
 
-def _rank(results: list[ConfigFit]) -> list[ConfigFit]:
-    """Scored configurations, best first; ties within ``TIE_RTOL`` by config_id."""
-    ordered = sorted((r for r in results if r.score is not None),
-                     key=lambda r: (-r.score, r.config_id))
-    ranked: list[ConfigFit] = []
-    run: list[ConfigFit] = []
-    for r in ordered:
-        if run and run[0].score - r.score > TIE_RTOL * abs(run[0].score):
-            ranked += sorted(run, key=lambda c: c.config_id)
+def _rank(scores: np.ndarray) -> np.ndarray:
+    """Config ids of the scored configurations, best first; ties within ``TIE_RTOL`` by id."""
+    ids = np.flatnonzero(~np.isnan(scores))
+    s = scores.tolist()
+    ranked: list[int] = []
+    run: list[int] = []
+    for i in ids[np.argsort(-scores[ids], kind="stable")].tolist():  # by score, then by id
+        if run and s[run[0]] - s[i] > TIE_RTOL * abs(s[run[0]]):
+            ranked += sorted(run)
             run = []
-        run.append(r)
-    return ranked + sorted(run, key=lambda c: c.config_id)
+        run.append(i)
+    return np.array(ranked + sorted(run), dtype=np.intp)
 
 
-def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix,
-                 configs: list[tuple[str, ...]],
+def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix, configs: np.ndarray,
                  controls: np.ndarray | None = None,
                  control_columns: list[str] | None = None,
                  limit: int = 0) -> ModelSelection:
     """Fit every configuration and rank by goodness of fit.
 
-    Logistic configurations rank by log-likelihood, linear ones by R^2.
-    Every design is a column subset of the fit sample's full design
-    ``Z = [1, F, C]``, which is factored once, ``Z = QR``. Configurations
-    of one length are fitted ``SELECT_CHUNK`` at a time as stacks of
+    ``configs`` is an (N, g) integer array: row i holds configuration
+    i's covariates as positions in ``fm.columns``. Logistic
+    configurations rank by log-likelihood, linear ones by R^2. Every
+    design is a column subset of the fit sample's full design
+    ``Z = [1, F, C]``, which is factored once, ``Z = QR``.
+    Configurations are fitted ``SELECT_CHUNK`` at a time as stacks of
     their ``R`` columns (linear) or of their full designs (logistic);
     each keeps only its score and covariate coefficients, and the best is
     refit with ``fit_logistic`` or ``fit_linear`` for its inference and
     takes that fit's score. Individual failures are recorded, not fatal.
-    ``limit`` > 0 truncates the enumeration (the truncation is reported
-    so callers can surface it).
+    ``limit`` > 0 keeps the first ``limit`` configurations (the
+    truncation is reported so callers can surface it).
     """
     if kind not in ("logistic", "linear"):
         raise ConfigError(f"unknown model kind {kind!r}")
+    configs = np.asarray(configs)
+    if configs.ndim != 2 or configs.dtype.kind not in "iu":
+        raise ConfigError("configurations must be an (N, g) integer array of column positions")
     todo = configs if limit <= 0 else configs[:limit]
     y = np.asarray(response, dtype=float)
     C, ctl_names = (None, []) if kind == "logistic" else _block(controls, control_columns, "c")
@@ -698,37 +709,36 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix,
     qty = qmat.T @ y
     resid = y - qmat @ qty
     factor = (rmat, qty, float(resid @ resid))
-    col = {c: 1 + j for j, c in enumerate(fm.columns)}
-    ctl_idx = list(range(1 + fm.data.shape[1], full.shape[1]))
-    by_length: dict[int, list[int]] = {}
-    for i, combo in enumerate(todo):
-        by_length.setdefault(len(combo), []).append(i)
+    n_configs, g = todo.shape
+    ctl_idx = np.arange(1 + fm.data.shape[1], full.shape[1])
 
-    results: list[ConfigFit | None] = [None] * len(todo)
-    for ids in by_length.values():
-        for start in range(0, len(ids), SELECT_CHUNK):
-            chunk = ids[start:start + SELECT_CHUNK]
-            combos = [todo[i] for i in chunk]
-            names = [[INTERCEPT, *combo, *ctl_names] for combo in combos]
-            cols = np.array([[0, *(col[c] for c in combo), *ctl_idx] for combo in combos],
-                            dtype=np.intp)
-            scores, coefs, errors = _fit_stack(kind, y, full, factor, cols, names)
-            for i, combo, score, coef, err in zip(chunk, combos, scores, coefs, errors):
-                scored = err is None
-                results[i] = ConfigFit(i, combo, float(score) if scored else None,
-                                       coef[1:1 + len(combo)] if scored else None, error=err)
-    ranked = _rank(results)
-    if ranked:
-        best = ranked[0]
-        X = fm.select(best.covariates)
+    results = np.empty(n_configs,
+                       dtype=[("score", float), ("coef", float, (g,)), ("error", object)])
+    for start in range(0, n_configs, SELECT_CHUNK):
+        chunk = todo[start:start + SELECT_CHUNK]
+        names = [[INTERCEPT, *(fm.columns[p] for p in row), *ctl_names] for row in chunk.tolist()]
+        cols = np.column_stack([np.zeros(len(chunk), dtype=np.intp), 1 + chunk.astype(np.intp),
+                                np.tile(ctl_idx, (len(chunk), 1))])
+        scores, coefs, errors = _fit_stack(kind, y, full, factor, cols, names)
+        block = results[start:start + len(chunk)]
+        block["score"] = scores
+        block["coef"] = np.where(np.isnan(scores)[:, None], np.nan, coefs[:, 1:1 + g])
+        block["error"] = np.array(errors, dtype=object)
+    sel = ModelSelection(kind, list(fm.columns), todo, results, _rank(results["score"]), None,
+                         truncated=len(todo) < len(configs))
+    if len(sel.ranked):
+        config_id = int(sel.ranked[0])
+        covariates = sel.covariates(config_id)
+        X = fm.select(covariates)
         if kind == "logistic":
-            best.fit = fit_logistic(y, X, list(best.covariates))
-            best.score = best.fit.log_likelihood
+            fit = fit_logistic(y, X, list(covariates))
+            score = fit.log_likelihood
         else:
-            best.fit = fit_linear(y, X, controls, list(best.covariates), control_columns)
-            best.score = best.fit.r2
-    n_failed = sum(1 for r in results if r.score is None)
-    return ModelSelection(kind, results, ranked, n_failed, truncated=len(todo) < len(configs))
+            fit = fit_linear(y, X, controls, list(covariates), control_columns)
+            score = fit.r2
+        results["score"][config_id] = score
+        sel.best = BestConfig(config_id, covariates, score, fit)
+    return sel
 
 
 # ---------------------------------------------------------------------------
@@ -902,29 +912,37 @@ class GroupStats:
 
 @dataclass
 class PerturbationResult:
+    """Per-group statistics, and the samples as columns, one entry per sample."""
+
     groups: list[GroupStats]
-    samples: list[tuple[int, int, str, float]]  # (group, config_id, covariate, estimate)
+    covariates: list[str]     # the names ``covariate`` indexes
+    group: np.ndarray         # (S,) dendrogram group
+    config_id: np.ndarray     # (S,)
+    covariate: np.ndarray     # (S,) position in ``covariates``
+    estimate: np.ndarray      # (S,) coefficient
 
 
 def perturbation_sweep(groups: dict[str, int], selection: ModelSelection) -> PerturbationResult:
     """Per-group coefficient distribution across all fitted configurations.
 
-    Each configuration contributes, for every dendrogram group, the
-    coefficient of whichever covariate represents that group in it. The
-    full sample is retained so bimodality can be inspected.
+    Each scored configuration contributes, for every dendrogram group,
+    the coefficient of whichever covariate represents that group in it;
+    samples run by config id, then in configuration order. ``groups``
+    maps every one of the selection's columns to its group. The full
+    sample is retained so bimodality can be inspected.
     """
-    samples: list[tuple[int, int, str, float]] = []
-    for r in selection.results:
-        if r.score is None:
-            continue
-        for cov, coef in zip(r.covariates, r.coef):
-            samples.append((groups[cov], r.config_id, cov, float(coef)))
+    scored = np.flatnonzero(~np.isnan(selection.results["score"]))
+    cfg = selection.configs[scored]
+    group_of = np.array([groups[c] for c in selection.columns], dtype=np.int64)
+    group = group_of[cfg].ravel()
+    estimate = selection.results["coef"][scored].ravel()
     stats: list[GroupStats] = []
-    for grp in sorted({g for g, *_ in samples}):
-        vals = np.array([v for g, _, _, v in samples if g == grp])
+    for grp in np.unique(group).tolist():
+        vals = estimate[group == grp]  # in sample order, so the sums are the same
         sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
         stats.append(GroupStats(grp, float(vals.mean()), sd, len(vals)))
-    return PerturbationResult(stats, samples)
+    return PerturbationResult(stats, list(selection.columns), group,
+                              np.repeat(scored, cfg.shape[1]), cfg.ravel(), estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -1014,11 +1032,14 @@ def linear_fit_dict(fit: LinearFit) -> dict:
 
 
 def write_leaderboard_csv(selection: ModelSelection, path: str | Path) -> None:
+    """Ranked configurations with their scores, then the failed ones with their errors."""
+    names = selection.covariates
+    scores, errors = selection.results["score"], selection.results["error"]
     write_csv(path, ["rank", "config_id", "covariates", "score", "error"],
-              [[rank, r.config_id, ";".join(r.covariates), r.score, None]
-               for rank, r in enumerate(selection.ranked, start=1)]
-              + [[None, r.config_id, ";".join(r.covariates), None, r.error or "failed"]
-                 for r in selection.results if r.score is None])
+              [[rank, i, ";".join(names(i)), scores[i], None]
+               for rank, i in enumerate(selection.ranked.tolist(), start=1)]
+              + [[None, i, ";".join(names(i)), None, errors[i] or "failed"]
+                 for i in np.flatnonzero(np.isnan(scores)).tolist()])
 
 
 def write_functional_curves(fit: FunctionalFit, out_dir: str | Path) -> list[Path]:
@@ -1037,4 +1058,7 @@ def write_perturbation_csv(result: PerturbationResult, groups_path: str | Path,
                            samples_path: str | Path) -> None:
     write_csv(groups_path, ["group", "mean", "sd", "n_configs"],
               ([g.group, g.mean, g.sd, g.n_configs] for g in result.groups))
-    write_csv(samples_path, ["group", "config_id", "covariate", "estimate"], result.samples)
+    # numpy scalars, row by row: an int64 is written as its ``str``, a float64 as a float
+    write_csv(samples_path, ["group", "config_id", "covariate", "estimate"],
+              zip(result.group, result.config_id, map(result.covariates.__getitem__,
+                                                      result.covariate), result.estimate))

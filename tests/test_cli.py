@@ -23,6 +23,7 @@ SYNTH = {"n_firms": 80, "n_investors": 40, "n_subsectors": 2,
          "year_range": [2000, 2020], "high_regime_fraction": 0.25, "seed": 13}
 
 FAST = {"kmeans_inits": 5, "balance_reps": 20, "config_limit": 60}
+FAST_FLAGS = [arg for key, value in FAST.items() for arg in (f"--{key}", str(value))]
 
 #: A run without exits: its logistic selection holds a design whose IRLS
 #: coefficients turn NaN, and its balanced ensemble falls short.
@@ -122,6 +123,59 @@ class TestStageProtocol:
                      "--synthetic", json.dumps(SYNTH)])
         assert code == 3
         assert "ingest/deals.csv" in capsys.readouterr().err
+
+    def _stage_regress(self, out, *flags):
+        return main(["stage", "regress", "--out_dir", str(out), "--synthetic", json.dumps(SYNTH),
+                     *FAST_FLAGS, *flags])
+
+    def test_regress_reads_no_configs_csv(self, finished_run, tmp_path):
+        # configs.csv is a report: regress rebuilds the configurations from the grouping
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        (out / "features" / "configs.csv").unlink()
+        shutil.rmtree(out / "regress")
+        assert self._stage_regress(out) == 0
+        assert tree_files(out / "regress") == tree_files(finished_run[0] / "regress")
+
+    def test_regress_fits_the_groups_the_features_stage_cut(self, tmp_path):
+        out = tmp_path / "k6"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_pipeline(make_cfg(out, dendrogram_k=6))
+        before = tree_files(out / "regress")
+        assert self._stage_regress(out, "--dendrogram_k", "3") == 0
+        assert tree_files(out / "regress") == before
+        with open(out / "regress" / "logistic_leaderboard.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(len(r["covariates"].split(";")) == 6 for r in rows)
+
+    def test_hand_edited_groups_exit_2(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = out / "features" / "groups.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        # swap the groups of two covariates: as many groups, but not the cut's
+        j = next(j for j, row in enumerate(rows) if row[1] != rows[0][1])
+        rows[0][1], rows[j][1] = rows[j][1], rows[0][1]
+        path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n",
+                        encoding="utf-8")
+        assert self._stage_regress(out) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and str(out / "features" / "dendrogram.csv") in err
+
+    def test_features_columns_out_of_groups_order_exit_2(self, finished_run, tmp_path, capsys):
+        # configurations are column positions, so the two files must list the same columns
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = out / "features" / "features.csv"
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        names = header.split(",")
+        names[1], names[2] = names[2], names[1]
+        path.write_text(",".join(names) + "\n" + rest, encoding="utf-8")
+        assert self._stage_regress(out) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and str(out / "features" / "groups.csv") in err
 
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -519,7 +573,7 @@ def test_run_leaves_scipy_csgraph_and_sparse_linalg_unloaded(tmp_path):
             "x = np.arange(40.0) % 7\n"
             "fm = FeatureMatrix([f'r{i}' for i in range(40)], ['a', 'twice_a'],\n"
             "                   np.column_stack([x, 2 * x]))\n"
-            "errors = [select_model(kind, y, fm, [('a', 'twice_a')]).results[0].error\n"
+            "errors = [select_model(kind, y, fm, np.array([[0, 1]])).results['error'][0]\n"
             "          for kind, y in (('linear', np.sin(x)), ('logistic', x % 2))]\n"
             "print(json.dumps([sorted({s['status'] for s in manifest['stages'].values()}), errors,\n"
             "                  [m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg',\n"

@@ -1,7 +1,6 @@
 """Preprocessing, correlation dendrogram, group cutting, config enumeration."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +10,11 @@ from scipy.spatial.distance import squareform
 
 from oracles import bf_correlation_dendrogram, bf_cut_groups, bf_leaf_order, fm_column
 
-from vcnet.errors import ConfigError
+from vcnet.errors import ConfigError, SchemaError
 from vcnet.features import (FeatureMatrix, correlation_dendrogram, cut_groups, enumerate_configs,
-                            group_members, leaf_order, preprocess, read_configs_csv,
-                            sample_skewness, write_configs_csv)
-from vcnet.ingest import read_csv
+                            group_members, leaf_order, preprocess, read_configs, sample_skewness,
+                            write_configs_csv, write_dendrogram_csv, write_grouping_csv)
+from vcnet.ingest import write_csv
 
 
 def fm_from(data, columns):
@@ -242,80 +241,96 @@ class TestGroupingOracle:
                 cut_groups(fg, 1)
 
 
-class TestEnumerateConfigs:
-    def _grouping(self, sizes):
-        rng = np.random.default_rng(12)
-        n = 300
-        cols, names = [], []
-        for b, size in enumerate(sizes):
-            base = rng.normal(size=n)
-            for j in range(size):
-                cols.append(base + 0.01 * rng.normal(size=n))
-                names.append(f"g{b}_{j}")
-        fm = fm_from(np.column_stack(cols), names)
-        return cut_groups(correlation_dendrogram(fm), len(sizes))
+def correlated_blocks(sizes, seed=12, n=300):
+    """A grouping of ``len(sizes)`` blocks of near-copies, cut into one group per block."""
+    rng = np.random.default_rng(seed)
+    cols, names = [], []
+    for b, size in enumerate(sizes):
+        base = rng.normal(size=n)
+        for j in range(size):
+            cols.append(base + 0.01 * rng.normal(size=n))
+            names.append(f"g{b}_{j}")
+    fm = fm_from(np.column_stack(cols), names)
+    return cut_groups(correlation_dendrogram(fm), len(sizes))
 
+
+def name_tuples(fg):
+    """The configurations as name tuples: the product of the groups' members."""
+    return list(itertools.product(*group_members(fg).values()))
+
+
+class TestEnumerateConfigs:
     def test_singleton_groups_single_config(self):
-        fg = self._grouping([1, 1, 1])
-        assert enumerate_configs(fg) == [tuple(sorted(fg.groups, key=fg.groups.get))] or \
-            len(enumerate_configs(fg)) == 1
+        fg = correlated_blocks([1, 1, 1])
+        configs = enumerate_configs(fg)
+        assert configs.shape == (1, 3)
+        assert {fg.groups[fg.leaves[p]] for p in configs[0]} == {1, 2, 3}
 
     def test_product_rule(self):
-        fg = self._grouping([2, 3])
+        fg = correlated_blocks([2, 3])
         configs = enumerate_configs(fg)
-        assert len(configs) == 6
-        assert len(set(configs)) == 6
-        for combo in configs:
-            assert len(combo) == 2
-            assert {fg.groups[c] for c in combo} == {1, 2}
+        assert configs.shape == (6, 2)
+        assert len({tuple(row) for row in configs.tolist()}) == 6
+        for row in configs.tolist():
+            assert [fg.groups[fg.leaves[p]] for p in row] == [1, 2]
 
     def test_count_is_group_size_product(self):
-        fg = self._grouping([2, 2, 3, 1])
+        fg = correlated_blocks([2, 2, 3, 1])
         sizes = [len(m) for m in group_members(fg).values()]
         assert len(enumerate_configs(fg)) == int(np.prod(sizes)) == 12
 
+    def test_six_group_product_is_one_integer_array(self):
+        fg = correlated_blocks([4, 3, 3, 2, 2, 1], seed=13)
+        configs = enumerate_configs(fg)
+        assert isinstance(configs, np.ndarray) and configs.dtype.kind == "i"
+        assert configs.shape == (144, 6)
+        assert [tuple(fg.leaves[p] for p in row) for row in configs.tolist()] == name_tuples(fg)
 
-class TestConfigsReadBack:
-    """``read_configs_csv`` streams the rows and shares one string per name."""
 
-    #: Group sizes whose product is 24,480, the configuration count of the
-    #: benchmark's ``select`` inputs; names as long as the covariates'.
-    SIZES = (17, 10, 8, 6, 3, 1)
+class TestConfigsArtifacts:
+    def test_csv_bytes_equal_the_join_of_name_tuples(self, tmp_path):
+        fg = correlated_blocks([3, 4, 2, 3, 1, 2], seed=14)
+        write_configs_csv(enumerate_configs(fg), fg.leaves, tmp_path / "configs.csv")
+        write_csv(tmp_path / "joined.csv", ["config_id", "covariates"],
+                  enumerate(";".join(combo) for combo in name_tuples(fg)))
+        assert (tmp_path / "configs.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
 
-    def _configs(self):
-        groups = [[f"investor_newman_betweenness_median_g{g}_{j}" for j in range(size)]
-                  for g, size in enumerate(self.SIZES)]
-        return list(itertools.product(*groups))
+    def _write_grouping(self, fg, tmp_path):
+        write_dendrogram_csv(fg, tmp_path / "dendrogram.csv")
+        write_grouping_csv(fg, tmp_path / "groups.csv")
+        return tmp_path / "dendrogram.csv", tmp_path / "groups.csv"
 
-    def test_equals_naive_parse_with_shared_names(self, tmp_path):
-        path = tmp_path / "configs.csv"
-        configs = self._configs()[:500]
-        write_configs_csv(configs, path)
-        got = read_configs_csv(path)
-        assert got == [tuple(row[1].split(";")) for row in read_csv(path)[1]] == configs
-        first = {}
-        for combo in got:
-            for name in combo:
-                assert first.setdefault(name, name) is name
+    def test_rebuilt_from_dendrogram_and_groups(self, tmp_path):
+        fg = correlated_blocks([3, 1, 4, 2], seed=15)
+        got, configs = read_configs(*self._write_grouping(fg, tmp_path))
+        assert (got.leaves, got.groups, got.k) == (fg.leaves, fg.groups, 4)
+        assert [m[:3] for m in got.merges] == [m[:3] for m in fg.merges]
+        np.testing.assert_array_equal(configs, enumerate_configs(fg))
 
-    def test_header_only_and_empty_files(self, tmp_path):
-        path = tmp_path / "configs.csv"
-        write_configs_csv([], path)
-        assert read_configs_csv(path) == []
-        path.write_bytes(b"")
-        assert read_configs_csv(path) == []
+    def test_cut_follows_groups_csv_not_a_requested_k(self, tmp_path):
+        # the merges cut at any k; the number of groups comes from groups.csv
+        tree = correlated_blocks([2, 2, 2], seed=16)
+        for k in (1, 4, 6):
+            fg = cut_groups(tree, k)
+            got, configs = read_configs(*self._write_grouping(fg, tmp_path))
+            assert got.groups == fg.groups and configs.shape[1] == k
 
-    def test_memory_stays_small_on_24480_rows(self, tmp_path):
-        path = tmp_path / "configs.csv"
-        configs = self._configs()
-        write_configs_csv(configs, path)
-        assert len(configs) == 24_480
-        del configs
-        tracemalloc.start()
-        try:
-            got = read_configs_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(got) == 24_480
-        assert peak < 6 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+    def test_groups_the_merges_do_not_cut_raise_naming_both_files(self, tmp_path):
+        fg = correlated_blocks([2, 3, 2], seed=17)
+        dendrogram, groups = self._write_grouping(fg, tmp_path)
+        text = groups.read_text()
+        leaf = next(c for c in fg.leaves if fg.groups[c] == 1)
+        groups.write_text(text.replace(f"{leaf},1", f"{leaf},2"))
+        with pytest.raises(SchemaError) as err:
+            read_configs(dendrogram, groups)
+        assert str(dendrogram) in str(err.value) and str(groups) in str(err.value)
+
+    @pytest.mark.parametrize("rows", [[["0", "0", "1"]], [["0", "x", "1", "0.5"]],
+                                      [["0", "0", "99", "0.5"]]])
+    def test_unreadable_merges_raise_naming_both_files(self, tmp_path, rows):
+        fg = correlated_blocks([2, 2], seed=18)
+        dendrogram, groups = self._write_grouping(fg, tmp_path)
+        write_csv(dendrogram, ["step", "left", "right", "height"], rows)
+        with pytest.raises(SchemaError) as err:
+            read_configs(dendrogram, groups)
+        assert str(dendrogram) in str(err.value) and str(groups) in str(err.value)

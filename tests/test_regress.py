@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from oracles import (P_VALUE_RTOL, band_halfwidth, bf_balanced_ensemble, bf_coll
 from vcnet import regress
 
 from vcnet.errors import ConfigError, RankDeficientError
-from vcnet.features import FeatureMatrix
+from vcnet.features import FeatureGrouping, FeatureMatrix, enumerate_configs
 from vcnet.ingest import FirmMeta, SyntheticConfig, generate_synthetic
 from vcnet.regress import (SELECT_CHUNK, TIE_RTOL, PipelineData, balanced_ensemble, build_controls,
                            confusion_metrics, confusion_vs_standard, fit_function_on_scalar,
@@ -46,6 +47,24 @@ LINK_RTOL = 1e-12
 def fm_from(data, columns):
     data = np.asarray(data, dtype=float)
     return FeatureMatrix([f"r{i}" for i in range(data.shape[0])], list(columns), data)
+
+
+def positions(fm, configs):
+    """Equal-length covariate name tuples as the (N, g) position array of ``select_model``."""
+    return np.array([[fm.columns.index(c) for c in combo] for combo in configs],
+                    dtype=np.intp).reshape(len(configs), -1)
+
+
+def select_each_length(kind, y, fm, configs, C=None, cnames=None):
+    """``select_model`` once per configuration length, lengths in order of first appearance.
+
+    Returns ``[(name tuples, selection)]``; config ids count within a length.
+    """
+    by_length = {}
+    for combo in configs:
+        by_length.setdefault(len(combo), []).append(combo)
+    return [(combos, select_model(kind, y, fm, positions(fm, combos), C, cnames))
+            for combos in by_length.values()]
 
 
 class TestFitLogistic:
@@ -145,14 +164,14 @@ class TestFitLogistic:
         base = rng.normal(size=(200, 8))
         y = (rng.random(200) < sigmoid(base[:, 0] - 0.7 * base[:, 3])).astype(float)
         fm = fm_from(base, [f"c{j}" for j in range(8)])
-        configs = list(itertools.combinations(fm.columns, 2))
+        configs = positions(fm, list(itertools.combinations(fm.columns, 2)))
         new = select_model("logistic", y, fm, configs)
         with monkeypatch.context() as m:
             m.setattr(regress, "_expit", scipy.special.expit)
             old = select_model("logistic", y, fm, configs)
-        assert [r.config_id for r in new.ranked] == [r.config_id for r in old.ranked]
-        np.testing.assert_allclose([r.score for r in new.ranked], [r.score for r in old.ranked],
-                                   rtol=LINK_RTOL, atol=0)
+        assert new.ranked.tolist() == old.ranked.tolist()
+        np.testing.assert_allclose(new.results["score"][new.ranked],
+                                   old.results["score"][old.ranked], rtol=LINK_RTOL, atol=0)
 
 
 class TestBalancedEnsemble:
@@ -586,35 +605,37 @@ class TestSelectModel:
 
     def test_single_config_trivially_selected(self):
         y, fm = self._planted()
-        sel = select_model("linear", y, fm, [("signal",)])
+        sel = select_model("linear", y, fm, positions(fm, [("signal",)]))
         assert sel.best.covariates == ("signal",)
         assert len(sel.results) == 1
 
     def test_true_covariate_outranks_noise_swap(self):
         y, fm = self._planted()
-        sel = select_model("linear", y, fm, [("noise1",), ("signal",), ("noise2",)])
+        sel = select_model("linear", y, fm, positions(fm, [("noise1",), ("signal",), ("noise2",)]))
         assert sel.best.covariates == ("signal",)
 
     def test_all_configs_fit_and_logged(self):
         y, fm = self._planted()
         configs = [("signal",), ("noise1",), ("noise2",), ("signal", "noise1")]
-        sel = select_model("linear", y, fm, configs)
-        assert len(sel.results) == 4
-        assert not sel.truncated
-        assert {r.config_id for r in sel.results} == {0, 1, 2, 3}
+        sels = [sel for _, sel in select_each_length("linear", y, fm, configs)]
+        assert [len(sel.results) for sel in sels] == [3, 1]
+        assert not any(sel.truncated for sel in sels)
+        assert [sorted(sel.ranked.tolist()) for sel in sels] == [[0, 1, 2], [0]]
 
     def test_limit_truncates_and_reports(self):
         y, fm = self._planted()
-        sel = select_model("linear", y, fm, [("signal",), ("noise1",), ("noise2",)], limit=2)
+        sel = select_model("linear", y, fm, positions(fm, [("signal",), ("noise1",), ("noise2",)]),
+                           limit=2)
         assert sel.truncated
         assert len(sel.results) == 2
 
     def test_failures_recorded_not_fatal(self):
         y, fm = self._planted()
-        sel = select_model("linear", y, fm, [("signal", "signal"), ("noise1",)])
-        assert sel.n_failed == 1
-        assert sel.results[0].error is not None
-        assert sel.best.covariates == ("noise1",)
+        (_, pair), (_, single) = select_each_length("linear", y, fm,
+                                                    [("signal", "signal"), ("noise1",)])
+        assert (pair.n_failed, single.n_failed) == (1, 0)
+        assert pair.results["error"][0] is not None and pair.best is None
+        assert single.best.covariates == ("noise1",)
 
     def test_logistic_ranks_by_log_likelihood(self):
         rng = np.random.default_rng(72)
@@ -623,16 +644,16 @@ class TestSelectModel:
         noise = rng.normal(size=n)
         y = (rng.random(n) < sigmoid(1.5 * signal)).astype(float)
         fm = fm_from(np.column_stack([signal, noise]), ["signal", "noise"])
-        sel = select_model("logistic", y, fm, [("noise",), ("signal",)])
+        sel = select_model("logistic", y, fm, positions(fm, [("noise",), ("signal",)]))
         assert sel.best.covariates == ("signal",)
         assert sel.best.score == sel.best.fit.log_likelihood
 
     def test_rescaling_leaves_ranking_unchanged(self):
         y, fm = self._planted(seed=73)
-        configs = [("signal",), ("noise1",), ("noise2",)]
-        before = [r.covariates for r in select_model("linear", y, fm, configs).ranked]
+        configs = positions(fm, [("signal",), ("noise1",), ("noise2",)])
+        before = select_model("linear", y, fm, configs).ranked.tolist()
         scaled = fm_from(fm.data * np.array([100.0, 1.0, 1.0]), fm.columns)
-        after = [r.covariates for r in select_model("linear", y, scaled, configs).ranked]
+        after = select_model("linear", y, scaled, configs).ranked.tolist()
         assert before == after
 
 
@@ -739,7 +760,7 @@ class TestPerturbationSweep:
         z = rng.normal(size=200)
         y = x + 0.5 * z + rng.normal(size=200)
         fm = fm_from(np.column_stack([x, z]), ["x", "z"])
-        sel = select_model("linear", y, fm, [("x", "z")])
+        sel = select_model("linear", y, fm, positions(fm, [("x", "z")]))
         res = perturbation_sweep({"x": 1, "z": 2}, sel)
         assert [g.n_configs for g in res.groups] == [1, 1]
         assert all(g.sd == 0.0 for g in res.groups)
@@ -751,10 +772,12 @@ class TestPerturbationSweep:
         y = 2.0 * x + rng.normal(size=300) * 0.1
         fm = fm_from(np.column_stack([x, -x, z]), ["x", "neg_x", "z"])
         groups = {"x": 1, "neg_x": 1, "z": 2}
-        sel = select_model("linear", y, fm, [("x", "z"), ("neg_x", "z")])
+        sel = select_model("linear", y, fm, positions(fm, [("x", "z"), ("neg_x", "z")]))
         res = perturbation_sweep(groups, sel)
-        g1 = [v for grp, _, _, v in res.samples if grp == 1]
+        g1 = res.estimate[res.group == 1]
         assert max(g1) > 1.5 and min(g1) < -1.5  # one mode each side of zero
+        assert [res.covariates[p] for p in res.covariate] == ["x", "z", "neg_x", "z"]
+        assert res.config_id.tolist() == [0, 0, 1, 1]
 
     def test_planted_strong_group_mean_exceeds_sd(self):
         rng = np.random.default_rng(93)
@@ -765,7 +788,7 @@ class TestPerturbationSweep:
         y = 1.5 * strong_a + rng.normal(size=n)
         fm = fm_from(np.column_stack([strong_a, strong_b, weak]), ["sa", "sb", "w"])
         groups = {"sa": 1, "sb": 1, "w": 2}
-        sel = select_model("linear", y, fm, [("sa", "w"), ("sb", "w")])
+        sel = select_model("linear", y, fm, positions(fm, [("sa", "w"), ("sb", "w")]))
         res = perturbation_sweep(groups, sel)
         g1 = next(g for g in res.groups if g.group == 1)
         assert g1.mean > g1.sd > 0
@@ -865,17 +888,32 @@ COEF_ATOL = 1e-10
 
 def _assert_matches_oracle(sel, kind, y, fm, configs, C=None, cnames=None):
     results, ranked = bf_select_model(kind, y, fm, configs, C, cnames)
-    assert [r.config_id for r in sel.ranked] == ranked
+    assert sel.ranked.tolist() == ranked
     assert len(sel.results) == len(results)
-    for got, (cid, combo, score, coef, err) in zip(sel.results, results):
-        assert (got.config_id, got.covariates, got.error) == (cid, combo, err)
+    for cid, combo, score, coef, err in results:
+        got = sel.results[cid]
+        assert (sel.covariates(cid), got["error"]) == (combo, err)
         if score is None:
-            assert got.score is None and got.coef is None
+            assert np.isnan(got["score"]) and np.isnan(got["coef"]).all()
         else:
-            assert abs(got.score - score) <= SCORE_RTOL * abs(score)
-            np.testing.assert_allclose(got.coef, coef, rtol=0, atol=COEF_ATOL)
+            assert abs(got["score"] - score) <= SCORE_RTOL * abs(score)
+            np.testing.assert_allclose(got["coef"], coef, rtol=0, atol=COEF_ATOL)
     assert sel.n_failed == sum(1 for r in results if r[2] is None)
+    if sel.best is not None:  # the best record reports its refit's score
+        fit = sel.best.fit
+        assert sel.best.score == sel.results["score"][sel.best.config_id] == (
+            fit.r2 if kind == "linear" else fit.log_likelihood)
+        assert sel.best.covariates == configs[sel.best.config_id]
     return results
+
+
+def _assert_each_length_matches_oracle(kind, y, fm, configs, C=None, cnames=None):
+    """Each length's selection matches the oracle; returns all oracle rows and the selections."""
+    rows, sels = [], []
+    for combos, sel in select_each_length(kind, y, fm, configs, C, cnames):
+        rows += _assert_matches_oracle(sel, kind, y, fm, combos, C, cnames)
+        sels.append(sel)
+    return rows, sels
 
 
 class TestSelectEngine:
@@ -912,26 +950,23 @@ class TestSelectEngine:
     def test_linear_matches_oracle_across_chunks_and_lengths(self):
         fm, y, _, C, configs = self._problem(301)
         assert sum(len(c) == 2 for c in configs) > SELECT_CHUNK
-        sel = select_model("linear", y, fm, configs, C, ["ctl", "flag"])
-        results = _assert_matches_oracle(sel, "linear", y, fm, configs, C, ["ctl", "flag"])
+        results, sels = _assert_each_length_matches_oracle("linear", y, fm, configs, C,
+                                                           ["ctl", "flag"])
         errors = {r[4] for r in results if r[4] is not None}
         assert any(e.startswith("design matrix is rank deficient") for e in errors)
-        assert sel.results[-4].error.count(",") == 1    # two collinear columns named
-        assert sel.best.score == sel.best.fit.r2
-        assert all(r.fit is None for r in sel.results if r is not sel.best)
+        # the one 4-covariate configuration, ("c0", "c1", "dup", "c1")
+        assert sels[-1].results["error"][0].count(",") == 1    # two collinear columns named
+        assert all(sel.best is not None for sel in sels[:-1])
 
     def test_logistic_matches_oracle_with_separated_configs(self):
         fm, _, y, _, configs = self._problem(302)
-        sel = select_model("logistic", y, fm, configs)
-        results = _assert_matches_oracle(sel, "logistic", y, fm, configs)
+        results, sels = _assert_each_length_matches_oracle("logistic", y, fm, configs)
         not_converged = {r[1] for r in results if r[4] == "did not converge"}
         assert all({"sep", "tiny"} & set(c) for c in not_converged)
         assert ("c1", "sep") in not_converged and ("c5", "tiny") in not_converged
         assert fit_logistic(y, fm.select(("c5", "tiny"))).separated
         assert any(r[4] and r[4].startswith("design matrix is rank deficient") for r in results)
-        assert sel.best.score == sel.best.fit.log_likelihood
-        assert sel.best.fit.converged
-        assert all(r.fit is None for r in sel.results if r is not sel.best)
+        assert all(sel.best.fit.converged for sel in sels[:-1])
 
     def test_singular_information_stops_only_its_own_fit(self):
         rng = np.random.default_rng(306)
@@ -952,7 +987,7 @@ class TestSelectEngine:
         # a design whose IRLS run ends unconverged with NaN coefficients
         # fails quietly: its log-likelihood is never evaluated
         fm, _, y, _, _ = self._problem(307)
-        configs = [(c,) for c in fm.columns if c.startswith("c")]
+        configs = positions(fm, [(c,) for c in fm.columns if c.startswith("c")])
         irls = regress._irls
 
         def diverging(designs, y):
@@ -965,27 +1000,25 @@ class TestSelectEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sel = select_model("logistic", y, fm, configs)
-        assert sel.results[0].error == "did not converge"
-        assert all(r.score is not None for r in sel.results[1:])
+        assert sel.results["error"][0] == "did not converge"
+        assert not np.isnan(sel.results["score"][1:]).any()
 
     def test_constant_response_fails_every_config_like_the_oracle(self):
         fm, _, _, C, configs = self._problem(303, n=40)
         configs = configs[:90]
-        sel = select_model("linear", np.full(40, 2.5), fm, configs, C)
-        _assert_matches_oracle(sel, "linear", np.full(40, 2.5), fm, configs, C)
-        assert sel.best is None and sel.n_failed == len(configs)
-        sel = select_model("logistic", np.ones(40), fm, configs)
-        _assert_matches_oracle(sel, "logistic", np.ones(40), fm, configs)
-        assert {r.error for r in sel.results} == {"logistic response is constant; no model can be fit"}
+        _, sels = _assert_each_length_matches_oracle("linear", np.full(40, 2.5), fm, configs, C)
+        assert all(sel.best is None and sel.n_failed == len(sel.results) for sel in sels)
+        assert sum(len(sel.results) for sel in sels) == len(configs)
+        _, sels = _assert_each_length_matches_oracle("logistic", np.ones(40), fm, configs)
+        assert {e for sel in sels for e in sel.results["error"]} == {
+            "logistic response is constant; no model can be fit"}
 
     def test_too_few_rows_fails_only_the_long_configs(self):
         fm, y, _, C, _ = self._problem(304, n=6)
         configs = [("c0",), ("c1", "c2", "c3"), ("c4",), ("c5", "c6", "c7")]
-        sel = select_model("linear", y, fm, configs, C)
-        _assert_matches_oracle(sel, "linear", y, fm, configs, C)
-        assert [r.error for r in sel.results] == [
-            None, "need more observations than parameters: n=6, q=6",
-            None, "need more observations than parameters: n=6, q=6"]
+        _, sels = _assert_each_length_matches_oracle("linear", y, fm, configs, C)
+        assert [sel.results["error"].tolist() for sel in sels] == [
+            [None, None], ["need more observations than parameters: n=6, q=6"] * 2]
 
     def test_more_feature_columns_than_rows(self):
         # Z = [1, F, C] is wider than tall, so R has n rows, not P
@@ -999,13 +1032,12 @@ class TestSelectEngine:
         assert 1 + n_feat + C.shape[1] > n
         configs = [tuple(names[j] for j in sorted(rng.choice(n_feat, size=length, replace=False)))
                    for length in (1, 2, 3, 5, 8, 9, 12) for _ in range(6)]
-        sel = select_model("linear", y, fm, configs, C, ["ctl", "flag"])
-        results = _assert_matches_oracle(sel, "linear", y, fm, configs, C, ["ctl", "flag"])
+        results, _ = _assert_each_length_matches_oracle("linear", y, fm, configs, C,
+                                                        ["ctl", "flag"])
         assert {r[4] for r in results} == {
             None, "need more observations than parameters: n=12, q=12",
             "need more observations than parameters: n=12, q=15"}
-        sel = select_model("logistic", y_bin, fm, configs)
-        results = _assert_matches_oracle(sel, "logistic", y_bin, fm, configs)
+        results, _ = _assert_each_length_matches_oracle("logistic", y_bin, fm, configs)
         assert any(r[4] and r[4].startswith("design matrix is rank deficient") for r in results)
 
     def test_covariate_duplicating_a_control_is_rank_deficient(self):
@@ -1013,15 +1045,13 @@ class TestSelectEngine:
         fm, y, _, C, _ = self._problem(309)
         fm = fm_from(np.column_stack([fm.data, C[:, 1]]), fm.columns + ["flag_copy"])
         configs = [("c0",), ("flag_copy",), ("c1", "flag_copy"), ("c2", "c3"), ("flag_copy", "c4")]
-        sel = select_model("linear", y, fm, configs, C, ["ctl", "flag"])
-        _assert_matches_oracle(sel, "linear", y, fm, configs, C, ["ctl", "flag"])
-        deficient = [r.config_id for r in sel.results if r.error is not None]
-        assert deficient == [1, 2, 4]
-        for i in deficient:
-            assert sel.results[i].error.startswith("design matrix is rank deficient")
-            assert {"flag", "flag_copy"} & set(sel.results[i].error.split(": ")[1].split(", "))
-        assert [r.config_id for r in sel.ranked] == sorted(
-            (0, 3), key=lambda i: -fit_linear(y, fm.select(configs[i]), C).r2)
+        _, sels = _assert_each_length_matches_oracle("linear", y, fm, configs, C, ["ctl", "flag"])
+        errors = [sel.results["error"] for sel in sels]
+        assert [[i for i, x in enumerate(e) if x is not None] for e in errors] == [[1], [0, 2]]
+        for e in (errors[0][1], errors[1][0], errors[1][2]):
+            assert e.startswith("design matrix is rank deficient")
+            assert {"flag", "flag_copy"} & set(e.split(": ")[1].split(", "))
+        assert [sel.ranked.tolist() for sel in sels] == [[0], [1]]
 
     def test_rank_decision_on_r_columns_equals_the_full_design(self):
         # a + delta * e beside a: from clearly full rank to exactly collinear.
@@ -1039,9 +1069,9 @@ class TestSelectEngine:
         y = a + rng.normal(size=n)
         y_bin = (rng.random(n) < sigmoid(a)).astype(float)
         for kind, response, controls in (("linear", y, C), ("logistic", y_bin, None)):
-            sel = select_model(kind, response, fm, configs, controls)
-            got = [not (r.error or "").startswith("design matrix is rank deficient")
-                   for r in sel.results]
+            sel = select_model(kind, response, fm, positions(fm, configs), controls)
+            got = [not (e or "").startswith("design matrix is rank deficient")
+                   for e in sel.results["error"]]
             want = []
             for combo in configs:
                 blocks = [np.ones((n, 1)), fm.select(combo)] + ([] if controls is None else [controls])
@@ -1071,15 +1101,10 @@ class TestSelectEngine:
         cnames = [f"k{j}" for j in range(n_ctl)]
         if kind == "linear":
             y = factor + C.sum(axis=1) + 0.3 * rng.normal(size=n)
-            sel = select_model(kind, y, fm, configs, C, cnames)
-            _assert_matches_oracle(sel, kind, y, fm, configs, C, cnames)
+            _assert_each_length_matches_oracle(kind, y, fm, configs, C, cnames)
         else:
             y = (rng.random(n) < sigmoid(2.0 * factor)).astype(float)
-            sel = select_model(kind, y, fm, configs)
-            _assert_matches_oracle(sel, kind, y, fm, configs)
-        if sel.best is not None:  # the best row reports its refit's score
-            fit = sel.best.fit
-            assert sel.best.score == (fit.r2 if kind == "linear" else fit.log_likelihood)
+            _assert_each_length_matches_oracle(kind, y, fm, configs)
 
     def test_near_equal_scores_rank_by_config_id(self):
         rng = np.random.default_rng(305)
@@ -1095,11 +1120,43 @@ class TestSelectEngine:
         assert abs(r2["a"] - r2["far"]) > TIE_RTOL * abs(r2["a"])
         # the tied pair: lower score first, so only the tie rule keeps config-id order
         low, high = sorted(["a", "near"], key=lambda c: r2[c])
-        sel = select_model("linear", y, fm, [(low,), (high,)])
-        assert [r.config_id for r in sel.ranked] == [0, 1]
+        sel = select_model("linear", y, fm, positions(fm, [(low,), (high,)]))
+        assert sel.ranked.tolist() == [0, 1]
         low, high = sorted(["a", "far"], key=lambda c: r2[c])
-        sel = select_model("linear", y, fm, [(low,), (high,)])
-        assert [r.config_id for r in sel.ranked] == [1, 0]
+        sel = select_model("linear", y, fm, positions(fm, [(low,), (high,)]))
+        assert sel.ranked.tolist() == [1, 0]
+
+
+class TestSelectionMemory:
+    """A selection keeps arrays over its configurations, not one object per configuration."""
+
+    #: Bytes a selection may keep per configuration attempted. Its record
+    #: (score, six coefficients, an error reference) takes 64 B and its rank
+    #: entry 8 B; a per-configuration object holding the score, a coefficient
+    #: view and the name tuple takes about 400 B.
+    MAX_BYTES_PER_CONFIG = 128
+
+    def test_bytes_kept_per_configuration(self):
+        rng = np.random.default_rng(311)
+        sizes = (6, 5, 4, 4, 3, 2)
+        names = [f"g{g}_{j}" for g, size in enumerate(sizes) for j in range(size)]
+        groups = {name: int(name[1]) + 1 for name in names}
+        # no merges: the leaves are the leaf order, so each group lists its members in order
+        configs = enumerate_configs(FeatureGrouping(names, [], groups, len(sizes)))
+        n = 80
+        fm = fm_from(rng.normal(size=(n, len(names))), names)
+        y = fm.data[:, 0] + rng.normal(size=n)
+        select_model("linear", y, fm, configs[:3])  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sel = select_model("linear", y, fm, configs)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sel.results) == len(sel.ranked) == int(np.prod(sizes)) == 2880
+        assert kept <= self.MAX_BYTES_PER_CONFIG * len(configs), \
+            f"{kept / len(configs):.0f} B kept per configuration"
 
 
 def test_import_leaves_scipy_stats_unloaded():
