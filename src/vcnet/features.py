@@ -215,10 +215,6 @@ def write_grouping_csv(fg: FeatureGrouping, path: str | Path) -> None:
     write_csv(path, ["covariate", "group"], ([col, fg.groups[col]] for col in fg.leaves))
 
 
-def read_grouping_csv(path: str | Path) -> dict[str, int]:
-    return {row[0]: int(row[1]) for row in read_csv(path)[1]}
-
-
 def write_dendrogram_csv(fg: FeatureGrouping, path: str | Path) -> None:
     write_csv(path, ["step", "left", "right", "height"], fg.merges)
 
@@ -241,32 +237,18 @@ def write_transforms_csv(fm: FeatureMatrix, path: str | Path) -> None:
               + [[col, f"dropped: {reason}", None, None] for col, reason in fm.dropped])
 
 
-def write_configs_csv(configs: np.ndarray, columns: list[str], path: str | Path) -> None:
-    """One row per configuration: its id and its covariates' names, ``;``-joined.
-
-    Rows are named 4096 at a time, so the names never exist for the
-    whole array at once.
-    """
-    names = np.array(columns, dtype=object)
-    rows = (row for start in range(0, len(configs), 4096)
-            for row in names[configs[start:start + 4096]].tolist())
-    write_csv(path, ["config_id", "covariates"], enumerate(map(";".join, rows)))
-
-
-def read_configs(dendrogram_path: str | Path,
-                 groups_path: str | Path) -> tuple[FeatureGrouping, np.ndarray]:
-    """The cut grouping and its configurations, rebuilt from ``dendrogram.csv`` and ``groups.csv``.
+def read_grouping(dendrogram_path: str | Path, groups_path: str | Path) -> FeatureGrouping:
+    """The cut grouping, rebuilt from ``dendrogram.csv`` and ``groups.csv``.
 
     The merges are replayed over the covariates of ``groups.csv``, in
-    its row order, and cut into as many groups as it numbers; the
-    configurations are ``enumerate_configs`` of that cut. Raises
+    its row order, and cut into as many groups as it numbers. Raises
     ``SchemaError`` naming both files when the files cannot be read as a
     grouping or the cut does not reproduce the groups of ``groups.csv``.
     """
     mismatch = SchemaError(f"{groups_path}: the groups are not the cut of the merges "
                            f"in {dendrogram_path}")
     try:
-        groups = read_grouping_csv(groups_path)
+        groups = {covariate: int(group) for covariate, group in read_csv(groups_path)[1]}
         merges = [(int(step), int(left), int(right), float(height))
                   for step, left, right, height in read_csv(dendrogram_path)[1]]
         fg = cut_groups(FeatureGrouping(list(groups), merges), len(set(groups.values())))
@@ -274,4 +256,11 @@ def read_configs(dendrogram_path: str | Path,
         raise mismatch from exc
     if fg.groups != groups:
         raise mismatch
+    return fg
+
+
+def read_configs(dendrogram_path: str | Path,
+                 groups_path: str | Path) -> tuple[FeatureGrouping, np.ndarray]:
+    """``read_grouping`` of the two files and the ``enumerate_configs`` of its cut."""
+    fg = read_grouping(dendrogram_path, groups_path)
     return fg, enumerate_configs(fg)

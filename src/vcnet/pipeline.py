@@ -33,9 +33,8 @@ from .centrality import (COMMON_MEASURES, FIRM_ONLY_MEASURES, assemble_covariate
 from .errors import ConfigError, MissingArtifactError, SchemaError
 from .features import (correlation_dendrogram, cut_groups, enumerate_configs,
                        matrix_from_covariates, preprocess, read_configs,
-                       read_feature_matrix_csv, read_grouping_csv, write_configs_csv,
-                       write_dendrogram_csv, write_feature_matrix_csv, write_grouping_csv,
-                       write_transforms_csv)
+                       read_feature_matrix_csv, read_grouping, write_dendrogram_csv,
+                       write_feature_matrix_csv, write_grouping_csv, write_transforms_csv)
 from .graph import BOTH, FIRM, INVESTOR, build_bipartite, first_rounds, project_firms, \
     project_investors, write_projection_csv
 from .ingest import (SyntheticConfig, check_field_types, generate_synthetic, parse_deals,
@@ -178,6 +177,13 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _require_rows(firms, path: Path, rows: dict, rows_path: Path) -> None:
+    """Raise ``SchemaError`` naming both files if a firm of ``path`` has no row in ``rows``."""
+    missing = next((f for f in firms if f not in rows), None)
+    if missing is not None:
+        raise SchemaError(f"{rows_path}: no row for firm {missing} of {path}")
+
+
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
@@ -262,14 +268,12 @@ def stage_features(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     feature_cols = [c for c in covariate_columns() if c != "first_amount"]
     fm = preprocess(matrix_from_covariates(covs, feature_cols), cfg.skew_threshold)
     fg = cut_groups(correlation_dendrogram(fm), cfg.dendrogram_k)
-    configs = enumerate_configs(fg)
     write_feature_matrix_csv(fm, stage_dir / "features.csv")
     write_transforms_csv(fm, stage_dir / "transforms.csv")
     write_dendrogram_csv(fg, stage_dir / "dendrogram.csv")
     write_grouping_csv(fg, stage_dir / "groups.csv")
-    write_configs_csv(configs, fg.leaves, stage_dir / "configs.csv")
     return {"n_features": len(fm.columns), "n_dropped": len(fm.dropped),
-            "n_groups": cfg.dendrogram_k, "n_configs": len(configs)}
+            "n_groups": cfg.dendrogram_k, "n_configs": len(enumerate_configs(fg))}
 
 
 def stage_trajectories(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
@@ -297,9 +301,9 @@ def stage_trajectories(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
 def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     deals = read_deals_csv(_require(out / "ingest" / "deals.csv"))
     firms = read_firms_csv(_require(out / "ingest" / "firms.csv"))
-    covs = read_covariates_csv(_require(out / "centrality" / "covariates.csv"))
+    covs_path = _require(out / "centrality" / "covariates.csv")
+    covs = read_covariates_csv(covs_path)
     fm = read_feature_matrix_csv(_require(out / "features" / "features.csv"))
-    # configs.csv is a report: the configurations come from the grouping itself
     fg, configs = read_configs(_require(out / "features" / "dendrogram.csv"),
                                _require(out / "features" / "groups.csv"))
     if fg.leaves != fm.columns:
@@ -313,6 +317,11 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     subsectors = {f: (firms[f].subsector if f in firms else "") for f in fm.row_ids}
     in_fm = set(fm.row_ids)
     trajs = [t for t in ts.trajectories if t.firm_id in in_fm]
+    # the per-firm lookups below assume every firm they meet has a row
+    _require_rows(fm.row_ids, out / "features" / "features.csv", first_amounts, covs_path)
+    _require_rows(regimes, out / "trajectories" / "assignments.csv", first_amounts, covs_path)
+    _require_rows([t.firm_id for t in trajs], out / "trajectories" / "trajectories.csv",
+                  regimes, out / "trajectories" / "assignments.csv")
     if not trajs:
         raise ConfigError(f"empty fit sample: no firm has covariates and a complete "
                           f"{cfg.window_years}-year trajectory (window_years={cfg.window_years})")
@@ -415,8 +424,8 @@ def stage_backtest(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     frames_all = read_frames_csv(_require(out / "centrality" / "frames.csv"))
     covs = read_covariates_csv(_require(out / "centrality" / "covariates.csv"))
     firms = read_firms_csv(_require(out / "ingest" / "firms.csv"))
-    groups_path = out / "features" / "groups.csv"
-    groups = read_grouping_csv(groups_path) if groups_path.exists() else {}
+    groups = read_grouping(_require(out / "features" / "dendrogram.csv"),
+                           _require(out / "features" / "groups.csv")).groups
 
     firm_frames = {year: frame for (year, layer), frame in frames_all.items() if layer == FIRM}
     first_years = {c.firm_id: c.first_year for c in covs}

@@ -124,18 +124,20 @@ class TestStageProtocol:
         assert code == 3
         assert "ingest/deals.csv" in capsys.readouterr().err
 
-    def _stage_regress(self, out, *flags):
-        return main(["stage", "regress", "--out_dir", str(out), "--synthetic", json.dumps(SYNTH),
+    def _stage(self, name, out, *flags):
+        return main(["stage", name, "--out_dir", str(out), "--synthetic", json.dumps(SYNTH),
                      *FAST_FLAGS, *flags])
 
-    def test_regress_reads_no_configs_csv(self, finished_run, tmp_path):
-        # configs.csv is a report: regress rebuilds the configurations from the grouping
+    def test_features_writes_only_what_later_stages_read(self, finished_run, tmp_path):
+        # regress and backtest rebuild what they need from these files alone
+        assert sorted(p.name for p in (finished_run[0] / "features").iterdir()) == [
+            "dendrogram.csv", "features.csv", "groups.csv", "transforms.csv"]
         out = tmp_path / "out"
         shutil.copytree(finished_run[0], out)
-        (out / "features" / "configs.csv").unlink()
-        shutil.rmtree(out / "regress")
-        assert self._stage_regress(out) == 0
-        assert tree_files(out / "regress") == tree_files(finished_run[0] / "regress")
+        for name in ("regress", "backtest"):
+            shutil.rmtree(out / name)
+            assert self._stage(name, out) == 0
+            assert tree_files(out / name) == tree_files(finished_run[0] / name)
 
     def test_regress_fits_the_groups_the_features_stage_cut(self, tmp_path):
         out = tmp_path / "k6"
@@ -143,13 +145,14 @@ class TestStageProtocol:
             warnings.simplefilter("ignore")
             run_pipeline(make_cfg(out, dendrogram_k=6))
         before = tree_files(out / "regress")
-        assert self._stage_regress(out, "--dendrogram_k", "3") == 0
+        assert self._stage("regress", out, "--dendrogram_k", "3") == 0
         assert tree_files(out / "regress") == before
         with open(out / "regress" / "logistic_leaderboard.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(len(r["covariates"].split(";")) == 6 for r in rows)
 
-    def test_hand_edited_groups_exit_2(self, finished_run, tmp_path, capsys):
+    @pytest.mark.parametrize("stage", ["regress", "backtest"])
+    def test_hand_edited_groups_exit_2(self, finished_run, tmp_path, capsys, stage):
         out = tmp_path / "out"
         shutil.copytree(finished_run[0], out)
         path = out / "features" / "groups.csv"
@@ -160,9 +163,32 @@ class TestStageProtocol:
         rows[0][1], rows[j][1] = rows[j][1], rows[0][1]
         path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n",
                         encoding="utf-8")
-        assert self._stage_regress(out) == 2
+        assert self._stage(stage, out) == 2
         err = capsys.readouterr().err
         assert str(path) in err and str(out / "features" / "dendrogram.csv") in err
+
+    def test_backtest_without_features_exits_3(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        shutil.rmtree(out / "features")
+        assert self._stage("backtest", out) == 3
+        assert str(out / "features" / "dendrogram.csv") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("deleted, named", [
+        (["trajectories/assignments.csv"], "trajectories/trajectories.csv"),
+        (["centrality/covariates.csv"], "features/features.csv"),
+        (["centrality/covariates.csv", "features/features.csv"], "trajectories/assignments.csv"),
+    ])
+    def test_firm_without_a_row_exits_2(self, finished_run, tmp_path, capsys, deleted, named):
+        # delete the first firm's row; the file named second still lists that firm
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        for rel in deleted:
+            lines = (out / rel).read_text(encoding="utf-8").splitlines(keepends=True)
+            (out / rel).write_text("".join(lines[:1] + lines[2:]), encoding="utf-8")
+        assert self._stage("regress", out) == 2
+        err = capsys.readouterr().err
+        assert str(out / deleted[0]) in err and str(out / named) in err
 
     def test_features_columns_out_of_groups_order_exit_2(self, finished_run, tmp_path, capsys):
         # configurations are column positions, so the two files must list the same columns
@@ -173,7 +199,7 @@ class TestStageProtocol:
         names = header.split(",")
         names[1], names[2] = names[2], names[1]
         path.write_text(",".join(names) + "\n" + rest, encoding="utf-8")
-        assert self._stage_regress(out) == 2
+        assert self._stage("regress", out) == 2
         err = capsys.readouterr().err
         assert str(path) in err and str(out / "features" / "groups.csv") in err
 

@@ -12,8 +12,8 @@ from oracles import bf_correlation_dendrogram, bf_cut_groups, bf_leaf_order, fm_
 
 from vcnet.errors import ConfigError, SchemaError
 from vcnet.features import (FeatureMatrix, correlation_dendrogram, cut_groups, enumerate_configs,
-                            group_members, leaf_order, preprocess, read_configs, sample_skewness,
-                            write_configs_csv, write_dendrogram_csv, write_grouping_csv)
+                            group_members, leaf_order, preprocess, read_configs, read_grouping,
+                            sample_skewness, write_dendrogram_csv, write_grouping_csv)
 from vcnet.ingest import write_csv
 
 
@@ -288,13 +288,6 @@ class TestEnumerateConfigs:
 
 
 class TestConfigsArtifacts:
-    def test_csv_bytes_equal_the_join_of_name_tuples(self, tmp_path):
-        fg = correlated_blocks([3, 4, 2, 3, 1, 2], seed=14)
-        write_configs_csv(enumerate_configs(fg), fg.leaves, tmp_path / "configs.csv")
-        write_csv(tmp_path / "joined.csv", ["config_id", "covariates"],
-                  enumerate(";".join(combo) for combo in name_tuples(fg)))
-        assert (tmp_path / "configs.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
-
     def _write_grouping(self, fg, tmp_path):
         write_dendrogram_csv(fg, tmp_path / "dendrogram.csv")
         write_grouping_csv(fg, tmp_path / "groups.csv")
@@ -302,7 +295,9 @@ class TestConfigsArtifacts:
 
     def test_rebuilt_from_dendrogram_and_groups(self, tmp_path):
         fg = correlated_blocks([3, 1, 4, 2], seed=15)
-        got, configs = read_configs(*self._write_grouping(fg, tmp_path))
+        paths = self._write_grouping(fg, tmp_path)
+        got, configs = read_configs(*paths)
+        assert read_grouping(*paths) == got
         assert (got.leaves, got.groups, got.k) == (fg.leaves, fg.groups, 4)
         assert [m[:3] for m in got.merges] == [m[:3] for m in fg.merges]
         np.testing.assert_array_equal(configs, enumerate_configs(fg))
@@ -321,9 +316,10 @@ class TestConfigsArtifacts:
         text = groups.read_text()
         leaf = next(c for c in fg.leaves if fg.groups[c] == 1)
         groups.write_text(text.replace(f"{leaf},1", f"{leaf},2"))
-        with pytest.raises(SchemaError) as err:
-            read_configs(dendrogram, groups)
-        assert str(dendrogram) in str(err.value) and str(groups) in str(err.value)
+        for read in (read_grouping, read_configs):
+            with pytest.raises(SchemaError) as err:
+                read(dendrogram, groups)
+            assert str(dendrogram) in str(err.value) and str(groups) in str(err.value)
 
     @pytest.mark.parametrize("rows", [[["0", "0", "1"]], [["0", "x", "1", "0.5"]],
                                       [["0", "0", "99", "0.5"]]])
@@ -331,6 +327,7 @@ class TestConfigsArtifacts:
         fg = correlated_blocks([2, 2], seed=18)
         dendrogram, groups = self._write_grouping(fg, tmp_path)
         write_csv(dendrogram, ["step", "left", "right", "height"], rows)
-        with pytest.raises(SchemaError) as err:
-            read_configs(dendrogram, groups)
-        assert str(dendrogram) in str(err.value) and str(groups) in str(err.value)
+        for read in (read_grouping, read_configs):
+            with pytest.raises(SchemaError) as err:
+                read(dendrogram, groups)
+            assert str(dendrogram) in str(err.value) and str(groups) in str(err.value)
