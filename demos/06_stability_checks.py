@@ -10,11 +10,10 @@ counter-varying covariates).
 
 import warnings
 
-from vcnet import (PipelineData, SyntheticConfig, assemble_covariates, build_bipartite,
-                   compute_frame, correlation_dendrogram, covariate_columns, cut_groups,
-                   enumerate_configs, generate_synthetic, matrix_from_covariates,
-                   perturbation_sweep, preprocess, project_firms, project_investors, responses,
-                   select_model, window_sweep)
+from vcnet import (SyntheticConfig, assemble_covariates, build_bipartite, compute_frame,
+                   correlation_dendrogram, covariate_columns, cut_groups, enumerate_configs,
+                   generate_synthetic, matrix_from_covariates, perturbation_sweep, preprocess,
+                   project_firms, project_investors, responses, select_model, window_sweep)
 from vcnet.graph import first_rounds
 from vcnet.trajectories import build_trajectories
 
@@ -45,9 +44,8 @@ sel = select_model("linear", y, fm.take_rows(firms), configs, C, cnames, limit=3
 best = sel.best
 print(f"best linear config at W=10 (R^2 {best.fit.r2:.3f}): {', '.join(best.covariates)}")
 
-data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors,
-                    kmeans_inits=10, kmeans_seed=3)
-res = window_sweep(data, best.covariates, list(range(5, 13)), "linear_agg")
+res = window_sweep(ds.deals, ds.firms, fm, first_amounts, subsectors,
+                   {"linear_agg": best.covariates}, list(range(5, 13)))["linear_agg"]
 lead = best.covariates[0]
 print(f"\nwindow sweep, coefficient of {lead} with 1.96*SE bands:")
 print(f"{'W':>4} {'firms':>7} {'estimate':>10} {'band':>22}")

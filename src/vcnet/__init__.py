@@ -23,8 +23,8 @@ from .graph import (ProjectedGraph, TemporalBipartiteGraph, build_bipartite,
 from .ingest import (DealRecord, FirmMeta, SyntheticConfig, SyntheticDataset, generate_synthetic,
                      parse_deals, write_deals, write_firms)
 from .pipeline import RunConfig, run_pipeline, run_stage
-from .regress import (BalancedEnsemble, FunctionalFit, LinearFit, LogisticFit, PipelineData,
-                      balanced_ensemble, build_controls, confusion_metrics, confusion_vs_standard,
+from .regress import (BalancedEnsemble, FunctionalFit, LinearFit, LogisticFit, balanced_ensemble,
+                      build_controls, confusion_metrics, confusion_vs_standard,
                       fit_function_on_scalar, fit_linear, fit_logistic, perturbation_sweep,
                       responses, select_model, window_sweep)
 from .seeding import derive_seed

@@ -102,10 +102,8 @@ def run_strategy(frames: dict[int, CentralityFrame], meta: dict[str, FirmMeta],
 
     years: list[YearResult] = []
     for year in range(lo, hi + 1):
-        pool = sorted(
-            firm for firm, fy in first_years.items()
-            if fy == year and not _exited_by(meta.get(firm), year)
-        )
+        pool = sorted(firm for firm, fy in first_years.items()
+                      if fy == year and not (firm in meta and meta[firm].exits_within(year, 0)))
         frame = frames.get(year)
         # Smaller key ranks first; a firm without a value ranks last.
         key = {}
@@ -113,8 +111,8 @@ def run_strategy(frames: dict[int, CentralityFrame], meta: dict[str, FirmMeta],
             key = dict(zip(frame.nodes, (frame.measures[measure] * (1 if ascending else -1)).tolist()))
         ranked = sorted(pool, key=lambda firm: (key.get(firm, math.inf), firm))
         selected = ranked[:top_n]
-        successes = sum(1 for f in selected if _success_within(meta.get(f), year, horizon))
-        pool_successes = sum(1 for f in pool if _success_within(meta.get(f), year, horizon))
+        succeeded = {f for f in pool if f in meta and meta[f].exits_within(year, horizon)}
+        successes, pool_successes = len(succeeded.intersection(selected)), len(succeeded)
         n_sel = len(selected)
         rate = successes / n_sel if n_sel else 0.0
         p = hypergeom_pvalue(len(pool), pool_successes, n_sel, successes) if n_sel else 1.0
@@ -124,15 +122,6 @@ def run_strategy(frames: dict[int, CentralityFrame], meta: dict[str, FirmMeta],
     rates = np.array([y.success_rate for y in years])
     sd = float(rates.std(ddof=1)) if len(rates) > 1 else 0.0
     return BacktestReport(measure, top_n, horizon, years, float(rates.mean()), sd)
-
-
-def _exited_by(meta: FirmMeta | None, year: int) -> bool:
-    return bool(meta is not None and meta.is_exit() and meta.status_date.year <= year)
-
-
-def _success_within(meta: FirmMeta | None, start_year: int, horizon: int) -> bool:
-    return bool(meta is not None and meta.is_exit()
-                and meta.status_date.year - start_year <= horizon)
 
 
 def write_backtest_csv(reports: list[BacktestReport], path: str | Path) -> None:

@@ -72,6 +72,10 @@ class FirmMeta:
     def is_exit(self) -> bool:
         return self.status in EXIT_STATUSES
 
+    def exits_within(self, year: int, years: int) -> bool:
+        """True if the firm exited at most ``years`` calendar years after ``year``."""
+        return self.is_exit() and self.status_date.year - year <= years
+
 
 @dataclass(frozen=True)
 class Reject:

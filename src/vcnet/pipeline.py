@@ -25,6 +25,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .backtest import run_strategy, write_backtest_csv
 from .centrality import (COMMON_MEASURES, FIRM_ONLY_MEASURES, assemble_covariates, compute_frame,
@@ -40,7 +42,7 @@ from .graph import BOTH, FIRM, INVESTOR, build_bipartite, first_rounds, project_
 from .ingest import (SyntheticConfig, check_field_types, generate_synthetic, parse_deals,
                      read_deals_csv, read_firms_csv, write_csv, write_deals, write_firms,
                      write_rejects, write_synthetic)
-from .regress import (PipelineData, balanced_ensemble, confusion_vs_standard,
+from .regress import (balanced_ensemble, confusion_vs_standard,
                       fit_function_on_scalar, linear_fit_dict, logistic_fit_dict,
                       perturbation_sweep, responses, select_model, window_sweep,
                       write_functional_curves, write_leaderboard_csv, write_perturbation_csv)
@@ -142,8 +144,16 @@ def load_manifest(out: Path) -> dict:
     return {"version": __version__, "stages": {}}
 
 
+def _json_value(obj):
+    """A numpy array or scalar as lists and Python numbers; ``TypeError`` for anything else."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_json_value) + "\n",
+                    encoding="utf-8")
 
 
 def save_manifest(out: Path, manifest: dict) -> None:
@@ -341,8 +351,9 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
         if best is None and kind == "linear_diff":
             continue
         if best is None:
-            raise ConfigError("no logistic configuration converged" if response is None else
-                              "no linear (aggregate) configuration could be fit")
+            raise ConfigError(f"no {'logistic' if response is None else 'linear (aggregate)'} "
+                              f"configuration could be fit; configuration 0: "
+                              f"{sel.results['error'][0] or 'failed'}")
         if response is None:
             payload = logistic_fit_dict(best.fit)
             info.update(logistic_best_ll=best.fit.log_likelihood,
@@ -364,16 +375,8 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
                             n_reps=cfg.balance_reps,
                             seed=derive_seed(cfg.seed, "regress", "balanced"),
                             columns=list(best_log.covariates))
-    _write_json(stage_dir / "balanced_ensemble.json", {
-        "columns": ens.columns,
-        "coef_mean": [float(x) for x in ens.coef_mean],
-        "coef_sd": [float(x) for x in ens.coef_sd],
-        "mean_log_likelihood": ens.mean_log_likelihood,
-        "mean_pseudo_r2": ens.mean_pseudo_r2,
-        "max_pseudo_r2": ens.max_pseudo_r2,
-        "n_reps": ens.n_reps,
-        "n_discarded": ens.n_discarded,
-    })
+    _write_json(stage_dir / "balanced_ensemble.json",
+                {f: v for f, v in vars(ens).items() if f not in ("coefs", "p_values")})
     coefs, p_values = ens.coefs.tolist(), ens.p_values.tolist()
     write_csv(stage_dir / "balanced_replicates.csv", ["replicate", "term", "estimate", "p_value"],
               ([r, term, coefs[r][j], p_values[r][j]]
@@ -390,32 +393,27 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
                                  list(best_agg.covariates))
     write_functional_curves(fos, stage_dir)
 
-    # Stability sweeps.
-    data = PipelineData(deals, firms, fm, first_amounts, subsectors, kmeans_k=cfg.kmeans_k,
-                        kmeans_inits=cfg.kmeans_inits,
-                        kmeans_seed=derive_seed(cfg.seed, "regress", "sweep-kmeans"),
-                        kmeans_log_scale=cfg.kmeans_log_scale)
+    # Stability sweeps, linear first.
     wlo, whi = cfg.sweep_windows
-    w_range = list(range(wlo, whi + 1))
-    sweep_lin = window_sweep(data, best_agg.covariates, w_range, "linear_agg")
-    sweep_log = window_sweep(data, best_log.covariates, w_range, "logistic")
+    sweeps = window_sweep(deals, firms, fm, first_amounts, subsectors,
+                          {"linear_agg": best_agg.covariates, "logistic": best_log.covariates},
+                          list(range(wlo, whi + 1)), k=cfg.kmeans_k, n_init=cfg.kmeans_inits,
+                          seed=derive_seed(cfg.seed, "regress", "sweep-kmeans"),
+                          log_scale=cfg.kmeans_log_scale)
     # The grid-year column ``t`` stays, always empty, so the table keeps its layout.
     write_csv(stage_dir / "window_sweep.csv",
               ["kind", "window", "n_firms", "term", "t", "estimate", "se", "lo95", "hi95"],
               ([kind, r.window, r.n_firms, r.term, None, r.estimate, r.se, r.lo95, r.hi95]
-               for kind, sweep in (("linear_agg", sweep_lin), ("logistic", sweep_log))
-               for r in sweep.rows))
-    info["sweep_firm_counts"] = {str(w): n for w, n in sweep_lin.firm_counts.items()}
-    info["sweep_warnings"] = sweep_lin.warnings + sweep_log.warnings
+               for kind, sweep in sweeps.items() for r in sweep.rows))
+    info["sweep_firm_counts"] = {str(w): n for w, n in sweeps["linear_agg"].firm_counts.items()}
+    info["sweep_warnings"] = [msg for sweep in sweeps.values() for msg in sweep.warnings]
 
     pert = perturbation_sweep(fg.groups, selections["linear_agg"])
     write_perturbation_csv(pert, stage_dir / "perturbation_groups.csv",
                            stage_dir / "perturbation_samples.csv")
 
     conf = confusion_vs_standard(regimes, firms, first_years, cfg.window_years)
-    _write_json(stage_dir / "confusion.json",
-                {"tp": conf.tp, "fn": conf.fn, "fp": conf.fp, "tn": conf.tn,
-                 "accuracy": conf.accuracy, "precision": conf.precision, "recall": conf.recall})
+    _write_json(stage_dir / "confusion.json", vars(conf))
     info["confusion_accuracy"] = conf.accuracy
     return info
 

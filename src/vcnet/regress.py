@@ -36,7 +36,7 @@ from .errors import ConfigError, RankDeficientError, VcnetError
 from .features import FeatureMatrix
 from .ingest import FirmMeta, write_csv
 from .seeding import derive_seed
-from .trajectories import HIGH, Trajectory, TrajectorySet, build_trajectories, functional_kmeans
+from .trajectories import HIGH, Trajectory, build_trajectories, functional_kmeans
 
 INTERCEPT = "intercept"
 
@@ -764,28 +764,6 @@ class WindowSweepResult:
     warnings: list[str] = field(default_factory=list)
 
 
-@dataclass
-class PipelineData:
-    """Everything the sweeps need to rebuild responses for any window."""
-
-    deals: list
-    meta: dict[str, FirmMeta]
-    fm: FeatureMatrix                  # processed covariates over all firms
-    first_amounts: dict[str, float]
-    subsectors: dict[str, str]
-    kmeans_k: int = 2
-    kmeans_inits: int = 100
-    kmeans_seed: int = 0
-    kmeans_log_scale: bool = True
-    _trajectories: dict[int, TrajectorySet] = field(default_factory=dict, init=False, repr=False)
-
-    def trajectories(self, window: int) -> TrajectorySet:
-        """Every firm's trajectory at ``window``, built once per window and shared by the sweeps."""
-        if window not in self._trajectories:
-            self._trajectories[window] = build_trajectories(self.deals, self.meta, window)
-        return self._trajectories[window]
-
-
 def build_controls(firms: list[str], first_amounts: dict[str, float],
                    subsectors: dict[str, str],
                    include_first_amount: bool = True) -> tuple[np.ndarray, list[str]]:
@@ -842,64 +820,60 @@ def responses(kind: str, trajs: list[Trajectory], regimes: dict[str, str] | None
     return firms, y, C, cnames
 
 
-def window_sweep(data: PipelineData, config: tuple[str, ...],
-                 w_range: list[int], kind: str = "linear_agg") -> WindowSweepResult:
-    """Refit the fixed best configuration for each window size.
+def window_sweep(deals: list, meta: dict[str, FirmMeta], fm: FeatureMatrix,
+                 first_amounts: dict[str, float], subsectors: dict[str, str],
+                 configs: dict[str, tuple[str, ...]], w_range: list[int],
+                 **kmeans) -> dict[str, WindowSweepResult]:
+    """Refit each kind's fixed configuration for each window size.
 
-    Takes each window's trajectories from ``data`` (built once per window
-    for every sweep over it), rebuilds the k-means regimes for
-    ``logistic``, the ``responses`` and the fit sample, and reports each
-    coefficient with its 1.96-standard-error band plus the per-window
-    firm count. A firm count that increases with the window is recorded
-    as a warning, and so is a window without a firm to fit, which is not
-    clustered or fitted. ``kind`` is a scalar response: ``linear_agg``,
-    ``linear_diff`` or ``logistic``.
+    ``configs`` maps each scalar response kind (``linear_agg``,
+    ``linear_diff`` or ``logistic``) to its configuration. One pass per
+    window builds the window's trajectories, clusters them once into
+    k-means regimes when ``logistic`` is swept (``kmeans`` goes to
+    ``functional_kmeans``), and refits every kind from them through
+    ``responses``. Each kind's result reports each coefficient with its
+    1.96-standard-error band plus the per-window firm count. A firm count
+    that increases with the window is recorded as a warning, and so is a
+    window without a firm to fit, which is not clustered or fitted.
+    Returns one result per kind, in the order of ``configs``.
     """
-    if kind == "functional":
+    if "functional" in configs:
         raise ConfigError("window_sweep refits scalar responses; 'functional' is not one")
-    result = WindowSweepResult(kind, [], {})
-    in_fm = set(data.fm.row_ids)
-    prev_count = None
+    results = {kind: WindowSweepResult(kind, [], {}) for kind in configs}
+    prev_counts: dict[str, int] = {}
+    in_fm = set(fm.row_ids)
     for window in w_range:
-        trajs = [t for t in data.trajectories(window).trajectories if t.firm_id in in_fm]
-        regimes = None
-        if kind == "logistic" and trajs:
-            regimes = functional_kmeans(trajs, k=data.kmeans_k, n_init=data.kmeans_inits,
-                                        seed=data.kmeans_seed,
-                                        log_scale=data.kmeans_log_scale).regimes
-        firms, y, C, cnames = responses(kind, trajs, regimes, data.first_amounts, data.subsectors)
-        result.firm_counts[window] = len(firms)
-        if prev_count is not None and len(firms) > prev_count:
-            result.warnings.append(
-                f"firm count increased from {prev_count} to {len(firms)} at window {window}")
-        prev_count = len(firms)
-        if not firms:
-            result.warnings.append(f"window {window}: fit failed (empty fit sample: "
-                                   f"no firm to fit for a {window}-year window)")
-            continue
-        sub = data.fm.take_rows(firms)
-        X = sub.select(config)
-        try:
-            _fit_one_window(result, window, firms, y, X, C, cnames, config, kind)
-        except VcnetError as exc:
-            result.warnings.append(f"window {window}: fit failed ({exc})")
-    for msg in result.warnings:
-        _warnings.warn(msg)
-    return result
-
-
-def _fit_one_window(result: WindowSweepResult, window: int, firms: list[str],
-                    y: np.ndarray, X: np.ndarray, C: np.ndarray, cnames: list[str],
-                    config: tuple[str, ...], kind: str) -> None:
-    if kind == "logistic":
-        fit = fit_logistic(y, X, list(config))
-    else:
-        fit = fit_linear(y, X, C, list(config), cnames)
-    for j, name in enumerate(fit.columns):
-        half = 1.96 * float(fit.se[j])
-        result.rows.append(SweepRow(window, len(firms), name,
-                                    float(fit.coef[j]), float(fit.se[j]),
-                                    float(fit.coef[j]) - half, float(fit.coef[j]) + half))
+        trajs = [t for t in build_trajectories(deals, meta, window).trajectories
+                 if t.firm_id in in_fm]
+        cluster = "logistic" in configs and trajs
+        regimes = functional_kmeans(trajs, **kmeans).regimes if cluster else None
+        for kind, config in configs.items():
+            result = results[kind]
+            firms, y, C, cnames = responses(kind, trajs, regimes, first_amounts, subsectors)
+            result.firm_counts[window] = len(firms)
+            prev = prev_counts.get(kind)
+            if prev is not None and len(firms) > prev:
+                result.warnings.append(
+                    f"firm count increased from {prev} to {len(firms)} at window {window}")
+            prev_counts[kind] = len(firms)
+            if not firms:
+                result.warnings.append(f"window {window}: fit failed (empty fit sample: "
+                                       f"no firm to fit for a {window}-year window)")
+                continue
+            X = fm.take_rows(firms).select(config)
+            try:
+                fit = fit_logistic(y, X, list(config)) if kind == "logistic" else \
+                    fit_linear(y, X, C, list(config), cnames)
+            except VcnetError as exc:
+                result.warnings.append(f"window {window}: fit failed ({exc})")
+                continue
+            for name, coef, se in zip(fit.columns, fit.coef.tolist(), fit.se.tolist()):
+                result.rows.append(SweepRow(window, len(firms), name, coef, se,
+                                            coef - 1.96 * se, coef + 1.96 * se))
+    for result in results.values():
+        for msg in result.warnings:
+            _warnings.warn(msg)
+    return results
 
 
 @dataclass
@@ -978,9 +952,7 @@ def confusion_vs_standard(regimes: dict[str, str], meta: dict[str, FirmMeta],
     """
     tp = fn = fp = tn = 0
     for firm, regime in regimes.items():
-        m = meta.get(firm)
-        truth = bool(m is not None and m.is_exit()
-                     and m.status_date.year - first_years[firm] <= window)
+        truth = firm in meta and meta[firm].exits_within(first_years[firm], window)
         pred = regime == HIGH
         if truth and pred:
             tp += 1

@@ -12,9 +12,10 @@ Clustering runs separately per subsector with a Lloyd-style functional
 k-means: squared L2 distance between curves under trapezoidal
 quadrature weights, best of ``n_init`` seeded restarts. A Lloyd pass
 depends only on the centroids it starts from and the assignment before
-it, so the restarts of a subsector share one table of these states
-(``_restart_stack``): each distinct state is iterated once, in stacks of
-up to ``RESTART_BLOCK``, and each restart's result stays exactly its own.
+it, so the restarts of a subsector number these states as they first
+reach them (``_restart_stack``): each state is iterated once, in stacks
+of up to ``RESTART_BLOCK``, and each restart walks the numbers with its
+own objective check, so its result stays exactly its own.
 Distances are computed on log(1+x)-scaled curves by default since
 funding spans orders of magnitude; pass ``log_scale=False`` for raw
 currency units.
@@ -118,11 +119,11 @@ def _quad_weights(n_grid: int) -> np.ndarray:
     return w
 
 
-#: Each expansion of waiting Lloyd states stacks at most this many of them in
-#: one (block, n, k, T) distance buffer, which bounds its work memory whatever
-#: ``n_init``; the state table grows with the distinct states times n. 128
-#: expands every initial state of a subsector in one stack at the default
-#: ``kmeans_inits`` (100).
+#: Lloyd states are iterated at most this many to a stack, in one
+#: (block, n, k, T) distance buffer, which bounds its work memory whatever
+#: ``n_init``; the numbered states grow with the distinct states times n.
+#: 128 iterates every initial state of a subsector in one stack at the
+#: default ``kmeans_inits`` (100).
 RESTART_BLOCK = 128
 
 
@@ -150,90 +151,77 @@ def _restart_stack(X: np.ndarray, centroids: np.ndarray, w: np.ndarray,
     Each restart iterates to an assignment fixed point or for ``max_iter``
     passes; an empty cluster is re-seeded at the point farthest from its
     current centroid. A pass depends only on its state: the centroids it
-    starts from and the assignment before it. A state is keyed by that
-    assignment when the centroids are its means without an empty cluster,
-    else by both. Each distinct state is iterated once: each round expands
-    the states restarts wait at, ``RESTART_BLOCK`` to a stack, and restarts
-    at one state after the same passes move on as a group, checked against
-    the least previous objective of its members. Distances reduce over the
-    grid axis and means come from ``_means``, so each restart's result is
-    exactly its own Lloyd loop's. Returns assignments (R, n), centroids
-    (R, k, T) and objectives (R,).
+    starts from and the assignment before it. States are numbered as the
+    restarts first reach them, and each is iterated once, ``RESTART_BLOCK``
+    to a stack; a pass also computes the state's next centroids (the means
+    of its assignment, re-seeded where a cluster is empty), so a state
+    reached through means is in effect keyed by its assignment. Each
+    restart walks the numbers from its initial state, and each objective
+    is checked against that restart's own previous one. Distances reduce
+    over the grid axis and means come from ``_means``, so each restart's
+    result is exactly its own Lloyd loop's. Returns assignments (R, n),
+    centroids (R, k, T) and objectives (R,).
     """
     n_restarts, k, n_grid = centroids.shape
     n = len(X)
-    start: dict = {}  # state key -> (centroids, None for the means of prev; prev assignment)
-    passed: dict = {}  # expanded state key -> (assignment, objective, centroids, next key or None)
+    number: dict = {}  # state key -> state number
+    given, before = [], []  # each state's centroids and the assignment before it
+    assign_of, obj_of, next_of = [], [], []  # each iterated state's pass; a fixed point is its own next
     # (((X - C) ** 2) * w).sum(axis=-1) is formed in place in one buffer; curves
     # and weights repeated per cluster let each product run over whole rows
     X_k = np.repeat(X[:, None, :], k, axis=1)
     w_k = np.broadcast_to(w, X_k.shape).copy()
     buffer = np.empty((min(RESTART_BLOCK, n_restarts), n, k, n_grid))
 
-    def enter(C: np.ndarray | None, prev: np.ndarray) -> bytes:
-        key = prev.tobytes() if C is None else C.tobytes() + prev.tobytes()
-        start.setdefault(key, (C, prev))
-        return key
+    def reach(C: np.ndarray, prev: np.ndarray) -> int:
+        s = number.setdefault(C.tobytes() + prev.tobytes(), len(given))
+        if s == len(given):
+            given.append(C)
+            before.append(prev)
+        return s
 
-    def expand(keys: list) -> None:
-        given = [start[key][0] for key in keys]
-        prev = np.stack([start[key][1] for key in keys])
-        of_means = [i for i, c in enumerate(given) if c is None]
-        C = np.stack([np.empty((k, n_grid)) if c is None else c for c in given])
-        C[of_means] = _means(X, prev[of_means], k)
-        work = buffer[:len(keys)]
-        np.subtract(X_k, C[:, None, :, :], out=work)
+    def iterate(states: range) -> None:
+        prev = np.stack([before[s] for s in states])
+        work = buffer[:len(states)]
+        np.subtract(X_k, np.stack([given[s] for s in states])[:, None, :, :], out=work)
         np.square(work, out=work)
         work *= w_k
         d2 = work.sum(axis=-1)
         assign = d2.argmin(axis=2)
         own = np.take_along_axis(d2, assign[..., None], axis=2)[..., 0]
-        obj = own.sum(axis=1)
+        obj_of.extend(own.sum(axis=1).tolist())  # before re-seeding overwrites own
         moved = (assign != prev).any(axis=1)
+        nxt = np.empty((len(states), k, n_grid))
+        nxt[moved] = _means(X, assign[moved], k)
         empty = moved[:, None] & ~(assign[..., None] == np.arange(k)).any(axis=1)
-        reseeded = np.flatnonzero(empty.any(axis=1))
-        seeds = dict(zip(reseeded.tolist(), _means(X, assign[reseeded], k)))
-        for i, seed in seeds.items():
+        for i in np.flatnonzero(empty.any(axis=1)):
             dist, used = own[i], []
             for j in np.flatnonzero(empty[i]):
                 dist[used] = -np.inf
                 used.append(int(dist.argmax()))
-                seed[j] = X[used[-1]]
-        for i, (key, o, go) in enumerate(zip(keys, obj.tolist(), moved.tolist())):
-            passed[key] = assign[i], o, C[i], enter(seeds.get(i), assign[i]) if go else None
+                nxt[i, j] = X[used[-1]]
+        assign_of.extend(assign)
+        next_of.extend(reach(C, a) if go else s
+                       for s, C, a, go in zip(states, nxt, assign, moved.tolist()))
 
-    groups: dict = {}  # state key -> [restarts, least previous objective]
     none = np.full(n, -1)  # the assignment before the first pass
-    for r, C in enumerate(centroids):
-        groups.setdefault(enter(C, none), [[], np.inf])[0].append(r)
-    assigns, finals = np.empty((n_restarts, n), dtype=np.intp), np.empty(centroids.shape)
-    objs = np.empty(n_restarts)
-    at_limit = []  # (restarts, assignment) stopped by max_iter, at that assignment's means
+    at = np.array([reach(C, none) for C in centroids])
+    live, last = np.arange(n_restarts), np.full(n_restarts, np.inf)
     for passes in range(1, max_iter + 1):
-        waiting = [key for key in groups if key not in passed]
-        for i in range(0, len(waiting), RESTART_BLOCK):
-            expand(waiting[i:i + RESTART_BLOCK])
-        onward: dict = {}
-        for key, (restarts, least) in groups.items():
-            assign, obj, C, nxt = passed[key]
-            if obj > least * (1 + 1e-12) + 1e-9:
-                raise InvariantError("k-means objective increased across an iteration")
-            if nxt is not None and passes < max_iter:
-                group = onward.setdefault(nxt, [[], np.inf])
-                group[0] += restarts
-                group[1] = min(group[1], obj)
-                continue
-            assigns[restarts], objs[restarts] = assign, obj
-            if nxt is None or start[nxt][0] is not None:
-                finals[restarts] = C if nxt is None else start[nxt][0]
-            else:
-                at_limit.append((restarts, assign))
-        if not (groups := onward):
+        while len(assign_of) < len(given):  # the states first reached last pass
+            iterate(range(len(assign_of), min(len(given), len(assign_of) + RESTART_BLOCK)))
+        here = at[live]
+        obj, nxt = np.array(obj_of)[here], np.array(next_of)[here]
+        if (obj > last[live] * (1 + 1e-12) + 1e-9).any():
+            raise InvariantError("k-means objective increased across an iteration")
+        last[live] = obj
+        go = nxt != here
+        if passes == max_iter or not go.any():
             break
-    if at_limit:
-        for (restarts, _), C in zip(at_limit, _means(X, np.stack([a for _, a in at_limit]), k)):
-            finals[restarts] = C
-    return assigns, finals, objs
+        live = live[go]
+        at[live] = nxt[go]
+    return (np.stack([assign_of[s] for s in at.tolist()]),
+            np.stack([given[next_of[s]] for s in at.tolist()]), last)
 
 
 @functools.lru_cache(maxsize=256)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import vcnet
-from vcnet import regress, trajectories
+from vcnet import pipeline, regress, trajectories
 from vcnet.cli import build_parser, main
 from vcnet.errors import ConfigError
 from vcnet.pipeline import STAGES, RunConfig, run_pipeline, run_stage
@@ -35,8 +35,14 @@ NO_EXITS_FLAGS = {"kmeans_inits": 5, "balance_reps": 50, "dendrogram_k": 5, "con
 DEGENERATE_RUNS = {
     "one_firm": ({"n_firms": 1}, [], "features", "cannot cut 0 covariates into 7 groups"),
     "one_subsector": ({"n_subsectors": 1, "seed": 11}, [], "regress",
-                      "no logistic configuration converged"),
-    "one_investor": ({"n_investors": 1}, [], "regress", "no logistic configuration converged"),
+                      "no logistic configuration could be fit; configuration 0: "
+                      "did not converge"),
+    "one_investor": ({"n_investors": 1}, [], "regress",
+                     "no logistic configuration could be fit; configuration 0: design matrix "
+                     "is rank deficient; collinear columns: clustering_org"),
+    "kmeans_k_1": ({}, ["--kmeans_k", "1"], "regress",
+                   "no logistic configuration could be fit; configuration 0: logistic response "
+                   "is constant; no model can be fit"),
     "kmeans_k_12": ({}, ["--kmeans_k", "12"], "regress",
                     "minority class has 3 rows; need at least 8"),
 }
@@ -460,6 +466,13 @@ class TestArtifactFormat:
         for path in sorted(out.rglob("*")):
             if path.is_file():
                 assert b"np." not in path.read_bytes(), path
+
+    def test_json_artifacts_take_numpy_values_and_nothing_else(self, tmp_path):
+        path = tmp_path / "values.json"
+        pipeline._write_json(path, {"a": np.array([0.5, 2.0]), "n": np.int64(3)})
+        assert json.loads(path.read_text()) == {"a": [0.5, 2.0], "n": 3}
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            pipeline._write_json(path, {"s": {1}})
 
     def test_subsector_with_a_comma_is_quoted_in_every_artifact(self, tmp_path):
         src = tmp_path / "inputs"

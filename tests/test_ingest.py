@@ -137,6 +137,15 @@ class TestParseFirms:
         meta = result.firms["f1"]
         assert meta.is_exit() and meta.status_date == Date(2012, 6, 30)
 
+    @pytest.mark.parametrize("years", [0, 8])
+    def test_exit_within_counts_whole_calendar_years(self, years):
+        # an exit on the last day of year + years counts, one a year later does not
+        assert FirmMeta("f1", status="IPO", status_date=Date(2004 + years, 12, 31)).exits_within(
+            2004, years)
+        assert not FirmMeta("f1", status="IPO",
+                            status_date=Date(2005 + years, 1, 1)).exits_within(2004, years)
+        assert not FirmMeta("f1").exits_within(2004, years)
+
 
 ids = st.text(alphabet=st.characters(min_codepoint=48, max_codepoint=122,
                                      exclude_characters=";\\`"), min_size=1, max_size=8)

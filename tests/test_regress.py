@@ -22,7 +22,7 @@ from vcnet import regress
 from vcnet.errors import ConfigError, RankDeficientError
 from vcnet.features import FeatureGrouping, FeatureMatrix, enumerate_configs
 from vcnet.ingest import FirmMeta, SyntheticConfig, generate_synthetic
-from vcnet.regress import (SELECT_CHUNK, TIE_RTOL, PipelineData, balanced_ensemble, build_controls,
+from vcnet.regress import (SELECT_CHUNK, TIE_RTOL, balanced_ensemble, build_controls,
                            confusion_metrics, confusion_vs_standard, fit_function_on_scalar,
                            fit_linear, fit_logistic, perturbation_sweep, responses,
                            select_model, window_sweep, _balanced_rows, _irls, _wald)
@@ -683,9 +683,9 @@ def _synth_pipeline_data(seed=81, n_firms=150, year_range=(2000, 2020), window=1
 class TestWindowSweep:
     def test_counts_non_increasing_and_rows_emitted(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data()
-        data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors,
-                            kmeans_inits=5, kmeans_seed=3)
-        res = window_sweep(data, ("log_n_investors",), list(range(5, 13)), "linear_agg")
+        res = window_sweep(ds.deals, ds.firms, fm, first_amounts, subsectors,
+                           {"linear_agg": ("log_n_investors",)}, list(range(5, 13)),
+                           n_init=5, seed=3)["linear_agg"]
         counts = [res.firm_counts[w] for w in range(5, 13)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert res.warnings == []
@@ -693,24 +693,30 @@ class TestWindowSweep:
         for r in res.rows:
             assert r.lo95 == pytest.approx(r.estimate - 1.96 * r.se)
 
-    def test_sweeps_share_each_windows_trajectories(self, monkeypatch):
+    def test_one_pass_per_window_serves_every_kind(self, monkeypatch):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=85, n_firms=80)
-        built = []
-        real = regress.build_trajectories
+        args = (ds.deals, ds.firms, fm, first_amounts, subsectors)
+        configs = {"linear_agg": ("log_n_investors",), "logistic": ("noise",)}
+        alone = {kind: window_sweep(*args, {kind: config}, [6, 7], n_init=5)[kind]
+                 for kind, config in configs.items()}
+        built, clustered = [], []
+        real_build, real_kmeans = regress.build_trajectories, regress.functional_kmeans
         monkeypatch.setattr(regress, "build_trajectories",
-                            lambda deals, meta, window: built.append(window) or real(deals, meta, window))
-        data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors, kmeans_inits=5)
-        lin = window_sweep(data, ("log_n_investors",), [6, 7], "linear_agg")
-        log = window_sweep(data, ("log_n_investors",), [6, 7], "logistic")
-        assert built == [6, 7]
-        fresh = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors, kmeans_inits=5)
-        assert window_sweep(fresh, ("log_n_investors",), [6, 7], "logistic") == log
-        assert lin.firm_counts == log.firm_counts
+                            lambda deals, meta, window: built.append(window)
+                            or real_build(deals, meta, window))
+        monkeypatch.setattr(regress, "functional_kmeans",
+                            lambda trajs, **kw: clustered.append(len(trajs[0].values) - 1)
+                            or real_kmeans(trajs, **kw))
+        both = window_sweep(*args, configs, [6, 7], n_init=5)
+        assert built == [6, 7] and clustered == [6, 7]
+        assert list(both) == ["linear_agg", "logistic"]
+        assert both == alone
+        assert both["linear_agg"].firm_counts == both["logistic"].firm_counts
 
     def test_stable_coefficient_for_stationary_process(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=82)
-        data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors)
-        res = window_sweep(data, ("log_n_investors",), [8, 9, 10], "linear_agg")
+        res = window_sweep(ds.deals, ds.firms, fm, first_amounts, subsectors,
+                           {"linear_agg": ("log_n_investors",)}, [8, 9, 10])["linear_agg"]
         rows = [r for r in res.rows if r.term == "log_n_investors"]
         assert len(rows) == 3
         # planted positive effect is significant and stable across windows
@@ -722,8 +728,8 @@ class TestWindowSweep:
 
     def test_empty_range_gives_empty_table(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=83, n_firms=60)
-        data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors)
-        res = window_sweep(data, ("log_n_investors",), [], "linear_agg")
+        res = window_sweep(ds.deals, ds.firms, fm, first_amounts, subsectors,
+                           {"linear_agg": ("log_n_investors",)}, [])["linear_agg"]
         assert res.rows == [] and res.firm_counts == {}
 
     @pytest.mark.parametrize("kind", ["linear_agg", "logistic"])
@@ -731,14 +737,14 @@ class TestWindowSweep:
         # an 8-year data range holds no 9-year trajectory
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(
             seed=86, n_firms=80, year_range=(2000, 2008), window=5)
-        data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors, kmeans_inits=5)
         clustered = []
         real = regress.functional_kmeans
         monkeypatch.setattr(regress, "functional_kmeans",
                             lambda trajs, **kw: clustered.append(len(trajs)) or real(trajs, **kw))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = window_sweep(data, ("log_n_investors",), [8, 9, 10], kind)
+            res = window_sweep(ds.deals, ds.firms, fm, first_amounts, subsectors,
+                               {kind: ("log_n_investors",)}, [8, 9, 10], n_init=5)[kind]
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert res.firm_counts[8] > 0 and res.firm_counts[9] == res.firm_counts[10] == 0
         assert res.warnings == [f"window {w}: fit failed (empty fit sample: no firm to fit "
@@ -748,9 +754,9 @@ class TestWindowSweep:
 
     def test_functional_kind_is_rejected(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=84, n_firms=80)
-        data = PipelineData(ds.deals, ds.firms, fm, first_amounts, subsectors)
         with pytest.raises(ConfigError, match="scalar responses"):
-            window_sweep(data, ("log_n_investors",), [6], "functional")
+            window_sweep(ds.deals, ds.firms, fm, first_amounts, subsectors,
+                         {"linear_agg": ("log_n_investors",), "functional": ("noise",)}, [6])
 
 
 class TestPerturbationSweep:

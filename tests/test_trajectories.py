@@ -304,10 +304,34 @@ class TestStackedRestarts:
             got = functional_kmeans(trajs, **kwargs)
         assert_same_clustering(got, bf_functional_kmeans(trajs, **kwargs))
 
+    def test_duplicated_restarts_add_no_lloyd_work(self, monkeypatch):
+        # restarts from equal initial centroids reach the same numbered states,
+        # so duplicates, in any order, add no row to the means of a pass
+        trajs = planted_trajectories(24)
+        X = np.log1p(np.array([t.values for t in trajs], dtype=float))
+        w = trajectories._quad_weights(X.shape[1])
+        rng = np.random.default_rng(24)
+        inits = X[np.sort([rng.choice(len(X), size=3, replace=False) for _ in range(20)], axis=1)]
+        rows = []
+        real = trajectories._means
+        monkeypatch.setattr(trajectories, "_means", lambda X, assigns, k:
+                            rows.append(len(assigns)) or real(X, assigns, k))
+        once = trajectories._restart_stack(X, inits, w, 500)
+        n_once, rows[:] = sum(rows), []
+        twice = trajectories._restart_stack(X, np.concatenate([inits, inits[::-1]]), w, 500)
+        assert sum(rows) == n_once > 0
+        for got, want in zip(twice, once):
+            np.testing.assert_array_equal(got, np.concatenate([want, want[::-1]]))
+        for b, init in enumerate(inits):
+            want_assign, want_centroids, want_obj = bf_lloyd(X, init.copy(), w, 500)
+            assert once[0][b].tolist() == want_assign.tolist()
+            assert np.array_equal(once[1][b], want_centroids)
+            assert once[2][b] == want_obj
+
     def test_objective_check_holds_on_shared_paths(self, monkeypatch):
         # mixed-sign weights make Lloyd passes raise the objective; restarts that
-        # walk one state as a group, or reach a state another restart already
-        # iterated, must still make each check of their own passes. Nonnegative
+        # reach one numbered state, at the same pass or at a later one, must each
+        # check its objective against their own previous one. Nonnegative
         # weights in half the cases, and max_iter close to the passes a path
         # takes, reach the stop after max_iter passes; curves copied into about
         # half the rows in every third case reach empty clusters and re-seeds.
