@@ -43,5 +43,6 @@ for year in range(g.min_year, g.max_year + 1, 3):
 # The firm projection links firms sharing an investor within seven years;
 # the investor projection links co-investors of the same financing round.
 pf = project_firms(g, g.max_year, window_years=7)
-u, v, w = pf.sorted_edges()[0]
-print(f"\nexample firm-layer edge: {u} -- {v} backed by {w} common investor(s)")
+u, v = pf.pairs[0]
+print(f"\nexample firm-layer edge: {pf.nodes[u]} -- {pf.nodes[v]} "
+      "(an investor in both within seven years)")

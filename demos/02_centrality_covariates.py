@@ -11,8 +11,8 @@ from vcnet import (SyntheticConfig, assemble_covariates, build_bipartite, comput
 from vcnet.graph import ProjectedGraph
 
 # --- toy graph: one investor funding three firms makes a triangle ----------
-# nodes in sorted order; edges as index pairs (u < v) with their weights
-toy = ProjectedGraph("FIRM", 2005, ("a", "b", "c"), [(0, 1), (0, 2), (1, 2)], [1, 1, 1])
+# nodes in sorted order; edges as sorted index pairs (u < v)
+toy = ProjectedGraph("FIRM", 2005, ("a", "b", "c"), [(0, 1), (0, 2), (1, 2)])
 frame = compute_frame(toy)
 print(f"triangle a-b-c (a clique from one shared investor), values in node order {frame.nodes}:")
 for measure in ("degree_centrality", "clustering", "betweenness", "newman_betweenness",

@@ -5,12 +5,12 @@ deal. Snapshots are cumulative at calendar-year ends: the snapshot for
 year Y contains every deal dated on or before Dec 31 of Y, so snapshot
 edge sets are monotone in Y.
 
-Projections are simple graphs. Two firms are linked when some investor
-backed both within a configurable window (measured symmetrically in
-exact days, ``window_years * 365.25``); two investors are linked when
-they participated in the same financing round of the same firm. Edge
-weights count the distinct witnesses (common investors / common rounds);
-all centrality computations downstream ignore the weights.
+Projections are simple, unweighted graphs. Two firms are linked when
+some investor backed both within a configurable window (measured
+symmetrically in exact days, ``window_years * 365.25``); two investors
+are linked when they participated in the same financing round of the
+same firm. A link is present from the first year-end by which any such
+witness (common investor / common round) exists.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
 from itertools import compress
-from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -29,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.typing import ArrayLike
 
-from .ingest import DealRecord, write_csv
+from .ingest import DealRecord
 
 DAYS_PER_YEAR = 365.25
 
@@ -94,26 +93,23 @@ def build_bipartite(deals: list[DealRecord]) -> TemporalBipartiteGraph:
 
 
 class ProjectedGraph:
-    """Simple undirected graph from one bipartite layer at one snapshot.
+    """Simple, unweighted undirected graph from one bipartite layer at one snapshot.
 
     ``nodes`` are the node ids in sorted order; ``pairs`` holds one row
     ``(u, v)``, ``u < v``, of indices into ``nodes`` per edge, in sorted
-    order, and ``weights`` the edge multiplicities. The integer-indexed
-    views that every measure shares are built once and are read-only:
-    ``csr`` (the unweighted symmetric adjacency, rows and columns in
-    ``nodes`` order) and ``degrees`` on creation; ``dist`` (all-pairs hop
-    counts, -1 between components), ``labels`` (component ids) and
-    ``components`` (each component's nodes and edges) on first use.
+    order, with no row repeated. The integer-indexed views that every
+    measure shares are built once and are read-only: ``csr`` (the
+    symmetric adjacency, rows and columns in ``nodes`` order) and
+    ``degrees`` on creation; ``dist`` (all-pairs hop counts, -1 between
+    components), ``labels`` (component ids) and ``components`` (each
+    component's nodes and edges) on first use.
     """
 
-    def __init__(self, layer: str, snapshot_year: int, nodes: Sequence[str], pairs: ArrayLike,
-                 weights: ArrayLike, window_years: int | None = None):
+    def __init__(self, layer: str, snapshot_year: int, nodes: Sequence[str], pairs: ArrayLike):
         self.layer = layer
         self.snapshot_year = snapshot_year
-        self.window_years = window_years
         self.nodes: tuple[str, ...] = tuple(nodes)
         self.pairs = _read_only(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
-        self.weights = _read_only(np.asarray(weights, dtype=np.int64))
         n = len(self.nodes)
         u, v = self.pairs.T
         rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
@@ -127,17 +123,7 @@ class ProjectedGraph:
         return len(self.nodes)
 
     def n_edges(self) -> int:
-        return len(self.weights)
-
-    @cached_property
-    def edges(self) -> Mapping[tuple[str, str], int]:
-        """Edge weights keyed by node-id pair, in sorted order."""
-        names = self.nodes
-        return MappingProxyType({(names[u], names[v]): w for (u, v), w
-                                 in zip(self.pairs.tolist(), self.weights.tolist())})
-
-    def sorted_edges(self) -> list[tuple[str, str, int]]:
-        return [(u, v, w) for (u, v), w in self.edges.items()]
+        return len(self.pairs)
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -207,8 +193,8 @@ class _LinkTable:
 
     ``names`` are the layer's node ids, sorted, and ``first_year`` each
     node's first deal year. Row r links ``names[u[r]] < names[v[r]]``
-    through one witness, from year-end ``birth[r]`` on; rows are sorted
-    by ``(u, v)``.
+    from year-end ``birth[r]`` on; there is one row per linked pair, and
+    rows are sorted by ``(u, v)``.
     """
 
     names: list[str]
@@ -217,18 +203,16 @@ class _LinkTable:
     v: np.ndarray
     birth: np.ndarray
 
-    def project(self, layer: str, year: int, window_years: int | None) -> ProjectedGraph:
-        """The snapshot at ``year``: witnesses born by then, counted per pair."""
+    def project(self, layer: str, year: int) -> ProjectedGraph:
+        """The snapshot at ``year``: the links born by then.
+
+        Renumbering keeps the rows sorted, since ``local`` preserves order.
+        """
         present = self.first_year <= year
         local = np.cumsum(present) - 1
         born = self.birth <= year
-        u, v = local[self.u[born]], local[self.v[born]]
-        new = np.ones(u.size, dtype=bool)
-        new[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-        starts = np.flatnonzero(new)
         return ProjectedGraph(layer, year, list(compress(self.names, present)),
-                              np.column_stack([u[starts], v[starts]]),
-                              np.diff(np.append(starts, u.size)), window_years)
+                              np.column_stack([local[self.u[born]], local[self.v[born]]]))
 
 
 def _codes(values: list) -> tuple[list, np.ndarray]:
@@ -251,8 +235,8 @@ def _link_table(deals: list[DealRecord], node_ids: list[str], group_ids: list,
 
     ``deals`` are in date order; ``node_ids`` and ``group_ids`` name each
     deal's node and group, and the group is the witness. A pair of deals
-    links its nodes from the later deal's year on, and each
-    (u, v, witness) keeps its earliest year.
+    links its nodes from the later deal's year on, and each (u, v) keeps
+    the earliest year of any of its witnesses.
     """
     names, nodes = _codes(node_ids)
     _, groups = _codes(group_ids)
@@ -267,11 +251,11 @@ def _link_table(deals: list[DealRecord], node_ids: list[str], group_ids: list,
     apart = nodes[i] != nodes[k]
     i, k = i[apart], k[apart]
     u, v = np.minimum(nodes[i], nodes[k]), np.maximum(nodes[i], nodes[k])
-    witness, birth = groups[i], year[k]  # deal k is the later one
-    order = np.lexsort((birth, witness, v, u))
-    u, v, witness, birth = u[order], v[order], witness[order], birth[order]
+    birth = year[k]  # deal k is the later one
+    order = np.lexsort((birth, v, u))
+    u, v, birth = u[order], v[order], birth[order]
     first = np.ones(u.size, dtype=bool)
-    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1]) | (witness[1:] != witness[:-1])
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
     return _LinkTable(names, first_year, u[first], v[first], birth[first])
 
 
@@ -279,7 +263,7 @@ def _project(g: TemporalBipartiteGraph, layer: str, year: int,
              window_years: int | None) -> ProjectedGraph:
     if g.min_year is None or not g.min_year <= year <= g.max_year:
         warnings.warn(f"snapshot year {year} outside data range; returning empty projection")
-        return ProjectedGraph(layer, year, (), (), (), window_years)
+        return ProjectedGraph(layer, year, (), ())
     key = (layer, window_years)
     if key not in g._links:
         deals = g.edges
@@ -291,7 +275,7 @@ def _project(g: TemporalBipartiteGraph, layer: str, year: int,
         else:  # any two deals of one round, whatever their dates
             g._links[key] = _link_table(deals, [d.investor_id for d in deals],
                                         [(d.firm_id, d.round_id) for d in deals], 1 << 31)
-    return g._links[key].project(layer, year, window_years)
+    return g._links[key].project(layer, year)
 
 
 def project_firms(g: TemporalBipartiteGraph, snapshot_year: int, window_years: int = 7) -> ProjectedGraph:
@@ -299,10 +283,9 @@ def project_firms(g: TemporalBipartiteGraph, snapshot_year: int, window_years: i
 
     Firms f1 and f2 are linked when some investor holds deals in both,
     dated at most ``window_years`` apart (symmetric, in exact days) and
-    both on or before the snapshot's year end. Edge weight counts the
-    distinct common investors. The links of all snapshots are found once
-    per graph and window (cached on ``g``); a snapshot keeps those born
-    by its year end.
+    both on or before the snapshot's year end. The links of all
+    snapshots are found once per graph and window (cached on ``g``); a
+    snapshot keeps those born by its year end.
     """
     return _project(g, FIRM, snapshot_year, window_years)
 
@@ -310,8 +293,7 @@ def project_firms(g: TemporalBipartiteGraph, snapshot_year: int, window_years: i
 def project_investors(g: TemporalBipartiteGraph, snapshot_year: int) -> ProjectedGraph:
     """Project onto the investor layer: co-membership in a firm's round.
 
-    Edge weight counts the distinct common rounds; links are found once
-    per graph, as for firms.
+    Links are found once per graph, as for firms.
     """
     return _project(g, INVESTOR, snapshot_year, None)
 
@@ -338,11 +320,3 @@ def first_rounds(g: TemporalBipartiteGraph) -> Mapping[str, FirstRound]:
                                    frozenset(d.investor_id for d in deals))
         g._first_rounds = MappingProxyType(out)
     return g._first_rounds
-
-
-def write_projection_csv(pg: ProjectedGraph, out_dir: str | Path) -> Path:
-    """Dump a projection as ``proj_{layer}_{year}_w{window}.csv`` (u,v,weight)."""
-    window = pg.window_years if pg.window_years is not None else 0
-    path = Path(out_dir) / f"proj_{pg.layer.lower()}_{pg.snapshot_year}_w{window}.csv"
-    write_csv(path, ["u", "v", "weight"], pg.sorted_edges())
-    return path

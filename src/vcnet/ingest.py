@@ -5,10 +5,11 @@ Input schema (UTF-8 CSV with headers, exact column order):
 * ``deals.csv``: ``firm_id,investor_id,round_id,date,amount``
 * ``firms.csv``: ``firm_id,subsector,country,status,status_date``
 
-Empty strings encode UNKNOWN/absent. Dates are ISO-8601 ``YYYY-MM-DD``.
-Amounts are whole currency units (a single currency is assumed
-throughout; no conversion is attempted) from 0 to ``MAX_AMOUNT``
-(2**63 - 1), so every per-firm sum stays a finite float. Rows violating
+Empty strings encode UNKNOWN/absent. Dates are ISO-8601 ``YYYY-MM-DD``
+and amounts plain integers, both in ASCII digits. Amounts are whole
+currency units (a single currency is assumed throughout; no conversion
+is attempted) from 0 to ``MAX_AMOUNT`` (2**63 - 1), so every per-firm
+sum stays a finite float. Rows violating
 an invariant are collected into a rejects report instead of aborting the
 run, each with the first physical line of its record (a quoted line
 break makes a record span lines); only a bad header, or a line the csv
@@ -22,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import date as Date
@@ -94,8 +96,22 @@ class ParseResult:
     warnings: list[str] = field(default_factory=list)
 
 
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_AMOUNT = re.compile(r"-?[0-9]+")
+
+
 def _parse_date(raw: str) -> Date:
+    """``YYYY-MM-DD`` in ASCII digits only; ``fromisoformat`` accepts more from Python 3.11 on."""
+    if not _DATE.fullmatch(raw):
+        raise ValueError(f"not YYYY-MM-DD: {raw!r}")
     return Date.fromisoformat(raw)
+
+
+def _parse_amount(raw: str) -> int:
+    """``-?[0-9]+`` only; ``int`` also takes ``_``, spaces, ``+`` and non-ASCII digits."""
+    if not _AMOUNT.fullmatch(raw):
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
 
 
 def parse_deals(deal_csv: PathOrStream, firm_csv: PathOrStream) -> ParseResult:
@@ -176,7 +192,7 @@ def _parse_deal_row(row: list[str], deals: list[DealRecord]) -> str | None:
     except ValueError:
         return f"invalid date {raw_date!r}"
     try:
-        amount = int(raw_amount)
+        amount = _parse_amount(raw_amount)
     except ValueError:
         return f"invalid amount {raw_amount!r}"
     if amount < 0:

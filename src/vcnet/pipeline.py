@@ -38,7 +38,7 @@ from .features import (correlation_dendrogram, cut_groups, enumerate_configs,
                        read_feature_matrix_csv, read_grouping, write_dendrogram_csv,
                        write_feature_matrix_csv, write_grouping_csv, write_transforms_csv)
 from .graph import BOTH, FIRM, INVESTOR, build_bipartite, first_rounds, project_firms, \
-    project_investors, write_projection_csv
+    project_investors
 from .ingest import (SyntheticConfig, check_field_types, generate_synthetic, parse_deals,
                      read_deals_csv, read_firms_csv, write_csv, write_deals, write_firms,
                      write_rejects, write_synthetic)
@@ -74,8 +74,6 @@ class RunConfig:
     sweep_windows: tuple[int, int] = (5, 12)
     seed: int = 7
     config_limit: int = 0
-    dump_graphs: bool = False
-    frames_years: str = "needed"  # needed | all
 
     def validate(self) -> None:
         check_field_types(self)
@@ -101,8 +99,6 @@ class RunConfig:
             raise ConfigError(f"sweep_windows must lie within [5, 12], got {self.sweep_windows}")
         if self.config_limit < 0:
             raise ConfigError("config_limit must be >= 0 (0 = unlimited)")
-        if self.frames_years not in ("needed", "all"):
-            raise ConfigError("frames_years must be 'needed' or 'all'")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -235,10 +231,6 @@ def stage_graph(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
                         len(inv_side - both), len(both), len(snap)])
     write_csv(stage_dir / "summary.csv", ["year", "n_nodes", "n_firm_role", "n_investor_role",
                                           "n_both_role", "n_edges"], summary)
-    if cfg.dump_graphs:
-        for year in _frame_years(cfg, g):
-            write_projection_csv(project_firms(g, year, cfg.projection_window), stage_dir)
-            write_projection_csv(project_investors(g, year), stage_dir)
     roles = list(g.roles.values())
     return {"n_nodes": len(g), "n_edges": len(g.edges),
             "n_firm_role": roles.count(FIRM), "n_investor_role": roles.count(INVESTOR),
@@ -249,8 +241,6 @@ def stage_graph(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
 def _frame_years(cfg: RunConfig, g) -> list[int]:
     if g.min_year is None:
         return []
-    if cfg.frames_years == "all":
-        return list(g.years())
     years = {fr.date.year for fr in first_rounds(g).values()}
     lo, hi = cfg.start_years
     years.update(y for y in range(lo, hi + 1) if g.min_year <= y <= g.max_year)

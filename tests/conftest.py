@@ -12,19 +12,21 @@ from vcnet.graph import FIRM, ProjectedGraph
 from vcnet.ingest import DealRecord
 
 
-def make_pg(n_or_names, edges, layer=FIRM, year=2010, window=7) -> ProjectedGraph:
-    """Projected graph from explicit node names (or a count) and edge pairs."""
-    if isinstance(n_or_names, int):
-        names = [f"n{i:02d}" for i in range(n_or_names)]
-    else:
-        names = list(n_or_names)
-    nodes = sorted(set(names))
-    pos = {name: i for i, name in enumerate(nodes)}
-    pairs = set()
-    for u, v in edges:
+def make_pg(nodes, pairs) -> ProjectedGraph:
+    """Firm projection from node names (or a count) and edges, as name or index pairs."""
+    names = [f"n{i:02d}" for i in range(nodes)] if isinstance(nodes, int) else list(nodes)
+    ordered = sorted(set(names))
+    pos = {name: i for i, name in enumerate(ordered)}
+    rows = set()
+    for u, v in pairs:
         u, v = (names[u], names[v]) if isinstance(u, int) else (u, v)
-        pairs.add(tuple(sorted((pos[u], pos[v]))))
-    return ProjectedGraph(layer, year, nodes, sorted(pairs), [1] * len(pairs), window)
+        rows.add(tuple(sorted((pos[u], pos[v]))))
+    return ProjectedGraph(FIRM, 2010, ordered, sorted(rows))
+
+
+def edge_names(pg: ProjectedGraph) -> list[tuple[str, str]]:
+    """The projection's edges as node-id pairs, in ``pairs`` order."""
+    return [(pg.nodes[u], pg.nodes[v]) for u, v in pg.pairs.tolist()]
 
 
 def by_node(graph, values: np.ndarray) -> dict:

@@ -20,9 +20,9 @@ from scipy.special import expit, fdtrc, stdtr
 def adj_from_pg(pg):
     nodes = list(pg.nodes)
     adj = {v: set() for v in nodes}
-    for (u, v), _ in pg.edges.items():
-        adj[u].add(v)
-        adj[v].add(u)
+    for i, j in pg.pairs.tolist():
+        adj[nodes[i]].add(nodes[j])
+        adj[nodes[j]].add(nodes[i])
     return nodes, adj
 
 
@@ -366,9 +366,9 @@ ALL_MEASURE_ORACLES = {
 # ---------------------------------------------------------------------------
 
 def bf_scan_firms(deals, snapshot_year, window_years):
-    """Edge set/weights from scanning every ordered pair of deals."""
+    """Node and edge sets from scanning every ordered pair of deals."""
     max_gap = window_years * 365.25
-    witnesses = {}
+    edges = set()
     for d1 in deals:
         for d2 in deals:
             if d1 is d2 or d1.investor_id != d2.investor_id or d1.firm_id == d2.firm_id:
@@ -376,14 +376,13 @@ def bf_scan_firms(deals, snapshot_year, window_years):
             if d1.date.year > snapshot_year or d2.date.year > snapshot_year:
                 continue
             if abs((d1.date - d2.date).days) <= max_gap:
-                pair = tuple(sorted((d1.firm_id, d2.firm_id)))
-                witnesses.setdefault(pair, set()).add(d1.investor_id)
+                edges.add(tuple(sorted((d1.firm_id, d2.firm_id))))
     nodes = {d.firm_id for d in deals if d.date.year <= snapshot_year}
-    return nodes, {pair: len(w) for pair, w in witnesses.items()}
+    return nodes, edges
 
 
 def bf_scan_investors(deals, snapshot_year):
-    witnesses = {}
+    edges = set()
     for d1 in deals:
         for d2 in deals:
             if d1 is d2 or d1.investor_id == d2.investor_id:
@@ -392,53 +391,52 @@ def bf_scan_investors(deals, snapshot_year):
                 continue
             if d1.date.year > snapshot_year or d2.date.year > snapshot_year:
                 continue
-            pair = tuple(sorted((d1.investor_id, d2.investor_id)))
-            witnesses.setdefault(pair, set()).add((d1.firm_id, d1.round_id))
+            edges.add(tuple(sorted((d1.investor_id, d2.investor_id))))
     nodes = {d.investor_id for d in deals if d.date.year <= snapshot_year}
-    return nodes, {pair: len(w) for pair, w in witnesses.items()}
+    return nodes, edges
 
 
 def bf_project_firms(g, snapshot_year, window_years):
-    """Sorted nodes and sorted edge weights of one snapshot, from its deals alone.
+    """Sorted nodes and sorted edges of one snapshot, from its deals alone.
 
     Groups the snapshot's deals by investor and tests every pair of its
     firms; empty outside the data range.
     """
     if g.min_year is None or not g.min_year <= snapshot_year <= g.max_year:
-        return (), {}
+        return (), []
     deals = g.snapshot_deals(snapshot_year)
     max_gap_days = window_years * 365.25
     by_investor = {}
     for d in deals:
         by_investor.setdefault(d.investor_id, {}).setdefault(d.firm_id, []).append(d.date)
-    witnesses = {}
-    for investor, portfolio in by_investor.items():
+    edges = set()
+    for portfolio in by_investor.values():
         firms = sorted(portfolio)
         for i, f1 in enumerate(firms):
             d1s = portfolio[f1]
             for f2 in firms[i + 1:]:
                 if any(abs((a - b).days) <= max_gap_days for a in d1s for b in portfolio[f2]):
-                    witnesses.setdefault((f1, f2), set()).add(investor)
+                    edges.add((f1, f2))
     nodes = tuple(sorted({d.firm_id for d in deals}))
-    return nodes, {pair: len(wit) for pair, wit in sorted(witnesses.items())}
+    return nodes, sorted(edges)
 
 
 def bf_project_investors(g, snapshot_year):
     """As ``bf_project_firms``, for co-membership of a firm's round."""
     if g.min_year is None or not g.min_year <= snapshot_year <= g.max_year:
-        return (), {}
+        return (), []
     deals = g.snapshot_deals(snapshot_year)
     by_round = {}
     for d in deals:
         by_round.setdefault((d.firm_id, d.round_id), set()).add(d.investor_id)
-    witnesses = {}
-    for round_key, members in by_round.items():
+    edges = set()
+    for members in by_round.values():
         ordered = sorted(members)
         for i, u in enumerate(ordered):
             for v in ordered[i + 1:]:
-                witnesses.setdefault((u, v), set()).add(round_key)
+                edges.add((u, v))
     nodes = tuple(sorted({d.investor_id for d in deals}))
-    return nodes, {pair: len(wit) for pair, wit in sorted(witnesses.items())}
+    return nodes, sorted(edges)
 
 
 # ---------------------------------------------------------------------------

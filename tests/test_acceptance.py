@@ -15,7 +15,7 @@ import pytest
 
 from oracles import (ALL_MEASURE_ORACLES, bf_scan_firms, bf_scan_investors,
                      logistic_score_max_norm)
-from conftest import by_node, make_pg, random_deals, random_pg, random_tree_pg
+from conftest import by_node, edge_names, make_pg, random_deals, random_pg, random_tree_pg
 
 import vcnet.centrality as C
 from vcnet.backtest import hypergeom_pvalue, run_strategy
@@ -109,13 +109,13 @@ def test_c4_projection_oracle():
         window = int(rng.choice([5, 7, 10]))
         pg = project_firms(g, year, window)
         nodes, edges = bf_scan_firms(deals, year, window)
-        assert set(pg.nodes) == nodes and pg.edges == edges
+        assert set(pg.nodes) == nodes and edge_names(pg) == sorted(edges)
         pgi = project_investors(g, year)
         nodes_i, edges_i = bf_scan_investors(deals, year)
-        assert set(pgi.nodes) == nodes_i and pgi.edges == edges_i
-        e5 = set(project_firms(g, year, 5).edges)
-        e7 = set(project_firms(g, year, 7).edges)
-        e10 = set(project_firms(g, year, 10).edges)
+        assert set(pgi.nodes) == nodes_i and edge_names(pgi) == sorted(edges_i)
+        e5 = set(edge_names(project_firms(g, year, 5)))
+        e7 = set(edge_names(project_firms(g, year, 7)))
+        e10 = set(edge_names(project_firms(g, year, 10)))
         assert e5 <= e7 <= e10
     report(4, "projection oracle",
            "100 random deal sets: exact edge-set equality with pair enumeration; "

@@ -11,7 +11,8 @@ from oracles import (ALL_MEASURE_ORACLES, bf_average_neighbor_degree, bf_between
                      bf_brandes_betweenness, bf_closeness, bf_clustering, bf_core_number,
                      bf_current_flow_betweenness, bf_harmonic, bf_voterank,
                      csgraph_current_flow_betweenness)
-from conftest import by_node, deal, make_pg, random_multi_component_pg, random_pg, random_tree_pg
+from conftest import (by_node, deal, edge_names, make_pg, random_multi_component_pg, random_pg,
+                      random_tree_pg)
 
 import vcnet.centrality as C
 from vcnet.errors import ConvergenceError
@@ -55,12 +56,13 @@ class TestLocalMeasures:
             n = int(rng.integers(4, 10))
             pg = random_pg(rng, n, 0.4)
             before = by_node(pg, C.core_number(pg))
+            edges = edge_names(pg)
             missing = [(u, v) for i, u in enumerate(pg.nodes) for v in pg.nodes[i + 1:]
-                       if (u, v) not in pg.edges]
+                       if (u, v) not in edges]
             if not missing:
                 continue
             u, v = missing[int(rng.integers(0, len(missing)))]
-            bigger = make_pg(list(pg.nodes), list(pg.edges) + [(u, v)])
+            bigger = make_pg(list(pg.nodes), edges + [(u, v)])
             after = by_node(bigger, C.core_number(bigger))
             assert after[u] >= before[u] and after[v] >= before[v]
 

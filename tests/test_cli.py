@@ -361,20 +361,22 @@ class TestCliCommands:
         out = tmp_path / "typed"
         code = main(["stage", "ingest", "--out_dir", str(out), "--synthetic", json.dumps(SYNTH),
                      "--start_years", "2001", "2009", "--kmeans_log_scale", "false",
-                     "--skew_threshold", "0.5", "--seed", "3", "--frames_years", "all"])
+                     "--skew_threshold", "0.5", "--seed", "3"])
         assert code == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert config["start_years"] == [2001, 2009]
         assert config["kmeans_log_scale"] is False
         assert config["skew_threshold"] == 0.5
         assert config["seed"] == 3
-        assert config["frames_years"] == "all"
         assert config["synthetic"]["year_range"] == SYNTH["year_range"]
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [("typo_key", 1), ("dump_graphs", False),
+                                            ("frames_years", "all")])
+    def test_unknown_config_key_exits_2(self, key, value, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"out_dir": "x", "synthetic": SYNTH, "typo_key": 1}))
+        cfg_file.write_text(json.dumps({"out_dir": "x", "synthetic": SYNTH, key: value}))
         assert main(["stage", "ingest", "--config", str(cfg_file)]) == 2
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("name", WRONG_TYPES)
@@ -393,22 +395,6 @@ class TestCliCommands:
         cfg_file.write_text(json.dumps({"out_dir": 3, "synthetic": SYNTH}))
         assert main(["synth", "--config", str(cfg_file)]) == 2
         assert "config key 'out_dir' must be" in capsys.readouterr().err
-
-
-class TestGraphDumps:
-    def test_dump_flag_writes_projection_files(self, tmp_path):
-        cfg = make_cfg(tmp_path / "dumps", dump_graphs=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_stage("ingest", cfg)
-            run_stage("graph", cfg)
-        files = list((tmp_path / "dumps" / "graph").glob("proj_*.csv"))
-        assert files
-        names = {f.name for f in files}
-        assert any(n.startswith("proj_firm_") and n.endswith("_w7.csv") for n in names)
-        assert any(n.startswith("proj_investor_") and n.endswith("_w0.csv") for n in names)
-        header = files[0].read_text().splitlines()[0]
-        assert header == "u,v,weight"
 
 
 class TestRecordedWarnings:

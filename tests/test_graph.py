@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (NotFoundError, bf_first_round, bf_project_firms, bf_project_investors,
                      bf_scan_firms, bf_scan_investors)
-from conftest import deal, random_deals
+from conftest import deal, edge_names, random_deals
 
 from vcnet.graph import (BOTH, FIRM, INVESTOR, build_bipartite, first_rounds,
                          project_firms, project_investors)
@@ -41,10 +41,9 @@ def _deal_sets(draw):
 
 
 def _assert_projection(pg, nodes, edges):
-    """``pg`` has the oracle's nodes, edges and weights, in order, and its adjacency."""
+    """``pg`` has the oracle's nodes and edges, in order, and its adjacency."""
     assert pg.nodes == nodes
-    assert list(pg.edges.items()) == list(edges.items())
-    assert pg.sorted_edges() == [(u, v, w) for (u, v), w in edges.items()]
+    assert edge_names(pg) == edges
     assert pg.n_edges() == len(edges)
     pos = {v: i for i, v in enumerate(nodes)}
     expected = np.zeros((len(nodes), len(nodes)))
@@ -89,32 +88,25 @@ class TestProjectFirms:
         g = build_bipartite([deal("f1", "i1", "r1", "2001-01-01"),
                              deal("f2", "i1", "r2", "2010-01-01")])
         pg = project_firms(g, 2010, 7)
-        assert pg.sorted_edges() == []
+        assert edge_names(pg) == []
         assert set(pg.nodes) == {"f1", "f2"}
 
     def test_window_includes_near_pair(self):
         g = build_bipartite([deal("f1", "i1", "r1", "2001-01-01"),
                              deal("f2", "i1", "r2", "2006-01-01")])
         pg = project_firms(g, 2006, 7)
-        assert pg.sorted_edges() == [("f1", "f2", 1)]
+        assert edge_names(pg) == [("f1", "f2")]
 
     def test_common_investor_triangle(self, ):
         g = build_bipartite([deal(f, "i1", f + "-r", "2005-03-01") for f in ("a", "b", "c")])
         pg = project_firms(g, 2005, 7)
-        assert pg.sorted_edges() == [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)]
-
-    def test_weight_counts_distinct_investors(self):
-        g = build_bipartite([
-            deal("f1", "i1", "r1", "2005-01-01"), deal("f2", "i1", "r2", "2005-06-01"),
-            deal("f1", "i2", "r1", "2005-01-01"), deal("f2", "i2", "r2", "2005-06-01"),
-        ])
-        assert project_firms(g, 2005, 7).edges[("f1", "f2")] == 2
+        assert edge_names(pg) == [("a", "b"), ("a", "c"), ("b", "c")]
 
     def test_snapshot_limits_deals(self):
         g = build_bipartite([deal("f1", "i1", "r1", "2001-01-01"),
                              deal("f2", "i1", "r2", "2006-01-01")])
         pg = project_firms(g, 2004, 7)
-        assert pg.sorted_edges() == []
+        assert edge_names(pg) == []
         assert set(pg.nodes) == {"f1"}
 
     def test_out_of_range_year_warns_and_returns_empty(self):
@@ -128,23 +120,23 @@ class TestProjectInvestors:
     def test_same_round_links(self):
         g = build_bipartite([deal("f1", "i1", "r1", "2005-01-01"),
                              deal("f1", "i2", "r1", "2005-01-01")])
-        assert project_investors(g, 2005).sorted_edges() == [("i1", "i2", 1)]
+        assert edge_names(project_investors(g, 2005)) == [("i1", "i2")]
 
     def test_different_rounds_do_not_link(self):
         g = build_bipartite([deal("f1", "i1", "r1", "2005-01-01"),
                              deal("f1", "i2", "r2", "2006-01-01")])
-        assert project_investors(g, 2006).sorted_edges() == []
+        assert edge_names(project_investors(g, 2006)) == []
 
     def test_three_investor_round_is_triangle(self):
         g = build_bipartite([deal("f1", i, "r1", "2005-01-01") for i in ("i1", "i2", "i3")])
-        assert project_investors(g, 2005).sorted_edges() == [
-            ("i1", "i2", 1), ("i1", "i3", 1), ("i2", "i3", 1)]
+        assert edge_names(project_investors(g, 2005)) == [
+            ("i1", "i2"), ("i1", "i3"), ("i2", "i3")]
 
     def test_round_ids_are_firm_scoped(self):
         # same round_id string under different firms must not link investors
         g = build_bipartite([deal("f1", "i1", "rA", "2005-01-01"),
                              deal("f2", "i2", "rA", "2005-01-01")])
-        assert project_investors(g, 2005).sorted_edges() == []
+        assert edge_names(project_investors(g, 2005)) == []
 
 
 class TestProjectionOracle:
@@ -157,7 +149,7 @@ class TestProjectionOracle:
                 pg = project_firms(g, year, window)
                 nodes, edges = bf_scan_firms(deals, year, window)
                 assert set(pg.nodes) == nodes
-                assert pg.edges == edges
+                assert edge_names(pg) == sorted(edges)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_investor_projection_matches_pair_enumeration(self, seed):
@@ -167,15 +159,15 @@ class TestProjectionOracle:
             pg = project_investors(g, year)
             nodes, edges = bf_scan_investors(deals, year)
             assert set(pg.nodes) == nodes
-            assert pg.edges == edges
+            assert edge_names(pg) == sorted(edges)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_window_monotone(self, seed):
         deals = random_deals(np.random.default_rng(100 + seed), 60)
         g = build_bipartite(deals)
-        e5 = set(project_firms(g, 2012, 5).edges)
-        e7 = set(project_firms(g, 2012, 7).edges)
-        e10 = set(project_firms(g, 2012, 10).edges)
+        e5 = set(edge_names(project_firms(g, 2012, 5)))
+        e7 = set(edge_names(project_firms(g, 2012, 7)))
+        e10 = set(edge_names(project_firms(g, 2012, 10)))
         assert e5 <= e7 <= e10
 
     @pytest.mark.parametrize("seed", range(8))
@@ -184,8 +176,8 @@ class TestProjectionOracle:
         g = build_bipartite(deals)
         prev_f, prev_i = set(), set()
         for year in g.years():
-            ef = set(project_firms(g, year, 7).edges)
-            ei = set(project_investors(g, year).edges)
+            ef = set(edge_names(project_firms(g, year, 7)))
+            ei = set(edge_names(project_investors(g, year)))
             assert prev_f <= ef and prev_i <= ei
             prev_f, prev_i = ef, ei
 
@@ -219,8 +211,8 @@ class TestProjectionSlices:
                              deal("F2", "I0", "R0", "2001-03-01")])
         assert g.roles["I0"] == BOTH
         assert (Date(2005, 3, 1) - Date(2001, 3, 1)).days == 4 * 365.25
-        assert project_firms(g, 2005, 4).sorted_edges() == [("F1", "I0", 1)]
-        assert project_firms(g, 2005, 3).sorted_edges() == []
+        assert edge_names(project_firms(g, 2005, 4)) == [("F1", "I0")]
+        assert edge_names(project_firms(g, 2005, 3)) == []
 
 
 class TestProjectionArrays:
@@ -251,7 +243,7 @@ class TestProjectionArrays:
         pos = {v: i for i, v in enumerate(pg.nodes)}
         A = pg.csr.toarray()
         expected = np.zeros_like(A)
-        for u, v in pg.edges:
+        for u, v in edge_names(pg):
             expected[pos[u], pos[v]] = expected[pos[v], pos[u]] = 1.0
         assert np.array_equal(A, expected)
         assert pg.degrees.tolist() == A.sum(axis=1).astype(int).tolist()

@@ -52,7 +52,15 @@ class TestParseDeals:
 
     @pytest.mark.parametrize("row,fragment", [
         (b"f1,i1,r1,2005-13-01,5", "date"),
+        # Python 3.11's fromisoformat reads these; 3.10's does not
+        (b"f1,i1,r1,20050301,5", "invalid date '20050301'"),
+        (b"f1,i1,r1,2005-W10-1,5", "invalid date '2005-W10-1'"),
         (b"f1,i1,r1,2005-03-01,1.5", "amount"),
+        # int() reads these
+        (b"f1,i1,r1,2005-03-01,1_000", "invalid amount '1_000'"),
+        (b"f1,i1,r1,2005-03-01, 5", "invalid amount ' 5'"),
+        (b"f1,i1,r1,2005-03-01,+5", "invalid amount '+5'"),
+        ("f1,i1,r1,2005-03-01,\u0663".encode(), "invalid amount '\u0663'"),
         pytest.param(b"f1,i1,r1,2005-03-01,1" + b"0" * 400,
                      "amount above the limit 9223372036854775807", id="amount-10**400"),
         (b",i1,r1,2005-03-01,5", "firm_id"),
@@ -108,6 +116,11 @@ class TestParseFirms:
         result = parse(firm_bytes=b"f1,bio,US,ACQUIRED,\n")
         assert result.firm_rejects[0].line == 2
         assert "status_date" in result.firm_rejects[0].reason
+
+    def test_status_date_must_be_iso_calendar_date(self):
+        result = parse(firm_bytes=b"f1,bio,US,IPO,20120630\nf2,bio,US,IPO,2012-06-30\n")
+        assert result.firm_rejects == [Reject(2, "invalid status_date '20120630'")]
+        assert list(result.firms) == ["f2"]
 
     def test_non_exit_status_must_not_have_date(self):
         result = parse(firm_bytes=b"f1,bio,US,ACTIVE,2010-01-01\n")
