@@ -13,6 +13,7 @@ hypergeometric distribution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,11 +37,16 @@ def hypergeom_pvalue(pool_size: int, pool_successes: int, sample_size: int, obse
     """Exact upper tail P(X >= observed) for Hypergeometric(N, K, n).
 
     Computed by log-factorial accumulation, so it stays stable for large
-    parameters; exact 1.0 whenever the event is certain.
+    parameters; exact 1.0 whenever the event is certain. Any integer type
+    is taken (numpy's too, as Python ints); a bool is not a count.
     """
-    N, K, n, k = pool_size, pool_successes, sample_size, observed
-    if not (isinstance(N, int) and isinstance(K, int) and isinstance(n, int) and isinstance(k, int)):
-        raise ConfigError("hypergeometric parameters must be integers")
+    params = (pool_size, pool_successes, sample_size, observed)
+    if any(isinstance(p, bool) for p in params):
+        raise ConfigError("hypergeometric parameters must be integers, not bools")
+    try:
+        N, K, n, k = map(operator.index, params)
+    except TypeError:
+        raise ConfigError("hypergeometric parameters must be integers") from None
     if not (0 <= k <= n <= N and 0 <= K <= N):
         raise ConfigError(f"invalid hypergeometric parameters N={N}, K={K}, n={n}, k={k}")
     lo = max(0, n + K - N)

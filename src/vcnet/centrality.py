@@ -29,14 +29,14 @@ Ties anywhere (VoteRank election, rankings) break by node-id order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, SchemaError
 from .graph import FIRM, SOURCE_BLOCK, ProjectedGraph, TemporalBipartiteGraph, first_rounds
-from .ingest import read_csv, write_csv
+from .ingest import iter_csv, read_csv, write_csv
 
 #: Measures computed on both layers, keyed as they appear in covariate names.
 COMMON_MEASURES = (
@@ -395,13 +395,21 @@ def write_frames_csv(frames: list[CentralityFrame], path: str | Path) -> None:
 
 
 def read_frames_csv(path: str | Path) -> dict[tuple[int, str], CentralityFrame]:
-    header, rows = read_csv(path)
-    tables: dict[tuple[int, str], list[list[str]]] = {}
-    for row in rows:
-        tables.setdefault((int(row[0]), row[1]), []).append(row[2:])
+    """The frames of ``frames.csv``, read and converted one frame at a time.
+
+    ``write_frames_csv`` keeps each frame's rows together; a frame whose
+    rows resume after another frame's raises ``SchemaError`` naming the
+    file and the line.
+    """
+    rows = iter_csv(path)
+    _, header = next(rows, (1, None))
     frames: dict[tuple[int, str], CentralityFrame] = {}
-    for (year, layer), table in tables.items():
-        nodes, *columns = zip(*table)
+    for (year, layer), group in groupby(rows, key=lambda item: (int(item[1][0]), item[1][1])):
+        line, first = next(group)
+        if (year, layer) in frames:
+            raise SchemaError(f"{path}: line {line}: the rows of frame {year} {layer} "
+                              f"resume after another frame's")
+        nodes, *columns = zip(first[2:], *(row[2:] for _, row in group))
         frames[year, layer] = CentralityFrame(year, layer, nodes, {
             m: np.array([float(raw) for raw in column])
             for m, column in zip(header[3:], columns) if column[0] != ""})

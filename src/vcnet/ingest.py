@@ -108,10 +108,22 @@ def _parse_date(raw: str) -> Date:
 
 
 def _parse_amount(raw: str) -> int:
-    """``-?[0-9]+`` only; ``int`` also takes ``_``, spaces, ``+`` and non-ASCII digits."""
+    """An integer in [0, ``MAX_AMOUNT``]; ``ValueError`` with the reject reason otherwise.
+
+    Only ``-?[0-9]+`` is an integer (``int`` also takes ``_``, spaces, ``+``
+    and non-ASCII digits). The range is decided on the digits before any
+    conversion: ``int`` and ``str`` refuse more digits than
+    ``sys.get_int_max_str_digits()``, and the verdict must not depend on
+    that setting.
+    """
     if not _AMOUNT.fullmatch(raw):
-        raise ValueError(f"not an integer: {raw!r}")
-    return int(raw)
+        raise ValueError(f"invalid amount {raw!r}")
+    digits = raw.lstrip("-").lstrip("0") or "0"
+    if raw[0] == "-" and digits != "0":
+        raise ValueError(f"negative amount -{digits}")
+    if len(digits) > len(str(MAX_AMOUNT)) or int(digits) > MAX_AMOUNT:
+        raise ValueError(f"amount above the limit {MAX_AMOUNT}")
+    return int(digits)
 
 
 def parse_deals(deal_csv: PathOrStream, firm_csv: PathOrStream) -> ParseResult:
@@ -193,12 +205,8 @@ def _parse_deal_row(row: list[str], deals: list[DealRecord]) -> str | None:
         return f"invalid date {raw_date!r}"
     try:
         amount = _parse_amount(raw_amount)
-    except ValueError:
-        return f"invalid amount {raw_amount!r}"
-    if amount < 0:
-        return f"negative amount {amount}"
-    if amount > MAX_AMOUNT:
-        return f"amount above the limit {MAX_AMOUNT}"
+    except ValueError as exc:
+        return str(exc)
     deals.append(DealRecord(firm_id, investor_id, round_id, when, amount))
     return None
 

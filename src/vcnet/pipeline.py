@@ -252,7 +252,10 @@ def stage_centrality(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     g = build_bipartite(deals)
     frames = []
     covariates = []
-    for year in _frame_years(cfg, g):
+    # Latest year first: snapshots only gain nodes and links as the year grows, so the
+    # largest one (and its current-flow solve) runs while no other frame is held. The
+    # writers sort frames by (year, layer) and covariate rows by firm id.
+    for year in reversed(_frame_years(cfg, g)):
         firm_frame = compute_frame(project_firms(g, year, cfg.projection_window), g)
         inv_frame = compute_frame(project_investors(g, year))
         frames.extend([firm_frame, inv_frame])

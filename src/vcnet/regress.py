@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -890,10 +891,16 @@ class PerturbationResult:
 
     groups: list[GroupStats]
     covariates: list[str]     # the names ``covariate`` indexes
-    group: np.ndarray         # (S,) dendrogram group
-    config_id: np.ndarray     # (S,)
+    group: np.ndarray         # (S,) dendrogram group, smallest integer type
+    config_id: np.ndarray     # (S,) smallest integer type
     covariate: np.ndarray     # (S,) position in ``covariates``
     estimate: np.ndarray      # (S,) coefficient
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Integer ``values`` in the smallest integer type that holds them all."""
+    lo, hi = values.min(initial=0), values.max(initial=0)
+    return values.astype(np.min_scalar_type(min(lo, -1 - hi) if lo < 0 else hi))
 
 
 def perturbation_sweep(groups: dict[str, int], selection: ModelSelection) -> PerturbationResult:
@@ -905,9 +912,9 @@ def perturbation_sweep(groups: dict[str, int], selection: ModelSelection) -> Per
     maps every one of the selection's columns to its group. The full
     sample is retained so bimodality can be inspected.
     """
-    scored = np.flatnonzero(~np.isnan(selection.results["score"]))
+    scored = _narrow(np.flatnonzero(~np.isnan(selection.results["score"])))
     cfg = selection.configs[scored]
-    group_of = np.array([groups[c] for c in selection.columns], dtype=np.int64)
+    group_of = _narrow(np.array([groups[c] for c in selection.columns], dtype=np.int64))
     group = group_of[cfg].ravel()
     estimate = selection.results["coef"][scored].ravel()
     stats: list[GroupStats] = []
@@ -1007,11 +1014,12 @@ def write_leaderboard_csv(selection: ModelSelection, path: str | Path) -> None:
     """Ranked configurations with their scores, then the failed ones with their errors."""
     names = selection.covariates
     scores, errors = selection.results["score"], selection.results["error"]
-    write_csv(path, ["rank", "config_id", "covariates", "score", "error"],
-              [[rank, i, ";".join(names(i)), scores[i], None]
-               for rank, i in enumerate(selection.ranked.tolist(), start=1)]
-              + [[None, i, ";".join(names(i)), None, errors[i] or "failed"]
-                 for i in np.flatnonzero(np.isnan(scores)).tolist()])
+    # rows are made as they are written; a numpy integer is written as its digits
+    write_csv(path, ["rank", "config_id", "covariates", "score", "error"], chain(
+        ([rank, i, ";".join(names(i)), scores[i], None]
+         for rank, i in enumerate(selection.ranked, start=1)),
+        ([None, i, ";".join(names(i)), None, errors[i] or "failed"]
+         for i in np.flatnonzero(np.isnan(scores)))))
 
 
 def write_functional_curves(fit: FunctionalFit, out_dir: str | Path) -> list[Path]:

@@ -43,6 +43,16 @@ class TestHypergeomPvalue:
         with pytest.raises(ConfigError):
             hypergeom_pvalue(10.0, 5, 2, 2)
 
+    @pytest.mark.parametrize("cast", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_give_the_python_int_p_value(self, cast):
+        for args in [(10, 3, 4, 1), (30, 11, 9, 4), (50, 13, 7, 0)]:
+            assert hypergeom_pvalue(*map(cast, args)) == hypergeom_pvalue(*args)
+
+    @pytest.mark.parametrize("args", [(True, 1, 1, 1), (10, 5, 2, np.True_), (10, 5, False, 0)])
+    def test_bool_parameters_raise(self, args):
+        with pytest.raises(ConfigError, match="must be integers"):
+            hypergeom_pvalue(*args)
+
     def test_matches_rational_enumeration_sampled(self):
         rng = np.random.default_rng(3)
         for _ in range(300):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,6 +453,28 @@ class TestFrames:
             assert set(again.measures) == set(frame.measures)
             for m, values in frame.measures.items():
                 assert by_node(again, again.measures[m]) == by_node(frame, values)
+
+    def test_read_back_holds_about_one_frame_of_rows(self, tmp_path):
+        # a frame's rows are about 360 kB of strings at 300 nodes; the result keeps
+        # its arrays, so the peak less what the result keeps is the read's transient
+        def transient(n_years):
+            rng = np.random.default_rng(n_years)
+            nodes = tuple(f"F{i:05d}" for i in range(300))
+            path = tmp_path / f"frames_{n_years}.csv"
+            C.write_frames_csv([C.CentralityFrame(2000 + y, layer, nodes, {
+                m: rng.random(len(nodes)) for m in C.COMMON_MEASURES})
+                for y in range(n_years) for layer in (FIRM, INVESTOR)], path)
+            C.read_frames_csv(path)  # first-call allocations stay out of the count
+            tracemalloc.start()
+            try:
+                back = C.read_frames_csv(path)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(back) == 2 * n_years
+            return peak - kept
+
+        assert transient(20) <= 2 * transient(1) + 64 * 1024
 
 
 class TestCovariateColumns:

@@ -15,8 +15,12 @@ import pytest
 
 import vcnet
 from vcnet import pipeline, regress, trajectories
+from vcnet.centrality import (assemble_covariates, compute_frame, write_covariates_csv,
+                              write_frames_csv)
 from vcnet.cli import build_parser, main
 from vcnet.errors import ConfigError
+from vcnet.graph import build_bipartite, project_firms, project_investors
+from vcnet.ingest import read_deals_csv
 from vcnet.pipeline import STAGES, RunConfig, run_pipeline, run_stage
 
 SYNTH = {"n_firms": 80, "n_investors": 40, "n_subsectors": 2,
@@ -208,6 +212,46 @@ class TestStageProtocol:
         assert self._stage("regress", out) == 2
         err = capsys.readouterr().err
         assert str(path) in err and str(out / "features" / "groups.csv") in err
+
+    def test_split_frame_rows_exit_2_naming_file_and_line(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = out / "centrality" / "frames.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        # move the first row of a frame of several rows to the end of the file
+        i = next(i for i, (a, b) in enumerate(zip(rows, rows[1:]))
+                 if a.split(",")[:2] == b.split(",")[:2])
+        rows.append(rows.pop(i))
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        assert self._stage("backtest", out) == 2
+        assert f"{path}: line {len(rows) + 1}: " in capsys.readouterr().err
+
+    def test_centrality_runs_latest_year_first_and_writes_ascending_bytes(
+            self, finished_run, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        years = []
+
+        def recording(pg, g=None):
+            years.append(pg.snapshot_year)
+            return compute_frame(pg, g)
+
+        monkeypatch.setattr(pipeline, "compute_frame", recording)
+        cfg = make_cfg(out)
+        run_stage("centrality", cfg)
+        assert years == sorted(years, reverse=True) and len(set(years)) > 1
+        # the same frames computed in ascending year order write the same bytes
+        g = build_bipartite(read_deals_csv(out / "ingest" / "deals.csv"))
+        frames, covariates = [], []
+        for year in sorted(set(years)):
+            firm_frame = compute_frame(project_firms(g, year, cfg.projection_window), g)
+            inv_frame = compute_frame(project_investors(g, year))
+            frames += [firm_frame, inv_frame]
+            covariates += assemble_covariates(firm_frame, inv_frame, g)
+        write_frames_csv(frames, tmp_path / "frames.csv")
+        write_covariates_csv(covariates, tmp_path / "covariates.csv")
+        for name in ("frames.csv", "covariates.csv"):
+            assert (tmp_path / name).read_bytes() == (out / "centrality" / name).read_bytes()
 
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

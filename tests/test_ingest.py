@@ -75,6 +75,26 @@ class TestParseDeals:
         assert len(result.deal_rejects) == 1
         assert fragment in result.deal_rejects[0].reason
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no limit on int-string conversion")
+    def test_amount_verdicts_do_not_depend_on_the_int_digit_limit(self):
+        # int() and str() refuse more digits than sys.get_int_max_str_digits(), 4300 by default
+        rows = (b"f1,i1,r1,2005-03-01," + b"1" * 700 + b"\n"
+                b"f1,i1,r2,2005-03-01," + b"0" * 699 + b"5\n"
+                b"f1,i1,r3,2005-03-01,-" + b"1" * 700 + b"\n"
+                b"f1,i1,r4,2005-03-01,-" + b"0" * 700 + b"\n")
+        default = parse(rows)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            capped = parse(rows)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capped == default
+        assert [d.amount for d in default.deals] == [5, 0]
+        assert default.deal_rejects == [Reject(2, "amount above the limit 9223372036854775807"),
+                                         Reject(4, "negative amount -" + "1" * 700)]
+
     def test_bad_header_is_fatal(self):
         with pytest.raises(SchemaError):
             parse_deals(io.BytesIO(b"firm,investor\nx,y\n"), io.BytesIO(FIRM_HEADER))

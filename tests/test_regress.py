@@ -22,10 +22,12 @@ from vcnet import regress
 from vcnet.errors import ConfigError, RankDeficientError
 from vcnet.features import FeatureGrouping, FeatureMatrix, enumerate_configs
 from vcnet.ingest import FirmMeta, SyntheticConfig, generate_synthetic
-from vcnet.regress import (SELECT_CHUNK, TIE_RTOL, balanced_ensemble, build_controls,
-                           confusion_metrics, confusion_vs_standard, fit_function_on_scalar,
-                           fit_linear, fit_logistic, perturbation_sweep, responses,
-                           select_model, window_sweep, _balanced_rows, _irls, _wald)
+from vcnet.regress import (SELECT_CHUNK, TIE_RTOL, ModelSelection, balanced_ensemble,
+                           build_controls, confusion_metrics, confusion_vs_standard,
+                           fit_function_on_scalar, fit_linear, fit_logistic, perturbation_sweep,
+                           responses, select_model, window_sweep, write_leaderboard_csv,
+                           write_perturbation_csv,
+                           _balanced_rows, _irls, _wald)
 from vcnet.trajectories import HIGH, LOW, Trajectory, build_trajectories
 
 
@@ -784,6 +786,19 @@ class TestPerturbationSweep:
         assert max(g1) > 1.5 and min(g1) < -1.5  # one mode each side of zero
         assert [res.covariates[p] for p in res.covariate] == ["x", "z", "neg_x", "z"]
         assert res.config_id.tolist() == [0, 0, 1, 1]
+        assert res.group.dtype == res.config_id.dtype == np.uint8
+
+    def test_samples_hold_groups_in_the_smallest_integer_type_and_write_digits(self, tmp_path):
+        rng = np.random.default_rng(94)
+        x, z = rng.normal(size=(2, 50))
+        fm = fm_from(np.column_stack([x, z]), ["x", "z"])
+        sel = select_model("linear", x + rng.normal(size=50), fm, positions(fm, [("x", "z")]))
+        res = perturbation_sweep({"x": -1, "z": 300}, sel)
+        assert res.group.dtype == np.int16
+        write_perturbation_csv(res, tmp_path / "groups.csv", tmp_path / "samples.csv")
+        rows = (tmp_path / "samples.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[:3] for row in rows] == [
+            ["group", "config_id", "covariate"], ["-1", "0", "x"], ["300", "0", "z"]]
 
     def test_planted_strong_group_mean_exceeds_sd(self):
         rng = np.random.default_rng(93)
@@ -1163,6 +1178,35 @@ class TestSelectionMemory:
         assert len(sel.results) == len(sel.ranked) == int(np.prod(sizes)) == 2880
         assert kept <= self.MAX_BYTES_PER_CONFIG * len(configs), \
             f"{kept / len(configs):.0f} B kept per configuration"
+
+
+class TestLeaderboardMemory:
+    @staticmethod
+    def _selection(n):
+        rng = np.random.default_rng(n)
+        results = np.empty(n, dtype=[("score", float), ("coef", float, (6,)), ("error", object)])
+        results["score"] = rng.normal(size=n)
+        results["score"][::7] = np.nan
+        results["error"][::7] = "did not converge"
+        ranked = np.argsort(-results["score"])[:len(results) - len(results[::7])]
+        return ModelSelection("linear", [f"c{j:02d}" for j in range(24)],
+                              rng.integers(0, 24, size=(n, 6)).astype(np.int16), results,
+                              ranked, None, False)
+
+    def test_traced_peak_does_not_grow_with_the_configurations(self, tmp_path):
+        # a list of every row would take about 200 B per configuration
+        peaks = {}
+        for n in (500, 10_000):
+            sel = self._selection(n)
+            write_leaderboard_csv(sel, tmp_path / "warm.csv")
+            tracemalloc.start()
+            try:
+                write_leaderboard_csv(sel, tmp_path / f"{n}.csv")
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len((tmp_path / f"{n}.csv").read_text().splitlines()) == n + 1
+        assert peaks[10_000] <= 2 * peaks[500] + 64 * 1024, peaks
 
 
 def test_import_leaves_scipy_stats_unloaded():
