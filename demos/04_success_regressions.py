@@ -56,8 +56,8 @@ subsectors = {t.firm_id: t.subsector for t in trajs}
 firms, y_bin, _, _ = responses("logistic", trajs, ca.regimes, first_amounts, subsectors)
 sub = fm.take_rows(firms)
 
-LIMIT = 400  # cap the exhaustive search for demo runtime
-sel_log = select_model("logistic", y_bin, sub, configs, limit=LIMIT)
+head = configs[:400]  # the first 400 configurations only, for demo runtime
+sel_log = select_model("logistic", y_bin, sub, head)
 best = sel_log.best
 print(f"\nlogistic selection over {len(sel_log.results)} configs: "
       f"best log-likelihood {best.fit.log_likelihood:.2f}, "
@@ -76,7 +76,7 @@ print(f"balanced resampling ({ens.n_reps} replicates): "
 
 # Linear model of log aggregate money with first-amount + subsector controls.
 _, y_agg, C, cnames = responses("linear_agg", trajs, ca.regimes, first_amounts, subsectors)
-sel_lin = select_model("linear", y_agg, sub, configs, C, cnames, limit=LIMIT)
+sel_lin = select_model("linear", y_agg, sub, head, C, cnames)
 fit = sel_lin.best.fit
 print(f"\nlinear selection: best R^2 {fit.r2:.4f} (adjusted {fit.adj_r2:.4f}, "
       f"F({fit.f_df[0]},{fit.f_df[1]})={fit.fstat:.1f})")

@@ -40,7 +40,7 @@ subsectors = {f: (ds.firms[f].subsector if f in ds.firms else "") for f in fm.ro
 ts = build_trajectories(ds.deals, ds.firms, 10)
 trajs = [t for t in ts.trajectories if t.firm_id in set(fm.row_ids)]
 firms, y, C, cnames = responses("linear_agg", trajs, None, first_amounts, subsectors)
-sel = select_model("linear", y, fm.take_rows(firms), configs, C, cnames, limit=300)
+sel = select_model("linear", y, fm.take_rows(firms), configs[:300], C, cnames)
 best = sel.best
 print(f"best linear config at W=10 (R^2 {best.fit.r2:.3f}): {', '.join(best.covariates)}")
 

@@ -1,8 +1,8 @@
 """Node-level statistics on projected graphs and per-firm covariates.
 
-All measures are computed on the unweighted simple projection (edge
-multiplicities are kept on the graph for diagnostics but ignored here),
-from the one read-only adjacency ``ProjectedGraph.csr``. Each measure
+All measures are computed on the simple projection, which holds one
+unweighted link per linked pair and nothing else about the pair, from
+the one read-only adjacency ``ProjectedGraph.csr``. Each measure
 returns one numpy array aligned with ``pg.nodes`` (sorted node ids):
 float64, except ``core_number`` and ``voterank``, which are int64. The local
 measures (neighbor degree, clustering, k-core) are sparse products on
@@ -29,14 +29,14 @@ Ties anywhere (VoteRank election, rankings) break by node-id order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import compress, groupby, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConvergenceError, SchemaError
 from .graph import FIRM, SOURCE_BLOCK, ProjectedGraph, TemporalBipartiteGraph, first_rounds
-from .ingest import iter_csv, read_csv, write_csv
+from .ingest import read_records, write_csv
 
 #: Measures computed on both layers, keyed as they appear in covariate names.
 COMMON_MEASURES = (
@@ -394,25 +394,31 @@ def write_frames_csv(frames: list[CentralityFrame], path: str | Path) -> None:
                                         for m in _FRAME_COLUMNS))))
 
 
+def _frame_row(row: list[str]) -> tuple[tuple[int, str, tuple[bool, ...]], str, list[float]]:
+    """A ``frames.csv`` row: (year, layer, which measures it holds), its node, those measures."""
+    cells = row[3:]
+    held = tuple(map(bool, cells))
+    return (int(row[0]), row[1], held), row[2], [float(c) for c in cells if c]
+
+
 def read_frames_csv(path: str | Path) -> dict[tuple[int, str], CentralityFrame]:
     """The frames of ``frames.csv``, read and converted one frame at a time.
 
-    ``write_frames_csv`` keeps each frame's rows together; a frame whose
-    rows resume after another frame's raises ``SchemaError`` naming the
-    file and the line.
+    ``write_frames_csv`` keeps each frame's rows together, each holding
+    the frame's measures; a row that resumes a frame after another
+    frame's rows, or holds other measures than its frame's first row,
+    raises ``SchemaError`` naming the file and the line.
     """
-    rows = iter_csv(path)
-    _, header = next(rows, (1, None))
+    header, rows = read_records(path, _frame_row)
     frames: dict[tuple[int, str], CentralityFrame] = {}
-    for (year, layer), group in groupby(rows, key=lambda item: (int(item[1][0]), item[1][1])):
-        line, first = next(group)
+    for (year, layer, held), group in groupby(rows, key=lambda item: item[1][0]):
+        lines, records = zip(*group)
         if (year, layer) in frames:
-            raise SchemaError(f"{path}: line {line}: the rows of frame {year} {layer} "
-                              f"resume after another frame's")
-        nodes, *columns = zip(first[2:], *(row[2:] for _, row in group))
+            raise SchemaError(f"{path}: line {lines[0]}: the rows of frame {year} {layer} resume "
+                              f"after another frame's or hold other measures")
+        nodes, *columns = zip(*((node, *values) for _, node, values in records))
         frames[year, layer] = CentralityFrame(year, layer, nodes, {
-            m: np.array([float(raw) for raw in column])
-            for m, column in zip(header[3:], columns) if column[0] != ""})
+            m: np.array(column) for m, column in zip(compress(header[3:], held), columns)})
     return frames
 
 
@@ -424,8 +430,14 @@ def write_covariates_csv(rows: list[FirmCovariates], path: str | Path) -> None:
         for r in sorted(rows, key=lambda r: r.firm_id)))
 
 
+def _covariate_row(row: list[str]) -> tuple[str, int, list[float], bool]:
+    if row[-1] not in ("0", "1"):
+        raise ValueError(f"investor_measures_missing must be 0 or 1, got {row[-1]!r}")
+    return row[0], int(row[1]), [float(c) for c in row[2:-1]], row[-1] == "1"
+
+
 def read_covariates_csv(path: str | Path) -> list[FirmCovariates]:
-    header, rows = read_csv(path)
+    header, rows = read_records(path, _covariate_row)
     cols = header[2:-1]
-    return [FirmCovariates(row[0], int(row[1]), {c: float(raw) for c, raw in zip(cols, row[2:-1])},
-                           row[-1] == "1") for row in rows]
+    return [FirmCovariates(firm, year, dict(zip(cols, values)), missing)
+            for _, (firm, year, values, missing) in rows]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .centrality import FirmCovariates
 from .errors import ConfigError, SchemaError
-from .ingest import read_csv, write_csv
+from .ingest import read_csv, read_records, write_csv
 
 
 @dataclass
@@ -225,10 +225,11 @@ def write_feature_matrix_csv(fm: FeatureMatrix, path: str | Path) -> None:
 
 
 def read_feature_matrix_csv(path: str | Path) -> FeatureMatrix:
-    header, rows = read_csv(path)
-    data = (np.array([[float(x) for x in row[1:]] for row in rows]) if rows
-            else np.empty((0, len(header) - 1)))
-    return FeatureMatrix([row[0] for row in rows], header[1:], data)
+    header, rows = read_records(path, lambda row: (row[0], [float(x) for x in row[1:]]))
+    records = [record for _, record in rows]
+    data = np.array([values for _, values in records], dtype=float)
+    return FeatureMatrix([rid for rid, _ in records], header[1:],
+                         data.reshape(len(records), len(header) - 1))
 
 
 def write_transforms_csv(fm: FeatureMatrix, path: str | Path) -> None:

@@ -315,6 +315,31 @@ def read_csv(source: PathOrStream) -> tuple[list[str] | None, list[list[str]]]:
     return next(rows, None), list(rows)
 
 
+def read_records(path: str | Path, convert: Callable[[list[str]], Any]
+                 ) -> tuple[list[str], Iterator[tuple[int, Any]]]:
+    """The header of a stage artifact, then ``(line, convert(row))`` for each data row, lazily.
+
+    A file without a header, a row with another field count than the
+    header, and a row whose cells ``convert`` rejects with ``ValueError``
+    raise ``SchemaError`` naming the file and the line.
+    """
+    rows = iter_csv(path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise SchemaError(f"{path}: line 1: no header")
+
+    def records():
+        for line, row in rows:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                record = convert(row)
+            except ValueError as exc:
+                raise SchemaError(f"{path}: line {line}: {exc}") from exc
+            yield line, record
+    return header, records()
+
+
 def _read_canonical(path: str | Path, columns: list[str], name: str, parse_row, records):
     rejects = _parse_rows(path, columns, name, parse_row, records)
     if rejects:

@@ -42,8 +42,7 @@ from .graph import BOTH, FIRM, INVESTOR, build_bipartite, first_rounds, project_
 from .ingest import (SyntheticConfig, check_field_types, generate_synthetic, parse_deals,
                      read_deals_csv, read_firms_csv, write_csv, write_deals, write_firms,
                      write_rejects, write_synthetic)
-from .regress import (balanced_ensemble, confusion_vs_standard,
-                      fit_function_on_scalar, linear_fit_dict, logistic_fit_dict,
+from .regress import (balanced_ensemble, confusion_vs_standard, fit_dict, fit_function_on_scalar,
                       perturbation_sweep, responses, select_model, window_sweep,
                       write_functional_curves, write_leaderboard_csv, write_perturbation_csv)
 from .seeding import derive_seed
@@ -302,6 +301,20 @@ def stage_trajectories(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
 
 
 def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
+    """Select and fit the three scalar outcomes, then run their follow-ups.
+
+    Each outcome (``logistic`` for the HIGH/LOW regime, ``linear_agg``
+    and ``linear_diff``) selects over the same configurations: the first
+    ``config_limit`` of them when it is not 0, which the manifest records
+    as ``truncated``. A failed ``logistic`` or ``linear_agg`` selection
+    fails the stage; ``linear_diff`` without a fit writes no best fit.
+    The follow-ups read only what they need:
+
+    * the balanced ensemble, the binary selection;
+    * the functional fit and the perturbation sweep, ``linear_agg``;
+    * the window sweep, both of these;
+    * the confusion table, only the regimes.
+    """
     deals = read_deals_csv(_require(out / "ingest" / "deals.csv"))
     firms = read_firms_csv(_require(out / "ingest" / "firms.csv"))
     covs_path = _require(out / "centrality" / "covariates.csv")
@@ -330,14 +343,15 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
                           f"{cfg.window_years}-year trajectory (window_years={cfg.window_years})")
 
     # Binary (HIGH/LOW regime), log aggregate and log differential money responses.
-    info: dict = {"n_fit_firms": len(trajs)}
+    todo = configs[:cfg.config_limit] if cfg.config_limit else configs
+    info: dict = {"n_fit_firms": len(trajs), "truncated": len(todo) < len(configs)}
     sub_fm = fm.take_rows([t.firm_id for t in trajs])
     ys, selections = {}, {}
     for kind, response in (("logistic", None), ("linear_agg", "log_aggregate_money"),
                            ("linear_diff", "log_differential_money")):
         fit_firms, y, C, cnames = responses(kind, trajs, regimes, first_amounts, subsectors)
         sel = select_model("logistic" if response is None else "linear", y,
-                           sub_fm.take_rows(fit_firms), configs, C, cnames, limit=cfg.config_limit)
+                           sub_fm.take_rows(fit_firms), todo, C, cnames)
         write_leaderboard_csv(sel, stage_dir / f"{kind}_leaderboard.csv")
         ys[kind], selections[kind] = y, sel
         best = sel.best
@@ -347,20 +361,16 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
             raise ConfigError(f"no {'logistic' if response is None else 'linear (aggregate)'} "
                               f"configuration could be fit; configuration 0: "
                               f"{sel.results['error'][0] or 'failed'}")
+        _write_json(stage_dir / f"{kind}_best.json",
+                    {**fit_dict(best.fit), "config_id": best.config_id,
+                     "covariates": list(best.covariates), "window_years": cfg.window_years,
+                     **({"response": response} if response else {})})
         if response is None:
-            payload = logistic_fit_dict(best.fit)
             info.update(logistic_best_ll=best.fit.log_likelihood,
                         logistic_best_pseudo_r2=best.fit.pseudo_r2,
                         logistic_configs_fit=len(sel.results))
         else:
-            payload = linear_fit_dict(best.fit)
-            payload["response"] = response
             info[f"{kind}_best_r2"] = best.fit.r2
-        payload.update(config_id=best.config_id, covariates=list(best.covariates),
-                       window_years=cfg.window_years)
-        _write_json(stage_dir / f"{kind}_best.json", payload)
-    # every kind enumerates the same configurations under the same limit
-    info["truncated"] = selections["logistic"].truncated
     info["n_diff_dropped"] = len(trajs) - len(ys["linear_diff"])
     best_log, best_agg = selections["logistic"].best, selections["linear_agg"].best
 

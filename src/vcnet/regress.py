@@ -187,7 +187,7 @@ def _null_log_likelihood(y: np.ndarray) -> float:
     return len(y) * (p_hat * math.log(p_hat) + (1.0 - p_hat) * math.log(1.0 - p_hat))
 
 
-def _require_rows(n: int, q: int) -> None:
+def _require_residual_df(n: int, q: int) -> None:
     if n <= q:
         raise ConfigError(f"need more observations than parameters: n={n}, q={q}")
 
@@ -496,7 +496,7 @@ def fit_linear(y: np.ndarray, X: np.ndarray | None, C: np.ndarray | None = None,
     names = [INTERCEPT] + cov_names + ctl_names
     design = np.hstack([np.ones((n, 1))] + [b for b in (X, C) if b is not None])
     q = design.shape[1]
-    _require_rows(n, q)
+    _require_residual_df(n, q)
     _check_rank(design, names)
 
     betas, rsss, rmats = _ols(design[None], y)
@@ -597,7 +597,6 @@ class ModelSelection:
     results: np.ndarray           # (N,) records: score, coef (g,), error
     ranked: np.ndarray            # (n_scored,) config ids
     best: BestConfig | None
-    truncated: bool
 
     @property
     def n_failed(self) -> int:
@@ -630,7 +629,7 @@ def _fit_stack(kind: str, y: np.ndarray, full: np.ndarray,
         if kind == "logistic":
             _binary_p_hat(y)
         else:
-            _require_rows(len(y), q)
+            _require_residual_df(len(y), q)
     except VcnetError as exc:
         return scores, coefs, [str(exc)] * n_fits
     small = _columns(rmat, cols)
@@ -678,8 +677,7 @@ def _rank(scores: np.ndarray) -> np.ndarray:
 
 def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix, configs: np.ndarray,
                  controls: np.ndarray | None = None,
-                 control_columns: list[str] | None = None,
-                 limit: int = 0) -> ModelSelection:
+                 control_columns: list[str] | None = None) -> ModelSelection:
     """Fit every configuration and rank by goodness of fit.
 
     ``configs`` is an (N, g) integer array: row i holds configuration
@@ -692,15 +690,12 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix, configs: np
     each keeps only its score and covariate coefficients, and the best is
     refit with ``fit_logistic`` or ``fit_linear`` for its inference and
     takes that fit's score. Individual failures are recorded, not fatal.
-    ``limit`` > 0 keeps the first ``limit`` configurations (the
-    truncation is reported so callers can surface it).
     """
     if kind not in ("logistic", "linear"):
         raise ConfigError(f"unknown model kind {kind!r}")
     configs = np.asarray(configs)
     if configs.ndim != 2 or configs.dtype.kind not in "iu":
         raise ConfigError("configurations must be an (N, g) integer array of column positions")
-    todo = configs if limit <= 0 else configs[:limit]
     y = np.asarray(response, dtype=float)
     C, ctl_names = (None, []) if kind == "logistic" else _block(controls, control_columns, "c")
     if C is None:
@@ -710,13 +705,13 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix, configs: np
     qty = qmat.T @ y
     resid = y - qmat @ qty
     factor = (rmat, qty, float(resid @ resid))
-    n_configs, g = todo.shape
+    n_configs, g = configs.shape
     ctl_idx = np.arange(1 + fm.data.shape[1], full.shape[1])
 
     results = np.empty(n_configs,
                        dtype=[("score", float), ("coef", float, (g,)), ("error", object)])
     for start in range(0, n_configs, SELECT_CHUNK):
-        chunk = todo[start:start + SELECT_CHUNK]
+        chunk = configs[start:start + SELECT_CHUNK]
         names = [[INTERCEPT, *(fm.columns[p] for p in row), *ctl_names] for row in chunk.tolist()]
         cols = np.column_stack([np.zeros(len(chunk), dtype=np.intp), 1 + chunk.astype(np.intp),
                                 np.tile(ctl_idx, (len(chunk), 1))])
@@ -725,8 +720,7 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix, configs: np
         block["score"] = scores
         block["coef"] = np.where(np.isnan(scores)[:, None], np.nan, coefs[:, 1:1 + g])
         block["error"] = np.array(errors, dtype=object)
-    sel = ModelSelection(kind, list(fm.columns), todo, results, _rank(results["score"]), None,
-                         truncated=len(todo) < len(configs))
+    sel = ModelSelection(kind, list(fm.columns), configs, results, _rank(results["score"]), None)
     if len(sel.ranked):
         config_id = int(sel.ranked[0])
         covariates = sel.covariates(config_id)
@@ -976,38 +970,15 @@ def confusion_vs_standard(regimes: dict[str, str], meta: dict[str, FirmMeta],
 # Report serialization
 # ---------------------------------------------------------------------------
 
-def logistic_fit_dict(fit: LogisticFit) -> dict:
-    return {
-        "model": "logistic",
-        "n": fit.n,
-        "log_likelihood": fit.log_likelihood,
-        "null_log_likelihood": fit.null_log_likelihood,
-        "pseudo_r2": fit.pseudo_r2,
-        "converged": fit.converged,
-        "separated": fit.separated,
-        "n_iter": fit.n_iter,
-        "terms": [
-            {"term": c, "estimate": float(b), "se": float(s), "z": float(z), "p": float(p)}
-            for c, b, s, z, p in zip(fit.columns, fit.coef, fit.se, fit.z, fit.p)
-        ],
-    }
-
-
-def linear_fit_dict(fit: LinearFit) -> dict:
-    return {
-        "model": "linear",
-        "n": fit.n,
-        "r2": fit.r2,
-        "adj_r2": fit.adj_r2,
-        "fstat": fit.fstat,
-        "f_df": list(fit.f_df),
-        "f_pvalue": fit.f_pvalue,
-        "sigma2": fit.sigma2,
-        "terms": [
-            {"term": c, "estimate": float(b), "se": float(s), "t": float(t), "p": float(p)}
-            for c, b, s, t, p in zip(fit.columns, fit.coef, fit.se, fit.t, fit.p)
-        ],
-    }
+def fit_dict(fit: LogisticFit | LinearFit) -> dict:
+    """The fit's model, its scalar fields and one ``terms`` entry per column."""
+    model, stat = ("logistic", "z") if isinstance(fit, LogisticFit) else ("linear", "t")
+    per_term = ("coef", "se", stat, "p")
+    scalars = {name: value for name, value in vars(fit).items()
+               if name not in per_term and not name.endswith("columns")}
+    return {"model": model, **scalars,
+            "terms": [dict(zip(("term", "estimate", "se", stat, "p"), term))
+                      for term in zip(fit.columns, *(getattr(fit, a) for a in per_term))]}
 
 
 def write_leaderboard_csv(selection: ModelSelection, path: str | Path) -> None:

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .ingest import UNKNOWN, DealRecord, FirmMeta, read_csv, write_csv
+from .ingest import UNKNOWN, DealRecord, FirmMeta, read_records, write_csv
 from .seeding import derive_seed
 
 HIGH = "HIGH"
@@ -310,9 +310,9 @@ def write_trajectories_csv(ts: TrajectorySet, path: str | Path) -> None:
 
 
 def read_trajectories_csv(path: str | Path) -> TrajectorySet:
-    header, rows = read_csv(path)
-    return TrajectorySet(len(header) - 4, [
-        Trajectory(row[0], row[1], int(row[2]), tuple(int(v) for v in row[3:])) for row in rows])
+    header, rows = read_records(path, lambda row: Trajectory(row[0], row[1], int(row[2]),
+                                                             tuple(int(v) for v in row[3:])))
+    return TrajectorySet(len(header) - 4, [t for _, t in rows])
 
 
 def write_exclusions_csv(ts: TrajectorySet, path: str | Path) -> None:
@@ -323,8 +323,14 @@ def write_assignments_csv(ca: ClusterAssignment, path: str | Path) -> None:
     write_csv(path, ["firm_id", "regime"], sorted(ca.regimes.items()))
 
 
+def _assignment(row: list[str]) -> tuple[str, str]:
+    if row[1] not in (HIGH, LOW):
+        raise ValueError(f"regime must be {HIGH} or {LOW}, got {row[1]!r}")
+    return row[0], row[1]
+
+
 def read_assignments_csv(path: str | Path) -> dict[str, str]:
-    return {row[0]: row[1] for row in read_csv(path)[1]}
+    return dict(record for _, record in read_records(path, _assignment)[1])
 
 
 def write_centroids_csv(ca: ClusterAssignment, path: str | Path) -> None:

@@ -476,7 +476,7 @@ def bf_first_round(g, firm):
 # Model selection: one full single fit per configuration
 # ---------------------------------------------------------------------------
 
-def bf_select_model(kind, response, fm, configs, controls=None, control_columns=None, limit=0):
+def bf_select_model(kind, response, fm, configs, controls=None, control_columns=None):
     """Fit configurations one at a time and rank them by exact score order.
 
     The reference for ``select_model``'s chunked engine. It calls the
@@ -491,9 +491,8 @@ def bf_select_model(kind, response, fm, configs, controls=None, control_columns=
     from vcnet.errors import VcnetError
     from vcnet.regress import fit_linear, fit_logistic
 
-    todo = configs if limit <= 0 else configs[:limit]
     results = []
-    for i, combo in enumerate(todo):
+    for i, combo in enumerate(configs):
         X = fm.select(combo)
         try:
             if kind == "logistic":

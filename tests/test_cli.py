@@ -67,6 +67,39 @@ WRONG_TYPES = {
 }
 
 
+#: Config values of the right type outside their range: (RunConfig keys, the message).
+OUT_OF_RANGE = {
+    "deals_csv_without_firms_csv": ({"deals_csv": "deals.csv"},
+                                    "deals_csv and firms_csv must be given together"),
+    "projection_window_0": ({"projection_window": 0}, "projection_window must be >= 1"),
+    "top_n_0": ({"top_n": 0}, "dendrogram_k, kmeans_k, kmeans_inits, balance_reps and top_n "
+                              "must be >= 1"),
+    "horizon_5": ({"horizon": 5}, "horizon must be one of (6, 7, 8), got 5"),
+    "start_years_reversed": ({"start_years": [2010, 2000]},
+                             "start_years range (2010, 2000) is empty"),
+    "sweep_windows_from_4": ({"sweep_windows": [4, 12]},
+                             "sweep_windows must lie within [5, 12], got (4, 12)"),
+    "config_limit_negative": ({"config_limit": -1}, "config_limit must be >= 0 (0 = unlimited)"),
+}
+
+#: One hand edit to the first data row (line 2) of a stage artifact, and the stage
+#: rerun that reads it: (file, the column set to "x" or None to cut the row to
+#: its first field, stage).
+MALFORMED_ROWS = {
+    "frames_year": ("centrality/frames.csv", "year", "backtest"),
+    "frames_first_measure": ("centrality/frames.csv", "degree_centrality", "backtest"),
+    "frames_one_field": ("centrality/frames.csv", None, "backtest"),
+    "covariates_first_year_features": ("centrality/covariates.csv", "first_year", "features"),
+    "covariates_first_year_backtest": ("centrality/covariates.csv", "first_year", "backtest"),
+    "covariates_n_investors": ("centrality/covariates.csv", "n_investors", "regress"),
+    "covariates_flag": ("centrality/covariates.csv", "investor_measures_missing", "features"),
+    "features_cell": ("features/features.csv", 1, "regress"),
+    "trajectories_t0": ("trajectories/trajectories.csv", "t0", "regress"),
+    "assignments_one_field": ("trajectories/assignments.csv", None, "regress"),
+    "assignments_regime": ("trajectories/assignments.csv", "regime", "regress"),
+}
+
+
 def make_cfg(out_dir, **over):
     raw = {"out_dir": str(out_dir), "synthetic": SYNTH, **FAST, **over}
     return RunConfig.from_dict(raw)
@@ -161,6 +194,25 @@ class TestStageProtocol:
             rows = list(csv.DictReader(fh))
         assert rows and all(len(r["covariates"].split(";")) == 6 for r in rows)
 
+    def test_config_limit_truncates_every_leaderboard_and_the_manifest_says_so(
+            self, finished_run, tmp_path):
+        out, manifest = finished_run
+        kinds = ("logistic", "linear_agg", "linear_diff")
+        assert manifest["stages"]["regress"]["truncated"] is True
+        for kind in kinds:
+            assert len(read_table(out / "regress" / f"{kind}_leaderboard.csv")) == 1 + 60
+        # without the limit, every configuration of a three-group cut is fitted
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        assert self._stage("features", copy, "--dendrogram_k", "3") == 0
+        assert self._stage("regress", copy, "--config_limit", "0") == 0
+        stages = json.loads((copy / "manifest.json").read_text())["stages"]
+        assert stages["regress"]["truncated"] is False
+        assert 60 < stages["features"]["n_configs"]
+        for kind in kinds:
+            assert len(read_table(copy / "regress" / f"{kind}_leaderboard.csv")) == \
+                1 + stages["features"]["n_configs"]
+
     @pytest.mark.parametrize("stage", ["regress", "backtest"])
     def test_hand_edited_groups_exit_2(self, finished_run, tmp_path, capsys, stage):
         out = tmp_path / "out"
@@ -176,6 +228,46 @@ class TestStageProtocol:
         assert self._stage(stage, out) == 2
         err = capsys.readouterr().err
         assert str(path) in err and str(out / "features" / "dendrogram.csv") in err
+
+    @pytest.mark.parametrize("name", MALFORMED_ROWS)
+    def test_malformed_row_exits_2_naming_file_and_line(self, name, finished_run, tmp_path,
+                                                        capsys):
+        rel, column, stage = MALFORMED_ROWS[name]
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = out / rel
+        header, row, *rest = read_table(path)
+        if column is None:
+            row = row[:1]
+        else:
+            row[column if isinstance(column, int) else header.index(column)] = "x"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, row, *rest])
+        assert self._stage(stage, out) == 2
+        assert f"{path}: line 2: " in capsys.readouterr().err
+
+    def test_no_linear_diff_fit_leaves_the_stage_ok_without_its_best_fit(self, finished_run,
+                                                                         tmp_path):
+        # every firm's first round is all it raised, so no firm enters the differential fit
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        final = {row[0]: row[-1] for row in read_table(out / "trajectories" / "trajectories.csv")}
+        path = out / "centrality" / "covariates.csv"
+        header, *rows = read_table(path)
+        col = header.index("first_amount")
+        for row in rows:
+            row[col] = final.get(row[0], row[col])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        shutil.rmtree(out / "regress")
+        assert self._stage("regress", out) == 0
+        entry = json.loads((out / "manifest.json").read_text())["stages"]["regress"]
+        assert entry["status"] == "ok" and entry["n_diff_dropped"] == entry["n_fit_firms"]
+        assert "linear_diff_best_r2" not in entry
+        assert not (out / "regress" / "linear_diff_best.json").exists()
+        assert (out / "regress" / "linear_agg_best.json").exists()
+        header, *rows = read_table(out / "regress" / "linear_diff_leaderboard.csv")
+        assert len(rows) == 60 and all(row[header.index("rank")] == "" for row in rows)
 
     def test_backtest_without_features_exits_3(self, finished_run, tmp_path, capsys):
         out = tmp_path / "out"
@@ -432,6 +524,16 @@ class TestCliCommands:
         assert main(["run", "--config", str(cfg_file)]) == 2
         (key,) = {**over, **synthetic}
         assert f"config key {key!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", OUT_OF_RANGE)
+    def test_out_of_range_config_value_exits_2_with_its_message(self, name, tmp_path, capsys):
+        over, message = OUT_OF_RANGE[name]
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **FAST, **over,
+                                        "synthetic": {**SYNTH, "n_firms": 40}}))
+        assert main(["run", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_synth_checks_config_types_exits_2_naming_the_key(self, tmp_path, capsys):

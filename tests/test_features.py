@@ -39,12 +39,17 @@ class TestPreprocess:
         out = preprocess(fm_from(x.reshape(-1, 1), ["expo"]))
         assert out.transforms["expo"] == "log1p"
 
-    def test_constant_column_dropped_with_warning(self):
-        fm = fm_from(np.column_stack([np.ones(50), np.arange(50)]), ["const", "ramp"])
-        with pytest.warns(UserWarning):
+    @pytest.mark.parametrize("column, reason", [
+        (np.ones(50), "zero variance"),
+        # an ulp apart at 1e20, the values are right-skewed and log1p maps them to one value
+        (np.r_[np.full(49, 1e20), np.nextafter(1e20, np.inf)], "zero variance after log"),
+    ], ids=["constant", "constant_after_log"])
+    def test_constant_column_dropped_with_warning(self, column, reason):
+        fm = fm_from(np.column_stack([column, np.arange(50)]), ["const", "ramp"])
+        with pytest.warns(UserWarning, match="'const' has zero variance"):
             out = preprocess(fm)
         assert out.columns == ["ramp"]
-        assert out.dropped == [("const", "zero variance")]
+        assert out.dropped == [("const", reason)]
 
     def test_negative_columns_never_logged(self):
         rng = np.random.default_rng(2)

@@ -23,7 +23,7 @@ from vcnet.errors import ConfigError, RankDeficientError
 from vcnet.features import FeatureGrouping, FeatureMatrix, enumerate_configs
 from vcnet.ingest import FirmMeta, SyntheticConfig, generate_synthetic
 from vcnet.regress import (SELECT_CHUNK, TIE_RTOL, ModelSelection, balanced_ensemble,
-                           build_controls, confusion_metrics, confusion_vs_standard,
+                           build_controls, confusion_metrics, confusion_vs_standard, fit_dict,
                            fit_function_on_scalar, fit_linear, fit_logistic, perturbation_sweep,
                            responses, select_model, window_sweep, write_leaderboard_csv,
                            write_perturbation_csv,
@@ -621,15 +621,7 @@ class TestSelectModel:
         configs = [("signal",), ("noise1",), ("noise2",), ("signal", "noise1")]
         sels = [sel for _, sel in select_each_length("linear", y, fm, configs)]
         assert [len(sel.results) for sel in sels] == [3, 1]
-        assert not any(sel.truncated for sel in sels)
         assert [sorted(sel.ranked.tolist()) for sel in sels] == [[0, 1, 2], [0]]
-
-    def test_limit_truncates_and_reports(self):
-        y, fm = self._planted()
-        sel = select_model("linear", y, fm, positions(fm, [("signal",), ("noise1",), ("noise2",)]),
-                           limit=2)
-        assert sel.truncated
-        assert len(sel.results) == 2
 
     def test_failures_recorded_not_fatal(self):
         y, fm = self._planted()
@@ -714,6 +706,19 @@ class TestWindowSweep:
         assert list(both) == ["linear_agg", "logistic"]
         assert both == alone
         assert both["linear_agg"].firm_counts == both["logistic"].firm_counts
+
+    def test_increasing_firm_count_and_failed_fits_are_warnings(self):
+        ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data()
+        with pytest.warns(UserWarning) as caught:
+            res = window_sweep(ds.deals, ds.firms, fm, first_amounts, subsectors,
+                               {"linear_agg": ("noise", "noise")}, [12, 5])["linear_agg"]
+        n12, n5 = res.firm_counts[12], res.firm_counts[5]
+        failed = "fit failed (design matrix is rank deficient; collinear columns: noise)"
+        assert n12 < n5 and res.rows == []
+        assert res.warnings == [f"window 12: {failed}",
+                                f"firm count increased from {n12} to {n5} at window 5",
+                                f"window 5: {failed}"]
+        assert [str(w.message) for w in caught] == res.warnings
 
     def test_stable_coefficient_for_stationary_process(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=82)
@@ -1180,6 +1185,28 @@ class TestSelectionMemory:
             f"{kept / len(configs):.0f} B kept per configuration"
 
 
+class TestFitDict:
+    def test_each_kind_writes_its_scalars_and_one_entry_per_term(self):
+        # the payload is read off the fit's fields, so a new field would change
+        # every *_best.json; this pins the keys that artifact holds
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=80)
+        y = x + rng.normal(size=80)
+        cases = [(fit_logistic((y > 0).astype(float), x, ["x"]), "logistic", "z",
+                  {"n", "log_likelihood", "null_log_likelihood", "pseudo_r2", "converged",
+                   "separated", "n_iter"}),
+                 (fit_linear(y, x, None, ["x"]), "linear", "t",
+                  {"n", "r2", "adj_r2", "fstat", "f_df", "f_pvalue", "sigma2"})]
+        for fit, model, stat, scalars in cases:
+            payload = fit_dict(fit)
+            assert set(payload) == {"model", "terms", *scalars}
+            assert payload["model"] == model
+            assert payload["terms"] == [
+                {"term": term, "estimate": b, "se": se, stat: s, "p": p}
+                for term, b, se, s, p in zip(fit.columns, fit.coef, fit.se, getattr(fit, stat),
+                                             fit.p)]
+
+
 class TestLeaderboardMemory:
     @staticmethod
     def _selection(n):
@@ -1191,7 +1218,7 @@ class TestLeaderboardMemory:
         ranked = np.argsort(-results["score"])[:len(results) - len(results[::7])]
         return ModelSelection("linear", [f"c{j:02d}" for j in range(24)],
                               rng.integers(0, 24, size=(n, 6)).astype(np.int16), results,
-                              ranked, None, False)
+                              ranked, None)
 
     def test_traced_peak_does_not_grow_with_the_configurations(self, tmp_path):
         # a list of every row would take about 200 B per configuration
