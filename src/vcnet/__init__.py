@@ -9,6 +9,11 @@ CLI and the demos directory for library walkthroughs.
 
 __version__ = "0.1.0"
 
+# numpy imports these on first use (a random draw; np.median, np.unique), which every
+# run makes: load them with the package, not partway through a run.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .backtest import BacktestReport, hypergeom_pvalue, run_strategy
 from .centrality import (CentralityFrame, FirmCovariates, assemble_covariates, average_neighbor_degree,
                          betweenness, closeness, clustering, compute_frame, core_number,

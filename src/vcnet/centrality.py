@@ -2,11 +2,21 @@
 
 All measures are computed on the simple projection, which holds one
 unweighted link per linked pair and nothing else about the pair, from
-the one read-only adjacency ``ProjectedGraph.csr``. Each measure
-returns one numpy array aligned with ``pg.nodes`` (sorted node ids):
-float64, except ``core_number`` and ``voterank``, which are int64. The local
-measures (neighbor degree, clustering, k-core) are sparse products on
-it. The distance measures (betweenness, closeness, harmonic) share one
+its read-only neighbour lists (``ProjectedGraph.rows``/``cols``) and
+its cached dense 0/1 ``adjacency``. Each measure returns one numpy
+array aligned with ``pg.nodes`` (sorted node ids): float64, except
+``core_number`` and ``voterank``, which are int64.
+
+Each product takes the cheapest exact form. A product whose float sum
+depends on its order (eigenvector, pagerank) is ``np.bincount`` over
+the neighbour lists, which adds each row's neighbours one at a time in
+ascending column order. A product whose sums are whole numbers below
+2**53 (hop-count frontiers, triangle counts, neighbor degrees, k-core
+peeling, VoteRank scores) is exact in any order, so it is a dense
+product with ``adjacency``. Betweenness multiplies non-integer shares
+by ``adjacency`` too, so its last bits depend on the BLAS kernel.
+
+The distance measures (betweenness, closeness, harmonic) share one
 all-pairs pass of integer hop counts, and eigenvector and current flow
 one component split, both cached on the ``ProjectedGraph``. Graphs are
 typically disconnected, so distance-based measures use
@@ -35,7 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, SchemaError
-from .graph import FIRM, SOURCE_BLOCK, ProjectedGraph, TemporalBipartiteGraph, first_rounds
+from .graph import (FIRM, SOURCE_BLOCK, ProjectedGraph, TemporalBipartiteGraph, first_rounds,
+                    two_way)
 from .ingest import read_records, write_csv
 
 #: Measures computed on both layers, keyed as they appear in covariate names.
@@ -71,18 +82,22 @@ def degree_centrality(pg: ProjectedGraph) -> np.ndarray:
 
 
 def average_neighbor_degree(pg: ProjectedGraph) -> np.ndarray:
-    """Mean degree over neighbors; 0 for isolated nodes."""
+    """Mean degree over neighbors; 0 for isolated nodes.
+
+    Each neighbor-degree sum is a whole number below n**2, so exact in float64.
+    """
     deg = pg.degrees
-    return np.divide(pg.csr @ deg, deg, out=np.zeros(len(pg)), where=deg > 0)
+    return np.divide(pg.adjacency @ deg, deg, out=np.zeros(len(pg)), where=deg > 0)
 
 
 def clustering(pg: ProjectedGraph) -> np.ndarray:
     """triangles(v) / C(deg v, 2); 0 when deg(v) < 2.
 
-    Row v of (A @ A) * A counts each triangle at v twice, as an exact integer.
+    Row v of (A @ A) * A counts each triangle at v twice, as a whole number
+    below n**2, so exact in float64.
     """
-    A, k = pg.csr, pg.degrees
-    twice_triangles = np.asarray((A @ A).multiply(A).sum(axis=1)).ravel()
+    A, k = pg.adjacency, pg.degrees
+    twice_triangles = ((A @ A) * A).sum(axis=1)
     return np.divide(twice_triangles, k * (k - 1), out=np.zeros(len(pg)), where=k >= 2)
 
 
@@ -99,7 +114,7 @@ def core_number(pg: ProjectedGraph) -> np.ndarray:
             continue
         core[peeled] = k
         alive &= ~peeled
-        deg -= (pg.csr @ peeled).astype(np.int64)
+        deg -= pg.adjacency[peeled].sum(axis=0).astype(np.int64)  # counts below n: exact
     return core
 
 
@@ -125,7 +140,7 @@ def betweenness(pg: ProjectedGraph) -> np.ndarray:
     n = len(pg)
     if n < 3:
         return np.zeros(n)
-    A = pg.csr
+    A = pg.adjacency
     bc = np.zeros(n)
     for lo in range(0, n, SOURCE_BLOCK):
         D = pg.dist[:, lo:lo + SOURCE_BLOCK]  # column j: distances from source lo + j
@@ -170,13 +185,13 @@ def eigenvector(pg: ProjectedGraph, tol: float = 1e-10, max_iter: int = 10000) -
     nodes get 0.
     """
     values = np.zeros(len(pg))
-    for comp, _ in pg.components:
+    for comp, edges in pg.components:
         if comp.size < 2:
             continue
-        sub = pg.csr[np.ix_(comp, comp)]
+        rows, cols = two_way(edges)
         x = np.full(comp.size, 1.0 / np.sqrt(comp.size))
         for _ in range(max_iter):
-            y = sub @ x + x
+            y = np.bincount(rows, x[cols], comp.size) + x
             y /= np.linalg.norm(y)
             residual = float(np.abs(y - x).max())
             x = y
@@ -198,13 +213,12 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85,
     n = len(pg)
     if n == 0:
         return np.zeros(0)
-    A = pg.csr
     deg = pg.degrees.astype(float)
     dangling = deg == 0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
     p = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        spread = A @ (p * inv_deg)
+        spread = np.bincount(pg.rows, (p * inv_deg)[pg.cols], n)
         d_mass = float(p[dangling].sum())
         p_next = (1.0 - damping) / n + damping * (spread + d_mass / n)
         residual = float(np.abs(p_next - p).sum())
@@ -268,25 +282,31 @@ def voterank(pg: ProjectedGraph) -> np.ndarray:
 
     With <k> = 2m/n every ability is a multiple of 1/(2m), so the loop
     runs on integer numerators: ties are exact and the elected order
-    cannot depend on float summation order.
+    cannot depend on float summation order. A score is a whole number
+    of at most deg * 2m < n**3, below 2**53 up to 208,000 nodes (far
+    past any dense adjacency that fits in memory), so the float64
+    scores are exact in any summation order. Only the elected node and
+    its neighbours lose ability, so each round subtracts their losses
+    times their adjacency rows.
     """
     n = len(pg)
-    A = pg.csr.astype(np.int64)
-    m2 = 2 * pg.n_edges()  # common ability denominator; one vote costs n units
-    num = np.full(n, m2, dtype=np.int64)
+    A = pg.adjacency
+    num = np.full(n, 2.0 * pg.n_edges())  # common ability denominator; one vote costs n units
+    scores = A @ num
     selectable = np.ones(n, dtype=bool)
     order: list[int] = []
     while selectable.any():
-        scores = A @ num
-        scores[~selectable] = -1
-        best = int(np.argmax(scores))  # first max = smallest node id; ties exact
+        best = int(np.argmax(np.where(selectable, scores, -1.0)))  # first max: smallest id
         if scores[best] <= 0:
             break
         order.append(best)
         selectable[best] = False
-        num[best] = 0
-        nbrs = A.indices[A.indptr[best]:A.indptr[best + 1]]
-        num[nbrs] = np.maximum(0, num[nbrs] - n)
+        nbrs = pg.cols[pg.indptr[best]:pg.indptr[best + 1]]
+        nbrs = nbrs[num[nbrs] > 0]  # a neighbour without ability left loses none
+        changed = np.append(nbrs, best)
+        new = np.append(np.maximum(0.0, num[nbrs] - n), 0.0)
+        scores -= (num[changed] - new) @ A[changed]
+        num[changed] = new
     ranks = np.full(n, len(order) + 1, dtype=np.int64)
     ranks[order] = np.arange(1, len(order) + 1)
     return ranks

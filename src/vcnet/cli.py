@@ -18,7 +18,7 @@ import typing
 from pathlib import Path
 
 from .errors import ConfigError, MissingArtifactError, SchemaError, VcnetError
-from .ingest import generate_synthetic, read_csv, write_synthetic
+from .ingest import generate_synthetic, read_records, write_synthetic
 from .pipeline import STAGES, RunConfig, load_manifest, run_pipeline, run_stage
 
 EXIT_OK = 0
@@ -110,6 +110,11 @@ def _cmd_synth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _success_rate_row(row: list[str]) -> tuple[str, str, float]:
+    """A ``backtest.csv`` row's measure, start year and success rate."""
+    return row[0], row[1], float(row[2])
+
+
 def _cmd_report(out_dir: str) -> int:
     out = Path(out_dir)
     if not (out / "manifest.json").exists():
@@ -135,12 +140,12 @@ def _cmd_report(out_dir: str) -> int:
               f"covariates: {', '.join(best['covariates'])}")
     backtest_csv = out / "backtest" / "backtest.csv"
     if backtest_csv.exists():
-        header, table = read_csv(backtest_csv)
-        rows = [r for r in (dict(zip(header, row)) for row in table) if r["start_year"] == "ALL"]
-        rows.sort(key=lambda r: -float(r["success_rate"]))
+        _, records = read_records(backtest_csv, _success_rate_row)
+        rows = sorted(((measure, rate) for _, (measure, start, rate) in records if start == "ALL"),
+                      key=lambda r: -r[1])
         print("backtest mean success rates:")
-        for r in rows[:5]:
-            print(f"  {r['measure']:<28} {float(r['success_rate']):.4f}")
+        for measure, rate in rows[:5]:
+            print(f"  {measure:<28} {rate:.4f}")
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.typing import ArrayLike
 
 from .ingest import DealRecord
@@ -98,11 +97,14 @@ class ProjectedGraph:
     ``nodes`` are the node ids in sorted order; ``pairs`` holds one row
     ``(u, v)``, ``u < v``, of indices into ``nodes`` per edge, in sorted
     order, with no row repeated. The integer-indexed views that every
-    measure shares are built once and are read-only: ``csr`` (the
-    symmetric adjacency, rows and columns in ``nodes`` order) and
-    ``degrees`` on creation; ``dist`` (all-pairs hop counts, -1 between
-    components), ``labels`` (component ids) and ``components`` (each
-    component's nodes and edges) on first use.
+    measure shares are built once and are read-only. On creation:
+    ``rows`` and ``cols``, both directions of every edge sorted by row
+    and then by column, so that row v's neighbours are
+    ``cols[indptr[v]:indptr[v + 1]]``, ascending; ``indptr``; and
+    ``degrees``. On first use: ``adjacency`` (the dense 0/1 float64
+    matrix, rows and columns in ``nodes`` order), ``dist`` (all-pairs
+    hop counts, -1 between components), ``labels`` (component ids) and
+    ``components`` (each component's nodes and edges).
     """
 
     def __init__(self, layer: str, snapshot_year: int, nodes: Sequence[str], pairs: ArrayLike):
@@ -110,20 +112,23 @@ class ProjectedGraph:
         self.snapshot_year = snapshot_year
         self.nodes: tuple[str, ...] = tuple(nodes)
         self.pairs = _read_only(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
-        n = len(self.nodes)
-        u, v = self.pairs.T
-        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        self.csr = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        self.csr.sort_indices()
-        for part in (self.csr.data, self.csr.indices, self.csr.indptr):
-            _read_only(part)
-        self.degrees = _read_only(np.diff(self.csr.indptr).astype(np.int64))
+        self.rows, self.cols = map(_read_only, two_way(self.pairs))
+        self.degrees = _read_only(np.bincount(self.rows, minlength=len(self.nodes)))
+        self.indptr = _read_only(np.concatenate([[0], np.cumsum(self.degrees)]))
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def n_edges(self) -> int:
         return len(self.pairs)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The symmetric 0/1 adjacency matrix, float64."""
+        n = len(self)
+        A = np.zeros((n, n))
+        A[self.rows, self.cols] = 1.0
+        return _read_only(A)
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -136,7 +141,7 @@ class ProjectedGraph:
         frontier neighbours from one without, and a sum of ones is never 0.
         """
         n = len(self)
-        A = self.csr.astype(np.float32)
+        A = self.adjacency.astype(np.float32)
         dist = np.empty((n, n), dtype=np.min_scalar_type(-max(n, 1)))
         for lo in range(0, n, SOURCE_BLOCK):
             sources = np.arange(lo, min(lo + SOURCE_BLOCK, n))
@@ -158,8 +163,7 @@ class ProjectedGraph:
     def labels(self) -> np.ndarray:
         """Component labels, numbered in the order of each component's smallest index.
 
-        A node's component is its smallest reachable index in ``dist``;
-        this is the numbering of scipy's ``connected_components``.
+        A node's component is its smallest reachable index in ``dist``.
         """
         if len(self) == 0:
             return _read_only(np.zeros(0, dtype=np.intp))
@@ -180,6 +184,14 @@ class ProjectedGraph:
         counts = np.bincount(edge_labels, minlength=sizes.size)
         return tuple((order[a:a + s], edges[b:b + m]) for a, s, b, m
                      in zip(starts, sizes, np.cumsum(counts) - counts, counts))
+
+
+def two_way(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions ``(rows, cols)`` of the edges ``pairs``, sorted by row and then by column."""
+    u, v = pairs.T
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

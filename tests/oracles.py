@@ -3,7 +3,9 @@
 Everything here is deliberately naive: BFS over dicts, explicit path
 enumeration, dense eigen/linear solves, per-pair current flows. These
 are the second route of every dual-route check and must not share code
-with the package implementations.
+with the package implementations. The ``csr_*`` measures are the
+package's formulas with scipy's sparse products, whose summation order
+the package's products must keep or stay within a stated bound of.
 """
 
 from __future__ import annotations
@@ -284,6 +286,18 @@ def bf_current_flow_betweenness(pg):
     return {v: out[v] * scale for v in nodes}
 
 
+def csr_adjacency(pg):
+    """scipy's CSR adjacency of ``pg``, built from ``pg.pairs``: rows and columns in
+    ``nodes`` order, each row's column indices ascending, every stored value 1.0."""
+    import scipy.sparse as sp
+    n = len(pg)
+    u, v = pg.pairs.T
+    A = sp.csr_matrix((np.ones(2 * u.size), (np.concatenate([u, v]), np.concatenate([v, u]))),
+                      shape=(n, n))
+    A.sort_indices()
+    return A
+
+
 def csgraph_current_flow_betweenness(pg):
     """``centrality.newman_betweenness``'s formula on scipy's Laplacian and components.
 
@@ -298,13 +312,14 @@ def csgraph_current_flow_betweenness(pg):
     n = len(pg)
     values = np.zeros(n)
     if n >= 3:
-        labels = csgraph.connected_components(pg.csr, directed=False)[1]
+        A = csr_adjacency(pg)
+        labels = csgraph.connected_components(A, directed=False)[1]
         for c in range(labels.max() + 1):
             comp = np.flatnonzero(labels == c)
             nc = comp.size
             if nc < 3:
                 continue
-            sub = pg.csr[np.ix_(comp, comp)]
+            sub = A[np.ix_(comp, comp)]
             pinv = np.linalg.pinv(csgraph.laplacian(sub).toarray(), rcond=_PINV_RCOND)
             upper = triu(sub, k=1).tocoo()
             u, v = upper.row, upper.col
@@ -343,6 +358,152 @@ def bf_voterank(pg):
     for v in nodes:
         ranks.setdefault(v, len(elected) + 1)
     return ranks
+
+
+# ---------------------------------------------------------------------------
+# The package's measure formulas with every adjacency product a scipy CSR
+# product: each row's entries summed one at a time in ascending column order
+# ---------------------------------------------------------------------------
+
+def csr_average_neighbor_degree(pg):
+    A = csr_adjacency(pg)
+    deg = np.diff(A.indptr)
+    return np.divide(A @ deg, deg, out=np.zeros(len(pg)), where=deg > 0)
+
+
+def csr_clustering(pg):
+    A = csr_adjacency(pg)
+    k = np.diff(A.indptr)
+    twice_triangles = np.asarray((A @ A).multiply(A).sum(axis=1)).ravel()
+    return np.divide(twice_triangles, k * (k - 1), out=np.zeros(len(pg)), where=k >= 2)
+
+
+def csr_core_number(pg):
+    A = csr_adjacency(pg)
+    deg = np.diff(A.indptr).astype(np.int64)
+    alive = np.ones(len(pg), dtype=bool)
+    core = np.zeros(len(pg), dtype=np.int64)
+    k = 0
+    while alive.any():
+        peeled = alive & (deg <= k)
+        if not peeled.any():
+            k = int(deg[alive].min())
+            continue
+        core[peeled] = k
+        alive &= ~peeled
+        deg -= (A @ peeled).astype(np.int64)
+    return core
+
+
+def csr_betweenness(pg):
+    """Brandes accumulation by blocks of ``SOURCE_BLOCK`` sources over hop counts
+    from ``csgraph.shortest_path``, each level one CSR product."""
+    from scipy.sparse import csgraph
+
+    from vcnet.graph import SOURCE_BLOCK
+    n = len(pg)
+    if n < 3:
+        return np.zeros(n)
+    A = csr_adjacency(pg)
+    hops = csgraph.shortest_path(A, directed=False, unweighted=True)
+    hops[np.isinf(hops)] = -1
+    bc = np.zeros(n)
+    for lo in range(0, n, SOURCE_BLOCK):
+        D = hops[:, lo:lo + SOURCE_BLOCK]
+        depth = int(D.max())
+        level = [D == d for d in range(depth + 1)]
+        sigma = level[0].astype(float)
+        for d in range(1, depth + 1):
+            sigma += np.where(level[d], A @ np.where(level[d - 1], sigma, 0.0), 0.0)
+        delta = np.zeros_like(sigma)
+        for d in range(depth, 1, -1):
+            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level[d])
+            delta += np.where(level[d - 1], sigma * (A @ share), 0.0)
+        bc += delta.sum(axis=1)
+    return bc / ((n - 1) * (n - 2))
+
+
+def csr_eigenvector(pg, tol=1e-10, max_iter=10000):
+    """Power iteration on A + I per ``csgraph.connected_components`` component."""
+    from scipy.sparse import csgraph
+    A = csr_adjacency(pg)
+    values = np.zeros(len(pg))
+    labels = csgraph.connected_components(A, directed=False)[1]
+    for c in range(labels.max(initial=-1) + 1):
+        comp = np.flatnonzero(labels == c)
+        if comp.size < 2:
+            continue
+        sub = A[np.ix_(comp, comp)]
+        x = np.full(comp.size, 1.0 / np.sqrt(comp.size))
+        for _ in range(max_iter):
+            y = sub @ x + x
+            y /= np.linalg.norm(y)
+            residual = float(np.abs(y - x).max())
+            x = y
+            if residual < tol:
+                break
+        else:
+            raise AssertionError("eigenvector power iteration did not converge")
+        values[comp] = x
+    return values
+
+
+def csr_pagerank(pg, damping=0.85, tol=1e-12, max_iter=10000):
+    n = len(pg)
+    if n == 0:
+        return np.zeros(0)
+    A = csr_adjacency(pg)
+    deg = np.diff(A.indptr).astype(float)
+    dangling = deg == 0
+    inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
+    p = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        spread = A @ (p * inv_deg)
+        d_mass = float(p[dangling].sum())
+        p_next = (1.0 - damping) / n + damping * (spread + d_mass / n)
+        residual = float(np.abs(p_next - p).sum())
+        p = p_next
+        if residual < tol:
+            break
+    else:
+        raise AssertionError("pagerank power iteration did not converge")
+    return p
+
+
+def csr_voterank(pg):
+    """The integer-numerator voting loop with every round's scores one full product."""
+    n = len(pg)
+    A = csr_adjacency(pg).astype(np.int64)
+    num = np.full(n, 2 * len(pg.pairs), dtype=np.int64)
+    selectable = np.ones(n, dtype=bool)
+    order = []
+    while selectable.any():
+        scores = A @ num
+        scores[~selectable] = -1
+        best = int(np.argmax(scores))
+        if scores[best] <= 0:
+            break
+        order.append(best)
+        selectable[best] = False
+        num[best] = 0
+        nbrs = A.indices[A.indptr[best]:A.indptr[best + 1]]
+        num[nbrs] = np.maximum(0, num[nbrs] - n)
+    ranks = np.full(n, len(order) + 1, dtype=np.int64)
+    ranks[order] = np.arange(1, len(order) + 1)
+    return ranks
+
+
+#: The CSR route of every measure that multiplies by the adjacency, keyed by the
+#: name of the package function it reproduces.
+CSR_MEASURES = {
+    "average_neighbor_degree": csr_average_neighbor_degree,
+    "clustering": csr_clustering,
+    "core_number": csr_core_number,
+    "betweenness": csr_betweenness,
+    "eigenvector": csr_eigenvector,
+    "pagerank": csr_pagerank,
+    "voterank": csr_voterank,
+}
 
 
 ALL_MEASURE_ORACLES = {

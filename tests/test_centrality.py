@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph, triu
 
-from oracles import (ALL_MEASURE_ORACLES, bf_average_neighbor_degree, bf_betweenness,
-                     bf_brandes_betweenness, bf_closeness, bf_clustering, bf_core_number,
-                     bf_current_flow_betweenness, bf_harmonic, bf_voterank,
-                     csgraph_current_flow_betweenness)
+from oracles import (ALL_MEASURE_ORACLES, CSR_MEASURES, bf_average_neighbor_degree,
+                     bf_betweenness, bf_brandes_betweenness, bf_closeness, bf_clustering,
+                     bf_core_number, bf_current_flow_betweenness, bf_harmonic, bf_voterank,
+                     csgraph_current_flow_betweenness, csr_adjacency)
 from conftest import (by_node, deal, edge_names, make_pg, random_multi_component_pg, random_pg,
                       random_tree_pg)
 
@@ -267,7 +267,7 @@ def _hop_dtype(n):
 def _assert_csgraph_distances(pg):
     """The breadth-first hop counts equal scipy's distances, -1 read as ``inf``, and
     are held in the smallest signed integer type that holds -n."""
-    expected = csgraph.shortest_path(pg.csr, directed=False, unweighted=True)
+    expected = csgraph.shortest_path(csr_adjacency(pg), directed=False, unweighted=True)
     assert pg.dist.dtype == _hop_dtype(len(pg))
     assert np.array_equal(np.where(pg.dist == -1, np.inf, pg.dist), expected)
 
@@ -277,15 +277,35 @@ def _assert_csgraph_labels_and_current_flow(pg):
     one group of them, in label order, and its local edges the rows of ``triu`` of its
     adjacency block, in order; and current flow equals the same formula built on
     ``csgraph.laplacian``, to the last bit."""
-    count, labels = csgraph.connected_components(pg.csr, directed=False)
+    A = csr_adjacency(pg)
+    count, labels = csgraph.connected_components(A, directed=False)
     assert pg.labels.tolist() == labels.tolist()
     assert len(pg.components) == count
     for c, (nodes, edges) in enumerate(pg.components):
         assert nodes.tolist() == np.flatnonzero(labels == c).tolist()
-        upper = triu(pg.csr[np.ix_(nodes, nodes)], k=1).tocoo()
+        upper = triu(A[np.ix_(nodes, nodes)], k=1).tocoo()
         assert edges.shape == (upper.nnz, 2)
         assert edges.tolist() == np.column_stack([upper.row, upper.col]).tolist()
     assert by_node(pg, C.newman_betweenness(pg)) == csgraph_current_flow_betweenness(pg)
+
+
+#: Fixed before comparing: betweenness multiplies non-integer shares by the dense
+#: adjacency, whose BLAS summation order is not the CSR route's; each value stays
+#: within this much of the CSR route's, relative to the graph's largest value.
+BETWEENNESS_CSR_RTOL = 1e-15
+
+
+def _assert_products_match_csr(pg):
+    """Every measure equals its scipy CSR route to the last bit, and betweenness is
+    within ``BETWEENNESS_CSR_RTOL`` of it."""
+    for name, csr_route in CSR_MEASURES.items():
+        got, want = getattr(C, name)(pg), csr_route(pg)
+        assert got.dtype == want.dtype, name
+        if name == "betweenness":
+            bound = BETWEENNESS_CSR_RTOL * np.abs(want).max(initial=0.0)
+            assert np.abs(got - want).max(initial=0.0) <= bound
+        else:
+            assert by_node(pg, got) == by_node(pg, want), name
 
 
 def _nested_shell_pg():
@@ -365,6 +385,28 @@ class TestReferenceGraphs:
     def test_nested_shells_voterank(self):
         pg, _ = _nested_shell_pg()
         assert by_node(pg, C.voterank(pg)) == bf_voterank(pg)
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_products_equal_csr_route_on_multi_component_graphs(self, k):
+        _assert_products_match_csr(_multi_component_pg(k))
+
+    @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (4, []), (2, [(0, 1)])])
+    def test_products_equal_csr_route_on_tiny_graphs(self, n, edges):
+        _assert_products_match_csr(make_pg(n, edges))
+
+    def test_products_equal_csr_route_on_ladder_and_nested_shells(self):
+        _assert_products_match_csr(_ladder_pg())
+        _assert_products_match_csr(_nested_shell_pg()[0])
+
+    def test_voterank_tie_after_update_goes_to_smallest_id(self):
+        # c (degree 4) wins first; its neighbours n1 and n2 then both drop from 3 to
+        # exactly 2, and n1, the smaller id, wins the tie. z1 and z2 are c's other leaves.
+        pg = make_pg(["c", "n1", "n2", "a1", "a2", "b1", "b2", "z1", "z2"],
+                     [("c", "n1"), ("c", "n2"), ("c", "z1"), ("c", "z2"),
+                      ("n2", "a1"), ("n2", "a2"), ("n1", "b1"), ("n1", "b2")])
+        ranks = by_node(pg, C.voterank(pg))
+        assert [ranks[v] for v in ("c", "n1", "n2")] == [1, 2, 3]
+        assert ranks == bf_voterank(pg) == by_node(pg, CSR_MEASURES["voterank"](pg))
 
     def test_ladder(self):
         pg = _ladder_pg()

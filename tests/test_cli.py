@@ -246,6 +246,19 @@ class TestStageProtocol:
         assert self._stage(stage, out) == 2
         assert f"{path}: line 2: " in capsys.readouterr().err
 
+    def test_report_on_malformed_backtest_row_exits_2_naming_file_and_line(self, finished_run,
+                                                                           tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = out / "backtest" / "backtest.csv"
+        header, *rows = read_table(path)
+        i = next(i for i, row in enumerate(rows) if row[header.index("start_year")] == "ALL")
+        rows[i][header.index("success_rate")] = "x"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        assert main(["report", "--out_dir", str(out)]) == 2
+        assert f"{path}: line {i + 2}: " in capsys.readouterr().err
+
     def test_no_linear_diff_fit_leaves_the_stage_ok_without_its_best_fit(self, finished_run,
                                                                          tmp_path):
         # every firm's first round is all it raised, so no firm enters the differential fit
@@ -729,13 +742,16 @@ class TestDegenerateRuns:
         assert stages["regress"]["error"] == err[len("error: "):].strip()
 
 
-def test_run_leaves_scipy_csgraph_and_sparse_linalg_unloaded(tmp_path):
-    # Current flow builds its own Laplacian and the component labels come
-    # from the hop distances, so no stage needs scipy.sparse.csgraph or the
-    # scipy.sparse.linalg it imports. The fits' link, p-values and pivoted
-    # QR are numpy, so neither a run nor a selection that meets a
-    # rank-deficient configuration loads scipy.linalg or scipy.special.
-    code = ("import json, sys, warnings, numpy as np, vcnet, vcnet.cli\n"
+@pytest.mark.parametrize("blocked", [False, True], ids=["scipy_installed", "scipy_blocked"])
+def test_run_leaves_scipy_unloaded(tmp_path, blocked):
+    # The projection's adjacency and every product on it are numpy arrays,
+    # current flow builds its own Laplacian, the component labels come from
+    # the hop distances, and the fits' link, p-values and pivoted QR are
+    # numpy: neither a run nor a selection that meets a rank-deficient
+    # configuration loads scipy, and with scipy blocked from import both
+    # end as they do with it installed.
+    code = (("import sys; sys.modules['scipy'] = None\n" if blocked else "")
+            + "import json, sys, warnings, numpy as np, vcnet, vcnet.cli\n"
             "from vcnet.features import FeatureMatrix\n"
             "from vcnet.pipeline import RunConfig, run_pipeline\n"
             "from vcnet.regress import select_model\n"
@@ -747,9 +763,7 @@ def test_run_leaves_scipy_csgraph_and_sparse_linalg_unloaded(tmp_path):
             "errors = [select_model(kind, y, fm, np.array([[0, 1]])).results['error'][0]\n"
             "          for kind, y in (('linear', np.sin(x)), ('logistic', x % 2))]\n"
             "print(json.dumps([sorted({s['status'] for s in manifest['stages'].values()}), errors,\n"
-            "                  [m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg',\n"
-            "                               'scipy.linalg', 'scipy.special')\n"
-            "                   if m in sys.modules]]))\n")
+            "                  sys.modules.get('scipy') is not None]))\n")
     src = str(Path(vcnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -758,4 +772,4 @@ def test_run_leaves_scipy_csgraph_and_sparse_linalg_unloaded(tmp_path):
                             capture_output=True, text=True, timeout=180, env=env)
     assert result.returncode == 0, result.stderr
     deficient = "design matrix is rank deficient; collinear columns: a"
-    assert json.loads(result.stdout) == [["ok"], [deficient, deficient], []]
+    assert json.loads(result.stdout) == [["ok"], [deficient, deficient], False]

@@ -40,17 +40,27 @@ def _deal_sets(draw):
     return deals, window
 
 
+def _assert_adjacency(pg, edges):
+    """``pg``'s dense adjacency, neighbour lists, row offsets and degrees are those of
+    the node-id pairs ``edges``, rows and columns in ``pg.nodes`` order."""
+    pos = {v: i for i, v in enumerate(pg.nodes)}
+    expected = np.zeros((len(pg), len(pg)))
+    for u, v in edges:
+        expected[pos[u], pos[v]] = expected[pos[v], pos[u]] = 1.0
+    assert pg.adjacency.dtype == np.float64 and np.array_equal(pg.adjacency, expected)
+    rows, cols = np.nonzero(expected)  # row by row, each row's columns ascending
+    assert pg.rows.tolist() == rows.tolist() and pg.cols.tolist() == cols.tolist()
+    degrees = expected.sum(axis=1).astype(int)
+    assert pg.degrees.tolist() == degrees.tolist()
+    assert pg.indptr.tolist() == [0, *np.cumsum(degrees).tolist()]
+
+
 def _assert_projection(pg, nodes, edges):
     """``pg`` has the oracle's nodes and edges, in order, and its adjacency."""
     assert pg.nodes == nodes
     assert edge_names(pg) == edges
     assert pg.n_edges() == len(edges)
-    pos = {v: i for i, v in enumerate(nodes)}
-    expected = np.zeros((len(nodes), len(nodes)))
-    for u, v in edges:
-        expected[pos[u], pos[v]] = expected[pos[v], pos[u]] = 1.0
-    assert pg.csr.shape == expected.shape and pg.csr.has_canonical_format
-    assert np.array_equal(pg.csr.toarray(), expected)
+    _assert_adjacency(pg, edges)
 
 
 class TestBuildBipartite:
@@ -224,8 +234,8 @@ class TestProjectionArrays:
         g = build_bipartite(deals)
         pg = project_firms(g, 2010, 7) if layer == FIRM else project_investors(g, 2010)
         assert pg.n_edges() > 0
-        shared = {"csr.data": pg.csr.data, "csr.indices": pg.csr.indices,
-                  "csr.indptr": pg.csr.indptr, "degrees": pg.degrees, "dist": pg.dist,
+        shared = {"rows": pg.rows, "cols": pg.cols, "indptr": pg.indptr,
+                  "degrees": pg.degrees, "adjacency": pg.adjacency, "dist": pg.dist,
                   "labels": pg.labels}
         assert isinstance(pg.components, tuple)
         for c, (nodes, edges) in enumerate(pg.components):
@@ -235,18 +245,16 @@ class TestProjectionArrays:
             with pytest.raises(ValueError):
                 array[...] = 0
         assert pg.dist is pg.dist and pg.labels is pg.labels and pg.components is pg.components
-        assert pg.csr is pg.csr and pg.degrees is pg.degrees
+        assert pg.adjacency is pg.adjacency and pg.degrees is pg.degrees
+        assert pg.rows is pg.rows and pg.cols is pg.cols and pg.indptr is pg.indptr
 
-    def test_adjacency_follows_node_order(self):
+    @pytest.mark.parametrize("layer", [FIRM, INVESTOR])
+    def test_adjacency_follows_node_order(self, layer):
         deals = random_deals(np.random.default_rng(32), 60)
-        pg = project_firms(build_bipartite(deals), 2012, 7)
-        pos = {v: i for i, v in enumerate(pg.nodes)}
-        A = pg.csr.toarray()
-        expected = np.zeros_like(A)
-        for u, v in edge_names(pg):
-            expected[pos[u], pos[v]] = expected[pos[v], pos[u]] = 1.0
-        assert np.array_equal(A, expected)
-        assert pg.degrees.tolist() == A.sum(axis=1).astype(int).tolist()
+        g = build_bipartite(deals)
+        pg = project_firms(g, 2012, 7) if layer == FIRM else project_investors(g, 2012)
+        assert pg.n_edges() > 0
+        _assert_adjacency(pg, edge_names(pg))
 
 
 def _first_round(g, firm):

@@ -1237,7 +1237,7 @@ class TestLeaderboardMemory:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # nor scipy.linalg and scipy.special: numpy and scipy.sparse are all it loads
+    # nor scipy.linalg and scipy.special: numpy is the only library it loads
     code = ("import sys, vcnet, vcnet.cli\n"
             "print([m for m in ('scipy.stats', 'scipy.linalg', 'scipy.special') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
