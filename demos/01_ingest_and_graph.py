@@ -1,11 +1,14 @@
 """Walkthrough: synthetic deal data, validation, and the temporal graph.
 
-Generates a seeded deal history, round-trips it through the CSV parser,
-then builds the cumulative bipartite multigraph and both single-layer
-projections, printing the network's growth year by year.
+Generates a seeded deal history, round-trips it through CSV files in a
+temporary directory and the parser, then builds the cumulative bipartite
+multigraph and both single-layer projections, printing the network's
+growth year by year.
 """
 
-import io
+import tempfile
+import warnings
+from pathlib import Path
 
 from vcnet import (SyntheticConfig, build_bipartite, generate_synthetic, parse_deals,
                    project_firms, project_investors, write_deals, write_firms)
@@ -16,15 +19,16 @@ ds = generate_synthetic(cfg)
 print(f"generated {len(ds.deals)} deals across {len(ds.firms)} firms "
       f"({sum(1 for r in ds.planted_regimes.values() if r == 'HIGH')} planted HIGH)")
 
-# Everything the generator emits passes validation with zero rejects.
-deal_buf, firm_buf = io.BytesIO(), io.BytesIO()
-write_deals(ds.deals, deal_buf)
-write_firms([ds.firms[f] for f in sorted(ds.firms)], firm_buf)
-deal_buf.seek(0)
-firm_buf.seek(0)
-parsed = parse_deals(deal_buf, firm_buf)
+# Everything the generator emits passes validation with zero rejects and
+# zero warnings (a deal's firm missing from firms.csv would raise one).
+with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    deals_csv, firms_csv = Path(tmp, "deals.csv"), Path(tmp, "firms.csv")
+    write_deals(ds.deals, deals_csv)
+    write_firms([ds.firms[f] for f in sorted(ds.firms)], firms_csv)
+    parsed = parse_deals(deals_csv, firms_csv)
 print(f"round trip: {len(parsed.deals)} deals parsed, "
-      f"{len(parsed.deal_rejects)} rejects, {len(parsed.warnings)} warnings")
+      f"{len(parsed.deal_rejects)} rejects, {len(caught)} warnings")
 
 g = build_bipartite(parsed.deals)
 roles = list(g.roles.values())

@@ -66,7 +66,7 @@ print(f"  covariates: {', '.join(best.covariates)}")
 scores = sel_log.results["score"]
 for i in sel_log.ranked[1:4].tolist():
     print(f"  runner-up config {i}: log-likelihood {scores[i]:.2f}")
-print(f"  {sel_log.n_failed} configurations failed to fit")
+print(f"  {len(sel_log.results) - len(sel_log.ranked)} configurations failed to fit")
 
 ens = balanced_ensemble(y_bin, sub.select(best.covariates), n_reps=200, seed=11,
                         columns=list(best.covariates))

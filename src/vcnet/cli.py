@@ -122,14 +122,14 @@ def _cmd_report(out_dir: str) -> int:
     manifest = load_manifest(out)
     print(f"vcnet {manifest.get('version', '?')} run in {out}")
     for stage in STAGES:
-        entry = manifest.get("stages", {}).get(stage)
+        entry = manifest["stages"].get(stage)
         if entry is None:
             print(f"  {stage:<12} (not run)")
             continue
         status = entry.get("status", "?")
         details = {k: v for k, v in entry.items() if k not in ("status",) and not k.endswith("sha256")}
         print(f"  {stage:<12} {status}  {json.dumps(details, sort_keys=True, default=str)[:240]}")
-    traj = manifest.get("stages", {}).get("trajectories")
+    traj = manifest["stages"].get("trajectories")
     if traj and traj.get("status") == "ok":
         print(f"regimes: {traj['n_high']} HIGH / {traj['n_low']} LOW "
               f"(share {traj['share_high']:.4f})")

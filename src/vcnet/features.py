@@ -20,7 +20,7 @@ import numpy as np
 
 from .centrality import FirmCovariates
 from .errors import ConfigError, SchemaError
-from .ingest import read_csv, read_records, write_csv
+from .ingest import read_records, write_csv
 
 
 @dataclass
@@ -244,19 +244,22 @@ def read_grouping(dendrogram_path: str | Path, groups_path: str | Path) -> Featu
     The merges are replayed over the covariates of ``groups.csv``, in
     its row order, and cut into as many groups as it numbers. Raises
     ``SchemaError`` naming both files when the files cannot be read as a
-    grouping or the cut does not reproduce the groups of ``groups.csv``.
+    grouping (with the line of a row that cannot be read) or the cut
+    does not reproduce the groups of ``groups.csv``.
     """
-    mismatch = SchemaError(f"{groups_path}: the groups are not the cut of the merges "
-                           f"in {dendrogram_path}")
+    mismatch = f"{groups_path}: the groups are not the cut of the merges in {dendrogram_path}"
     try:
-        groups = {covariate: int(group) for covariate, group in read_csv(groups_path)[1]}
-        merges = [(int(step), int(left), int(right), float(height))
-                  for step, left, right, height in read_csv(dendrogram_path)[1]]
+        groups = dict(record for _, record in
+                      read_records(groups_path, lambda row: (row[0], int(row[1])))[1])
+        merges = [merge for _, merge in read_records(dendrogram_path, lambda row: (
+            int(row[0]), int(row[1]), int(row[2]), float(row[3])))[1]]
         fg = cut_groups(FeatureGrouping(list(groups), merges), len(set(groups.values())))
-    except (ValueError, IndexError, KeyError, ConfigError) as exc:
-        raise mismatch from exc
+    except SchemaError as exc:
+        raise SchemaError(f"{exc} (the grouping of {groups_path} and {dendrogram_path})") from exc
+    except (IndexError, KeyError, ConfigError) as exc:
+        raise SchemaError(mismatch) from exc
     if fg.groups != groups:
-        raise mismatch
+        raise SchemaError(mismatch)
     return fg
 
 

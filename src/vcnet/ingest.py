@@ -21,16 +21,14 @@ row; in the header they fail the header check.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
-from contextlib import contextmanager
+import warnings
 from dataclasses import dataclass, field, fields
 from datetime import date as Date
 from numbers import Integral, Real
 from pathlib import Path
-from typing import (IO, Any, Callable, Iterable, Iterator, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -46,8 +44,6 @@ UNKNOWN = ""
 
 #: The largest deal amount accepted: the largest int64, far below the float limit.
 MAX_AMOUNT = 2**63 - 1
-
-PathOrStream = Union[str, Path, IO[bytes]]
 
 
 @dataclass(frozen=True)
@@ -89,11 +85,12 @@ class Reject:
 
 @dataclass
 class ParseResult:
+    """The records and rejects of a deal and a firm file; a synthesized firm is only warned of."""
+
     deals: list[DealRecord]
     firms: dict[str, FirmMeta]
     deal_rejects: list[Reject] = field(default_factory=list)
     firm_rejects: list[Reject] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
 
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -126,13 +123,13 @@ def _parse_amount(raw: str) -> int:
     return int(digits)
 
 
-def parse_deals(deal_csv: PathOrStream, firm_csv: PathOrStream) -> ParseResult:
-    """Parse deal and firm CSV streams into validated records.
+def parse_deals(deal_csv: str | Path, firm_csv: str | Path) -> ParseResult:
+    """Parse the deal and firm CSV files into validated records.
 
     Every row becomes exactly one record or one reject (with its line
-    number); file order is preserved. Firms referenced by deals but
-    missing from the firm file are synthesized with UNKNOWN fields and a
-    warning.
+    number); file order is preserved. Each firm referenced by deals but
+    missing from the firm file is synthesized with UNKNOWN fields, and
+    ``warnings.warn`` names it.
 
     Raises
     ------
@@ -147,14 +144,13 @@ def parse_deals(deal_csv: PathOrStream, firm_csv: PathOrStream) -> ParseResult:
     for rec in result.deals:
         if rec.firm_id not in result.firms:
             result.firms[rec.firm_id] = FirmMeta(firm_id=rec.firm_id)
-            result.warnings.append(
-                f"firm {rec.firm_id!r} appears in deals but not in firms.csv; synthesized UNKNOWN metadata"
-            )
+            warnings.warn(f"firm {rec.firm_id!r} appears in deals but not in firms.csv; "
+                          f"synthesized UNKNOWN metadata")
 
     return result
 
 
-def _parse_rows(source: PathOrStream, columns: list[str], name: str,
+def _parse_rows(source: str | Path, columns: list[str], name: str,
                 parse_row: Callable[[list[str], Any], str | None], records: Any) -> list[Reject]:
     """Check the header, then let ``parse_row`` add each data row to ``records``.
 
@@ -237,14 +233,14 @@ def _parse_firm_row(row: list[str], firms: dict[str, FirmMeta]) -> str | None:
     return None
 
 
-def write_deals(deals: Iterable[DealRecord], target: PathOrStream) -> None:
+def write_deals(deals: Iterable[DealRecord], target: str | Path) -> None:
     """Serialize deals in the canonical CSV schema (inverse of parsing)."""
     write_csv(target, DEAL_COLUMNS, (
         [d.firm_id, d.investor_id, d.round_id, d.date.isoformat(), d.amount] for d in deals
     ))
 
 
-def write_firms(firms: Iterable[FirmMeta], target: PathOrStream) -> None:
+def write_firms(firms: Iterable[FirmMeta], target: str | Path) -> None:
     """Serialize firm metadata in the canonical CSV schema."""
     write_csv(target, FIRM_COLUMNS, (
         [m.firm_id, m.subsector, m.country, m.status,
@@ -253,43 +249,26 @@ def write_firms(firms: Iterable[FirmMeta], target: PathOrStream) -> None:
     ))
 
 
-def write_rejects(rejects: Iterable[Reject], target: PathOrStream) -> None:
+def write_rejects(rejects: Iterable[Reject], target: str | Path) -> None:
     """Write a rejects report: CSV ``line,reason``."""
     write_csv(target, ["line", "reason"], ([r.line, r.reason] for r in rejects))
 
 
-@contextmanager
-def _text(target: PathOrStream, mode: str, **kwargs: str) -> Iterator[IO[str]]:
-    """UTF-8 text on a path, opened and closed here, or on the caller's byte stream, left open."""
-    if isinstance(target, (str, Path)):
-        with open(target, mode, encoding="utf-8", newline="", **kwargs) as fh:
-            yield fh
-    else:
-        fh = io.TextIOWrapper(target, encoding="utf-8", newline="", **kwargs)
-        try:
-            yield fh
-        finally:
-            # flushes, and leaves the caller's byte stream open; a reader left
-            # unfinished may end only after the caller has closed the stream
-            if not target.closed:
-                fh.detach()
-
-
-def write_csv(target: PathOrStream, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
-    """Write one CSV artifact; every table the package writes goes through here.
+def write_csv(target: str | Path, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
+    """Write one CSV file; every table the package writes goes through here.
 
     UTF-8, ``\\n`` line endings and minimal quoting. ``csv`` converts the
     cells: a float (numpy float64 included) becomes its shortest
     round-trip repr, an int its ``str`` and ``None`` an empty cell.
     """
-    with _text(target, "w") as fh:
+    with open(target, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def iter_csv(source: PathOrStream) -> Iterator[tuple[int, list[str]]]:
-    """The records of a CSV table, header first, one at a time; the only CSV reader.
+def iter_csv(source: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The records of a CSV file, header first, one at a time; the only CSV reader.
 
     Each record comes with the 1-based physical line it starts on; a
     quoted line break (``\\n``, ``\\r`` or ``\\r\\n``) makes a record span
@@ -297,7 +276,7 @@ def iter_csv(source: PathOrStream) -> Iterator[tuple[int, list[str]]]:
     surrogates (``surrogateescape``). A line the csv reader cannot split
     raises ``SchemaError`` naming the file and the line.
     """
-    with _text(source, "r", errors="surrogateescape") as fh:
+    with open(source, encoding="utf-8", newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         start = 1
         try:
@@ -305,14 +284,7 @@ def iter_csv(source: PathOrStream) -> Iterator[tuple[int, list[str]]]:
                 yield start, row
                 start = reader.line_num + 1
         except csv.Error as exc:
-            raise SchemaError(f"{getattr(fh, 'name', 'CSV stream')}: line {reader.line_num}: "
-                              f"{exc}") from exc
-
-
-def read_csv(source: PathOrStream) -> tuple[list[str] | None, list[list[str]]]:
-    """The header (None for an empty file) and the data rows of a CSV table."""
-    rows = (row for _, row in iter_csv(source))
-    return next(rows, None), list(rows)
+            raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from exc
 
 
 def read_records(path: str | Path, convert: Callable[[list[str]], Any]

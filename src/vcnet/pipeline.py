@@ -11,9 +11,11 @@ its error. The manifest echoes the configuration, input digests,
 per-stage counts and the package version, and never contains
 timestamps, so two runs with the same config and seed produce
 byte-identical artifact trees. Every entry, a failed one included,
-records the stage's warnings (a balanced ensemble short of
-``balance_reps`` replicates among them) as ``n_warnings`` and the sorted
-distinct ``warning_messages`` instead of printing them.
+records the stage's warnings as ``n_warnings`` and the sorted distinct
+``warning_messages`` instead of printing them; this is the only record
+of a warning (a firm synthesized at ingest, a subsector too small to
+cluster, a failed window-sweep fit, a balanced ensemble short of
+``balance_reps`` replicates among them).
 """
 
 from __future__ import annotations
@@ -133,10 +135,24 @@ def _manifest_path(out: Path) -> Path:
 
 
 def load_manifest(out: Path) -> dict:
+    """The run's manifest, or an empty one before its first stage.
+
+    Raises ``SchemaError`` naming the file when it is not JSON, or not an
+    object whose ``stages`` maps each stage to an object; the file is
+    left as it is.
+    """
     path = _manifest_path(out)
-    if path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
-    return {"version": __version__, "stages": {}}
+    if not path.exists():
+        return {"version": __version__, "stages": {}}
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes too
+        raise SchemaError(f"{path}: not JSON: {exc}") from exc
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, dict) or not all(isinstance(e, dict) for e in stages.values()):
+        raise SchemaError(f"{path}: not a run manifest (an object whose 'stages' maps each "
+                          f"stage to an object)")
+    return manifest
 
 
 def _json_value(obj):
@@ -202,16 +218,14 @@ def stage_ingest(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
         counts = dict(n_deals=len(ds.deals), n_firms=len(ds.firms),
                       n_deal_rejects=0, n_firm_rejects=0, source="synthetic")
     else:
-        with open(cfg.deals_csv, "rb") as dfh, open(cfg.firms_csv, "rb") as ffh:
-            result = parse_deals(dfh, ffh)
+        result = parse_deals(cfg.deals_csv, cfg.firms_csv)
         write_deals(result.deals, stage_dir / "deals.csv")
         write_firms([result.firms[f] for f in sorted(result.firms)], stage_dir / "firms.csv")
         write_rejects(result.deal_rejects, stage_dir / "rejects_deals.csv")
         write_rejects(result.firm_rejects, stage_dir / "rejects_firms.csv")
         counts = dict(n_deals=len(result.deals), n_firms=len(result.firms),
                       n_deal_rejects=len(result.deal_rejects),
-                      n_firm_rejects=len(result.firm_rejects),
-                      warnings=len(result.warnings), source="csv")
+                      n_firm_rejects=len(result.firm_rejects), source="csv")
     counts["deals_sha256"] = _sha256(stage_dir / "deals.csv")
     counts["firms_sha256"] = _sha256(stage_dir / "firms.csv")
     return counts
@@ -296,8 +310,7 @@ def stage_trajectories(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     write_centroids_csv(ca, stage_dir / "centroids.csv")
     n_high, n_low, share = regime_rates(ca)
     return {"n_retained": len(ts.trajectories), "n_excluded": len(ts.exclusions),
-            "n_high": n_high, "n_low": n_low, "share_high": share,
-            "kmeans_warnings": len(ca.warnings)}
+            "n_high": n_high, "n_low": n_low, "share_high": share}
 
 
 def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
@@ -409,7 +422,6 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
               ([kind, r.window, r.n_firms, r.term, None, r.estimate, r.se, r.lo95, r.hi95]
                for kind, sweep in sweeps.items() for r in sweep.rows))
     info["sweep_firm_counts"] = {str(w): n for w, n in sweeps["linear_agg"].firm_counts.items()}
-    info["sweep_warnings"] = [msg for sweep in sweeps.values() for msg in sweep.warnings]
 
     pert = perturbation_sweep(fg.groups, selections["linear_agg"])
     write_perturbation_csv(pert, stage_dir / "perturbation_groups.csv",
@@ -469,9 +481,9 @@ def run_stage(name: str, cfg: RunConfig) -> dict:
             if not Path(path).exists():
                 raise ConfigError(f"input file not found: {path}")
     out = Path(cfg.out_dir)
+    manifest = load_manifest(out)
     stage_dir = out / name
     stage_dir.mkdir(parents=True, exist_ok=True)
-    manifest = load_manifest(out)
     manifest["version"] = __version__
     manifest["config"] = asdict(cfg)
     counts: dict = {}

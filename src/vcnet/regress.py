@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -598,10 +598,6 @@ class ModelSelection:
     ranked: np.ndarray            # (n_scored,) config ids
     best: BestConfig | None
 
-    @property
-    def n_failed(self) -> int:
-        return len(self.results) - len(self.ranked)
-
     def covariates(self, config_id: int) -> tuple[str, ...]:
         return tuple(self.columns[p] for p in self.configs[config_id].tolist())
 
@@ -756,7 +752,6 @@ class WindowSweepResult:
     kind: str
     rows: list[SweepRow]
     firm_counts: dict[int, int]
-    warnings: list[str] = field(default_factory=list)
 
 
 def build_controls(firms: list[str], first_amounts: dict[str, float],
@@ -828,9 +823,10 @@ def window_sweep(deals: list, meta: dict[str, FirmMeta], fm: FeatureMatrix,
     ``functional_kmeans``), and refits every kind from them through
     ``responses``. Each kind's result reports each coefficient with its
     1.96-standard-error band plus the per-window firm count. A firm count
-    that increases with the window is recorded as a warning, and so is a
-    window without a firm to fit, which is not clustered or fitted.
-    Returns one result per kind, in the order of ``configs``.
+    that increases with the window raises a ``warnings.warn``, and so do a
+    failed fit and a window without a firm to fit, which is not clustered
+    or fitted; each is warned as it happens, window by window and kind by
+    kind. Returns one result per kind, in the order of ``configs``.
     """
     if "functional" in configs:
         raise ConfigError("window_sweep refits scalar responses; 'functional' is not one")
@@ -848,26 +844,23 @@ def window_sweep(deals: list, meta: dict[str, FirmMeta], fm: FeatureMatrix,
             result.firm_counts[window] = len(firms)
             prev = prev_counts.get(kind)
             if prev is not None and len(firms) > prev:
-                result.warnings.append(
-                    f"firm count increased from {prev} to {len(firms)} at window {window}")
+                _warnings.warn(f"firm count increased from {prev} to {len(firms)} "
+                               f"at window {window}")
             prev_counts[kind] = len(firms)
             if not firms:
-                result.warnings.append(f"window {window}: fit failed (empty fit sample: "
-                                       f"no firm to fit for a {window}-year window)")
+                _warnings.warn(f"window {window}: fit failed (empty fit sample: "
+                               f"no firm to fit for a {window}-year window)")
                 continue
             X = fm.take_rows(firms).select(config)
             try:
                 fit = fit_logistic(y, X, list(config)) if kind == "logistic" else \
                     fit_linear(y, X, C, list(config), cnames)
             except VcnetError as exc:
-                result.warnings.append(f"window {window}: fit failed ({exc})")
+                _warnings.warn(f"window {window}: fit failed ({exc})")
                 continue
             for name, coef, se in zip(fit.columns, fit.coef.tolist(), fit.se.tolist()):
                 result.rows.append(SweepRow(window, len(firms), name, coef, se,
                                             coef - 1.96 * se, coef + 1.96 * se))
-    for result in results.values():
-        for msg in result.warnings:
-            _warnings.warn(msg)
     return results
 
 

@@ -110,7 +110,6 @@ class ClusterAssignment:
     centroids: dict[str, np.ndarray]             # subsector -> (k, W+1), clustering scale
     cluster_regimes: dict[str, list[str]]        # subsector -> regime of each cluster
     wcss: dict[str, float]                       # subsector -> within-cluster sum of squares
-    warnings: list[str] = field(default_factory=list)
 
 
 def _quad_weights(n_grid: int) -> np.ndarray:
@@ -245,11 +244,11 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
 
     The cluster whose centroid has the largest terminal value is labeled
     HIGH, every other cluster LOW. Subsectors with fewer than k firms
-    are assigned entirely to LOW with a warning. Restart seeds derive
-    from ``seed`` and the (subsector, restart) labels, so results do not
-    depend on scheduling order. The restarts share their Lloyd passes
-    as ``_restart_stack`` says; the best is the lowest objective, the
-    lowest restart among ties.
+    are assigned entirely to LOW, each with a ``warnings.warn``.
+    Restart seeds derive from ``seed`` and the (subsector, restart)
+    labels, so results do not depend on scheduling order. The restarts
+    share their Lloyd passes as ``_restart_stack`` says; the best is the
+    lowest objective, the lowest restart among ties.
     """
     if k < 1 or n_init < 1 or max_iter < 1:
         raise ConfigError(f"k, n_init and max_iter must all be >= 1, got {k}, {n_init}, {max_iter}")
@@ -269,9 +268,7 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
         if log_scale:
             X = np.log1p(X)
         if len(group) < k:
-            msg = f"subsector {sub!r} has {len(group)} firms (< k={k}); all assigned LOW"
-            _warnings.warn(msg)
-            ca.warnings.append(msg)
+            _warnings.warn(f"subsector {sub!r} has {len(group)} firms (< k={k}); all assigned LOW")
             for t in group:
                 ca.regimes[t.firm_id] = LOW
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 from datetime import date as Date
 
 import numpy as np
@@ -62,6 +63,14 @@ def random_multi_component_pg(rng: np.random.Generator, n: int) -> ProjectedGrap
 def random_tree_pg(rng: np.random.Generator, n: int) -> ProjectedGraph:
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return make_pg(n, edges)
+
+
+def recorded(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the messages of the warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
 
 
 def deal(firm, investor, round_id, iso_date, amount=100) -> DealRecord:

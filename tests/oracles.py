@@ -11,6 +11,7 @@ the package's products must keep or stay within a stated bound of.
 from __future__ import annotations
 
 import itertools
+import warnings
 from collections import deque
 from fractions import Fraction
 from math import comb
@@ -817,8 +818,8 @@ def bf_functional_kmeans(trajs, k=2, n_init=100, seed=0, log_scale=True, max_ite
 
     The reference for the stacked restart loop: the same seeded initial
     centroids, each restart iterated alone, the best kept by
-    ``(objective, restart)``. Returns the package's ``ClusterAssignment``
-    (warnings for small subsectors are recorded but not raised).
+    ``(objective, restart)``. Returns the package's ``ClusterAssignment``;
+    a subsector smaller than k raises the package's warning.
     """
     from vcnet.seeding import derive_seed
     from vcnet.trajectories import HIGH, LOW, ClusterAssignment
@@ -839,7 +840,7 @@ def bf_functional_kmeans(trajs, k=2, n_init=100, seed=0, log_scale=True, max_ite
         if log_scale:
             X = np.log1p(X)
         if len(group) < k:
-            ca.warnings.append(f"subsector {sub!r} has {len(group)} firms (< k={k}); all assigned LOW")
+            warnings.warn(f"subsector {sub!r} has {len(group)} firms (< k={k}); all assigned LOW")
             for t in group:
                 ca.regimes[t.firm_id] = LOW
             continue

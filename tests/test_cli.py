@@ -489,6 +489,26 @@ class TestCliCommands:
     def test_report_on_missing_dir_exits_3(self, tmp_path, capsys):
         assert main(["report", "--out_dir", str(tmp_path / "nope")]) == 3
 
+    @pytest.mark.parametrize("command", ["stage", "report"])
+    @pytest.mark.parametrize("text", [b"{", b"[1, 2]", b'{"stages": []}',
+                                      b'{"stages": {"ingest": 3}}', b"\xff{}"],
+                             ids=["truncated", "array", "stages-array", "entry-number",
+                                  "not-utf8"])
+    def test_malformed_manifest_exits_2_naming_it_and_leaves_it(self, tmp_path, capsys,
+                                                                 command, text):
+        out = tmp_path / "out"
+        synth = ["--out_dir", str(out), "--synthetic", json.dumps(SYNTH)]
+        assert main(["stage", "ingest", *synth]) == 0
+        manifest = out / "manifest.json"
+        manifest.write_bytes(text)
+        capsys.readouterr()
+        args = ["stage", "graph", *synth] if command == "stage" else ["report", "--out_dir",
+                                                                      str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+        assert manifest.read_bytes() == text
+        assert not (out / "graph").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"out_dir": str(tmp_path / "a"),
@@ -572,6 +592,28 @@ class TestRecordedWarnings:
         entry = json.loads((out / "manifest.json").read_text())["stages"]["features"]
         assert entry["n_warnings"] == counts["n_warnings"] == 1
         assert entry["warning_messages"] == ["covariate 'clustering_max' has zero variance; dropped"]
+
+    def test_synthesized_firms_are_recorded_in_the_ingest_entry(self, tmp_path):
+        # two firms of deals.csv missing from firms.csv: one warning each, recorded once
+        src = tmp_path / "inputs"
+        assert main(["synth", "--out_dir", str(src), "--synthetic", json.dumps(SYNTH)]) == 0
+        header, *rows = (src / "firms.csv").read_text(encoding="utf-8").splitlines()
+        missing = [row.split(",")[0] for row in rows[:2]]
+        (src / "firms.csv").write_text("\n".join([header, *rows[2:]]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["stage", "ingest", "--out_dir", str(out), "--deals_csv",
+                     str(src / "deals.csv"), "--firms_csv", str(src / "firms.csv")]) == 0
+        entry = json.loads((out / "manifest.json").read_text())["stages"]["ingest"]
+        assert entry["n_warnings"] == 2 and "warnings" not in entry
+        assert entry["warning_messages"] == [
+            f"firm {firm!r} appears in deals but not in firms.csv; synthesized UNKNOWN metadata"
+            for firm in missing]
+        assert entry["n_firms"] == len(rows)
+
+    def test_library_warning_lists_are_not_copied_into_the_manifest(self, finished_run):
+        _, manifest = finished_run
+        assert "kmeans_warnings" not in manifest["stages"]["trajectories"]
+        assert "sweep_warnings" not in manifest["stages"]["regress"]
 
     def test_clean_run_records_zero_warnings(self, finished_run):
         _, manifest = finished_run

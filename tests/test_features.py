@@ -326,9 +326,12 @@ class TestConfigsArtifacts:
                 read(dendrogram, groups)
             assert str(dendrogram) in str(err.value) and str(groups) in str(err.value)
 
-    @pytest.mark.parametrize("rows", [[["0", "0", "1"]], [["0", "x", "1", "0.5"]],
-                                      [["0", "0", "99", "0.5"]]])
-    def test_unreadable_merges_raise_naming_both_files(self, tmp_path, rows):
+    @pytest.mark.parametrize("rows,line", [
+        # a row that cannot be read names its line; one that does not merge cannot
+        pytest.param([["0", "0", "1"]], "line 2: expected 4 fields, got 3", id="rows0"),
+        pytest.param([["0", "x", "1", "0.5"]], "line 2: invalid literal", id="rows1"),
+        pytest.param([["0", "0", "99", "0.5"]], None, id="rows2")])
+    def test_unreadable_merges_raise_naming_both_files(self, tmp_path, rows, line):
         fg = correlated_blocks([2, 2], seed=18)
         dendrogram, groups = self._write_grouping(fg, tmp_path)
         write_csv(dendrogram, ["step", "left", "right", "height"], rows)
@@ -336,3 +339,19 @@ class TestConfigsArtifacts:
             with pytest.raises(SchemaError) as err:
                 read(dendrogram, groups)
             assert str(dendrogram) in str(err.value) and str(groups) in str(err.value)
+            if line is not None:
+                assert f"{dendrogram}: {line}" in str(err.value)
+            else:
+                assert ": line" not in str(err.value)
+
+    def test_unreadable_groups_raise_naming_both_files_and_the_line(self, tmp_path):
+        fg = correlated_blocks([2, 2], seed=19)
+        dendrogram, groups = self._write_grouping(fg, tmp_path)
+        header, first, *rest = groups.read_text(encoding="utf-8").splitlines()
+        groups.write_text("\n".join([header, first.split(",")[0] + ",x", *rest]) + "\n",
+                          encoding="utf-8")
+        for read in (read_grouping, read_configs):
+            with pytest.raises(SchemaError) as err:
+                read(dendrogram, groups)
+            assert str(dendrogram) in str(err.value)
+            assert f"{groups}: line 2: invalid literal for int() with base 10: 'x'" in str(err.value)

@@ -1,29 +1,52 @@
 """Parsing, serialization round-trips, and the synthetic generator."""
 
 import csv
-import gc
-import io
 import re
 import statistics
 import sys
+import tempfile
 from datetime import date as Date
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import recorded
 from vcnet.errors import ConfigError, SchemaError
 from vcnet.ingest import (DEAL_COLUMNS, FIRM_COLUMNS, STATUSES, DealRecord, FirmMeta, Reject,
-                          SyntheticConfig, generate_synthetic, iter_csv, parse_deals, read_csv,
+                          SyntheticConfig, generate_synthetic, iter_csv, parse_deals,
                           read_deals_csv, write_csv, write_deals, write_firms)
 
 DEAL_HEADER = b"firm_id,investor_id,round_id,date,amount\n"
 FIRM_HEADER = b"firm_id,subsector,country,status,status_date\n"
 
 
+def synthesized(firm):
+    return f"firm {firm!r} appears in deals but not in firms.csv; synthesized UNKNOWN metadata"
+
+
+def parse_recorded(deal_text, firm_text):
+    """``parse_deals`` of the two texts, written to files, and its warnings' messages in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        deals, firms = Path(tmp, "deals.csv"), Path(tmp, "firms.csv")
+        deals.write_bytes(deal_text)
+        firms.write_bytes(firm_text)
+        return recorded(parse_deals, deals, firms)
+
+
 def parse(deal_bytes=b"", firm_bytes=b""):
-    return parse_deals(io.BytesIO(DEAL_HEADER + deal_bytes), io.BytesIO(FIRM_HEADER + firm_bytes))
+    """The ``ParseResult`` of these data rows; the deals' firms need no row in ``firm_bytes``.
+
+    The warnings for such synthesized firms are dropped here
+    (``test_missing_firm_metadata_synthesized_with_warning`` checks them); any other
+    warning fails the test.
+    """
+    result, messages = parse_recorded(DEAL_HEADER + deal_bytes, FIRM_HEADER + firm_bytes)
+    unexpected = set(messages) - {synthesized(d.firm_id) for d in result.deals}
+    assert not unexpected, unexpected
+    return result
 
 
 class TestParseDeals:
@@ -96,13 +119,17 @@ class TestParseDeals:
                                          Reject(4, "negative amount -" + "1" * 700)]
 
     def test_bad_header_is_fatal(self):
-        with pytest.raises(SchemaError):
-            parse_deals(io.BytesIO(b"firm,investor\nx,y\n"), io.BytesIO(FIRM_HEADER))
+        with pytest.raises(SchemaError, match="deals.csv header must be"):
+            parse_recorded(b"firm,investor\nx,y\n", FIRM_HEADER)
 
     def test_missing_firm_metadata_synthesized_with_warning(self):
-        result = parse(b"f1,i1,r1,2005-03-01,5\n")
-        assert result.firms["f1"] == FirmMeta("f1")
-        assert any("f1" in w for w in result.warnings)
+        # one warning per synthesized firm, however many deals name it, in deal order
+        result, messages = parse_recorded(
+            DEAL_HEADER + b"f2,i1,r1,2005-03-01,5\nf1,i1,r1,2005-03-01,5\n"
+                          b"f2,i2,r2,2006-03-01,5\nf3,i1,r1,2005-03-01,5\n",
+            FIRM_HEADER + b"f3,bio,US,ACTIVE,\n")
+        assert result.firms["f1"] == FirmMeta("f1") and result.firms["f2"] == FirmMeta("f2")
+        assert messages == [synthesized("f2"), synthesized("f1")]
 
     def test_parallel_edges_are_legal(self):
         row = b"f1,i1,r1,2005-03-01,5\n"
@@ -194,23 +221,23 @@ class TestRoundTrip:
     @given(st.lists(deal_records, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_deals_round_trip(self, records):
-        buf = io.BytesIO()
-        write_deals(records, buf)
-        buf.seek(0)
-        result = parse_deals(buf, io.BytesIO(FIRM_HEADER))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "deals.csv")
+            write_deals(records, path)
+            result, messages = parse_recorded(path.read_bytes(), FIRM_HEADER)
         assert result.deals == records
         assert result.deal_rejects == []
+        assert messages == [synthesized(f) for f in dict.fromkeys(r.firm_id for r in records)]
 
-    def test_firms_round_trip(self):
+    def test_firms_round_trip(self, tmp_path):
         metas = [
             FirmMeta("f1", "bio", "US", "ACQUIRED", Date(2011, 2, 3)),
             FirmMeta("f2", "", "", "ACTIVE", None),
             FirmMeta("f3", "ict", "DE", "INACTIVE", None),
         ]
-        buf = io.BytesIO()
-        write_firms(metas, buf)
-        buf.seek(0)
-        result = parse_deals(io.BytesIO(DEAL_HEADER), buf)
+        write_firms(metas, tmp_path / "firms.csv")
+        (tmp_path / "deals.csv").write_bytes(DEAL_HEADER)
+        result = parse_deals(tmp_path / "deals.csv", tmp_path / "firms.csv")
         assert [result.firms[m.firm_id] for m in metas] == metas
 
 
@@ -227,10 +254,9 @@ rows_of = lambda cell: st.lists(st.lists(cell, max_size=7), max_size=12)
 headers_of = lambda columns: st.one_of(st.just(columns), st.lists(cells, max_size=6))
 
 
-def quoted_csv(header, rows):
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows([header, *rows])
-    return io.BytesIO(buf.getvalue().encode())
+def quoted_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows([header, *rows])
 
 
 def record_lines(rows):
@@ -252,13 +278,19 @@ class TestParseArbitraryRows:
     @settings(max_examples=300, deadline=None)
     def test_rows_become_records_or_rejects_and_round_trip(self, deal_header, deal_rows,
                                                             firm_header, firm_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._check(Path(tmp), deal_header, deal_rows, firm_header, firm_rows)
+
+    def _check(self, tmp, deal_header, deal_rows, firm_header, firm_rows):
         # every cell quoted, so each drawn row is one CSV record, bare \r included
-        deal_buf, firm_buf = quoted_csv(deal_header, deal_rows), quoted_csv(firm_header, firm_rows)
+        deals, firms = tmp / "deals.csv", tmp / "firms.csv"
+        quoted_csv(deals, deal_header, deal_rows)
+        quoted_csv(firms, firm_header, firm_rows)
         if deal_header != DEAL_COLUMNS or firm_header != FIRM_COLUMNS:
             with pytest.raises(SchemaError):
-                parse_deals(deal_buf, firm_buf)
+                parse_deals(deals, firms)
             return
-        result = parse_deals(deal_buf, firm_buf)
+        result, messages = recorded(parse_deals, deals, firms)
 
         rejected = [r.line for r in result.deal_rejects]
         assert rejected == sorted(set(rejected))
@@ -271,62 +303,37 @@ class TestParseArbitraryRows:
         firm_lines = [r.line for r in result.firm_rejects]
         assert firm_lines == sorted(set(firm_lines))
         assert set(firm_lines) <= set(record_lines(firm_rows))
-        n_synthesized = len(result.warnings)
+        n_synthesized = len(messages)
         assert len(result.firms) - n_synthesized + len(firm_lines) == len(firm_rows)
 
-        deal_buf, firm_buf = io.BytesIO(), io.BytesIO()
-        write_deals(result.deals, deal_buf)
-        write_firms(result.firms.values(), firm_buf)
-        deal_buf.seek(0)
-        firm_buf.seek(0)
-        again = parse_deals(deal_buf, firm_buf)
+        write_deals(result.deals, deals)
+        write_firms(result.firms.values(), firms)
+        again, messages = recorded(parse_deals, deals, firms)
         assert again.deals == result.deals and again.firms == result.firms
-        assert again.deal_rejects == again.firm_rejects == again.warnings == []
+        assert again.deal_rejects == again.firm_rejects == messages == []
 
 
 class TestTableFormat:
-    def test_cells_follow_the_csv_convention(self):
-        buf = io.BytesIO()
-        write_csv(buf, ["a", "b", "c", "d"], [[np.float64(-14.2), 3, None, "Z, Pharma"],
-                                              [float("nan"), -0.0, 5e-324, -np.inf]])
-        assert buf.getvalue() == b'a,b,c,d\n-14.2,3,,"Z, Pharma"\nnan,-0.0,5e-324,-inf\n'
-        buf.seek(0)
-        assert read_csv(buf) == (["a", "b", "c", "d"], [["-14.2", "3", "", "Z, Pharma"],
-                                                        ["nan", "-0.0", "5e-324", "-inf"]])
+    def test_cells_follow_the_csv_convention(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c", "d"], [[np.float64(-14.2), 3, None, "Z, Pharma"],
+                                               [float("nan"), -0.0, 5e-324, -np.inf]])
+        assert path.read_bytes() == b'a,b,c,d\n-14.2,3,,"Z, Pharma"\nnan,-0.0,5e-324,-inf\n'
+        assert list(iter_csv(path)) == [(1, ["a", "b", "c", "d"]),
+                                        (2, ["-14.2", "3", "", "Z, Pharma"]),
+                                        (3, ["nan", "-0.0", "5e-324", "-inf"])]
 
-    def test_empty_table_has_no_header(self):
-        assert read_csv(io.BytesIO(b"")) == (None, [])
-
-    def test_caller_streams_stay_open(self):
-        deal_buf, firm_buf = io.BytesIO(DEAL_HEADER + b"f1,i1,r1,2005-03-01,5\n"), io.BytesIO(FIRM_HEADER)
-        assert len(parse_deals(deal_buf, firm_buf).deals) == 1
-        assert not deal_buf.closed and not firm_buf.closed
-        bad = io.BytesIO(b"firm,investor\n")
-        with pytest.raises(SchemaError):
-            parse_deals(bad, io.BytesIO(FIRM_HEADER))
-        assert not bad.closed
-        buf = io.BytesIO(b"a,b\n1,2\n")
-        assert read_csv(buf) == (["a", "b"], [["1", "2"]])
-        assert not buf.closed
-        write_csv(buf, ["c"], [[3]])
-        assert buf.getvalue() == b"a,b\n1,2\nc\n3\n"
-
-    def test_unfinished_reader_may_outlive_the_stream(self, monkeypatch):
-        raised = []
-        monkeypatch.setattr(sys, "unraisablehook", raised.append)
-        with io.BytesIO(b"a\n1\n2\n") as buf:
-            rows = iter_csv(buf)
-            assert next(rows) == (1, ["a"])
-        del rows
-        gc.collect()
-        assert raised == []
+    def test_empty_table_has_no_header(self, tmp_path):
+        (tmp_path / "empty.csv").write_bytes(b"")
+        assert list(iter_csv(tmp_path / "empty.csv")) == []
 
     @given(st.floats())
     @settings(max_examples=300, deadline=None)
     def test_float_cells_are_the_shortest_round_trip_repr(self, x):
-        buf = io.BytesIO()
-        write_csv(buf, ["x"], [[x], [np.float64(x)]])
-        assert buf.getvalue().decode().split("\n")[1:3] == [repr(x)] * 2
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "x.csv")
+            write_csv(path, ["x"], [[x], [np.float64(x)]])
+            assert path.read_text(encoding="utf-8").split("\n")[1:3] == [repr(x)] * 2
 
 
 GOLDEN_CFG = SyntheticConfig(n_firms=500, n_investors=200, n_subsectors=4,
@@ -352,17 +359,14 @@ class TestSyntheticGenerator:
         assert a.firms == b.firms
         assert a.planted_regimes == b.planted_regimes
 
-    def test_every_record_passes_validation(self):
+    def test_every_record_passes_validation(self, tmp_path):
         ds = generate_synthetic(GOLDEN_CFG)
-        deal_buf, firm_buf = io.BytesIO(), io.BytesIO()
-        write_deals(ds.deals, deal_buf)
-        write_firms([ds.firms[f] for f in sorted(ds.firms)], firm_buf)
-        deal_buf.seek(0)
-        firm_buf.seek(0)
-        result = parse_deals(deal_buf, firm_buf)
+        write_deals(ds.deals, tmp_path / "deals.csv")
+        write_firms([ds.firms[f] for f in sorted(ds.firms)], tmp_path / "firms.csv")
+        result, messages = recorded(parse_deals, tmp_path / "deals.csv", tmp_path / "firms.csv")
         assert result.deal_rejects == []
         assert result.firm_rejects == []
-        assert result.warnings == []
+        assert messages == []
 
     def test_every_firm_has_a_round(self):
         ds = generate_synthetic(GOLDEN_CFG)

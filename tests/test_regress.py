@@ -14,6 +14,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import recorded
 from oracles import (P_VALUE_RTOL, band_halfwidth, bf_balanced_ensemble, bf_collinear_columns,
                      bf_select_model, logistic_score_max_norm, neg_log_p, scipy_f_p, scipy_t_p)
 
@@ -627,7 +628,7 @@ class TestSelectModel:
         y, fm = self._planted()
         (_, pair), (_, single) = select_each_length("linear", y, fm,
                                                     [("signal", "signal"), ("noise1",)])
-        assert (pair.n_failed, single.n_failed) == (1, 0)
+        assert [len(s.results) - len(s.ranked) for s in (pair, single)] == [1, 0]
         assert pair.results["error"][0] is not None and pair.best is None
         assert single.best.covariates == ("noise1",)
 
@@ -677,12 +678,13 @@ def _synth_pipeline_data(seed=81, n_firms=150, year_range=(2000, 2020), window=1
 class TestWindowSweep:
     def test_counts_non_increasing_and_rows_emitted(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data()
-        res = window_sweep(ds.deals, ds.firms, fm, first_amounts, subsectors,
-                           {"linear_agg": ("log_n_investors",)}, list(range(5, 13)),
-                           n_init=5, seed=3)["linear_agg"]
+        res, messages = recorded(window_sweep, ds.deals, ds.firms, fm, first_amounts,
+                                  subsectors, {"linear_agg": ("log_n_investors",)},
+                                  list(range(5, 13)), n_init=5, seed=3)
+        res = res["linear_agg"]
         counts = [res.firm_counts[w] for w in range(5, 13)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
-        assert res.warnings == []
+        assert messages == []
         assert {r.window for r in res.rows} == set(range(5, 13))
         for r in res.rows:
             assert r.lo95 == pytest.approx(r.estimate - 1.96 * r.se)
@@ -715,10 +717,22 @@ class TestWindowSweep:
         n12, n5 = res.firm_counts[12], res.firm_counts[5]
         failed = "fit failed (design matrix is rank deficient; collinear columns: noise)"
         assert n12 < n5 and res.rows == []
-        assert res.warnings == [f"window 12: {failed}",
-                                f"firm count increased from {n12} to {n5} at window 5",
-                                f"window 5: {failed}"]
-        assert [str(w.message) for w in caught] == res.warnings
+        assert [str(w.message) for w in caught] == [
+            f"window 12: {failed}", f"firm count increased from {n12} to {n5} at window 5",
+            f"window 5: {failed}"]
+
+    def test_warnings_follow_windows_then_kinds(self):
+        # each warning is raised as it happens: window 12 for both kinds, then window 5
+        ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data()
+        configs = {"linear_agg": ("noise", "noise"), "logistic": ("noise", "noise")}
+        res, messages = recorded(window_sweep, ds.deals, ds.firms, fm, first_amounts,
+                                  subsectors, configs, [12, 5], n_init=5)
+        n12, n5 = res["linear_agg"].firm_counts[12], res["linear_agg"].firm_counts[5]
+        assert res["logistic"].firm_counts == {12: n12, 5: n5} and n12 < n5
+        failed = "fit failed (design matrix is rank deficient; collinear columns: noise)"
+        increased = f"firm count increased from {n12} to {n5} at window 5"
+        assert messages == [f"window 12: {failed}", f"window 12: {failed}",
+                            increased, f"window 5: {failed}", increased, f"window 5: {failed}"]
 
     def test_stable_coefficient_for_stationary_process(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=82)
@@ -752,10 +766,10 @@ class TestWindowSweep:
             warnings.simplefilter("always")
             res = window_sweep(ds.deals, ds.firms, fm, first_amounts, subsectors,
                                {kind: ("log_n_investors",)}, [8, 9, 10], n_init=5)[kind]
-        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert res.firm_counts[8] > 0 and res.firm_counts[9] == res.firm_counts[10] == 0
-        assert res.warnings == [f"window {w}: fit failed (empty fit sample: no firm to fit "
-                                f"for a {w}-year window)" for w in (9, 10)]
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, f"window {w}: fit failed (empty fit sample: no firm to fit "
+                          f"for a {w}-year window)") for w in (9, 10)]
         assert {r.window for r in res.rows} == {8}
         assert all(clustered) and len(clustered) == (kind == "logistic")
 
@@ -924,7 +938,7 @@ def _assert_matches_oracle(sel, kind, y, fm, configs, C=None, cnames=None):
         else:
             assert abs(got["score"] - score) <= SCORE_RTOL * abs(score)
             np.testing.assert_allclose(got["coef"], coef, rtol=0, atol=COEF_ATOL)
-    assert sel.n_failed == sum(1 for r in results if r[2] is None)
+    assert len(sel.results) - len(sel.ranked) == sum(1 for r in results if r[2] is None)
     if sel.best is not None:  # the best record reports its refit's score
         fit = sel.best.fit
         assert sel.best.score == sel.results["score"][sel.best.config_id] == (
@@ -1033,7 +1047,7 @@ class TestSelectEngine:
         fm, _, _, C, configs = self._problem(303, n=40)
         configs = configs[:90]
         _, sels = _assert_each_length_matches_oracle("linear", np.full(40, 2.5), fm, configs, C)
-        assert all(sel.best is None and sel.n_failed == len(sel.results) for sel in sels)
+        assert all(sel.best is None and len(sel.ranked) == 0 for sel in sels)
         assert sum(len(sel.results) for sel in sels) == len(configs)
         _, sels = _assert_each_length_matches_oracle("logistic", np.ones(40), fm, configs)
         assert {e for sel in sels for e in sel.results["error"]} == {

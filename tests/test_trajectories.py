@@ -1,13 +1,11 @@
 """Trajectory construction, functional k-means, and regime shares."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deal
+from conftest import deal, recorded
 from oracles import bf_functional_kmeans, bf_lloyd
 
 from vcnet import trajectories
@@ -137,10 +135,10 @@ class TestFunctionalKmeans:
             functional_kmeans(trajs, k=2, n_init=3, seed=1, max_iter=max_iter)
 
     def test_small_subsector_all_low_with_warning(self):
-        trajs = [flat("only", 10, subsector="tiny")]
-        with pytest.warns(UserWarning):
-            ca = functional_kmeans(trajs, k=2, n_init=3, seed=3)
-        assert ca.regimes == {"only": LOW}
+        trajs = [flat("only", 10, subsector="tiny")] + [flat(f"b{i}", 10 * i) for i in range(1, 4)]
+        ca, messages = recorded(functional_kmeans, trajs, k=2, n_init=3, seed=3)
+        assert ca.regimes["only"] == LOW and "tiny" not in ca.centroids
+        assert messages == ["subsector 'tiny' has 1 firms (< k=2); all assigned LOW"]
 
     def test_high_label_follows_terminal_value(self):
         rising = [Trajectory(f"r{i}", "bio", 2000, tuple(100 * t + i for t in range(11)))
@@ -201,6 +199,8 @@ class TestFunctionalKmeans:
 
 
 def assert_same_clustering(got, want):
+    """Two ``recorded`` runs: the same clustering and the same warnings."""
+    (got, got_warnings), (want, want_warnings) = got, want
     assert (got.window, got.scale) == (want.window, want.scale)
     assert got.regimes == want.regimes
     assert got.wcss == want.wcss
@@ -208,7 +208,14 @@ def assert_same_clustering(got, want):
     assert got.centroids.keys() == want.centroids.keys()
     for sub in want.centroids:
         assert np.array_equal(got.centroids[sub], want.centroids[sub])
-    assert got.warnings == want.warnings
+    assert got_warnings == want_warnings
+
+
+def assert_matches_oracle(trajs, **kwargs):
+    """``functional_kmeans`` equals ``bf_functional_kmeans``, warnings included; returns it."""
+    got = recorded(functional_kmeans, trajs, **kwargs)
+    assert_same_clustering(got, recorded(bf_functional_kmeans, trajs, **kwargs))
+    return got[0]
 
 
 def planted_trajectories(seed, window=10):
@@ -223,18 +230,15 @@ class TestStackedRestarts:
 
     @pytest.mark.parametrize("k,n_init,log_scale", [(2, 100, True), (3, 70, True), (2, 30, False)])
     def test_matches_oracle_on_planted_data(self, k, n_init, log_scale):
-        trajs = planted_trajectories(21)
-        got = functional_kmeans(trajs, k=k, n_init=n_init, seed=5, log_scale=log_scale)
-        assert_same_clustering(got, bf_functional_kmeans(trajs, k=k, n_init=n_init, seed=5,
-                                                         log_scale=log_scale))
+        assert_matches_oracle(planted_trajectories(21), k=k, n_init=n_init, seed=5,
+                              log_scale=log_scale)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_identical_curves_force_reseeding(self, k):
         # restarts that draw only x curves start with k equal centroids; the
         # first takes every curve and the others are re-seeded
         trajs = [flat(f"x{i}", 50) for i in range(6)] + [flat("y", 300), flat("z", 900)]
-        got = functional_kmeans(trajs, k=k, n_init=20, seed=1)
-        assert_same_clustering(got, bf_functional_kmeans(trajs, k=k, n_init=20, seed=1))
+        assert_matches_oracle(trajs, k=k, n_init=20, seed=1)
 
     @pytest.mark.parametrize("max_iter", [1, 2, 500])
     def test_each_restart_matches_its_own_lloyd_loop(self, max_iter):
@@ -255,10 +259,7 @@ class TestStackedRestarts:
 
     @pytest.mark.parametrize("max_iter", [1, 2])
     def test_exhausted_iterations_match(self, max_iter):
-        trajs = planted_trajectories(22)
-        got = functional_kmeans(trajs, k=3, n_init=40, seed=6, max_iter=max_iter)
-        assert_same_clustering(got, bf_functional_kmeans(trajs, k=3, n_init=40, seed=6,
-                                                         max_iter=max_iter))
+        assert_matches_oracle(planted_trajectories(22), k=3, n_init=40, seed=6, max_iter=max_iter)
 
     def test_tied_objectives_pick_the_lowest_restart(self):
         # levels 10, 20, 30 split as {10, 20}{30} or {10}{20, 30} at the same
@@ -271,18 +272,16 @@ class TestStackedRestarts:
         assert obj[0] == obj[1] and assign[0].tolist() != assign[1].tolist()
         regimes_of_m = set()
         for seed in range(6):
-            got = functional_kmeans(trajs, k=2, n_init=6, seed=seed, log_scale=False)
-            assert_same_clustering(got, bf_functional_kmeans(trajs, k=2, n_init=6, seed=seed,
-                                                             log_scale=False))
+            got = assert_matches_oracle(trajs, k=2, n_init=6, seed=seed, log_scale=False)
             regimes_of_m.add(got.regimes["m"])
         assert regimes_of_m == {HIGH, LOW}   # the tie rule, not the data, decides
 
     @pytest.mark.parametrize("block", [1, 3])
     def test_block_size_does_not_change_the_result(self, monkeypatch, block):
         trajs = planted_trajectories(23)
-        want = functional_kmeans(trajs, k=2, n_init=10, seed=8)
+        want = recorded(functional_kmeans, trajs, k=2, n_init=10, seed=8)
         monkeypatch.setattr(trajectories, "RESTART_BLOCK", block)
-        assert_same_clustering(functional_kmeans(trajs, k=2, n_init=10, seed=8), want)
+        assert_same_clustering(recorded(functional_kmeans, trajs, k=2, n_init=10, seed=8), want)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -298,11 +297,9 @@ class TestStackedRestarts:
         kwargs = dict(k=data.draw(st.integers(1, 3)), n_init=data.draw(st.integers(1, 30)),
                       seed=data.draw(st.integers(0, 3)), log_scale=data.draw(st.booleans()),
                       max_iter=data.draw(st.sampled_from([1, 2, 3, 500])))
-        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
-            warnings.simplefilter("ignore")
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trajectories, "RESTART_BLOCK", data.draw(st.sampled_from([1, 3, 64, 128])))
-            got = functional_kmeans(trajs, **kwargs)
-        assert_same_clustering(got, bf_functional_kmeans(trajs, **kwargs))
+            assert_matches_oracle(trajs, **kwargs)
 
     def test_duplicated_restarts_add_no_lloyd_work(self, monkeypatch):
         # restarts from equal initial centroids reach the same numbered states,
