@@ -79,8 +79,6 @@ class YearResult:
 @dataclass
 class BacktestReport:
     measure: str
-    top_n: int
-    horizon: int
     years: list[YearResult]
     mean_rate: float
     sd_rate: float
@@ -95,7 +93,9 @@ def run_strategy(frames: dict[int, CentralityFrame], meta: dict[str, FirmMeta],
     ``frames`` maps start year to the firm-layer frame of that year's
     snapshot; ``first_years`` maps each firm to the calendar year of its
     first investment. Pools smaller than ``top_n`` are used in full and
-    flagged. Success windows are anchored at the start year.
+    flagged. Success windows are anchored at the start year. The report
+    holds the per-year results and their mean and sd, not ``top_n`` or
+    ``horizon``; the caller sets its ``group``.
     """
     if horizon not in SUPPORTED_HORIZONS:
         raise ConfigError(f"horizon must be one of {SUPPORTED_HORIZONS}, got {horizon}")
@@ -127,7 +127,7 @@ def run_strategy(frames: dict[int, CentralityFrame], meta: dict[str, FirmMeta],
 
     rates = np.array([y.success_rate for y in years])
     sd = float(rates.std(ddof=1)) if len(rates) > 1 else 0.0
-    return BacktestReport(measure, top_n, horizon, years, float(rates.mean()), sd)
+    return BacktestReport(measure, years, float(rates.mean()), sd)
 
 
 def write_backtest_csv(reports: list[BacktestReport], path: str | Path) -> None:

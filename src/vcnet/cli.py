@@ -115,6 +115,13 @@ def _success_rate_row(row: list[str]) -> tuple[str, str, float]:
     return row[0], row[1], float(row[2])
 
 
+def _require_keys(path: Path, what: str, obj, keys: tuple[str, ...]) -> None:
+    """Raise ``SchemaError`` naming ``path`` when ``obj`` is not an object holding every key."""
+    missing = [key for key in keys if not isinstance(obj, dict) or key not in obj]
+    if missing:
+        raise SchemaError(f"{path}: {what} lacks {', '.join(missing)}")
+
+
 def _cmd_report(out_dir: str) -> int:
     out = Path(out_dir)
     if not (out / "manifest.json").exists():
@@ -131,11 +138,17 @@ def _cmd_report(out_dir: str) -> int:
         print(f"  {stage:<12} {status}  {json.dumps(details, sort_keys=True, default=str)[:240]}")
     traj = manifest["stages"].get("trajectories")
     if traj and traj.get("status") == "ok":
+        _require_keys(out / "manifest.json", "the ok trajectories entry", traj,
+                      ("n_high", "n_low", "share_high"))
         print(f"regimes: {traj['n_high']} HIGH / {traj['n_low']} LOW "
               f"(share {traj['share_high']:.4f})")
     best_json = out / "regress" / "linear_agg_best.json"
     if best_json.exists():
-        best = json.loads(best_json.read_text(encoding="utf-8"))
+        try:
+            best = json.loads(best_json.read_text(encoding="utf-8"))
+        except ValueError as exc:  # undecodable bytes too
+            raise SchemaError(f"{best_json}: not JSON: {exc}") from exc
+        _require_keys(best_json, "the best fit", best, ("r2", "covariates"))
         print(f"best linear (aggregate) config: R^2={best['r2']:.4f}, "
               f"covariates: {', '.join(best['covariates'])}")
     backtest_csv = out / "backtest" / "backtest.csv"

@@ -108,7 +108,6 @@ class FeatureGrouping:
     leaves: list[str]
     merges: list[tuple[int, int, int, float]]  # (step, left, right, height); leaf i < p, internal p+step
     groups: dict[str, int] = field(default_factory=dict)  # covariate -> 1..k
-    k: int | None = None
 
 
 def correlation_dendrogram(fm: FeatureMatrix) -> FeatureGrouping:
@@ -177,7 +176,7 @@ def cut_groups(fg: FeatureGrouping, k: int) -> FeatureGrouping:
         raise ConfigError(f"cannot cut {p} covariates into {k} groups")
     group_of = {leaf: g for g, group in enumerate(_cut(fg, k), start=1) for leaf in group}
     return FeatureGrouping(list(fg.leaves), list(fg.merges),
-                           {leaf: group_of[leaf] for leaf in fg.leaves}, k)
+                           {leaf: group_of[leaf] for leaf in fg.leaves})
 
 
 def group_members(fg: FeatureGrouping) -> dict[int, list[str]]:

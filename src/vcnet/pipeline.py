@@ -130,10 +130,6 @@ class RunConfig:
 # Manifest
 # ---------------------------------------------------------------------------
 
-def _manifest_path(out: Path) -> Path:
-    return out / "manifest.json"
-
-
 def load_manifest(out: Path) -> dict:
     """The run's manifest, or an empty one before its first stage.
 
@@ -141,7 +137,7 @@ def load_manifest(out: Path) -> dict:
     object whose ``stages`` maps each stage to an object; the file is
     left as it is.
     """
-    path = _manifest_path(out)
+    path = out / "manifest.json"
     if not path.exists():
         return {"version": __version__, "stages": {}}
     try:
@@ -168,7 +164,7 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def save_manifest(out: Path, manifest: dict) -> None:
-    _write_json(_manifest_path(out), manifest)
+    _write_json(out / "manifest.json", manifest)
 
 
 def _sha256(path: Path) -> str:
@@ -210,25 +206,24 @@ def _require_rows(firms, path: Path, rows: dict, rows_path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def stage_ingest(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
+    """Parse the input files into ``deals.csv``, ``firms.csv`` and their rejects reports.
+
+    Synthetic input is first written into the stage directory by
+    ``write_synthetic``, then parsed like file input.
+    """
+    deals_csv, firms_csv, source = cfg.deals_csv, cfg.firms_csv, "csv"
     if cfg.synthetic is not None:
-        ds = generate_synthetic(cfg.synthetic)
-        write_synthetic(ds, stage_dir)
-        write_rejects([], stage_dir / "rejects_deals.csv")
-        write_rejects([], stage_dir / "rejects_firms.csv")
-        counts = dict(n_deals=len(ds.deals), n_firms=len(ds.firms),
-                      n_deal_rejects=0, n_firm_rejects=0, source="synthetic")
-    else:
-        result = parse_deals(cfg.deals_csv, cfg.firms_csv)
-        write_deals(result.deals, stage_dir / "deals.csv")
-        write_firms([result.firms[f] for f in sorted(result.firms)], stage_dir / "firms.csv")
-        write_rejects(result.deal_rejects, stage_dir / "rejects_deals.csv")
-        write_rejects(result.firm_rejects, stage_dir / "rejects_firms.csv")
-        counts = dict(n_deals=len(result.deals), n_firms=len(result.firms),
-                      n_deal_rejects=len(result.deal_rejects),
-                      n_firm_rejects=len(result.firm_rejects), source="csv")
-    counts["deals_sha256"] = _sha256(stage_dir / "deals.csv")
-    counts["firms_sha256"] = _sha256(stage_dir / "firms.csv")
-    return counts
+        write_synthetic(generate_synthetic(cfg.synthetic), stage_dir)
+        deals_csv, firms_csv, source = stage_dir / "deals.csv", stage_dir / "firms.csv", "synthetic"
+    result = parse_deals(deals_csv, firms_csv)
+    write_deals(result.deals, stage_dir / "deals.csv")
+    write_firms([result.firms[f] for f in sorted(result.firms)], stage_dir / "firms.csv")
+    write_rejects(result.deal_rejects, stage_dir / "rejects_deals.csv")
+    write_rejects(result.firm_rejects, stage_dir / "rejects_firms.csv")
+    return dict(n_deals=len(result.deals), n_firms=len(result.firms),
+                n_deal_rejects=len(result.deal_rejects), n_firm_rejects=len(result.firm_rejects),
+                source=source, deals_sha256=_sha256(stage_dir / "deals.csv"),
+                firms_sha256=_sha256(stage_dir / "firms.csv"))
 
 
 def stage_graph(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:

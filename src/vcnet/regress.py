@@ -377,8 +377,6 @@ def _balanced_rows(minority: np.ndarray, majority: np.ndarray, seed: int,
                    attempt: int) -> np.ndarray:
     """Sorted rows of balanced attempt ``attempt``: the minority class and
     an equal-size draw without replacement from the majority class."""
-    if len(majority) == len(minority):
-        return np.sort(np.concatenate([minority, majority]))
     rng = np.random.default_rng(derive_seed(seed, "balanced", attempt))
     return np.sort(np.concatenate([minority,
                                    rng.choice(majority, size=len(minority), replace=False)]))
@@ -454,8 +452,6 @@ def balanced_ensemble(y: np.ndarray, X: np.ndarray, n_reps: int = 1000, seed: in
 @dataclass
 class LinearFit:
     columns: list[str]            # intercept, covariates, then controls
-    covariate_columns: list[str]
-    control_columns: list[str]
     coef: np.ndarray
     se: np.ndarray
     t: np.ndarray
@@ -521,8 +517,7 @@ def fit_linear(y: np.ndarray, X: np.ndarray | None, C: np.ndarray | None = None,
     else:
         fstat, f_p = None, None
     return LinearFit(
-        columns=names, covariate_columns=cov_names, control_columns=ctl_names,
-        coef=beta, se=se, t=tvals, p=pvals, r2=r2, adj_r2=adj,
+        columns=names, coef=beta, se=se, t=tvals, p=pvals, r2=r2, adj_r2=adj,
         fstat=fstat, f_df=(q - 1, n - q), f_pvalue=f_p, sigma2=sigma2, n=n,
     )
 
@@ -538,7 +533,6 @@ class FunctionalFit:
     se: np.ndarray     # (q, T)
     lo95: np.ndarray
     hi95: np.ndarray
-    n: int
 
 
 def fit_function_on_scalar(Y: np.ndarray, X: np.ndarray,
@@ -551,13 +545,12 @@ def fit_function_on_scalar(Y: np.ndarray, X: np.ndarray,
     Confidence bands are pointwise at 1.96 standard errors.
     """
     Y = np.asarray(Y, dtype=float)
-    n, n_grid = Y.shape
-    fits = [fit_linear(np.log1p(Y[:, t]), X, None, columns) for t in range(n_grid)]
+    fits = [fit_linear(np.log1p(Y[:, t]), X, None, columns) for t in range(Y.shape[1])]
     coef = np.column_stack([f.coef for f in fits])
     se = np.column_stack([f.se for f in fits])
     return FunctionalFit(
         columns=fits[0].columns, coef=coef, se=se,
-        lo95=coef - 1.96 * se, hi95=coef + 1.96 * se, n=n,
+        lo95=coef - 1.96 * se, hi95=coef + 1.96 * se,
     )
 
 
@@ -572,11 +565,13 @@ TIE_RTOL = 1e-12
 
 @dataclass
 class BestConfig:
-    """The best configuration of a selection, refit with standard errors and p-values."""
+    """The best configuration of a selection, refit with standard errors and p-values.
+
+    Its selection's ``results["score"][config_id]`` holds the refit's score.
+    """
 
     config_id: int
     covariates: tuple[str, ...]
-    score: float                  # the refit's log-likelihood or R^2
     fit: LogisticFit | LinearFit
 
 
@@ -588,10 +583,10 @@ class ModelSelection:
     ``columns``. ``results`` holds one record per configuration: its
     score (NaN where the fit failed), its covariate coefficients in
     configuration order (NaN where failed) and its error text (``None``
-    where scored). ``ranked`` lists the scored config ids, best first.
+    where scored). ``ranked`` lists the scored config ids, best first,
+    and ``best`` is the first of them refit, ``None`` when none scored.
     """
 
-    kind: str  # logistic | linear
     columns: list[str]
     configs: np.ndarray           # (N, g) int
     results: np.ndarray           # (N,) records: score, coef (g,), error
@@ -716,19 +711,18 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix, configs: np
         block["score"] = scores
         block["coef"] = np.where(np.isnan(scores)[:, None], np.nan, coefs[:, 1:1 + g])
         block["error"] = np.array(errors, dtype=object)
-    sel = ModelSelection(kind, list(fm.columns), configs, results, _rank(results["score"]), None)
+    sel = ModelSelection(list(fm.columns), configs, results, _rank(results["score"]), None)
     if len(sel.ranked):
         config_id = int(sel.ranked[0])
         covariates = sel.covariates(config_id)
         X = fm.select(covariates)
         if kind == "logistic":
             fit = fit_logistic(y, X, list(covariates))
-            score = fit.log_likelihood
+            results["score"][config_id] = fit.log_likelihood
         else:
             fit = fit_linear(y, X, controls, list(covariates), control_columns)
-            score = fit.r2
-        results["score"][config_id] = score
-        sel.best = BestConfig(config_id, covariates, score, fit)
+            results["score"][config_id] = fit.r2
+        sel.best = BestConfig(config_id, covariates, fit)
     return sel
 
 
@@ -749,7 +743,6 @@ class SweepRow:
 
 @dataclass
 class WindowSweepResult:
-    kind: str
     rows: list[SweepRow]
     firm_counts: dict[int, int]
 
@@ -826,11 +819,12 @@ def window_sweep(deals: list, meta: dict[str, FirmMeta], fm: FeatureMatrix,
     that increases with the window raises a ``warnings.warn``, and so do a
     failed fit and a window without a firm to fit, which is not clustered
     or fitted; each is warned as it happens, window by window and kind by
-    kind. Returns one result per kind, in the order of ``configs``.
+    kind, and its message starts with the kind. Returns one result per
+    kind, in the order of ``configs``.
     """
     if "functional" in configs:
         raise ConfigError("window_sweep refits scalar responses; 'functional' is not one")
-    results = {kind: WindowSweepResult(kind, [], {}) for kind in configs}
+    results = {kind: WindowSweepResult([], {}) for kind in configs}
     prev_counts: dict[str, int] = {}
     in_fm = set(fm.row_ids)
     for window in w_range:
@@ -844,11 +838,11 @@ def window_sweep(deals: list, meta: dict[str, FirmMeta], fm: FeatureMatrix,
             result.firm_counts[window] = len(firms)
             prev = prev_counts.get(kind)
             if prev is not None and len(firms) > prev:
-                _warnings.warn(f"firm count increased from {prev} to {len(firms)} "
+                _warnings.warn(f"{kind}: firm count increased from {prev} to {len(firms)} "
                                f"at window {window}")
             prev_counts[kind] = len(firms)
             if not firms:
-                _warnings.warn(f"window {window}: fit failed (empty fit sample: "
+                _warnings.warn(f"{kind}: window {window}: fit failed (empty fit sample: "
                                f"no firm to fit for a {window}-year window)")
                 continue
             X = fm.take_rows(firms).select(config)
@@ -856,7 +850,7 @@ def window_sweep(deals: list, meta: dict[str, FirmMeta], fm: FeatureMatrix,
                 fit = fit_logistic(y, X, list(config)) if kind == "logistic" else \
                     fit_linear(y, X, C, list(config), cnames)
             except VcnetError as exc:
-                _warnings.warn(f"window {window}: fit failed ({exc})")
+                _warnings.warn(f"{kind}: window {window}: fit failed ({exc})")
                 continue
             for name, coef, se in zip(fit.columns, fit.coef.tolist(), fit.se.tolist()):
                 result.rows.append(SweepRow(window, len(firms), name, coef, se,
@@ -986,16 +980,12 @@ def write_leaderboard_csv(selection: ModelSelection, path: str | Path) -> None:
          for i in np.flatnonzero(np.isnan(scores)))))
 
 
-def write_functional_curves(fit: FunctionalFit, out_dir: str | Path) -> list[Path]:
+def write_functional_curves(fit: FunctionalFit, out_dir: str | Path) -> None:
     """One ``t,estimate,se,lo95,hi95`` CSV per coefficient curve."""
-    out = []
     for j, name in enumerate(fit.columns):
-        path = Path(out_dir) / f"functional_{name}.csv"
-        write_csv(path, ["t", "estimate", "se", "lo95", "hi95"],
+        write_csv(Path(out_dir) / f"functional_{name}.csv", ["t", "estimate", "se", "lo95", "hi95"],
                   zip(range(fit.coef.shape[1]), fit.coef[j].tolist(), fit.se[j].tolist(),
                       fit.lo95[j].tolist(), fit.hi95[j].tolist()))
-        out.append(path)
-    return out
 
 
 def write_perturbation_csv(result: PerturbationResult, groups_path: str | Path,

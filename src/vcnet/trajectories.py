@@ -252,9 +252,7 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
     """
     if k < 1 or n_init < 1 or max_iter < 1:
         raise ConfigError(f"k, n_init and max_iter must all be >= 1, got {k}, {n_init}, {max_iter}")
-    if not trajs:
-        return ClusterAssignment(0, "log1p" if log_scale else "raw", {}, {}, {}, {})
-    window = len(trajs[0].values) - 1
+    window = len(trajs[0].values) - 1 if trajs else 0
     w = _quad_weights(window + 1)
     ca = ClusterAssignment(window, "log1p" if log_scale else "raw", {}, {}, {}, {})
 

@@ -100,6 +100,31 @@ MALFORMED_ROWS = {
 }
 
 
+def _edited_json(change):
+    """An edit of a JSON file's bytes: ``change`` alters the decoded object in place."""
+    def edit(raw: bytes) -> bytes:
+        obj = json.loads(raw)
+        change(obj)
+        return json.dumps(obj).encode()
+    return edit
+
+
+#: Hand edits of a finished run that ``vcnet report`` refuses, naming the
+#: edited file: (file, edit of its bytes).
+BEST = "regress/linear_agg_best.json"
+REPORT_EDITS = {
+    "trajectories_status_only": ("manifest.json", _edited_json(
+        lambda m: m["stages"].update(trajectories={"status": "ok"}))),
+    "trajectories_without_share": ("manifest.json", _edited_json(
+        lambda m: m["stages"]["trajectories"].pop("share_high"))),
+    "best_truncated": (BEST, lambda raw: b"{"),
+    "best_not_utf8": (BEST, lambda raw: b"\xff{}"),
+    "best_array": (BEST, lambda raw: b"[]"),
+    "best_without_r2": (BEST, _edited_json(lambda best: best.pop("r2"))),
+    "best_without_covariates": (BEST, _edited_json(lambda best: best.pop("covariates"))),
+}
+
+
 def make_cfg(out_dir, **over):
     raw = {"out_dir": str(out_dir), "synthetic": SYNTH, **FAST, **over}
     return RunConfig.from_dict(raw)
@@ -259,6 +284,17 @@ class TestStageProtocol:
         assert main(["report", "--out_dir", str(out)]) == 2
         assert f"{path}: line {i + 2}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", REPORT_EDITS)
+    def test_report_on_hand_edited_input_exits_2_naming_the_file(self, name, finished_run,
+                                                                 tmp_path, capsys):
+        rel, edit = REPORT_EDITS[name]
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = out / rel
+        path.write_bytes(edit(path.read_bytes()))
+        assert main(["report", "--out_dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_no_linear_diff_fit_leaves_the_stage_ok_without_its_best_fit(self, finished_run,
                                                                          tmp_path):
         # every firm's first round is all it raised, so no firm enters the differential fit
@@ -414,14 +450,41 @@ class TestCliCommands:
         assert (out / "planted_regimes.csv").exists()
 
     def test_csv_inputs_round_through_pipeline_stage(self, tmp_path, capsys):
+        # and a synthetic ingest writes what an ingest of the synth files writes
         src = tmp_path / "inputs"
         assert main(["synth", "--out_dir", str(src), "--synthetic", json.dumps(SYNTH)]) == 0
-        out = tmp_path / "fromcsv"
+        out, from_synth = tmp_path / "fromcsv", tmp_path / "synthetic"
         code = main(["stage", "ingest", "--out_dir", str(out),
                      "--deals_csv", str(src / "deals.csv"),
                      "--firms_csv", str(src / "firms.csv")])
         assert code == 0
         assert (src / "deals.csv").read_bytes() == (out / "ingest" / "deals.csv").read_bytes()
+        assert main(["stage", "ingest", "--out_dir", str(from_synth),
+                     "--synthetic", json.dumps(SYNTH)]) == 0
+        files = tree_files(from_synth / "ingest")
+        assert files.pop("planted_regimes.csv") == (src / "planted_regimes.csv").read_bytes()
+        assert files == tree_files(out / "ingest")
+        entries = [json.loads((run / "manifest.json").read_text())["stages"]["ingest"]
+                   for run in (from_synth, out)]
+        assert [entry.pop("source") for entry in entries] == ["synthetic", "csv"]
+        assert entries[0] == entries[1]
+
+    def test_synthetic_ingest_parses_the_files_it_wrote_once(self, tmp_path, monkeypatch):
+        parsed, real = [], pipeline.parse_deals
+        monkeypatch.setattr(pipeline, "parse_deals", lambda deals, firms: parsed.append(
+            (Path(deals), Path(firms))) or real(deals, firms))
+        run_stage("ingest", make_cfg(tmp_path / "out"))
+        stage_dir = tmp_path / "out" / "ingest"
+        assert parsed == [(stage_dir / "deals.csv", stage_dir / "firms.csv")]
+
+    def test_synthetic_amounts_past_the_limit_are_rejected_like_file_input(self, tmp_path):
+        # exp(50) is far above the largest int64 amount, so every deal is rejected
+        counts = run_stage("ingest", make_cfg(tmp_path / "out",
+                                              synthetic={**SYNTH, "amount_log_mean": 50.0}))
+        rejects = read_table(tmp_path / "out" / "ingest" / "rejects_deals.csv")[1:]
+        assert counts["source"] == "synthetic" and counts["n_deals"] == 0
+        assert counts["n_deal_rejects"] == len(rejects) > 0
+        assert {reason for _, reason in rejects} == {"amount above the limit 9223372036854775807"}
 
     def test_full_run_from_csv_inputs(self, tmp_path, finished_run):
         # the CSV branch must reproduce the synthetic branch's artifacts
@@ -609,6 +672,25 @@ class TestRecordedWarnings:
             f"firm {firm!r} appears in deals but not in firms.csv; synthesized UNKNOWN metadata"
             for firm in missing]
         assert entry["n_firms"] == len(rows)
+
+    def test_one_sweep_failure_of_two_kinds_records_two_messages(self, finished_run, tmp_path,
+                                                                 monkeypatch):
+        # both kinds refit the aggregate fit's first covariate twice, so both fail alike
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        leads, real = [], pipeline.window_sweep
+
+        def doubled(deals, firms, fm, first_amounts, subsectors, configs, *args, **kwargs):
+            leads.append(configs["linear_agg"][0])
+            return real(deals, firms, fm, first_amounts, subsectors,
+                        {kind: (leads[0], leads[0]) for kind in configs}, *args, **kwargs)
+        monkeypatch.setattr(pipeline, "window_sweep", doubled)
+        run_stage("regress", make_cfg(out, sweep_windows=[9, 9]))
+        entry = json.loads((out / "manifest.json").read_text())["stages"]["regress"]
+        failed = f"window 9: fit failed (design matrix is rank deficient; collinear columns: " \
+                 f"{leads[0]})"
+        assert entry["n_warnings"] == 2
+        assert entry["warning_messages"] == [f"linear_agg: {failed}", f"logistic: {failed}"]
 
     def test_library_warning_lists_are_not_copied_into_the_manifest(self, finished_run):
         _, manifest = finished_run

@@ -286,6 +286,12 @@ class TestStackedBalancedEnsemble:
                    if not set(rows) & set(_balanced_rows(minority, majority, 6, a))]
         assert without   # some attempts drew a rank-deficient subsample
 
+    def test_equal_classes_give_the_sorted_union_in_every_attempt(self):
+        minority, majority = np.array([9, 0, 4, 3]), np.array([8, 1, 5, 2])
+        for attempt in range(6):
+            np.testing.assert_array_equal(_balanced_rows(minority, majority, 7, attempt),
+                                          [0, 1, 2, 3, 4, 5, 8, 9])
+
     def test_already_balanced_classes_match_the_oracle(self):
         rng = np.random.default_rng(41)
         x = rng.normal(size=120)
@@ -376,8 +382,9 @@ class TestFitLinear:
         C = rng.normal(size=(n, 1))
         y = X @ np.array([1.0, -0.5]) + 0.3 * C[:, 0] + rng.normal(size=n)
         fit = fit_linear(y, X, C, ["a", "b"], ["ctl"])
-        assert fit.covariate_columns == ["a", "b"]
-        assert fit.control_columns == ["ctl"]
+        # the intercept, the covariates, then the controls
+        assert fit.columns[1:1 + X.shape[1]] == ["a", "b"]
+        assert fit.columns[1 + X.shape[1]:] == ["ctl"]
         assert fit.columns == ["intercept", "a", "b", "ctl"]
         assert fit.f_df == (3, n - 4)
 
@@ -641,7 +648,7 @@ class TestSelectModel:
         fm = fm_from(np.column_stack([signal, noise]), ["signal", "noise"])
         sel = select_model("logistic", y, fm, positions(fm, [("noise",), ("signal",)]))
         assert sel.best.covariates == ("signal",)
-        assert sel.best.score == sel.best.fit.log_likelihood
+        assert sel.results["score"][sel.best.config_id] == sel.best.fit.log_likelihood
 
     def test_rescaling_leaves_ranking_unchanged(self):
         y, fm = self._planted(seed=73)
@@ -718,11 +725,13 @@ class TestWindowSweep:
         failed = "fit failed (design matrix is rank deficient; collinear columns: noise)"
         assert n12 < n5 and res.rows == []
         assert [str(w.message) for w in caught] == [
-            f"window 12: {failed}", f"firm count increased from {n12} to {n5} at window 5",
-            f"window 5: {failed}"]
+            f"linear_agg: window 12: {failed}",
+            f"linear_agg: firm count increased from {n12} to {n5} at window 5",
+            f"linear_agg: window 5: {failed}"]
 
     def test_warnings_follow_windows_then_kinds(self):
-        # each warning is raised as it happens: window 12 for both kinds, then window 5
+        # each warning is raised as it happens: window 12 for both kinds, then window 5;
+        # the same failure of two kinds gives two messages, each naming its kind
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data()
         configs = {"linear_agg": ("noise", "noise"), "logistic": ("noise", "noise")}
         res, messages = recorded(window_sweep, ds.deals, ds.firms, fm, first_amounts,
@@ -731,8 +740,10 @@ class TestWindowSweep:
         assert res["logistic"].firm_counts == {12: n12, 5: n5} and n12 < n5
         failed = "fit failed (design matrix is rank deficient; collinear columns: noise)"
         increased = f"firm count increased from {n12} to {n5} at window 5"
-        assert messages == [f"window 12: {failed}", f"window 12: {failed}",
-                            increased, f"window 5: {failed}", increased, f"window 5: {failed}"]
+        assert messages == [f"linear_agg: window 12: {failed}", f"logistic: window 12: {failed}",
+                            f"linear_agg: {increased}", f"linear_agg: window 5: {failed}",
+                            f"logistic: {increased}", f"logistic: window 5: {failed}"]
+        assert len(set(messages)) == len(messages)
 
     def test_stable_coefficient_for_stationary_process(self):
         ds, ts, fm, first_amounts, subsectors = _synth_pipeline_data(seed=82)
@@ -768,7 +779,7 @@ class TestWindowSweep:
                                {kind: ("log_n_investors",)}, [8, 9, 10], n_init=5)[kind]
         assert res.firm_counts[8] > 0 and res.firm_counts[9] == res.firm_counts[10] == 0
         assert [(w.category, str(w.message)) for w in caught] == [
-            (UserWarning, f"window {w}: fit failed (empty fit sample: no firm to fit "
+            (UserWarning, f"{kind}: window {w}: fit failed (empty fit sample: no firm to fit "
                           f"for a {w}-year window)") for w in (9, 10)]
         assert {r.window for r in res.rows} == {8}
         assert all(clustered) and len(clustered) == (kind == "logistic")
@@ -941,7 +952,7 @@ def _assert_matches_oracle(sel, kind, y, fm, configs, C=None, cnames=None):
     assert len(sel.results) - len(sel.ranked) == sum(1 for r in results if r[2] is None)
     if sel.best is not None:  # the best record reports its refit's score
         fit = sel.best.fit
-        assert sel.best.score == sel.results["score"][sel.best.config_id] == (
+        assert sel.results["score"][sel.best.config_id] == (
             fit.r2 if kind == "linear" else fit.log_likelihood)
         assert sel.best.covariates == configs[sel.best.config_id]
     return results
@@ -1182,7 +1193,7 @@ class TestSelectionMemory:
         names = [f"g{g}_{j}" for g, size in enumerate(sizes) for j in range(size)]
         groups = {name: int(name[1]) + 1 for name in names}
         # no merges: the leaves are the leaf order, so each group lists its members in order
-        configs = enumerate_configs(FeatureGrouping(names, [], groups, len(sizes)))
+        configs = enumerate_configs(FeatureGrouping(names, [], groups))
         n = 80
         fm = fm_from(rng.normal(size=(n, len(names))), names)
         y = fm.data[:, 0] + rng.normal(size=n)
@@ -1230,7 +1241,7 @@ class TestLeaderboardMemory:
         results["score"][::7] = np.nan
         results["error"][::7] = "did not converge"
         ranked = np.argsort(-results["score"])[:len(results) - len(results[::7])]
-        return ModelSelection("linear", [f"c{j:02d}" for j in range(24)],
+        return ModelSelection([f"c{j:02d}" for j in range(24)],
                               rng.integers(0, 24, size=(n, 6)).astype(np.int16), results,
                               ranked, None)
 

@@ -134,6 +134,11 @@ class TestFunctionalKmeans:
         with pytest.raises(ConfigError, match="max_iter"):
             functional_kmeans(trajs, k=2, n_init=3, seed=1, max_iter=max_iter)
 
+    @pytest.mark.parametrize("log_scale,scale", [(True, "log1p"), (False, "raw")])
+    def test_no_trajectories_give_an_empty_assignment_with_window_0(self, log_scale, scale):
+        ca, messages = recorded(functional_kmeans, [], log_scale=log_scale)
+        assert ca == ClusterAssignment(0, scale, {}, {}, {}, {}) and messages == []
+
     def test_small_subsector_all_low_with_warning(self):
         trajs = [flat("only", 10, subsector="tiny")] + [flat(f"b{i}", 10 * i) for i in range(1, 4)]
         ca, messages = recorded(functional_kmeans, trajs, k=2, n_init=3, seed=3)
