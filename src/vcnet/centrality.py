@@ -11,14 +11,17 @@ Each product takes the cheapest exact form. A product whose float sum
 depends on its order (eigenvector, pagerank) is ``np.bincount`` over
 the neighbour lists, which adds each row's neighbours one at a time in
 ascending column order. A product whose sums are whole numbers below
-2**53 (hop-count frontiers, triangle counts, neighbor degrees, k-core
+2**53 (shortest-path counts, triangle counts, neighbor degrees, k-core
 peeling, VoteRank scores) is exact in any order, so it is a dense
 product with ``adjacency``. Betweenness multiplies non-integer shares
 by ``adjacency`` too, so its last bits depend on the BLAS kernel.
 
-The distance measures (betweenness, closeness, harmonic) share one
-all-pairs pass of integer hop counts, and eigenvector and current flow
-one component split, both cached on the ``ProjectedGraph``. Graphs are
+The distance measures (betweenness, closeness, harmonic) read the
+per-node sums of one shortest-path pass, ``ProjectedGraph.paths``, and
+eigenvector and current flow one component split whose labels come
+from that pass, both cached on the ``ProjectedGraph``. Whichever of
+these runs first pays for the whole pass, Brandes' accumulation
+included; in ``compute_frame`` that is betweenness. Graphs are
 typically disconnected, so distance-based measures use
 component-corrected normalizations that stay finite and comparable:
 
@@ -45,8 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, SchemaError
-from .graph import (FIRM, SOURCE_BLOCK, ProjectedGraph, TemporalBipartiteGraph, first_rounds,
-                    two_way)
+from .graph import FIRM, ProjectedGraph, TemporalBipartiteGraph, first_rounds, two_way
 from .ingest import read_records, write_csv
 
 #: Measures computed on both layers, keyed as they appear in covariate names.
@@ -119,7 +121,7 @@ def core_number(pg: ProjectedGraph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Distance measures (all read the projection's cached hop counts, -1 if unreachable)
+# Distance measures (all read the projection's one shortest-path pass)
 # ---------------------------------------------------------------------------
 
 #: Edges per block in ``newman_betweenness``; its work array is block x component size.
@@ -129,48 +131,26 @@ _PINV_RCOND = 1e-10
 
 
 def betweenness(pg: ProjectedGraph) -> np.ndarray:
-    """Shortest-path betweenness with Brandes-style accumulation.
+    """Shortest-path betweenness: the Brandes dependencies of ``pg.paths``.
 
-    Path counts and dependencies are accumulated for a block of sources
-    at a time, one distance level at a time, as adjacency products
-    masked by the hop-distance matrix. Normalized by 2 / ((n-1)(n-2))
-    so that the middle node of a path of three scores exactly 1; pairs
-    in other components contribute nothing.
+    Normalized by 2 / ((n-1)(n-2)) so that the middle node of a path of
+    three scores exactly 1; pairs in other components contribute nothing.
+    The first measure to read ``pg.paths`` pays for its whole pass.
     """
     n = len(pg)
-    if n < 3:
-        return np.zeros(n)
-    A = pg.adjacency
-    bc = np.zeros(n)
-    for lo in range(0, n, SOURCE_BLOCK):
-        D = pg.dist[:, lo:lo + SOURCE_BLOCK]  # column j: distances from source lo + j
-        depth = int(D.max())
-        level = [D == d for d in range(depth + 1)]
-        sigma = level[0].astype(float)  # shortest-path counts from each source
-        for d in range(1, depth + 1):
-            sigma += np.where(level[d], A @ np.where(level[d - 1], sigma, 0.0), 0.0)
-        delta = np.zeros_like(sigma)  # dependencies; sources keep 0
-        for d in range(depth, 1, -1):
-            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level[d])
-            delta += np.where(level[d - 1], sigma * (A @ share), 0.0)
-        bc += delta.sum(axis=1)
-    return bc / ((n - 1) * (n - 2))  # each unordered pair was accumulated twice
+    return pg.paths[0] / ((n - 1) * (n - 2)) if n >= 3 else np.zeros(n)  # each pair twice
 
 
 def closeness(pg: ProjectedGraph) -> np.ndarray:
     """Component-corrected closeness: (r/(n-1)) * (r/total distance)."""
-    n = len(pg)
-    reach = pg.dist > 0  # the other nodes of the same component
-    r = reach.sum(axis=1)
-    total = np.where(reach, pg.dist, 0.0).sum(axis=1)  # integer-valued, so exact in any order
+    _, r, total, _, _ = pg.paths  # total: an exact integer
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(r > 0, (r / (n - 1)) * (r / total), 0.0)
+        return np.where(r > 0, (r / (len(pg) - 1)) * (r / total), 0.0)
 
 
 def harmonic(pg: ProjectedGraph) -> np.ndarray:
     """Sum of inverse distances to the other nodes of the same component, over n - 1."""
-    # Row by row over the reachable entries only: the float sum keeps its order.
-    return np.array([(1.0 / row[row > 0]).sum() for row in pg.dist]) / max(len(pg) - 1, 1)
+    return pg.paths[3] / max(len(pg) - 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -115,11 +115,17 @@ def _success_rate_row(row: list[str]) -> tuple[str, str, float]:
     return row[0], row[1], float(row[2])
 
 
-def _require_keys(path: Path, what: str, obj, keys: tuple[str, ...]) -> None:
-    """Raise ``SchemaError`` naming ``path`` when ``obj`` is not an object holding every key."""
-    missing = [key for key in keys if not isinstance(obj, dict) or key not in obj]
+def _require_keys(path: Path, what: str, obj, types: dict[str, tuple[type, ...]]) -> None:
+    """Raise ``SchemaError`` naming ``path`` unless ``obj`` is an object holding every key
+    of ``types`` with a value of exactly one of the key's types (so no JSON bool passes
+    for a number), a list holding strings only."""
+    missing = [key for key in types if not isinstance(obj, dict) or key not in obj]
     if missing:
         raise SchemaError(f"{path}: {what} lacks {', '.join(missing)}")
+    wrong = [key for key, kinds in types.items() if type(obj[key]) not in kinds
+             or type(obj[key]) is list and not all(type(item) is str for item in obj[key])]
+    if wrong:
+        raise SchemaError(f"{path}: {what} has a value of the wrong type at {', '.join(wrong)}")
 
 
 def _cmd_report(out_dir: str) -> int:
@@ -139,7 +145,7 @@ def _cmd_report(out_dir: str) -> int:
     traj = manifest["stages"].get("trajectories")
     if traj and traj.get("status") == "ok":
         _require_keys(out / "manifest.json", "the ok trajectories entry", traj,
-                      ("n_high", "n_low", "share_high"))
+                      {"n_high": (int,), "n_low": (int,), "share_high": (int, float)})
         print(f"regimes: {traj['n_high']} HIGH / {traj['n_low']} LOW "
               f"(share {traj['share_high']:.4f})")
     best_json = out / "regress" / "linear_agg_best.json"
@@ -148,7 +154,7 @@ def _cmd_report(out_dir: str) -> int:
             best = json.loads(best_json.read_text(encoding="utf-8"))
         except ValueError as exc:  # undecodable bytes too
             raise SchemaError(f"{best_json}: not JSON: {exc}") from exc
-        _require_keys(best_json, "the best fit", best, ("r2", "covariates"))
+        _require_keys(best_json, "the best fit", best, {"r2": (int, float), "covariates": (list,)})
         print(f"best linear (aggregate) config: R^2={best['r2']:.4f}, "
               f"covariates: {', '.join(best['covariates'])}")
     backtest_csv = out / "backtest" / "backtest.csv"

@@ -35,7 +35,7 @@ FIRM = "FIRM"
 INVESTOR = "INVESTOR"
 BOTH = "BOTH"
 
-#: Sources per block of the hop-distance search, and of ``centrality.betweenness``.
+#: Sources per block of the shortest-path pass, ``ProjectedGraph.paths``.
 SOURCE_BLOCK = 128
 
 
@@ -102,8 +102,8 @@ class ProjectedGraph:
     and then by column, so that row v's neighbours are
     ``cols[indptr[v]:indptr[v + 1]]``, ascending; ``indptr``; and
     ``degrees``. On first use: ``adjacency`` (the dense 0/1 float64
-    matrix, rows and columns in ``nodes`` order), ``dist`` (all-pairs
-    hop counts, -1 between components), ``labels`` (component ids) and
+    matrix, rows and columns in ``nodes`` order), ``paths`` (per-node
+    results of one shortest-path pass), ``labels`` (component ids) and
     ``components`` (each component's nodes and edges).
     """
 
@@ -131,44 +131,54 @@ class ProjectedGraph:
         return _read_only(A)
 
     @cached_property
-    def dist(self) -> np.ndarray:
-        """Hop counts by breadth-first search, ``SOURCE_BLOCK`` sources at a time.
+    def paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-node results of one shortest-path pass, read-only and in node order:
+        ``(dependency, reach, hop_sum, inverse_hop_sum, first)``.
 
-        -1 marks an unreachable pair, in the smallest signed integer type
-        that holds ``-n`` (int8 up to 128 nodes, int16 up to 32,768). Each
-        level is one product of the adjacency with the block's frontier
-        (Kepner & Gilbert 2011), in float32: it only tells a node with
-        frontier neighbours from one without, and a sum of ones is never 0.
+        A node's Brandes dependency summed over every source (Brandes 2001);
+        then, from the node, how many others it reaches, the sum of their hop
+        counts (int64) and of their inverse hop counts, and the smallest index
+        it reaches. Sources go ``SOURCE_BLOCK`` at a time; each level of the
+        search is one product of ``adjacency`` with the frontier's path counts
+        (Kepner & Gilbert 2011), whole numbers below 2**53, so exact in any
+        order. A block's hop counts (-1 unreachable) are one n x block array in
+        the smallest signed type holding ``-n`` (int8 up to 128 nodes), and the
+        backward accumulation runs over the levels the search found.
         """
         n = len(self)
-        A = self.adjacency.astype(np.float32)
-        dist = np.empty((n, n), dtype=np.min_scalar_type(-max(n, 1)))
+        A = self.adjacency
+        dependency, inverse = np.zeros(n), np.zeros(n)
+        reach, hop_sum, first = (np.zeros(n, dtype=np.int64) for _ in range(3))
         for lo in range(0, n, SOURCE_BLOCK):
-            sources = np.arange(lo, min(lo + SOURCE_BLOCK, n))
-            block = np.full((n, sources.size), -1, dtype=dist.dtype)  # column j: from lo + j
-            block[sources, sources - lo] = 0
-            unseen = block < 0
-            frontier = (~unseen).astype(np.float32)
-            for level in range(1, n):  # a hop count is below n
-                reached = (A @ frontier).astype(bool) & unseen
+            hi = min(lo + SOURCE_BLOCK, n)
+            hops = np.full((n, hi - lo), -1, dtype=np.min_scalar_type(-n))  # column j: from lo + j
+            hops[np.arange(lo, hi), np.arange(hi - lo)] = 0
+            level = [hops == 0]
+            sigma = level[0].astype(float)  # shortest-path counts from each source
+            while True:
+                counts = A @ np.where(level[-1], sigma, 0.0)
+                reached = (counts > 0) & (hops < 0)
                 if not reached.any():
                     break
-                block[reached] = level
-                unseen &= ~reached
-                frontier = reached.astype(np.float32)
-            dist[lo:lo + sources.size] = block.T
-        return _read_only(dist)
+                hops[reached] = len(level)
+                sigma += np.where(reached, counts, 0.0)
+                level.append(reached)
+            delta = np.zeros_like(sigma)  # dependencies; sources keep 0
+            for d in range(len(level) - 1, 1, -1):
+                share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level[d])
+                delta += np.where(level[d - 1], sigma * (A @ share), 0.0)
+            dependency += delta.sum(axis=1)
+            reach[lo:hi] = (hops > 0).sum(axis=0)
+            hop_sum[lo:hi] = np.where(hops > 0, hops, 0).sum(axis=0)
+            # Row by row over the reachable entries only, so each float sum keeps its order.
+            inverse[lo:hi] = [(1.0 / row[row > 0]).sum() for row in np.ascontiguousarray(hops.T)]
+            first[lo:hi] = (hops >= 0).argmax(axis=0)
+        return tuple(map(_read_only, (dependency, reach, hop_sum, inverse, first)))
 
     @cached_property
     def labels(self) -> np.ndarray:
-        """Component labels, numbered in the order of each component's smallest index.
-
-        A node's component is its smallest reachable index in ``dist``.
-        """
-        if len(self) == 0:
-            return _read_only(np.zeros(0, dtype=np.intp))
-        first = (self.dist >= 0).argmax(axis=1)
-        return _read_only(np.unique(first, return_inverse=True)[1])
+        """Component labels, numbered in the order of each component's smallest index."""
+        return _read_only(np.unique(self.paths[4], return_inverse=True)[1])
 
     @cached_property
     def components(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

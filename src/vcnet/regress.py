@@ -604,8 +604,11 @@ def _columns(M: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _fit_stack(kind: str, y: np.ndarray, full: np.ndarray,
                factor: tuple[np.ndarray, np.ndarray, float], cols: np.ndarray,
-               names: list[list[str]]) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+               names: list[str]) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
     """Scores, coefficients and error texts of the designs ``full[:, cols[b]]``.
+
+    ``names`` are the columns of ``full``, read only to name the
+    collinear columns of a rank-deficient design.
 
     ``factor`` is ``(R, Qᵀy, ‖y − QQᵀy‖²)`` of ``full = QR``. Rank and
     linear fits run on the R columns; logistic fits iterate on the full
@@ -626,7 +629,8 @@ def _fit_stack(kind: str, y: np.ndarray, full: np.ndarray,
     small = _columns(rmat, cols)
     ok = _full_rank(small, len(y))
     errors: list[str | None] = [
-        None if rank_ok else str(RankDeficientError(_collinear_columns(full[:, cols[b]], names[b])))
+        None if rank_ok else str(RankDeficientError(
+            _collinear_columns(full[:, cols[b]], [names[c] for c in cols[b]])))
         for b, rank_ok in enumerate(ok)]
     fit_idx = np.flatnonzero(ok)
     if not fit_idx.size:
@@ -698,12 +702,12 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix, configs: np
     factor = (rmat, qty, float(resid @ resid))
     n_configs, g = configs.shape
     ctl_idx = np.arange(1 + fm.data.shape[1], full.shape[1])
+    names = [INTERCEPT, *fm.columns, *ctl_names]
 
     results = np.empty(n_configs,
                        dtype=[("score", float), ("coef", float, (g,)), ("error", object)])
     for start in range(0, n_configs, SELECT_CHUNK):
         chunk = configs[start:start + SELECT_CHUNK]
-        names = [[INTERCEPT, *(fm.columns[p] for p in row), *ctl_names] for row in chunk.tolist()]
         cols = np.column_stack([np.zeros(len(chunk), dtype=np.intp), 1 + chunk.astype(np.intp),
                                 np.tile(ctl_idx, (len(chunk), 1))])
         scores, coefs, errors = _fit_stack(kind, y, full, factor, cols, names)

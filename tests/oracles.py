@@ -424,6 +424,62 @@ def csr_betweenness(pg):
     return bc / ((n - 1) * (n - 2))
 
 
+def dense_path_measures(pg):
+    """(betweenness, closeness, harmonic, labels) from two traversals over a dense
+    n x n hop matrix, the route the one shortest-path pass must match byte for byte.
+
+    First a float32 breadth-first search of hop counts by blocks of
+    ``SOURCE_BLOCK`` sources (-1 unreachable, in the smallest signed type that
+    holds -n); then betweenness walks the levels ``D == d`` of the matrix again
+    in float64 to count paths, before Brandes' backward accumulation; closeness,
+    harmonic and the labels read the matrix row by row.
+    """
+    from vcnet.graph import SOURCE_BLOCK
+    n = len(pg)
+    A = pg.adjacency
+    A32 = A.astype(np.float32)
+    dist = np.empty((n, n), dtype=np.min_scalar_type(-max(n, 1)))
+    for lo in range(0, n, SOURCE_BLOCK):
+        sources = np.arange(lo, min(lo + SOURCE_BLOCK, n))
+        block = np.full((n, sources.size), -1, dtype=dist.dtype)
+        block[sources, sources - lo] = 0
+        unseen = block < 0
+        frontier = (~unseen).astype(np.float32)
+        for level in range(1, n):
+            reached = (A32 @ frontier).astype(bool) & unseen
+            if not reached.any():
+                break
+            block[reached] = level
+            unseen &= ~reached
+            frontier = reached.astype(np.float32)
+        dist[lo:lo + sources.size] = block.T
+    bc = np.zeros(n)
+    for lo in range(0, n if n >= 3 else 0, SOURCE_BLOCK):
+        D = dist[:, lo:lo + SOURCE_BLOCK]
+        depth = int(D.max())
+        level = [D == d for d in range(depth + 1)]
+        sigma = level[0].astype(float)
+        for d in range(1, depth + 1):
+            sigma += np.where(level[d], A @ np.where(level[d - 1], sigma, 0.0), 0.0)
+        delta = np.zeros_like(sigma)
+        for d in range(depth, 1, -1):
+            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level[d])
+            delta += np.where(level[d - 1], sigma * (A @ share), 0.0)
+        bc += delta.sum(axis=1)
+    betweenness = bc / ((n - 1) * (n - 2)) if n >= 3 else np.zeros(n)
+    reach = dist > 0
+    r = reach.sum(axis=1)
+    total = np.where(reach, dist, 0.0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closeness = np.where(r > 0, (r / (n - 1)) * (r / total), 0.0)
+    harmonic = np.array([(1.0 / row[row > 0]).sum() for row in dist]) / max(n - 1, 1)
+    if n == 0:
+        labels = np.zeros(0, dtype=np.intp)
+    else:
+        labels = np.unique((dist >= 0).argmax(axis=1), return_inverse=True)[1]
+    return betweenness, closeness, harmonic, labels
+
+
 def csr_eigenvector(pg, tol=1e-10, max_iter=10000):
     """Power iteration on A + I per ``csgraph.connected_components`` component."""
     from scipy.sparse import csgraph

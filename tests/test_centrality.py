@@ -11,7 +11,7 @@ from scipy.sparse import csgraph, triu
 from oracles import (ALL_MEASURE_ORACLES, CSR_MEASURES, bf_average_neighbor_degree,
                      bf_betweenness, bf_brandes_betweenness, bf_closeness, bf_clustering,
                      bf_core_number, bf_current_flow_betweenness, bf_harmonic, bf_voterank,
-                     csgraph_current_flow_betweenness, csr_adjacency)
+                     csgraph_current_flow_betweenness, csr_adjacency, dense_path_measures)
 from conftest import (by_node, deal, edge_names, make_pg, random_multi_component_pg, random_pg,
                       random_tree_pg)
 
@@ -259,17 +259,42 @@ def _ladder_pg(rungs=40):
     return make_pg(2 * rungs, edges)
 
 
-def _hop_dtype(n):
-    """The smallest signed integer type that holds -n, for the graphs of these tests."""
-    return np.int8 if n <= 128 else np.int16
+def _three_block_pg():
+    return random_multi_component_pg(np.random.default_rng(900), 2 * SOURCE_BLOCK + 7)
+
+
+def _diamond_chain_pg(diamonds=45):
+    """hub 0 - {a, b} - hub 3 - {a, b} - hub 6 ...: 2**k shortest paths across k diamonds."""
+    edges = []
+    for d in range(diamonds):
+        h, a, b, nxt = 3 * d, 3 * d + 1, 3 * d + 2, 3 * d + 3
+        edges += [(h, a), (h, b), (a, nxt), (b, nxt)]
+    return make_pg(3 * diamonds + 1, edges)
+
+
+def _path_pg(n):
+    return make_pg([f"v{i:03d}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
 def _assert_csgraph_distances(pg):
-    """The breadth-first hop counts equal scipy's distances, -1 read as ``inf``, and
-    are held in the smallest signed integer type that holds -n."""
+    """The pass's reach counts, integer hop sums and inverse-hop sums equal those of
+    scipy's distances to the last bit, each taken row by row in node order."""
     expected = csgraph.shortest_path(csr_adjacency(pg), directed=False, unweighted=True)
-    assert pg.dist.dtype == _hop_dtype(len(pg))
-    assert np.array_equal(np.where(pg.dist == -1, np.inf, pg.dist), expected)
+    rows = [row[np.isfinite(row) & (row > 0)] for row in expected]
+    _, reach, hop_sum, inverse_hop_sum, _ = pg.paths
+    assert reach.tolist() == [row.size for row in rows]
+    assert hop_sum.dtype == np.int64
+    assert hop_sum.tolist() == [int(row.sum()) for row in rows]
+    assert inverse_hop_sum.tobytes() == np.array([(1.0 / row).sum() for row in rows]).tobytes()
+
+
+def _assert_dense_route_bytes(pg):
+    """Betweenness, closeness, harmonic and the component labels equal the dense
+    two-traversal route's to the last bit, in the same types."""
+    got = (C.betweenness(pg), C.closeness(pg), C.harmonic(pg), pg.labels)
+    for name, value, reference in zip(("betweenness", "closeness", "harmonic", "labels"), got,
+                                      dense_path_measures(pg)):
+        assert value.dtype == reference.dtype and value.tobytes() == reference.tobytes(), name
 
 
 def _assert_csgraph_labels_and_current_flow(pg):
@@ -341,8 +366,7 @@ class TestReferenceGraphs:
 
     def test_distances_equal_csgraph_on_ladder_and_over_three_source_blocks(self):
         _assert_csgraph_distances(_ladder_pg())
-        big = random_multi_component_pg(np.random.default_rng(900), 2 * SOURCE_BLOCK + 7)
-        _assert_csgraph_distances(big)
+        _assert_csgraph_distances(_three_block_pg())
 
     @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (2, []), (2, [(0, 1)])])
     def test_distances_equal_csgraph_on_tiny_graphs(self, n, edges):
@@ -350,10 +374,39 @@ class TestReferenceGraphs:
 
     @pytest.mark.parametrize("n, dtype", [(128, np.int8), (129, np.int16)])
     def test_hop_counts_in_smallest_type_holding_minus_n(self, n, dtype):
-        pg = make_pg([f"v{i:03d}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
-        assert pg.dist.dtype == dtype
-        assert pg.dist[0, n - 1] == pg.dist[n - 1, 0] == n - 1
+        # The longest hop count, n - 1 between the two ends, is int8's largest value at
+        # 128 nodes and one past it at 129, which needs int16: a count wrapped to -128
+        # would drop out of the ends' reach and hop sums.
+        assert (n - 1 <= np.iinfo(np.int8).max) == (dtype == np.int8)
+        pg = _path_pg(n)
+        _, reach, hop_sum, _, _ = pg.paths
+        assert reach[0] == reach[n - 1] == n - 1
+        assert hop_sum[0] == hop_sum[n - 1] == n * (n - 1) // 2
         _assert_csgraph_distances(pg)
+
+    def test_distance_measures_over_three_source_blocks(self):
+        # dependencies carried across three blocks of sources, the last of 7
+        pg = _three_block_pg()
+        _assert_matches(by_node(pg, C.betweenness(pg)), bf_brandes_betweenness(pg), "betweenness")
+        _assert_matches(by_node(pg, C.closeness(pg)), bf_closeness(pg), "closeness")
+        _assert_matches(by_node(pg, C.harmonic(pg)), bf_harmonic(pg), "harmonic")
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_pass_equals_dense_route_bytes_on_multi_component_graphs(self, k):
+        _assert_dense_route_bytes(_multi_component_pg(k))
+
+    def test_pass_equals_dense_route_bytes_on_ladder_diamonds_and_three_source_blocks(self):
+        for pg in (_ladder_pg(), _diamond_chain_pg(), _three_block_pg()):
+            _assert_dense_route_bytes(pg)
+
+    @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (2, []), (2, [(0, 1)]), (4, []),
+                                          (5, [(0, 1)]), (6, [(3, 4), (4, 5), (5, 3)])])
+    def test_pass_equals_dense_route_bytes_on_tiny_graphs(self, n, edges):
+        _assert_dense_route_bytes(make_pg(n, edges))
+
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_pass_equals_dense_route_bytes_on_paths_at_the_int8_boundary(self, n):
+        _assert_dense_route_bytes(_path_pg(n))
 
     @pytest.mark.parametrize("k", range(20))
     def test_labels_and_current_flow_equal_csgraph_on_multi_component_graphs(self, k):
@@ -413,13 +466,7 @@ class TestReferenceGraphs:
         _assert_matches(by_node(pg, C.betweenness(pg)), bf_brandes_betweenness(pg), "betweenness")
 
     def test_diamond_chain_path_counts_double_per_diamond(self):
-        # hub 0 - {a, b} - hub 3 - {a, b} - hub 6 ...: 2**k shortest paths across k diamonds
-        diamonds = 45
-        edges = []
-        for d in range(diamonds):
-            h, a, b, nxt = 3 * d, 3 * d + 1, 3 * d + 2, 3 * d + 3
-            edges += [(h, a), (h, b), (a, nxt), (b, nxt)]
-        pg = make_pg(3 * diamonds + 1, edges)
+        pg = _diamond_chain_pg()
         _assert_matches(by_node(pg, C.betweenness(pg)), bf_brandes_betweenness(pg), "betweenness")
 
     def test_current_flow_over_several_edge_blocks(self):

@@ -122,6 +122,18 @@ REPORT_EDITS = {
     "best_array": (BEST, lambda raw: b"[]"),
     "best_without_r2": (BEST, _edited_json(lambda best: best.pop("r2"))),
     "best_without_covariates": (BEST, _edited_json(lambda best: best.pop("covariates"))),
+    "trajectories_share_text": ("manifest.json", _edited_json(
+        lambda m: m["stages"]["trajectories"].update(share_high="x"))),
+    "trajectories_share_bool": ("manifest.json", _edited_json(
+        lambda m: m["stages"]["trajectories"].update(share_high=True))),
+    "trajectories_n_high_real": ("manifest.json", _edited_json(
+        lambda m: m["stages"]["trajectories"].update(n_high=1.5))),
+    "trajectories_n_low_null": ("manifest.json", _edited_json(
+        lambda m: m["stages"]["trajectories"].update(n_low=None))),
+    "best_covariates_numbers": (BEST, _edited_json(lambda best: best.update(covariates=[1, 2]))),
+    "best_covariates_text": (BEST, _edited_json(lambda best: best.update(covariates="a"))),
+    "best_r2_null": (BEST, _edited_json(lambda best: best.update(r2=None))),
+    "best_r2_bool": (BEST, _edited_json(lambda best: best.update(r2=False))),
 }
 
 

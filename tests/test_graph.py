@@ -235,8 +235,10 @@ class TestProjectionArrays:
         pg = project_firms(g, 2010, 7) if layer == FIRM else project_investors(g, 2010)
         assert pg.n_edges() > 0
         shared = {"rows": pg.rows, "cols": pg.cols, "indptr": pg.indptr,
-                  "degrees": pg.degrees, "adjacency": pg.adjacency, "dist": pg.dist,
-                  "labels": pg.labels}
+                  "degrees": pg.degrees, "adjacency": pg.adjacency, "labels": pg.labels}
+        assert isinstance(pg.paths, tuple) and len(pg.paths) == 5
+        for i, array in enumerate(pg.paths):
+            shared[f"paths[{i}]"] = array
         assert isinstance(pg.components, tuple)
         for c, (nodes, edges) in enumerate(pg.components):
             shared[f"components[{c}].nodes"], shared[f"components[{c}].edges"] = nodes, edges
@@ -244,7 +246,7 @@ class TestProjectionArrays:
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):
                 array[...] = 0
-        assert pg.dist is pg.dist and pg.labels is pg.labels and pg.components is pg.components
+        assert pg.paths is pg.paths and pg.labels is pg.labels and pg.components is pg.components
         assert pg.adjacency is pg.adjacency and pg.degrees is pg.degrees
         assert pg.rows is pg.rows and pg.cols is pg.cols and pg.indptr is pg.indptr
 
