@@ -28,6 +28,9 @@ ASCENDING_MEASURES = frozenset({"voterank"})
 
 SUPPORTED_HORIZONS = (6, 7, 8)
 
+BACKTEST_HEADER = ["measure", "start_year", "success_rate", "p_value", "rate_sd", "n_selected",
+                   "pool_size", "pool_successes", "short_pool", "group"]
+
 
 def _log_choose(a: int, b: int) -> float:
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
@@ -139,5 +142,4 @@ def write_backtest_csv(reports: list[BacktestReport], path: str | Path) -> None:
                     for y in rep.years)
         rows.append([rep.measure, "ALL", rep.mean_rate, None, rep.sd_rate,
                      None, None, None, None, rep.group])
-    write_csv(path, ["measure", "start_year", "success_rate", "p_value", "rate_sd", "n_selected",
-                     "pool_size", "pool_successes", "short_pool", "group"], rows)
+    write_csv(path, BACKTEST_HEADER, rows)

@@ -381,17 +381,18 @@ def assemble_covariates(firm_frame: CentralityFrame, investor_frame: CentralityF
 # CSV round-trips for pipeline stages
 # ---------------------------------------------------------------------------
 
-_FRAME_COLUMNS = list(COMMON_MEASURES) + list(FIRM_ONLY_MEASURES)
+FRAMES_HEADER = ["year", "layer", "node", *COMMON_MEASURES, *FIRM_ONLY_MEASURES]
+COVARIATES_HEADER = ["firm_id", "first_year", *covariate_columns(), "investor_measures_missing"]
 
 
 def write_frames_csv(frames: list[CentralityFrame], path: str | Path) -> None:
     """One row per node of every frame; a measure the frame lacks is a blank column."""
-    write_csv(path, ["year", "layer", "node"] + _FRAME_COLUMNS, (
+    write_csv(path, FRAMES_HEADER, (
         [frame.snapshot_year, frame.layer, *cells]
         for frame in sorted(frames, key=lambda f: (f.snapshot_year, f.layer))
         for cells in zip(frame.nodes, *(frame.measures[m].astype(float).tolist()
                                         if m in frame.measures else repeat(None)
-                                        for m in _FRAME_COLUMNS))))
+                                        for m in FRAMES_HEADER[3:]))))
 
 
 def _frame_row(row: list[str]) -> tuple[tuple[int, str, tuple[bool, ...]], str, list[float]]:
@@ -409,7 +410,7 @@ def read_frames_csv(path: str | Path) -> dict[tuple[int, str], CentralityFrame]:
     frame's rows, or holds other measures than its frame's first row,
     raises ``SchemaError`` naming the file and the line.
     """
-    header, rows = read_records(path, _frame_row)
+    _, rows = read_records(path, FRAMES_HEADER, _frame_row)
     frames: dict[tuple[int, str], CentralityFrame] = {}
     for (year, layer, held), group in groupby(rows, key=lambda item: item[1][0]):
         lines, records = zip(*group)
@@ -418,13 +419,13 @@ def read_frames_csv(path: str | Path) -> dict[tuple[int, str], CentralityFrame]:
                               f"after another frame's or hold other measures")
         nodes, *columns = zip(*((node, *values) for _, node, values in records))
         frames[year, layer] = CentralityFrame(year, layer, nodes, {
-            m: np.array(column) for m, column in zip(compress(header[3:], held), columns)})
+            m: np.array(column) for m, column in zip(compress(FRAMES_HEADER[3:], held), columns)})
     return frames
 
 
 def write_covariates_csv(rows: list[FirmCovariates], path: str | Path) -> None:
-    cols = covariate_columns()
-    write_csv(path, ["firm_id", "first_year"] + cols + ["investor_measures_missing"], (
+    cols = COVARIATES_HEADER[2:-1]
+    write_csv(path, COVARIATES_HEADER, (
         [r.firm_id, r.first_year] + [float(r.values[c]) for c in cols]
         + [int(r.investor_measures_missing)]
         for r in sorted(rows, key=lambda r: r.firm_id)))
@@ -437,7 +438,7 @@ def _covariate_row(row: list[str]) -> tuple[str, int, list[float], bool]:
 
 
 def read_covariates_csv(path: str | Path) -> list[FirmCovariates]:
-    header, rows = read_records(path, _covariate_row)
-    cols = header[2:-1]
+    _, rows = read_records(path, COVARIATES_HEADER, _covariate_row)
+    cols = COVARIATES_HEADER[2:-1]
     return [FirmCovariates(firm, year, dict(zip(cols, values)), missing)
             for _, (firm, year, values, missing) in rows]

@@ -17,6 +17,7 @@ import sys
 import typing
 from pathlib import Path
 
+from .backtest import BACKTEST_HEADER
 from .errors import ConfigError, MissingArtifactError, SchemaError, VcnetError
 from .ingest import generate_synthetic, read_records, write_synthetic
 from .pipeline import STAGES, RunConfig, load_manifest, run_pipeline, run_stage
@@ -159,7 +160,7 @@ def _cmd_report(out_dir: str) -> int:
               f"covariates: {', '.join(best['covariates'])}")
     backtest_csv = out / "backtest" / "backtest.csv"
     if backtest_csv.exists():
-        _, records = read_records(backtest_csv, _success_rate_row)
+        _, records = read_records(backtest_csv, BACKTEST_HEADER, _success_rate_row)
         rows = sorted(((measure, rate) for _, (measure, start, rate) in records if start == "ALL"),
                       key=lambda r: -r[1])
         print("backtest mean success rates:")

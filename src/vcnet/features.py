@@ -210,21 +210,31 @@ def enumerate_configs(fg: FeatureGrouping) -> np.ndarray:
 # Stage artifacts
 # ---------------------------------------------------------------------------
 
+GROUPS_HEADER = ["covariate", "group"]
+DENDROGRAM_HEADER = ["step", "left", "right", "height"]
+
+
+def features_header(columns: list[str]) -> list[str]:
+    """The header of ``features.csv`` over the covariate ``columns``."""
+    return ["firm_id", *columns]
+
+
 def write_grouping_csv(fg: FeatureGrouping, path: str | Path) -> None:
-    write_csv(path, ["covariate", "group"], ([col, fg.groups[col]] for col in fg.leaves))
+    write_csv(path, GROUPS_HEADER, ([col, fg.groups[col]] for col in fg.leaves))
 
 
 def write_dendrogram_csv(fg: FeatureGrouping, path: str | Path) -> None:
-    write_csv(path, ["step", "left", "right", "height"], fg.merges)
+    write_csv(path, DENDROGRAM_HEADER, fg.merges)
 
 
 def write_feature_matrix_csv(fm: FeatureMatrix, path: str | Path) -> None:
-    write_csv(path, ["firm_id"] + fm.columns,
+    write_csv(path, features_header(fm.columns),
               ([rid] + row for rid, row in zip(fm.row_ids, fm.data.tolist())))
 
 
 def read_feature_matrix_csv(path: str | Path) -> FeatureMatrix:
-    header, rows = read_records(path, lambda row: (row[0], [float(x) for x in row[1:]]))
+    header, rows = read_records(path, lambda header: features_header(header[1:]),
+                                lambda row: (row[0], [float(x) for x in row[1:]]))
     records = [record for _, record in rows]
     data = np.array([values for _, values in records], dtype=float)
     return FeatureMatrix([rid for rid, _ in records], header[1:],
@@ -249,9 +259,11 @@ def read_grouping(dendrogram_path: str | Path, groups_path: str | Path) -> Featu
     mismatch = f"{groups_path}: the groups are not the cut of the merges in {dendrogram_path}"
     try:
         groups = dict(record for _, record in
-                      read_records(groups_path, lambda row: (row[0], int(row[1])))[1])
-        merges = [merge for _, merge in read_records(dendrogram_path, lambda row: (
-            int(row[0]), int(row[1]), int(row[2]), float(row[3])))[1]]
+                      read_records(groups_path, GROUPS_HEADER,
+                                   lambda row: (row[0], int(row[1])))[1])
+        merges = [merge for _, merge in read_records(dendrogram_path, DENDROGRAM_HEADER,
+                                                     lambda row: (int(row[0]), int(row[1]),
+                                                                  int(row[2]), float(row[3])))[1]]
         fg = cut_groups(FeatureGrouping(list(groups), merges), len(set(groups.values())))
     except SchemaError as exc:
         raise SchemaError(f"{exc} (the grouping of {groups_path} and {dendrogram_path})") from exc

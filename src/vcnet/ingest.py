@@ -287,18 +287,25 @@ def iter_csv(source: str | Path) -> Iterator[tuple[int, list[str]]]:
             raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from exc
 
 
-def read_records(path: str | Path, convert: Callable[[list[str]], Any]
+def read_records(path: str | Path, columns: list[str] | Callable[[list[str]], list[str]],
+                 convert: Callable[[list[str]], Any]
                  ) -> tuple[list[str], Iterator[tuple[int, Any]]]:
     """The header of a stage artifact, then ``(line, convert(row))`` for each data row, lazily.
 
-    A file without a header, a row with another field count than the
-    header, and a row whose cells ``convert`` rejects with ``ValueError``
-    raise ``SchemaError`` naming the file and the line.
+    ``columns`` is the header the file must have, or a function from the
+    file's header to the header it must have. A file without that header,
+    a row with another field count than the header, and a row whose cells
+    ``convert`` rejects with ``ValueError`` raise ``SchemaError`` naming
+    the file and the line.
     """
     rows = iter_csv(path)
     _, header = next(rows, (1, None))
     if header is None:
         raise SchemaError(f"{path}: line 1: no header")
+    want = columns(header) if callable(columns) else columns
+    if header != want:
+        raise SchemaError(f"{path}: line 1: header must be {','.join(want)!r}, "
+                          f"got {','.join(header)!r}")
 
     def records():
         for line, row in rows:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backtest import run_strategy, write_backtest_csv
+from .backtest import SUPPORTED_HORIZONS, run_strategy, write_backtest_csv
 from .centrality import (COMMON_MEASURES, FIRM_ONLY_MEASURES, assemble_covariates, compute_frame,
                          covariate_columns, read_covariates_csv, read_frames_csv,
                          write_covariates_csv, write_frames_csv)
@@ -90,8 +90,8 @@ class RunConfig:
         if min(self.dendrogram_k, self.kmeans_k, self.kmeans_inits,
                self.balance_reps, self.top_n) < 1:
             raise ConfigError("dendrogram_k, kmeans_k, kmeans_inits, balance_reps and top_n must be >= 1")
-        if self.horizon not in (6, 7, 8):
-            raise ConfigError(f"horizon must be one of (6, 7, 8), got {self.horizon}")
+        if self.horizon not in SUPPORTED_HORIZONS:
+            raise ConfigError(f"horizon must be one of {SUPPORTED_HORIZONS}, got {self.horizon}")
         lo, hi = self.start_years
         if lo > hi:
             raise ConfigError(f"start_years range {self.start_years} is empty")

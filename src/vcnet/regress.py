@@ -11,8 +11,9 @@ Model selection fits one covariate per dendrogram group for every
 configuration and ranks logistic fits by log-likelihood and linear fits
 by R^2. Every design is a column subset of one full design
 ``Z = [1, F, C] = QR``, factored once per selection (Furnival & Wilson
-1974): rank is decided on a configuration's ``R`` columns, a linear fit
-runs the single-fit QR kernel on ``R[:, S]`` against ``Qᵀy``, and a
+1974), and the checks that read only the response also run once per
+selection. Rank is decided on a configuration's ``R`` columns, a linear
+fit runs the single-fit QR kernel on ``R[:, S]`` against ``Qᵀy``, and a
 logistic fit runs the single-fit IRLS kernel on the full design, in
 fixed-size chunks whose result does not depend on the chunk. Each keeps
 only its score and covariate coefficients; scores within a relative
@@ -199,14 +200,14 @@ def _total_ss(y: np.ndarray) -> float:
     return tss
 
 
-def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked ``solve``; a singular matrix fails only its own system.
 
     Returns the solutions and the mask of failed systems, whose solution
-    is zero; the mask is ``None`` when every system was solved.
+    is zero.
     """
     try:
-        return np.linalg.solve(a, b), None
+        return np.linalg.solve(a, b), np.zeros(len(a), dtype=bool)
     except np.linalg.LinAlgError:
         out = np.zeros(b.shape)
         failed = np.ones(len(a), dtype=bool)
@@ -243,9 +244,7 @@ def _irls(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         info = stack_t @ (stack * (mu * (1.0 - mu)))
         step, failed = _solve_each(info, stack_t @ (y_col - mu))
         b += step
-        dead = ~np.isfinite(b).all(axis=(1, 2))
-        if failed is not None:
-            dead |= failed
+        dead = failed | ~np.isfinite(b).all(axis=(1, 2))
         done = np.abs(step).max(axis=(1, 2)) < IRLS_TOL
         if not (done.any() or dead.any()):
             continue
@@ -272,6 +271,12 @@ def _separated(beta: np.ndarray) -> np.ndarray:
     return np.abs(beta).max(axis=1) > SEPARATION_BOUND
 
 
+def _ratio(beta: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """z or t statistics ``beta / se``; an infinity of ``beta``'s sign where ``se`` is not > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(se > 0, beta / se, np.inf * np.sign(beta))
+
+
 def _wald(designs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wald standard errors, z statistics and p-values, each (B, q), of logistic fits.
 
@@ -283,10 +288,8 @@ def _wald(designs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     info = designs.mT @ (designs * (mu * (1.0 - mu)))
     cov, failed = _solve_each(info, np.broadcast_to(np.eye(designs.shape[2]), info.shape))
     se = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
-    if failed is not None:
-        se[failed] = np.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, beta / se, np.inf * np.sign(beta))
+    se[failed] = np.nan
+    z = _ratio(beta, se)
     return se, z, _wald_p(z)
 
 
@@ -301,6 +304,18 @@ def _ols(designs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     beta = np.linalg.solve(rmat, qmat.mT @ y[:, None])
     resid = y - (designs @ beta)[:, :, 0]
     return beta[:, :, 0], (resid * resid).sum(axis=1), rmat
+
+
+def _block(n: int, M: np.ndarray | None, names: list[str] | None,
+           prefix: str) -> tuple[np.ndarray, list[str]]:
+    """An (n, k) float column block and its k names, ``prefix`` and the position when
+    ``names`` is None; k = 0 when ``M`` is absent or empty. A 1-D ``M`` is one column."""
+    if M is None or not np.size(M):
+        return np.empty((n, 0)), []
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 1:
+        M = M.reshape(-1, 1)
+    return M, list(names) if names is not None else [f"{prefix}{j}" for j in range(M.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +338,6 @@ class LogisticFit:
     separated: bool
 
 
-def _logistic_names(columns: list[str] | None, n_cols: int) -> list[str]:
-    return [INTERCEPT] + (list(columns) if columns is not None else
-                          [f"x{j}" for j in range(n_cols)])
-
-
 def fit_logistic(y: np.ndarray, X: np.ndarray, columns: list[str] | None = None) -> LogisticFit:
     """Maximum-likelihood logistic regression of a binary response.
 
@@ -337,22 +347,19 @@ def fit_logistic(y: np.ndarray, X: np.ndarray, columns: list[str] | None = None)
     raised; rank-deficient designs raise ``RankDeficientError``.
     """
     y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
     n = len(y)
     ll_null = _null_log_likelihood(y)
-    names = _logistic_names(columns, X.shape[1])
-    design = np.column_stack([np.ones(n), X])
+    X, cov_names = _block(n, X, columns, "x")
+    names = [INTERCEPT, *cov_names]
+    design = np.hstack([np.ones((n, 1)), X])
     _check_rank(design, names)
 
     betas, n_iters, convergeds = _irls(design[None], y)
-    beta = betas[0]
     separated = bool(_separated(betas)[0])
     ll = float(_log_likelihood(design[None], betas, y)[0])
     se, z, p = (a[0] for a in _wald(design[None], betas))
     return LogisticFit(
-        columns=names, coef=beta, se=se, z=z, p=p,
+        columns=names, coef=betas[0], se=se, z=z, p=p,
         log_likelihood=ll, null_log_likelihood=float(ll_null),
         pseudo_r2=1.0 - ll / ll_null, n=n, n_iter=int(n_iters[0]),
         converged=bool(convergeds[0]) and not separated, separated=separated,
@@ -397,9 +404,7 @@ def balanced_ensemble(y: np.ndarray, X: np.ndarray, n_reps: int = 1000, seed: in
     replicates are kept in attempt order.
     """
     y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
+    X, cov_names = _block(len(y), X, columns, "x")
     ones = np.flatnonzero(y == 1.0)
     zeros = np.flatnonzero(y == 0.0)
     minority, majority = (ones, zeros) if len(ones) <= len(zeros) else (zeros, ones)
@@ -407,7 +412,7 @@ def balanced_ensemble(y: np.ndarray, X: np.ndarray, n_reps: int = 1000, seed: in
         raise ConfigError(
             f"minority class has {len(minority)} rows; need at least {X.shape[1] + 1}")
 
-    design = np.column_stack([np.ones(len(y)), X])
+    design = np.hstack([np.ones((len(y), 1)), X])
     coefs, pvals, lls = [], [], []
     n_kept = attempt = 0
     while n_kept < n_reps and attempt < 2 * n_reps:
@@ -437,7 +442,7 @@ def balanced_ensemble(y: np.ndarray, X: np.ndarray, n_reps: int = 1000, seed: in
     # exactly zero when every replicate is identical (no subsampling randomness)
     sd = (coefs - coefs[0]).std(axis=0, ddof=1) if n_kept > 1 else np.zeros(coefs.shape[1])
     return BalancedEnsemble(
-        columns=_logistic_names(columns, X.shape[1]), coefs=coefs,
+        columns=[INTERCEPT, *cov_names], coefs=coefs,
         p_values=np.concatenate(pvals), coef_mean=coefs.mean(axis=0), coef_sd=sd,
         mean_log_likelihood=float(np.mean(lls)),
         mean_pseudo_r2=float(np.mean(pseudo_r2)), max_pseudo_r2=float(np.max(pseudo_r2)),
@@ -465,17 +470,6 @@ class LinearFit:
     n: int
 
 
-def _block(M: np.ndarray | None, names: list[str] | None,
-           prefix: str) -> tuple[np.ndarray | None, list[str]]:
-    """A 2-D float column block and its names; ``(None, [])`` when absent or empty."""
-    if M is None or not np.size(M):
-        return None, []
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M.reshape(-1, 1)
-    return M, list(names) if names is not None else [f"{prefix}{j}" for j in range(M.shape[1])]
-
-
 def fit_linear(y: np.ndarray, X: np.ndarray | None, C: np.ndarray | None = None,
                columns: list[str] | None = None,
                control_columns: list[str] | None = None) -> LinearFit:
@@ -487,10 +481,11 @@ def fit_linear(y: np.ndarray, X: np.ndarray | None, C: np.ndarray | None = None,
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
-    X, cov_names = _block(X, columns, "x")
-    C, ctl_names = _block(C, control_columns, "c")
-    names = [INTERCEPT] + cov_names + ctl_names
-    design = np.hstack([np.ones((n, 1))] + [b for b in (X, C) if b is not None])
+    X, cov_names = _block(n, X, columns, "x")
+    C, ctl_names = _block(n, C, control_columns, "c")
+    names = [INTERCEPT, *cov_names, *ctl_names]
+    # an empty block would change the layout numpy picks, and the fit's last bits with it
+    design = np.hstack([np.ones((n, 1)), *(b for b in (X, C) if b.size)])
     q = design.shape[1]
     _require_residual_df(n, q)
     _check_rank(design, names)
@@ -502,8 +497,7 @@ def fit_linear(y: np.ndarray, X: np.ndarray | None, C: np.ndarray | None = None,
     rinv = np.linalg.inv(rmat)
     cov = sigma2 * (rinv @ rinv.T)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tvals = np.where(se > 0, beta / se, np.inf * np.sign(beta))
+    tvals = _ratio(beta, se)
     pvals = np.array([_t_p(n - q, float(t)) for t in tvals])
     r2 = 1.0 - rss / tss
     adj = 1.0 - (1.0 - r2) * (n - 1) / (n - q)
@@ -602,60 +596,6 @@ def _columns(M: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(M[:, cols].transpose(1, 0, 2))
 
 
-def _fit_stack(kind: str, y: np.ndarray, full: np.ndarray,
-               factor: tuple[np.ndarray, np.ndarray, float], cols: np.ndarray,
-               names: list[str]) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
-    """Scores, coefficients and error texts of the designs ``full[:, cols[b]]``.
-
-    ``names`` are the columns of ``full``, read only to name the
-    collinear columns of a rank-deficient design.
-
-    ``factor`` is ``(R, Qᵀy, ‖y − QQᵀy‖²)`` of ``full = QR``. Rank and
-    linear fits run on the R columns; logistic fits iterate on the full
-    designs. The checks and their messages are those of ``fit_logistic``
-    and ``fit_linear``, in the same order; a failed design scores NaN.
-    """
-    n_fits, q = cols.shape
-    rmat, qty, rss_perp = factor
-    scores = np.full(n_fits, np.nan)
-    coefs = np.full((n_fits, q), np.nan)
-    try:
-        if kind == "logistic":
-            _binary_p_hat(y)
-        else:
-            _require_residual_df(len(y), q)
-    except VcnetError as exc:
-        return scores, coefs, [str(exc)] * n_fits
-    small = _columns(rmat, cols)
-    ok = _full_rank(small, len(y))
-    errors: list[str | None] = [
-        None if rank_ok else str(RankDeficientError(
-            _collinear_columns(full[:, cols[b]], [names[c] for c in cols[b]])))
-        for b, rank_ok in enumerate(ok)]
-    fit_idx = np.flatnonzero(ok)
-    if not fit_idx.size:
-        return scores, coefs, errors
-    if kind == "logistic":
-        stack = _columns(full, cols[fit_idx])
-        beta, _, converged = _irls(stack, y)
-        good = converged & ~_separated(beta)
-        scores[fit_idx[good]] = _log_likelihood(stack[good], beta[good], y)
-        for b in fit_idx[~good]:
-            errors[b] = "did not converge"
-    else:
-        try:
-            tss = _total_ss(y)
-        except ConfigError as exc:
-            for b in fit_idx:
-                errors[b] = str(exc)
-            return scores, coefs, errors
-        # ‖y − Z_S β‖² = ‖y − QQᵀy‖² + ‖Qᵀy − R_S β‖²
-        beta, rss, _ = _ols(small[fit_idx], qty)
-        scores[fit_idx] = 1.0 - (rss_perp + rss) / tss
-    coefs[fit_idx] = beta
-    return scores, coefs, errors
-
-
 def _rank(scores: np.ndarray) -> np.ndarray:
     """Config ids of the scored configurations, best first; ties within ``TIE_RTOL`` by id."""
     ids = np.flatnonzero(~np.isnan(scores))
@@ -680,11 +620,16 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix, configs: np
     configurations rank by log-likelihood, linear ones by R^2. Every
     design is a column subset of the fit sample's full design
     ``Z = [1, F, C]``, which is factored once, ``Z = QR``.
-    Configurations are fitted ``SELECT_CHUNK`` at a time as stacks of
-    their ``R`` columns (linear) or of their full designs (logistic);
-    each keeps only its score and covariate coefficients, and the best is
-    refit with ``fit_logistic`` or ``fit_linear`` for its inference and
-    takes that fit's score. Individual failures are recorded, not fatal.
+    The checks of ``fit_logistic`` and ``fit_linear`` and their messages
+    apply in the same order: those that read only the response run once,
+    and one that fails fails every configuration; rank is decided on each
+    configuration's ``R`` columns; a constant linear response then fails
+    every full-rank configuration. Configurations are fitted
+    ``SELECT_CHUNK`` at a time as stacks of their ``R`` columns (linear)
+    or of their full designs (logistic); each keeps only its score and
+    covariate coefficients, and the best is refit with ``fit_logistic``
+    or ``fit_linear`` for its inference and takes that fit's score.
+    Individual failures are recorded, not fatal.
     """
     if kind not in ("logistic", "linear"):
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -692,29 +637,59 @@ def select_model(kind: str, response: np.ndarray, fm: FeatureMatrix, configs: np
     if configs.ndim != 2 or configs.dtype.kind not in "iu":
         raise ConfigError("configurations must be an (N, g) integer array of column positions")
     y = np.asarray(response, dtype=float)
-    C, ctl_names = (None, []) if kind == "logistic" else _block(controls, control_columns, "c")
-    if C is None:
-        C = np.empty((len(y), 0))
-    full = np.hstack([np.ones((len(y), 1)), fm.data, C])
+    n = len(y)
+    n_configs, g = configs.shape
+    C, ctl_names = _block(n, controls if kind == "linear" else None, control_columns, "c")
+    results = np.empty(n_configs,
+                       dtype=[("score", float), ("coef", float, (g,)), ("error", object)])
+    results["score"] = results["coef"] = np.nan
+    try:  # the checks that read only the response
+        if kind == "logistic":
+            _binary_p_hat(y)
+        else:
+            _require_residual_df(n, 1 + g + C.shape[1])
+    except ConfigError as exc:
+        results["error"], n_configs = str(exc), 0  # every configuration fails; none is fitted
+    constant = None  # a constant linear response: the error of every full-rank configuration
+    if kind == "linear":
+        try:
+            tss = _total_ss(y)
+        except ConfigError as exc:
+            constant = str(exc)
+
+    full = np.hstack([np.ones((n, 1)), fm.data, C])
+    names = [INTERCEPT, *fm.columns, *ctl_names]
     qmat, rmat = np.linalg.qr(full)
     qty = qmat.T @ y
     resid = y - qmat @ qty
-    factor = (rmat, qty, float(resid @ resid))
-    n_configs, g = configs.shape
+    rss_perp = float(resid @ resid)
     ctl_idx = np.arange(1 + fm.data.shape[1], full.shape[1])
-    names = [INTERCEPT, *fm.columns, *ctl_names]
-
-    results = np.empty(n_configs,
-                       dtype=[("score", float), ("coef", float, (g,)), ("error", object)])
     for start in range(0, n_configs, SELECT_CHUNK):
         chunk = configs[start:start + SELECT_CHUNK]
+        block = results[start:start + len(chunk)]
         cols = np.column_stack([np.zeros(len(chunk), dtype=np.intp), 1 + chunk.astype(np.intp),
                                 np.tile(ctl_idx, (len(chunk), 1))])
-        scores, coefs, errors = _fit_stack(kind, y, full, factor, cols, names)
-        block = results[start:start + len(chunk)]
-        block["score"] = scores
-        block["coef"] = np.where(np.isnan(scores)[:, None], np.nan, coefs[:, 1:1 + g])
-        block["error"] = np.array(errors, dtype=object)
+        small = _columns(rmat, cols)
+        ok = _full_rank(small, n)
+        for b in np.flatnonzero(~ok).tolist():
+            block["error"][b] = str(RankDeficientError(
+                _collinear_columns(full[:, cols[b]], [names[c] for c in cols[b]])))
+        fit_idx = np.flatnonzero(ok)
+        if kind == "logistic":
+            stack = _columns(full, cols[fit_idx])
+            beta, _, converged = _irls(stack, y)
+            good = converged & ~_separated(beta)
+            block["error"][fit_idx[~good]] = "did not converge"
+            fit_idx, beta = fit_idx[good], beta[good]
+            block["score"][fit_idx] = _log_likelihood(stack[good], beta, y)
+        elif constant is not None:
+            block["error"][fit_idx] = constant
+            continue
+        else:
+            # ‖y − Z_S β‖² = ‖y − QQᵀy‖² + ‖Qᵀy − R_S β‖²
+            beta, rss, _ = _ols(small[fit_idx], qty)
+            block["score"][fit_idx] = 1.0 - (rss_perp + rss) / tss
+        block["coef"][fit_idx] = beta[:, 1:1 + g]
     sel = ModelSelection(list(fm.columns), configs, results, _rank(results["score"]), None)
     if len(sel.ranked):
         config_id = int(sel.ranked[0])

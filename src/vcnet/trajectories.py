@@ -298,15 +298,25 @@ def regime_rates(ca: ClusterAssignment) -> tuple[int, int, float]:
 # Stage artifacts
 # ---------------------------------------------------------------------------
 
+ASSIGNMENTS_HEADER = ["firm_id", "regime"]
+
+
+def trajectories_header(window: int) -> list[str]:
+    """The header of ``trajectories.csv`` for a ``window``-year grid, t0 to t``window``."""
+    return ["firm_id", "subsector", "first_year", *(f"t{t}" for t in range(window + 1))]
+
+
 def write_trajectories_csv(ts: TrajectorySet, path: str | Path) -> None:
-    write_csv(path, ["firm_id", "subsector", "first_year"] + [f"t{t}" for t in range(ts.window + 1)],
+    write_csv(path, trajectories_header(ts.window),
               ([tr.firm_id, tr.subsector, tr.first_year, *tr.values]
                for tr in sorted(ts.trajectories, key=lambda t: t.firm_id)))
 
 
 def read_trajectories_csv(path: str | Path) -> TrajectorySet:
-    header, rows = read_records(path, lambda row: Trajectory(row[0], row[1], int(row[2]),
-                                                             tuple(int(v) for v in row[3:])))
+    """The trajectories of ``trajectories.csv``, over a grid t0 to tW with W >= 1."""
+    header, rows = read_records(path, lambda header: trajectories_header(max(len(header) - 4, 1)),
+                                lambda row: Trajectory(row[0], row[1], int(row[2]),
+                                                       tuple(int(v) for v in row[3:])))
     return TrajectorySet(len(header) - 4, [t for _, t in rows])
 
 
@@ -315,7 +325,7 @@ def write_exclusions_csv(ts: TrajectorySet, path: str | Path) -> None:
 
 
 def write_assignments_csv(ca: ClusterAssignment, path: str | Path) -> None:
-    write_csv(path, ["firm_id", "regime"], sorted(ca.regimes.items()))
+    write_csv(path, ASSIGNMENTS_HEADER, sorted(ca.regimes.items()))
 
 
 def _assignment(row: list[str]) -> tuple[str, str]:
@@ -325,7 +335,7 @@ def _assignment(row: list[str]) -> tuple[str, str]:
 
 
 def read_assignments_csv(path: str | Path) -> dict[str, str]:
-    return dict(record for _, record in read_records(path, _assignment)[1])
+    return dict(record for _, record in read_records(path, ASSIGNMENTS_HEADER, _assignment)[1])
 
 
 def write_centroids_csv(ca: ClusterAssignment, path: str | Path) -> None:

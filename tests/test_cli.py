@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,18 @@ MALFORMED_ROWS = {
     "assignments_regime": ("trajectories/assignments.csv", "regime", "regress"),
 }
 
+#: Columns dropped from a stage artifact of a finished run, each read shifted
+#: by position before its reader checked the header: (file, a pattern of the
+#: dropped columns, the stage rerun that reads the file).
+DROPPED_COLUMNS = {
+    "trajectories_first_year": ("trajectories/trajectories.csv", "first_year", "regress"),
+    "trajectories_grid": ("trajectories/trajectories.csv", "t[0-9]*", "regress"),
+    "frames_layer": ("centrality/frames.csv", "layer", "backtest"),
+    "frames_pagerank": ("centrality/frames.csv", "pagerank", "backtest"),
+    "covariates_first_amount": ("centrality/covariates.csv", "first_amount", "regress"),
+    "assignments_regime": ("trajectories/assignments.csv", "regime", "regress"),
+}
+
 
 def _edited_json(change):
     """An edit of a JSON file's bytes: ``change`` alters the decoded object in place."""
@@ -134,6 +147,8 @@ REPORT_EDITS = {
     "best_covariates_text": (BEST, _edited_json(lambda best: best.update(covariates="a"))),
     "best_r2_null": (BEST, _edited_json(lambda best: best.update(r2=None))),
     "best_r2_bool": (BEST, _edited_json(lambda best: best.update(r2=False))),
+    "backtest_without_group": ("backtest/backtest.csv", lambda raw: b"".join(
+        line.rsplit(b",", 1)[0] + b"\n" for line in raw.splitlines())),
 }
 
 
@@ -282,6 +297,22 @@ class TestStageProtocol:
             csv.writer(fh, lineterminator="\n").writerows([header, row, *rest])
         assert self._stage(stage, out) == 2
         assert f"{path}: line 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", DROPPED_COLUMNS)
+    def test_artifact_without_a_column_exits_2_naming_the_file(self, name, finished_run,
+                                                               tmp_path, capsys):
+        rel, pattern, stage = DROPPED_COLUMNS[name]
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = out / rel
+        header, *rows = read_table(path)
+        keep = [j for j, column in enumerate(header) if not fnmatch(column, pattern)]
+        assert 0 < len(keep) < len(header)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [row[j] for j in keep] for row in [header, *rows])
+        assert self._stage(stage, out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 1: header must be ")
 
     def test_report_on_malformed_backtest_row_exits_2_naming_file_and_line(self, finished_run,
                                                                            tmp_path, capsys):

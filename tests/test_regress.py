@@ -1055,11 +1055,25 @@ class TestSelectEngine:
         assert not np.isnan(sel.results["score"][1:]).any()
 
     def test_constant_response_fails_every_config_like_the_oracle(self):
+        # The rank check comes before the constant-response check, as in
+        # fit_linear: a configuration holding "dup" beside c0 names its
+        # collinear columns, and every full-rank one fails as constant. The
+        # 2-covariate selection spans two chunks, ("c0", "dup") in the second.
         fm, _, _, C, configs = self._problem(303, n=40)
-        configs = configs[:90]
-        _, sels = _assert_each_length_matches_oracle("linear", np.full(40, 2.5), fm, configs, C)
+        pairs = [c for c in configs if len(c) == 2]
+        assert pairs.index(("c0", "dup")) >= SELECT_CHUNK
+        results, sels = _assert_each_length_matches_oracle("linear", np.full(40, 2.5), fm,
+                                                           configs, C)
         assert all(sel.best is None and len(sel.ranked) == 0 for sel in sels)
         assert sum(len(sel.results) for sel in sels) == len(configs)
+        for _, combo, _, _, err in results:
+            if "dup" in combo:
+                head, named = err.split(": ")
+                assert head == "design matrix is rank deficient; collinear columns"
+                assert set(named.split(", ")) <= set(combo)
+            else:
+                assert err == "response is constant; R^2 undefined"
+        assert sum("dup" in combo for combo in configs) == 2
         _, sels = _assert_each_length_matches_oracle("logistic", np.ones(40), fm, configs)
         assert {e for sel in sels for e in sel.results["error"]} == {
             "logistic response is constant; no model can be fit"}
