@@ -19,8 +19,10 @@ from pathlib import Path
 
 from .backtest import BACKTEST_HEADER
 from .errors import ConfigError, MissingArtifactError, SchemaError, VcnetError
+from .features import read_grouping
 from .ingest import generate_synthetic, read_records, write_synthetic
 from .pipeline import STAGES, RunConfig, load_manifest, run_pipeline, run_stage
+from .regress import PERTURBATION_HEADER, GroupStats
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -111,11 +113,6 @@ def _cmd_synth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _success_rate_row(row: list[str]) -> tuple[str, str, float]:
-    """A ``backtest.csv`` row's measure, start year and success rate."""
-    return row[0], row[1], float(row[2])
-
-
 def _require_keys(path: Path, what: str, obj, types: dict[str, tuple[type, ...]]) -> None:
     """Raise ``SchemaError`` naming ``path`` unless ``obj`` is an object holding every key
     of ``types`` with a value of exactly one of the key's types (so no JSON bool passes
@@ -158,9 +155,19 @@ def _cmd_report(out_dir: str) -> int:
         _require_keys(best_json, "the best fit", best, {"r2": (int, float), "covariates": (list,)})
         print(f"best linear (aggregate) config: R^2={best['r2']:.4f}, "
               f"covariates: {', '.join(best['covariates'])}")
+    pert_csv = out / "regress" / "perturbation_groups.csv"
+    if pert_csv.exists():
+        fg = read_grouping(out / "features" / "dendrogram.csv", out / "features" / "groups.csv")
+        first = {fg.groups[c]: c for c in reversed(fg.leaves)}  # first listed in groups.csv
+        print("specification sweep, linear (aggregate) coefficient per group:")
+        for _, g in read_records(pert_csv, PERTURBATION_HEADER, lambda row: GroupStats(
+                int(row[0]), float(row[1]), float(row[2]), int(row[3]), *map(float, row[4:])))[1]:
+            print(f"  group {g.group:<3} {first.get(g.group, '?'):<28} mean {g.mean:7.3f}  "
+                  f"positive {g.share_positive:.3f}  q05/q50/q95 {g.q05:.3f}/{g.q50:.3f}/{g.q95:.3f}")
     backtest_csv = out / "backtest" / "backtest.csv"
     if backtest_csv.exists():
-        _, records = read_records(backtest_csv, BACKTEST_HEADER, _success_rate_row)
+        _, records = read_records(backtest_csv, BACKTEST_HEADER,
+                                  lambda row: (row[0], row[1], float(row[2])))
         rows = sorted(((measure, rate) for _, (measure, start, rate) in records if start == "ALL"),
                       key=lambda r: -r[1])
         print("backtest mean success rates:")

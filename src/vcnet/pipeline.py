@@ -411,16 +411,14 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
                           list(range(wlo, whi + 1)), k=cfg.kmeans_k, n_init=cfg.kmeans_inits,
                           seed=derive_seed(cfg.seed, "regress", "sweep-kmeans"),
                           log_scale=cfg.kmeans_log_scale)
-    # The grid-year column ``t`` stays, always empty, so the table keeps its layout.
     write_csv(stage_dir / "window_sweep.csv",
-              ["kind", "window", "n_firms", "term", "t", "estimate", "se", "lo95", "hi95"],
-              ([kind, r.window, r.n_firms, r.term, None, r.estimate, r.se, r.lo95, r.hi95]
+              ["kind", "window", "n_firms", "term", "estimate", "se", "lo95", "hi95"],
+              ([kind, r.window, r.n_firms, r.term, r.estimate, r.se, r.lo95, r.hi95]
                for kind, sweep in sweeps.items() for r in sweep.rows))
     info["sweep_firm_counts"] = {str(w): n for w, n in sweeps["linear_agg"].firm_counts.items()}
 
-    pert = perturbation_sweep(fg.groups, selections["linear_agg"])
-    write_perturbation_csv(pert, stage_dir / "perturbation_groups.csv",
-                           stage_dir / "perturbation_samples.csv")
+    write_perturbation_csv(perturbation_sweep(fg.groups, selections["linear_agg"]),
+                           stage_dir / "perturbation_groups.csv")
 
     conf = confusion_vs_standard(regimes, firms, first_years, cfg.window_years)
     _write_json(stage_dir / "confusion.json", vars(conf))

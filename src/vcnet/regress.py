@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import chain
 from pathlib import Path
 
@@ -843,47 +843,44 @@ class GroupStats:
     mean: float
     sd: float
     n_configs: int
+    share_positive: float
+    q05: float
+    q25: float
+    q50: float
+    q75: float
+    q95: float
 
 
-@dataclass
-class PerturbationResult:
-    """Per-group statistics, and the samples as columns, one entry per sample."""
-
-    groups: list[GroupStats]
-    covariates: list[str]     # the names ``covariate`` indexes
-    group: np.ndarray         # (S,) dendrogram group, smallest integer type
-    config_id: np.ndarray     # (S,) smallest integer type
-    covariate: np.ndarray     # (S,) position in ``covariates``
-    estimate: np.ndarray      # (S,) coefficient
+PERTURBATION_HEADER = [f.name for f in fields(GroupStats)]
 
 
-def _narrow(values: np.ndarray) -> np.ndarray:
-    """Integer ``values`` in the smallest integer type that holds them all."""
-    lo, hi = values.min(initial=0), values.max(initial=0)
-    return values.astype(np.min_scalar_type(min(lo, -1 - hi) if lo < 0 else hi))
+def perturbation_sweep(groups: dict[str, int], selection: ModelSelection) -> list[GroupStats]:
+    """Per-group coefficient distribution across the scored configurations, by group id.
 
+    ``groups`` maps every one of the selection's columns to its group.
+    A configuration holds one covariate per group, each group in its own
+    position (``enumerate_configs``), so coefficient column j of the
+    scored configurations is one group's sample, in config id order.
+    Raises ``ConfigError`` when a position of the configurations holds
+    covariates of more than one group, or two positions the same group.
+    With no scored configuration there are no groups.
 
-def perturbation_sweep(groups: dict[str, int], selection: ModelSelection) -> PerturbationResult:
-    """Per-group coefficient distribution across all fitted configurations.
-
-    Each scored configuration contributes, for every dendrogram group,
-    the coefficient of whichever covariate represents that group in it;
-    samples run by config id, then in configuration order. ``groups``
-    maps every one of the selection's columns to its group. The full
-    sample is retained so bimodality can be inspected.
+    ``sd`` is the sample standard deviation (0 for one configuration),
+    ``share_positive`` the share of coefficients strictly above 0, and
+    ``q05`` to ``q95`` are quantiles by numpy's default rule (``linear``:
+    interpolated between the two nearest order statistics).
     """
-    scored = _narrow(np.flatnonzero(~np.isnan(selection.results["score"])))
-    cfg = selection.configs[scored]
-    group_of = _narrow(np.array([groups[c] for c in selection.columns], dtype=np.int64))
-    group = group_of[cfg].ravel()
-    estimate = selection.results["coef"][scored].ravel()
-    stats: list[GroupStats] = []
-    for grp in np.unique(group).tolist():
-        vals = estimate[group == grp]  # in sample order, so the sums are the same
-        sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        stats.append(GroupStats(grp, float(vals.mean()), sd, len(vals)))
-    return PerturbationResult(stats, list(selection.columns), group,
-                              np.repeat(scored, cfg.shape[1]), cfg.ravel(), estimate)
+    group_of = np.array([groups[c] for c in selection.columns])
+    held = [np.unique(group_of[position]).tolist() for position in selection.configs.T]
+    if len({tuple(grps) for grps in held if len(grps) == 1}) < len(held):
+        raise ConfigError(f"perturbation sweep: each configuration position must hold one "
+                          f"group of its own; the positions hold groups {held}")
+    scored = np.flatnonzero(~np.isnan(selection.results["score"]))
+    samples = {grp: selection.results["coef"][scored, j] for j, [grp] in enumerate(held)}
+    return [GroupStats(grp, float(v.mean()), float(v.std(ddof=1)) if len(v) > 1 else 0.0, len(v),
+                       float((v > 0).mean()),
+                       *np.quantile(v, (0.05, 0.25, 0.5, 0.75, 0.95)).tolist())
+            for grp, v in sorted(samples.items()) if len(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -967,11 +964,5 @@ def write_functional_curves(fit: FunctionalFit, out_dir: str | Path) -> None:
                       fit.lo95[j].tolist(), fit.hi95[j].tolist()))
 
 
-def write_perturbation_csv(result: PerturbationResult, groups_path: str | Path,
-                           samples_path: str | Path) -> None:
-    write_csv(groups_path, ["group", "mean", "sd", "n_configs"],
-              ([g.group, g.mean, g.sd, g.n_configs] for g in result.groups))
-    # numpy scalars, row by row: an int64 is written as its ``str``, a float64 as a float
-    write_csv(samples_path, ["group", "config_id", "covariate", "estimate"],
-              zip(result.group, result.config_id, map(result.covariates.__getitem__,
-                                                      result.covariate), result.estimate))
+def write_perturbation_csv(stats: list[GroupStats], path: str | Path) -> None:
+    write_csv(path, PERTURBATION_HEADER, map(astuple, stats))

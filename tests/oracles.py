@@ -729,6 +729,30 @@ def bf_select_model(kind, response, fm, configs, controls=None, control_columns=
     return results, [r[0] for r in scored]
 
 
+def bf_perturbation_sweep(groups, selection):
+    """Per-group statistics over one flattened sample per covariate fitted.
+
+    The reference for ``perturbation_sweep``'s column reads. Every scored
+    configuration contributes, for each of its covariates, the sample
+    ``(group of the covariate, coefficient)``; samples run by config id,
+    then in configuration order, and a group's statistics are taken over
+    its samples in that order. Returns ``(stats, samples)``: ``stats``
+    lists ``(group, mean, sd, n_configs)`` by group id and ``samples``
+    maps each group to its coefficients.
+    """
+    scored = np.flatnonzero(~np.isnan(selection.results["score"]))
+    group_of = np.array([groups[c] for c in selection.columns], dtype=np.int64)
+    group = group_of[selection.configs[scored]].ravel()
+    estimate = selection.results["coef"][scored].ravel()
+    stats, samples = [], {}
+    for grp in np.unique(group).tolist():
+        vals = estimate[group == grp]
+        sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
+        stats.append((grp, float(vals.mean()), sd, len(vals)))
+        samples[grp] = vals
+    return stats, samples
+
+
 # ---------------------------------------------------------------------------
 # Balanced ensemble: one single fit per attempt
 # ---------------------------------------------------------------------------

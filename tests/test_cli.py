@@ -149,6 +149,10 @@ REPORT_EDITS = {
     "best_r2_bool": (BEST, _edited_json(lambda best: best.update(r2=False))),
     "backtest_without_group": ("backtest/backtest.csv", lambda raw: b"".join(
         line.rsplit(b",", 1)[0] + b"\n" for line in raw.splitlines())),
+    "perturbation_without_q95": ("regress/perturbation_groups.csv", lambda raw: b"".join(
+        line.rsplit(b",", 1)[0] + b"\n" for line in raw.splitlines())),
+    "groups_header_not_utf8": ("features/groups.csv",
+                               lambda raw: raw.replace(b"group", b"gr\xffoup", 1)),
 }
 
 
@@ -326,6 +330,18 @@ class TestStageProtocol:
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
         assert main(["report", "--out_dir", str(out)]) == 2
         assert f"{path}: line {i + 2}: " in capsys.readouterr().err
+
+    def test_report_on_malformed_perturbation_row_exits_2_naming_file_and_line(
+            self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = out / "regress" / "perturbation_groups.csv"
+        header, *rows = read_table(path)
+        rows[1][header.index("share_positive")] = "x"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        assert main(["report", "--out_dir", str(out)]) == 2
+        assert f"{path}: line 3: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", REPORT_EDITS)
     def test_report_on_hand_edited_input_exits_2_naming_the_file(self, name, finished_run,
@@ -591,6 +607,13 @@ class TestCliCommands:
         text = capsys.readouterr().out
         assert "regimes:" in text
         assert "backtest mean success rates" in text
+        # one line per perturbation group, naming the group's first covariate in groups.csv
+        first = {}
+        for covariate, group in read_table(out / "features" / "groups.csv")[1:]:
+            first.setdefault(group, covariate)
+        groups = [row[0] for row in read_table(out / "regress" / "perturbation_groups.csv")[1:]]
+        lines = [line.split() for line in text.splitlines() if line.startswith("  group ")]
+        assert [line[1:3] for line in lines] == [[g, first[g]] for g in groups]
 
     def test_report_on_missing_dir_exits_3(self, tmp_path, capsys):
         assert main(["report", "--out_dir", str(tmp_path / "nope")]) == 3

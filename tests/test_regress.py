@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import recorded
 from oracles import (P_VALUE_RTOL, band_halfwidth, bf_balanced_ensemble, bf_collinear_columns,
-                     bf_select_model, logistic_score_max_norm, neg_log_p, scipy_f_p, scipy_t_p)
+                     bf_perturbation_sweep, bf_select_model, logistic_score_max_norm, neg_log_p,
+                     scipy_f_p, scipy_t_p)
 
 from vcnet import regress
 
@@ -799,9 +800,9 @@ class TestPerturbationSweep:
         y = x + 0.5 * z + rng.normal(size=200)
         fm = fm_from(np.column_stack([x, z]), ["x", "z"])
         sel = select_model("linear", y, fm, positions(fm, [("x", "z")]))
-        res = perturbation_sweep({"x": 1, "z": 2}, sel)
-        assert [g.n_configs for g in res.groups] == [1, 1]
-        assert all(g.sd == 0.0 for g in res.groups)
+        stats = perturbation_sweep({"x": 1, "z": 2}, sel)
+        assert [g.n_configs for g in stats] == [1, 1]
+        assert all(g.sd == 0.0 for g in stats)
 
     def test_sign_flipped_pair_is_bimodal(self):
         rng = np.random.default_rng(92)
@@ -811,24 +812,82 @@ class TestPerturbationSweep:
         fm = fm_from(np.column_stack([x, -x, z]), ["x", "neg_x", "z"])
         groups = {"x": 1, "neg_x": 1, "z": 2}
         sel = select_model("linear", y, fm, positions(fm, [("x", "z"), ("neg_x", "z")]))
-        res = perturbation_sweep(groups, sel)
-        g1 = res.estimate[res.group == 1]
-        assert max(g1) > 1.5 and min(g1) < -1.5  # one mode each side of zero
-        assert [res.covariates[p] for p in res.covariate] == ["x", "z", "neg_x", "z"]
-        assert res.config_id.tolist() == [0, 0, 1, 1]
-        assert res.group.dtype == res.config_id.dtype == np.uint8
+        g1, g2 = perturbation_sweep(groups, sel)
+        assert g1.q05 < -1.5 < 1.5 < g1.q95  # one mode each side of zero
+        assert g1.share_positive == 0.5 and g1.n_configs == 2
+        assert g2.group == 2 and g2.n_configs == 2
 
-    def test_samples_hold_groups_in_the_smallest_integer_type_and_write_digits(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_match_the_flattened_samples(self, kind, seed):
+        rng = np.random.default_rng([95, seed])
+        ids = [-1, 300, *rng.choice(np.arange(2, 50), size=rng.integers(0, 3),
+                                    replace=False).tolist()]
+        rng.shuffle(ids)  # positions out of group order: rows still come by group id
+        members = [[f"g{grp}_{k}" for k in range(rng.integers(1, 4))] for grp in ids]
+        members[-1].append("copy")  # twice the first column: configurations with both fail
+        groups = {name: grp for grp, names in zip(ids, members) for name in names}
+        X = rng.normal(size=(80, len(groups) - 1))
+        fm = fm_from(np.column_stack([X, 2.0 * X[:, 0]]), list(groups))
+        eta = X @ rng.normal(size=X.shape[1])
+        y = eta + rng.normal(size=80) if kind == "linear" else \
+            (rng.random(80) < sigmoid(eta)).astype(float)
+        sel = select_model(kind, y, fm, positions(fm, list(itertools.product(*members))))
+        scored = ~np.isnan(sel.results["score"])
+        assert scored.any() and not scored.all()
+        stats = perturbation_sweep(groups, sel)
+        want, samples = bf_perturbation_sweep(groups, sel)
+        assert [(g.group, g.mean, g.sd, g.n_configs) for g in stats] == want
+        assert {-1, 300} <= set(samples)
+        for g in stats:
+            v = samples[g.group]
+            assert g.share_positive == (v > 0).mean()
+            assert [g.q05, g.q25, g.q50, g.q75, g.q95] == \
+                np.quantile(v, [0.05, 0.25, 0.5, 0.75, 0.95]).tolist()
+
+    def test_share_positive_counts_values_strictly_above_zero(self):
+        rng = np.random.default_rng(97)
+        x, z = rng.normal(size=(2, 40))
+        fm = fm_from(np.column_stack([x, z, -z]), ["x", "z", "neg_z"])
+        sel = select_model("linear", x + z + rng.normal(size=40), fm,
+                           positions(fm, [("x", "z"), ("x", "neg_z")]))
+        sel.results["coef"] = [[0.0, -1.0], [2.0, 0.0]]
+        g1, g2 = perturbation_sweep({"x": 1, "z": 2, "neg_z": 2}, sel)
+        assert (g1.share_positive, g1.q50) == (0.5, 1.0)
+        assert (g2.share_positive, g2.q50) == (0.0, -0.5)
+
+    def test_groups_file_holds_one_row_per_group_in_id_order(self, tmp_path):
         rng = np.random.default_rng(94)
         x, z = rng.normal(size=(2, 50))
         fm = fm_from(np.column_stack([x, z]), ["x", "z"])
-        sel = select_model("linear", x + rng.normal(size=50), fm, positions(fm, [("x", "z")]))
-        res = perturbation_sweep({"x": -1, "z": 300}, sel)
-        assert res.group.dtype == np.int16
-        write_perturbation_csv(res, tmp_path / "groups.csv", tmp_path / "samples.csv")
-        rows = (tmp_path / "samples.csv").read_text(encoding="utf-8").splitlines()
-        assert [row.split(",")[:3] for row in rows] == [
-            ["group", "config_id", "covariate"], ["-1", "0", "x"], ["300", "0", "z"]]
+        sel = select_model("linear", x + rng.normal(size=50), fm, positions(fm, [("z", "x")]))
+        write_perturbation_csv(perturbation_sweep({"x": -1, "z": 300}, sel),
+                               tmp_path / "groups.csv")
+        header, *rows = (tmp_path / "groups.csv").read_text(encoding="utf-8").splitlines()
+        assert header == "group,mean,sd,n_configs,share_positive,q05,q25,q50,q75,q95"
+        assert [row.split(",")[0] for row in rows] == ["-1", "300"]
+        assert [row.split(",")[3] for row in rows] == ["1", "1"]
+
+    def test_no_scored_configuration_gives_no_rows(self, tmp_path):
+        x = np.arange(20.0)
+        fm = fm_from(np.column_stack([x, 2.0 * x]), ["x", "x2"])
+        sel = select_model("linear", x, fm, positions(fm, [("x", "x2")]))
+        assert perturbation_sweep({"x": 1, "x2": 2}, sel) == []
+        write_perturbation_csv([], tmp_path / "groups.csv")
+        assert (tmp_path / "groups.csv").read_text(encoding="utf-8") == \
+            "group,mean,sd,n_configs,share_positive,q05,q25,q50,q75,q95\n"
+
+    @pytest.mark.parametrize("configs, groups", [
+        ([("x", "z"), ("z", "x")], {"x": 1, "z": 2}),  # a position mixes two groups
+        ([("x", "z")], {"x": 1, "z": 1}),              # one group in two positions
+    ])
+    def test_configurations_not_one_per_group_are_rejected(self, configs, groups):
+        rng = np.random.default_rng(96)
+        x, z = rng.normal(size=(2, 40))
+        fm = fm_from(np.column_stack([x, z]), ["x", "z"])
+        sel = select_model("linear", x + z + rng.normal(size=40), fm, positions(fm, configs))
+        with pytest.raises(ConfigError, match="perturbation sweep"):
+            perturbation_sweep(groups, sel)
 
     def test_planted_strong_group_mean_exceeds_sd(self):
         rng = np.random.default_rng(93)
@@ -840,8 +899,7 @@ class TestPerturbationSweep:
         fm = fm_from(np.column_stack([strong_a, strong_b, weak]), ["sa", "sb", "w"])
         groups = {"sa": 1, "sb": 1, "w": 2}
         sel = select_model("linear", y, fm, positions(fm, [("sa", "w"), ("sb", "w")]))
-        res = perturbation_sweep(groups, sel)
-        g1 = next(g for g in res.groups if g.group == 1)
+        g1 = next(g for g in perturbation_sweep(groups, sel) if g.group == 1)
         assert g1.mean > g1.sd > 0
 
 
