@@ -16,6 +16,10 @@ break makes a record span lines); only a bad header, or a line the csv
 reader cannot split (a field longer than 131,072 characters; a NUL byte
 before Python 3.11), is fatal. Bytes that are not UTF-8 reject their
 row; in the header they fail the header check.
+
+Every CSV file, the two inputs and the ``ingest/`` copies that later
+stages read back included, goes through ``read_records``: one header
+check, whose error names the file and line 1, and one row check.
 """
 
 from __future__ import annotations
@@ -137,10 +141,8 @@ def parse_deals(deal_csv: str | Path, firm_csv: str | Path) -> ParseResult:
         If either file's header does not match the documented schema.
     """
     result = ParseResult(deals=[], firms={})
-    result.firm_rejects = _parse_rows(firm_csv, FIRM_COLUMNS, "firms.csv", _parse_firm_row,
-                                      result.firms)
-    result.deal_rejects = _parse_rows(deal_csv, DEAL_COLUMNS, "deals.csv", _parse_deal_row,
-                                      result.deals)
+    result.firms = read_firms_csv(firm_csv, result.firm_rejects)
+    result.deals = read_deals_csv(deal_csv, result.deal_rejects)
     for rec in result.deals:
         if rec.firm_id not in result.firms:
             result.firms[rec.firm_id] = FirmMeta(firm_id=rec.firm_id)
@@ -150,87 +152,43 @@ def parse_deals(deal_csv: str | Path, firm_csv: str | Path) -> ParseResult:
     return result
 
 
-def _parse_rows(source: str | Path, columns: list[str], name: str,
-                parse_row: Callable[[list[str], Any], str | None], records: Any) -> list[Reject]:
-    """Check the header, then let ``parse_row`` add each data row to ``records``.
-
-    ``parse_row`` returns the reason a row is rejected, or None once it
-    has added the row; a reject carries the 1-based physical line its
-    record starts on (a quoted line break spans lines). Two kinds
-    of row are rejected first: one with a carriage return in a field
-    (before Python 3.13, ``write_csv`` leaves a bare ``\\r`` unquoted, so
-    the row would split when an artifact is read back) and one holding
-    bytes that are not UTF-8 (``iter_csv`` keeps them as lone surrogates,
-    which no artifact could encode).
-    """
-    rows = iter_csv(source)
-    _, header = next(rows, (1, None))
-    if header != columns:
-        raise SchemaError(f"{name} header must be {','.join(columns)!r}, got {header!r}")
-    rejects = []
-    for line, row in rows:
-        reason = _row_fault(row) or parse_row(row, records)
-        if reason is not None:
-            rejects.append(Reject(line, reason))
-    return rejects
-
-
-def _row_fault(row: list[str]) -> str | None:
-    if any("\r" in cell for cell in row):
-        return "carriage return in a field"
-    try:
-        "".join(row).encode("utf-8")
-    except UnicodeEncodeError:
-        return "invalid UTF-8 in a field"
-    return None
-
-
-def _parse_deal_row(row: list[str], deals: list[DealRecord]) -> str | None:
-    if len(row) != len(DEAL_COLUMNS):
-        return f"expected {len(DEAL_COLUMNS)} fields, got {len(row)}"
+def _parse_deal_row(row: list[str]) -> DealRecord:
     firm_id, investor_id, round_id, raw_date, raw_amount = row
     if not firm_id:
-        return "empty firm_id"
+        raise ValueError("empty firm_id")
     if not investor_id:
-        return "empty investor_id"
+        raise ValueError("empty investor_id")
     if not round_id:
-        return "empty round_id"
+        raise ValueError("empty round_id")
     try:
         when = _parse_date(raw_date)
     except ValueError:
-        return f"invalid date {raw_date!r}"
-    try:
-        amount = _parse_amount(raw_amount)
-    except ValueError as exc:
-        return str(exc)
-    deals.append(DealRecord(firm_id, investor_id, round_id, when, amount))
-    return None
+        raise ValueError(f"invalid date {raw_date!r}") from None
+    return DealRecord(firm_id, investor_id, round_id, when, _parse_amount(raw_amount))
 
 
-def _parse_firm_row(row: list[str], firms: dict[str, FirmMeta]) -> str | None:
-    if len(row) != len(FIRM_COLUMNS):
-        return f"expected {len(FIRM_COLUMNS)} fields, got {len(row)}"
+def _parse_firm_row(row: list[str], firms: dict[str, FirmMeta]) -> FirmMeta:
+    """The firm of ``row``; ``firms`` holds the firms of the rows before it."""
     firm_id, subsector, country, status, raw_status_date = row
     if not firm_id:
-        return "empty firm_id"
+        raise ValueError("empty firm_id")
     if firm_id in firms:
-        return f"duplicate firm_id {firm_id!r}"
+        raise ValueError(f"duplicate firm_id {firm_id!r}")
     if status == "":
         status = "ACTIVE"
     if status not in STATUSES:
-        return f"unknown status {status!r}"
+        raise ValueError(f"unknown status {status!r}")
     status_date: Date | None = None
     if raw_status_date:
         try:
             status_date = _parse_date(raw_status_date)
         except ValueError:
-            return f"invalid status_date {raw_status_date!r}"
+            raise ValueError(f"invalid status_date {raw_status_date!r}") from None
     if status in EXIT_STATUSES and status_date is None:
-        return f"status {status} requires a status_date"
+        raise ValueError(f"status {status} requires a status_date")
     if status not in EXIT_STATUSES and status_date is not None:
-        return f"status {status} must not carry a status_date"
-    firms[firm_id] = FirmMeta(firm_id, subsector, country, status, status_date)
-    return None
+        raise ValueError(f"status {status} must not carry a status_date")
+    return FirmMeta(firm_id, subsector, country, status, status_date)
 
 
 def write_deals(deals: Iterable[DealRecord], target: str | Path) -> None:
@@ -288,15 +246,20 @@ def iter_csv(source: str | Path) -> Iterator[tuple[int, list[str]]]:
 
 
 def read_records(path: str | Path, columns: list[str] | Callable[[list[str]], list[str]],
-                 convert: Callable[[list[str]], Any]
+                 convert: Callable[[list[str]], Any], rejects: list[Reject] | None = None
                  ) -> tuple[list[str], Iterator[tuple[int, Any]]]:
-    """The header of a stage artifact, then ``(line, convert(row))`` for each data row, lazily.
+    """The header of a CSV file, then ``(line, convert(row))`` for each data row, lazily.
 
     ``columns`` is the header the file must have, or a function from the
-    file's header to the header it must have. A file without that header,
-    a row with another field count than the header, and a row whose cells
-    ``convert`` rejects with ``ValueError`` raise ``SchemaError`` naming
-    the file and the line.
+    file's header to the header it must have; a file without that header
+    raises ``SchemaError`` naming the file and line 1. Each row is checked
+    in turn for a carriage return in a field (before Python 3.13,
+    ``write_csv`` leaves a bare ``\\r`` unquoted, so the row would split
+    when read back) or bytes that are not UTF-8 (``iter_csv`` keeps them
+    as lone surrogates, which no artifact could encode), then for its
+    field count, then by ``convert``, which rejects it with
+    ``ValueError``. A bad row raises ``SchemaError`` naming the file and
+    its line, or, if ``rejects`` is a list, lands there as a ``Reject``.
     """
     rows = iter_csv(path)
     _, header = next(rows, (1, None))
@@ -310,30 +273,42 @@ def read_records(path: str | Path, columns: list[str] | Callable[[list[str]], li
     def records():
         for line, row in rows:
             try:
+                _check_cells(row)
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 record = convert(row)
             except ValueError as exc:
-                raise SchemaError(f"{path}: line {line}: {exc}") from exc
-            yield line, record
+                if rejects is None:
+                    raise SchemaError(f"{path}: line {line}: {exc}") from exc
+                rejects.append(Reject(line, str(exc)))
+            else:
+                yield line, record
     return header, records()
 
 
-def _read_canonical(path: str | Path, columns: list[str], name: str, parse_row, records):
-    rejects = _parse_rows(path, columns, name, parse_row, records)
-    if rejects:
-        raise SchemaError(f"{path}: line {rejects[0].line}: {rejects[0].reason}")
-    return records
+def _check_cells(row: list[str]) -> None:
+    text = "".join(row)
+    if "\r" in text:
+        raise ValueError("carriage return in a field")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("invalid UTF-8 in a field") from None
 
 
-def read_deals_csv(path: str | Path) -> list[DealRecord]:
-    """Read back a canonical deals file; any reject is a hard error."""
-    return _read_canonical(path, DEAL_COLUMNS, "deals.csv", _parse_deal_row, [])
+def read_deals_csv(path: str | Path, rejects: list[Reject] | None = None) -> list[DealRecord]:
+    """The deals of a deals file; a bad row is an error, or a reject if ``rejects`` is given."""
+    return [deal for _, deal in read_records(path, DEAL_COLUMNS, _parse_deal_row, rejects)[1]]
 
 
-def read_firms_csv(path: str | Path) -> dict[str, FirmMeta]:
-    """Read back a canonical firms file; any reject is a hard error."""
-    return _read_canonical(path, FIRM_COLUMNS, "firms.csv", _parse_firm_row, {})
+def read_firms_csv(path: str | Path, rejects: list[Reject] | None = None
+                   ) -> dict[str, FirmMeta]:
+    """The firms of a firms file by id; ``rejects`` as for ``read_deals_csv``."""
+    firms: dict[str, FirmMeta] = {}
+    _, rows = read_records(path, FIRM_COLUMNS, lambda row: _parse_firm_row(row, firms), rejects)
+    for _, firm in rows:
+        firms[firm.firm_id] = firm
+    return firms
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +370,12 @@ class SyntheticConfig:
         start, end = self.year_range
         if start > end:
             raise ConfigError(f"year_range start {start} exceeds end {end}")
+        last_exit = start + max(0, end - start - _FOLLOW_ON_SPAN) + _MAX_EXIT_LAG
+        if start < 1 or max(end, last_exit) > Date.max.year:
+            raise ConfigError(f"year_range must lie within calendar years [1, {Date.max.year}], "
+                              f"exits included (the latest in {last_exit}), got {self.year_range}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.high_regime_fraction < 1.0:
             raise ConfigError("high_regime_fraction must lie in (0, 1)")
         if not (0.0 <= self.exit_rate_low <= 1.0 and 0.0 <= self.exit_rate_high <= 1.0):
@@ -425,6 +406,11 @@ _LAMBDA_ROUNDS = {"HIGH": 3.5, "LOW": 1.1}
 _AMOUNT_BOOST = {"HIGH": 1.8, "LOW": 0.0}
 _HUB_SHARE = 20          # one hub investor per 20 investors
 _FOLLOW_ON_SPAN = 10     # follow-on rounds land within 10 years of the first
+_MAX_EXIT_LAG = 6        # an exit comes 2 to 6 years after the first round
+#: The largest log amount drawn: ``math.exp`` overflows a float above about 709.78. Any
+#: amount above ``MAX_AMOUNT`` (about e**43.7) is rejected at ingest, so the clamp
+#: changes no kept deal.
+_MAX_LOG_AMOUNT = 709.0
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> SyntheticDataset:
@@ -477,13 +463,14 @@ def generate_synthetic(cfg: SyntheticConfig) -> SyntheticDataset:
                 count = 1 + int(rng.binomial(2, 0.25))
             picks = _draw_round_investors(rng, investor_ids, n_hubs, count, hub_first=regime == "HIGH")
             for inv in picks:
-                raw = math.exp(rng.normal(cfg.amount_log_mean + _AMOUNT_BOOST[regime], cfg.amount_log_sd))
+                log_amount = rng.normal(cfg.amount_log_mean + _AMOUNT_BOOST[regime], cfg.amount_log_sd)
+                raw = math.exp(min(log_amount, _MAX_LOG_AMOUNT))
                 deals.append(DealRecord(firm, inv, round_id, when, max(1, int(round(raw)))))
 
         exit_rate = cfg.exit_rate_high if regime == "HIGH" else cfg.exit_rate_low
         if rng.random() < exit_rate:
             status = ("ACQUIRED", "IPO", "MERGED")[int(rng.integers(0, 3))]
-            exit_year = first_year + int(rng.integers(2, 7))
+            exit_year = first_year + int(rng.integers(2, _MAX_EXIT_LAG + 1))
             status_date = Date(exit_year, int(rng.integers(1, 13)), int(rng.integers(1, 29)))
         else:
             status = "ACTIVE" if rng.random() < 0.85 else "INACTIVE"

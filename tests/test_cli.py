@@ -21,7 +21,7 @@ from vcnet.centrality import (assemble_covariates, compute_frame, write_covariat
 from vcnet.cli import build_parser, main
 from vcnet.errors import ConfigError
 from vcnet.graph import build_bipartite, project_firms, project_investors
-from vcnet.ingest import read_deals_csv
+from vcnet.ingest import MAX_AMOUNT, read_deals_csv
 from vcnet.pipeline import STAGES, RunConfig, run_pipeline, run_stage
 
 SYNTH = {"n_firms": 80, "n_investors": 40, "n_subsectors": 2,
@@ -68,19 +68,29 @@ WRONG_TYPES = {
 }
 
 
-#: Config values of the right type outside their range: (RunConfig keys, the message).
+#: Config values of the right type outside their range: (RunConfig keys, synthetic keys,
+#: the message).
+YEARS_WITHIN = "year_range must lie within calendar years [1, 9999], exits included"
 OUT_OF_RANGE = {
-    "deals_csv_without_firms_csv": ({"deals_csv": "deals.csv"},
+    "deals_csv_without_firms_csv": ({"deals_csv": "deals.csv"}, {},
                                     "deals_csv and firms_csv must be given together"),
-    "projection_window_0": ({"projection_window": 0}, "projection_window must be >= 1"),
-    "top_n_0": ({"top_n": 0}, "dendrogram_k, kmeans_k, kmeans_inits, balance_reps and top_n "
-                              "must be >= 1"),
-    "horizon_5": ({"horizon": 5}, "horizon must be one of (6, 7, 8), got 5"),
-    "start_years_reversed": ({"start_years": [2010, 2000]},
+    "projection_window_0": ({"projection_window": 0}, {}, "projection_window must be >= 1"),
+    "top_n_0": ({"top_n": 0}, {}, "dendrogram_k, kmeans_k, kmeans_inits, balance_reps and top_n "
+                                  "must be >= 1"),
+    "horizon_5": ({"horizon": 5}, {}, "horizon must be one of (6, 7, 8), got 5"),
+    "start_years_reversed": ({"start_years": [2010, 2000]}, {},
                              "start_years range (2010, 2000) is empty"),
-    "sweep_windows_from_4": ({"sweep_windows": [4, 12]},
+    "sweep_windows_from_4": ({"sweep_windows": [4, 12]}, {},
                              "sweep_windows must lie within [5, 12], got (4, 12)"),
-    "config_limit_negative": ({"config_limit": -1}, "config_limit must be >= 0 (0 = unlimited)"),
+    "config_limit_negative": ({"config_limit": -1}, {},
+                              "config_limit must be >= 0 (0 = unlimited)"),
+    "seed_negative": ({}, {"seed": -3}, "seed must be >= 0, got -3"),
+    "year_range_past_9999": ({}, {"year_range": [9990, 10005]},
+                             f"{YEARS_WITHIN} (the latest in 10001), got (9990, 10005)"),
+    "year_range_exits_past_9999": ({}, {"year_range": [9995, 9999]},
+                                   f"{YEARS_WITHIN} (the latest in 10001), got (9995, 9999)"),
+    "year_range_from_0": ({}, {"year_range": [0, 20]},
+                          f"{YEARS_WITHIN} (the latest in 16), got (0, 20)"),
 }
 
 #: One hand edit to the first data row (line 2) of a stage artifact, and the stage
@@ -98,6 +108,7 @@ MALFORMED_ROWS = {
     "trajectories_t0": ("trajectories/trajectories.csv", "t0", "regress"),
     "assignments_one_field": ("trajectories/assignments.csv", None, "regress"),
     "assignments_regime": ("trajectories/assignments.csv", "regime", "regress"),
+    "ingest_deals_date": ("ingest/deals.csv", "date", "graph"),
 }
 
 #: Columns dropped from a stage artifact of a finished run, each read shifted
@@ -110,6 +121,8 @@ DROPPED_COLUMNS = {
     "frames_pagerank": ("centrality/frames.csv", "pagerank", "backtest"),
     "covariates_first_amount": ("centrality/covariates.csv", "first_amount", "regress"),
     "assignments_regime": ("trajectories/assignments.csv", "regime", "regress"),
+    "ingest_deals_amount": ("ingest/deals.csv", "amount", "graph"),
+    "ingest_firms_status_date": ("ingest/firms.csv", "status_date", "trajectories"),
 }
 
 
@@ -317,6 +330,19 @@ class TestStageProtocol:
                 [row[j] for j in keep] for row in [header, *rows])
         assert self._stage(stage, out) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: line 1: header must be ")
+
+    @pytest.mark.parametrize("firm_id, reason", [(b'"F\r1"', "carriage return in a field"),
+                                                 (b"F\xff1", "invalid UTF-8 in a field")],
+                             ids=["carriage_return", "not_utf8"])
+    def test_bad_bytes_in_an_artifact_cell_exit_2_naming_file_and_line(
+            self, firm_id, reason, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = out / "trajectories" / "assignments.csv"
+        header, first, *rest = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([header, firm_id + first[first.index(b","):], *rest]))
+        assert self._stage("regress", out) == 2
+        assert f"{path}: line 2: {reason}" in capsys.readouterr().err
 
     def test_report_on_malformed_backtest_row_exits_2_naming_file_and_line(self, finished_run,
                                                                            tmp_path, capsys):
@@ -545,6 +571,18 @@ class TestCliCommands:
         assert counts["n_deal_rejects"] == len(rejects) > 0
         assert {reason for _, reason in rejects} == {"amount above the limit 9223372036854775807"}
 
+    def test_synth_draws_past_the_float_limit_write_amounts_ingest_rejects(self, tmp_path):
+        # exp(800) overflows a float: the draw is clamped, and ingest rejects the amount
+        src = tmp_path / "in"
+        assert main(["synth", "--out_dir", str(src), "--synthetic",
+                     json.dumps({**SYNTH, "amount_log_mean": 800.0})]) == 0
+        amounts = [int(row[4]) for row in read_table(src / "deals.csv")[1:]]
+        assert min(amounts) > MAX_AMOUNT
+        counts = run_stage("ingest", make_cfg(tmp_path / "out", synthetic=None,
+                                              deals_csv=str(src / "deals.csv"),
+                                              firms_csv=str(src / "firms.csv")))
+        assert counts["n_deals"] == 0 and counts["n_deal_rejects"] == len(amounts) > 0
+
     def test_full_run_from_csv_inputs(self, tmp_path, finished_run):
         # the CSV branch must reproduce the synthetic branch's artifacts
         # (identical data reaches the pipeline either way)
@@ -591,7 +629,8 @@ class TestCliCommands:
     def test_invalid_utf8_header_exits_2(self, tmp_path, capsys):
         code = self._ingest_csv(tmp_path, b"\xff\xfefirm_id,investor_id,round_id,date,amount\n")
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: deals.csv header must be ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'deals.csv'}: line 1: header must be ")
 
     def test_field_over_the_csv_limit_exits_2_naming_file_and_line(self, tmp_path, capsys):
         code = self._ingest_csv(tmp_path, b"firm_id,investor_id,round_id,date,amount\n"
@@ -690,10 +729,10 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("name", OUT_OF_RANGE)
     def test_out_of_range_config_value_exits_2_with_its_message(self, name, tmp_path, capsys):
-        over, message = OUT_OF_RANGE[name]
+        over, synthetic, message = OUT_OF_RANGE[name]
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **FAST, **over,
-                                        "synthetic": {**SYNTH, "n_firms": 40}}))
+                                        "synthetic": {**SYNTH, "n_firms": 40, **synthetic}}))
         assert main(["run", "--config", str(cfg_file)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()

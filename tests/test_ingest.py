@@ -119,7 +119,7 @@ class TestParseDeals:
                                          Reject(4, "negative amount -" + "1" * 700)]
 
     def test_bad_header_is_fatal(self):
-        with pytest.raises(SchemaError, match="deals.csv header must be"):
+        with pytest.raises(SchemaError, match="deals.csv: line 1: header must be "):
             parse_recorded(b"firm,investor\nx,y\n", FIRM_HEADER)
 
     def test_missing_firm_metadata_synthesized_with_warning(self):
