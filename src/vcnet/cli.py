@@ -4,8 +4,9 @@ Subcommands: ``run`` (full pipeline), ``stage <name>`` (one stage from
 prior stage outputs), ``synth`` (write synthetic input CSVs), and
 ``report`` (summarize a finished run). Configuration comes from a JSON
 file of RunConfig keys; every key can be overridden by a command-line
-flag of the same name. Exit codes: 0 success, 1 internal error, 2 input
-error, 3 missing upstream artifact.
+flag of the same name, whose value is JSON (two values for a pair) except
+for a path. Exit codes: 0 success, 1 internal error, 2 input error, 3
+missing upstream artifact.
 """
 
 from __future__ import annotations
@@ -30,32 +31,23 @@ EXIT_INPUT = 2
 EXIT_MISSING_ARTIFACT = 3
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {raw!r}")
+def JSON(raw: str):  # argparse names a type in its error: "invalid JSON value: 'yes'"
+    return json.loads(raw)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One ``--<key>`` flag per RunConfig field, typed by the field's annotation."""
+    """One ``--<key>`` flag per RunConfig field: a path for a ``str`` field, else a JSON
+    value, two of them for a pair. A flag not given leaves no attribute."""
     parser.add_argument("--config", metavar="FILE", help="JSON config file of RunConfig keys")
     hints = typing.get_type_hints(RunConfig)
     for f in dataclasses.fields(RunConfig):
         hint = hints[f.name]
         items = typing.get_args(hint)  # (X, NoneType) for X | None, (X, X) for a pair
-        if f.name == "synthetic":
-            parser.add_argument("--synthetic", default=None, metavar="JSON",
-                                help="inline JSON object of SyntheticConfig keys")
-        elif typing.get_origin(hint) is tuple:
-            parser.add_argument(f"--{f.name}", nargs=len(items), type=items[0], default=None,
-                                metavar=("LO", "HI"))
+        if str in (hint, *items):
+            parser.add_argument(f"--{f.name}", default=argparse.SUPPRESS, metavar="PATH")
         else:
-            base = items[0] if items else hint
-            parser.add_argument(f"--{f.name}", type=_parse_bool if base is bool else base,
-                                default=None)
+            parser.add_argument(f"--{f.name}", type=JSON, default=argparse.SUPPRESS,
+                                nargs=len(items) if typing.get_origin(hint) is tuple else None)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -66,19 +58,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes too
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name)
-        if value is not None and f.name != "synthetic":
-            raw[f.name] = value
-    if args.synthetic is not None:
-        try:
-            raw["synthetic"] = json.loads(args.synthetic)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--synthetic is not valid JSON: {exc}") from exc
-    if "out_dir" not in raw:
-        raise ConfigError("out_dir must be set (flag --out_dir or config key)")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path} does not hold a JSON object")
+    raw.update((k, v) for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__)
     return RunConfig.from_dict(raw)
 
 

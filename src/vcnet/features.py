@@ -47,7 +47,8 @@ class FeatureMatrix:
 def matrix_from_covariates(rows: list[FirmCovariates], columns: list[str]) -> FeatureMatrix:
     """Stack covariate rows (sorted by firm id) into a raw FeatureMatrix."""
     ordered = sorted(rows, key=lambda r: r.firm_id)
-    data = np.array([[r.values[c] for c in columns] for r in ordered], dtype=float)
+    data = np.array([[r.values[c] for c in columns] for r in ordered], dtype=float).reshape(
+        len(ordered), len(columns))
     return FeatureMatrix([r.firm_id for r in ordered], list(columns), data)
 
 
@@ -74,7 +75,7 @@ def preprocess(raw: FeatureMatrix, skew_threshold: float = 1.0) -> FeatureMatrix
     out = FeatureMatrix(list(raw.row_ids), [], np.empty((len(raw.row_ids), 0)))
     for j, col in enumerate(raw.columns):
         x = raw.data[:, j].astype(float)
-        if np.ptp(x) == 0.0 or len(x) < 2:
+        if len(x) < 2 or np.ptp(x) == 0.0:
             out.dropped.append((col, "zero variance"))
             warnings.warn(f"covariate {col!r} has zero variance; dropped")
             continue

@@ -28,7 +28,7 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date as Date
 from numbers import Integral, Real
 from pathlib import Path
@@ -315,13 +315,38 @@ def read_firms_csv(path: str | Path, rejects: list[Reject] | None = None
 # Synthetic data with planted two-regime structure
 # ---------------------------------------------------------------------------
 
+def from_json(cls: type, raw: dict) -> Any:
+    """Dataclass ``cls`` from the JSON object ``raw``, each value converted by its field's
+    annotation: a list becomes a tuple, an object the dataclass the annotation names,
+    recursively; other values stay as they are, for ``check_field_types`` to check.
+
+    Raises ``ConfigError`` for a key that names no field, or a field without a default
+    that ``raw`` lacks.
+    """
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config key {f.name!r} must be set")
+    hints = get_type_hints(cls)
+    return cls(**{key: _from_json_value(value, hints[key]) for key, value in raw.items()})
+
+
+def _from_json_value(value: Any, hint: Any) -> Any:
+    target = next((a for a in (hint, *get_args(hint)) if is_dataclass(a)), None)
+    if isinstance(value, dict) and target is not None:
+        return from_json(target, value)
+    return tuple(value) if isinstance(value, list) else value
+
+
 def check_field_types(cfg: Any) -> None:
     """Raise ``ConfigError`` naming the first field of dataclass ``cfg`` its annotation rejects.
 
     An ``int`` field takes an integer that is not a bool, a ``float`` field
-    also an integer, a ``bool`` field only a bool, a ``tuple[int, int]``
-    field two integers and any other class its instances; ``X | None`` also
-    takes None.
+    a finite integer or real (no NaN or ±Infinity), a ``bool`` field only a
+    bool, a ``tuple[int, int]`` field two integers and any other class its
+    instances; ``X | None`` also takes None.
     """
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
@@ -337,7 +362,8 @@ def _fits(value: Any, hint: Any) -> bool:
     if args:  # X | None
         return any(_fits(value, a) for a in args)
     return (isinstance(value, {int: Integral, float: Real}.get(hint, hint))
-            and isinstance(value, bool) == (hint is bool))
+            and isinstance(value, bool) == (hint is bool)
+            and (hint is not float or math.isfinite(value)))
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ from .features import (correlation_dendrogram, cut_groups, enumerate_configs,
                        write_feature_matrix_csv, write_grouping_csv, write_transforms_csv)
 from .graph import BOTH, FIRM, INVESTOR, build_bipartite, first_rounds, project_firms, \
     project_investors
-from .ingest import (SyntheticConfig, check_field_types, generate_synthetic, parse_deals,
-                     read_deals_csv, read_firms_csv, write_csv, write_deals, write_firms,
-                     write_rejects, write_synthetic)
+from .ingest import (SyntheticConfig, check_field_types, from_json, generate_synthetic,
+                     parse_deals, read_deals_csv, read_firms_csv, write_csv, write_deals,
+                     write_firms, write_rejects, write_synthetic)
 from .regress import (balanced_ensemble, confusion_vs_standard, fit_dict, fit_function_on_scalar,
                       perturbation_sweep, responses, select_model, window_sweep,
                       write_functional_curves, write_leaderboard_csv, write_perturbation_csv)
@@ -103,27 +103,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        data = dict(raw)
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        # JSON gives lists for pairs and a dict for ``synthetic``; ``validate`` rejects other types.
-        if isinstance(data.get("synthetic"), dict):
-            syn = dict(data["synthetic"])
-            if isinstance(syn.get("year_range"), list):
-                syn["year_range"] = tuple(syn["year_range"])
-            try:
-                data["synthetic"] = SyntheticConfig(**syn)
-            except TypeError as exc:
-                raise ConfigError(f"bad synthetic config: {exc}") from exc
-        for key in ("start_years", "sweep_windows"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
-        try:
-            cfg = cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
-        return cfg
+        """The config of the JSON object ``raw``, converted by ``from_json``."""
+        return from_json(cls, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +278,7 @@ def stage_trajectories(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
                                log_scale=cfg.kmeans_log_scale)
     else:
         _warnings.warn(f"no firm retained for a {cfg.window_years}-year window")
-        ca = ClusterAssignment(ts.window, "log1p" if cfg.kmeans_log_scale else "raw",
-                               {}, {}, {}, {})
+        ca = ClusterAssignment(ts.window, "log1p" if cfg.kmeans_log_scale else "raw", {}, {}, {})
     write_trajectories_csv(ts, stage_dir / "trajectories.csv")
     write_exclusions_csv(ts, stage_dir / "exclusions.csv")
     write_assignments_csv(ca, stage_dir / "assignments.csv")
@@ -402,7 +382,7 @@ def stage_regress(cfg: RunConfig, out: Path, stage_dir: Path) -> dict:
     _, Y, _, _ = responses("functional", trajs, regimes, first_amounts, subsectors)
     fos = fit_function_on_scalar(Y, sub_fm.select(best_agg.covariates),
                                  list(best_agg.covariates))
-    write_functional_curves(fos, stage_dir)
+    write_functional_curves(fos, stage_dir / "functional_curves.csv")
 
     # Stability sweeps, linear first.
     wlo, whi = cfg.sweep_windows

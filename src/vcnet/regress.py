@@ -956,12 +956,13 @@ def write_leaderboard_csv(selection: ModelSelection, path: str | Path) -> None:
          for i in np.flatnonzero(np.isnan(scores)))))
 
 
-def write_functional_curves(fit: FunctionalFit, out_dir: str | Path) -> None:
-    """One ``t,estimate,se,lo95,hi95`` CSV per coefficient curve."""
-    for j, name in enumerate(fit.columns):
-        write_csv(Path(out_dir) / f"functional_{name}.csv", ["t", "estimate", "se", "lo95", "hi95"],
-                  zip(range(fit.coef.shape[1]), fit.coef[j].tolist(), fit.se[j].tolist(),
-                      fit.lo95[j].tolist(), fit.hi95[j].tolist()))
+def write_functional_curves(fit: FunctionalFit, path: str | Path) -> None:
+    """Every coefficient curve in one table, terms in fit order: one
+    ``term,t,estimate,se,lo95,hi95`` row per term and grid point."""
+    curves = [getattr(fit, a).tolist() for a in ("coef", "se", "lo95", "hi95")]
+    write_csv(path, ["term", "t", "estimate", "se", "lo95", "hi95"],
+              ([name, t, *cells] for j, name in enumerate(fit.columns)
+               for t, cells in enumerate(zip(*(curve[j] for curve in curves)))))
 
 
 def write_perturbation_csv(stats: list[GroupStats], path: str | Path) -> None:

@@ -109,7 +109,6 @@ class ClusterAssignment:
     regimes: dict[str, str]                      # firm_id -> HIGH | LOW
     centroids: dict[str, np.ndarray]             # subsector -> (k, W+1), clustering scale
     cluster_regimes: dict[str, list[str]]        # subsector -> regime of each cluster
-    wcss: dict[str, float]                       # subsector -> within-cluster sum of squares
 
 
 def _quad_weights(n_grid: int) -> np.ndarray:
@@ -254,7 +253,7 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
         raise ConfigError(f"k, n_init and max_iter must all be >= 1, got {k}, {n_init}, {max_iter}")
     window = len(trajs[0].values) - 1 if trajs else 0
     w = _quad_weights(window + 1)
-    ca = ClusterAssignment(window, "log1p" if log_scale else "raw", {}, {}, {}, {})
+    ca = ClusterAssignment(window, "log1p" if log_scale else "raw", {}, {}, {})
 
     by_sub: dict[str, list[Trajectory]] = {}
     for t in trajs:
@@ -282,7 +281,6 @@ def functional_kmeans(trajs: list[Trajectory], k: int = 2, n_init: int = 100,
             ca.regimes[t.firm_id] = labels[j]
         ca.centroids[sub] = centroids
         ca.cluster_regimes[sub] = labels
-        ca.wcss[sub] = float(objs[best])
     return ca
 
 

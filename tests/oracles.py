@@ -906,11 +906,11 @@ def bf_functional_kmeans(trajs, k=2, n_init=100, seed=0, log_scale=True, max_ite
 
     scale = "log1p" if log_scale else "raw"
     if not trajs:
-        return ClusterAssignment(0, scale, {}, {}, {}, {})
+        return ClusterAssignment(0, scale, {}, {}, {})
     window = len(trajs[0].values) - 1
     w = np.ones(window + 1)
     w[0] = w[-1] = 0.5
-    ca = ClusterAssignment(window, scale, {}, {}, {}, {})
+    ca = ClusterAssignment(window, scale, {}, {}, {})
     by_sub = {}
     for t in trajs:
         by_sub.setdefault(t.subsector, []).append(t)
@@ -931,7 +931,7 @@ def bf_functional_kmeans(trajs, k=2, n_init=100, seed=0, log_scale=True, max_ite
             assign, centroids, obj = bf_lloyd(X, X[init_idx].copy(), w, max_iter)
             if best is None or (obj, restart) < (best[0], best[1]):
                 best = (obj, restart, assign, centroids)
-        obj, _, assign, centroids = best
+        _, _, assign, centroids = best
         terminal = centroids[:, -1]
         high_cluster = max(range(k), key=lambda j: (terminal[j], centroids[j].mean(), -j))
         labels = [HIGH if j == high_cluster else LOW for j in range(k)]
@@ -939,7 +939,6 @@ def bf_functional_kmeans(trajs, k=2, n_init=100, seed=0, log_scale=True, max_ite
             ca.regimes[t.firm_id] = labels[j]
         ca.centroids[sub] = centroids
         ca.cluster_regimes[sub] = labels
-        ca.wcss[sub] = obj
     return ca
 
 

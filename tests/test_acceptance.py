@@ -131,7 +131,7 @@ def test_c5_reference_arithmetic():
     assert round(rep.recall, 2) == 0.31
     regimes = {f"h{i}": HIGH for i in range(519)}
     regimes.update({f"l{i}": "LOW" for i in range(3072 - 519)})
-    _, _, share = regime_rates(ClusterAssignment(10, "log1p", regimes, {}, {}, {}))
+    _, _, share = regime_rates(ClusterAssignment(10, "log1p", regimes, {}, {}))
     assert round(share * 100, 2) == 16.89
     report(5, "reference arithmetic",
            "confusion cells (294,664,225,1889) -> 0.71/0.57/0.31; 519/3072 -> 16.89%")

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 import vcnet
-from vcnet import pipeline, regress, trajectories
+from vcnet import cli, pipeline, regress, trajectories
 from vcnet.centrality import (assemble_covariates, compute_frame, write_covariates_csv,
                               write_frames_csv)
 from vcnet.cli import build_parser, main
 from vcnet.errors import ConfigError
 from vcnet.graph import build_bipartite, project_firms, project_investors
-from vcnet.ingest import MAX_AMOUNT, read_deals_csv
+from vcnet.ingest import MAX_AMOUNT, SyntheticConfig, read_deals_csv
 from vcnet.pipeline import STAGES, RunConfig, run_pipeline, run_stage
 
 SYNTH = {"n_firms": 80, "n_investors": 40, "n_subsectors": 2,
@@ -50,6 +50,9 @@ DEGENERATE_RUNS = {
                    "is constant; no model can be fit"),
     "kmeans_k_12": ({}, ["--kmeans_k", "12"], "regress",
                     "minority class has 3 rows; need at least 8"),
+    # exp(50) is above the amount limit: ingest keeps no deal, so no firm has covariates
+    "no_deals": ({"n_firms": 40, "amount_log_mean": 50.0}, [], "features",
+                 "cannot cut 0 covariates into 7 groups"),
 }
 
 
@@ -65,6 +68,22 @@ WRONG_TYPES = {
     "n_firms_float": ({}, {"n_firms": 40.5}),
     "year_range_one_year": ({}, {"year_range": [2000]}),
     "seed_string": ({}, {"seed": "x"}),
+    "skew_threshold_nan": ({"skew_threshold": float("nan")}, {}),
+    "amount_log_mean_infinity": ({}, {"amount_log_mean": float("inf")}),
+    "high_regime_fraction_nan": ({}, {"high_regime_fraction": float("nan")}),
+}
+
+#: Flag values that are not finite: (command, flags, synthetic keys, the key the error names).
+NON_FINITE_FLAGS = {
+    "run_skew_threshold_nan": ("run", ["--skew_threshold", "NaN"], {}, "skew_threshold"),
+    "run_skew_threshold_minus_infinity": ("run", ["--skew_threshold=-Infinity"], {},
+                                          "skew_threshold"),
+    "synth_skew_threshold_infinity": ("synth", ["--skew_threshold", "Infinity"], {},
+                                      "skew_threshold"),
+    "synth_amount_log_mean_nan": ("synth", [], {"amount_log_mean": float("nan")},
+                                  "amount_log_mean"),
+    "run_exit_rate_low_minus_infinity": ("run", [], {"exit_rate_low": -float("inf")},
+                                         "exit_rate_low"),
 }
 
 
@@ -250,6 +269,25 @@ class TestStageProtocol:
             shutil.rmtree(out / name)
             assert self._stage(name, out) == 0
             assert tree_files(out / name) == tree_files(finished_run[0] / name)
+
+    def test_regress_rerun_on_other_covariates_leaves_only_its_own_files(self, finished_run,
+                                                                         tmp_path):
+        # every coefficient curve goes to one table, so no curve of the earlier fit is left
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        assert self._stage("features", out, "--dendrogram_k", "3") == 0
+        assert self._stage("regress", out, "--dendrogram_k", "3") == 0
+        assert sorted(p.name for p in (out / "regress").iterdir()) == [
+            "balanced_ensemble.json", "balanced_replicates.csv", "confusion.json",
+            "functional_curves.csv", "linear_agg_best.json", "linear_agg_leaderboard.csv",
+            "linear_diff_best.json", "linear_diff_leaderboard.csv", "logistic_best.json",
+            "logistic_leaderboard.csv", "perturbation_groups.csv", "window_sweep.csv"]
+        best = json.loads((out / "regress" / "linear_agg_best.json").read_text())
+        header, *rows = read_table(out / "regress" / "functional_curves.csv")
+        assert header == ["term", "t", "estimate", "se", "lo95", "hi95"]
+        terms = ["intercept", *best["covariates"]]
+        assert len(terms) == 4
+        assert [row[:2] for row in rows] == [[term, str(t)] for term in terms for t in range(11)]
 
     def test_regress_fits_the_groups_the_features_stage_cut(self, tmp_path):
         out = tmp_path / "k6"
@@ -706,6 +744,66 @@ class TestCliCommands:
         assert config["skew_threshold"] == 0.5
         assert config["seed"] == 3
         assert config["synthetic"]["year_range"] == SYNTH["year_range"]
+
+    def test_flags_are_json_values_except_paths(self):
+        args = build_parser().parse_args(["synth", "--out_dir", "123", "--deals_csv", "true",
+                                          "--firms_csv", "null", "--start_years", "2001", "2009",
+                                          "--synthetic", json.dumps(SYNTH), "--top_n", "null"])
+        cfg = cli._build_config(args)
+        assert (cfg.out_dir, cfg.deals_csv, cfg.firms_csv) == ("123", "true", "null")
+        assert cfg.start_years == (2001, 2009)
+        assert cfg.synthetic == SyntheticConfig(**{**SYNTH, "year_range": (2000, 2020)})
+        assert cfg.top_n is None  # given, so validate rejects it
+        assert cfg.kmeans_log_scale is True  # a flag not given leaves the default
+
+    @pytest.mark.parametrize("value", ["yes", "True", "on"])
+    def test_boolean_flag_takes_only_json_booleans(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out_dir", str(tmp_path / "in"), "--synthetic", json.dumps(SYNTH),
+                  "--kmeans_log_scale", value])
+        assert exc.value.code == 2
+        assert f"argument --kmeans_log_scale: invalid JSON value: {value!r}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "in").exists()
+
+    def test_boolean_flag_of_a_json_number_exits_2_naming_the_key(self, tmp_path, capsys):
+        assert main(["synth", "--out_dir", str(tmp_path / "in"), "--synthetic", json.dumps(SYNTH),
+                     "--kmeans_log_scale", "1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: config key 'kmeans_log_scale' must be bool, got 1\n"
+
+    @pytest.mark.parametrize("name", NON_FINITE_FLAGS)
+    def test_non_finite_flag_exits_2_naming_the_key(self, name, tmp_path, capsys):
+        command, flags, synthetic, key = NON_FINITE_FLAGS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([command, "--out_dir", str(tmp_path / "out"), *FAST_FLAGS, *flags,
+                         "--synthetic", json.dumps({**SYNTH, **synthetic})])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be float, got ")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_synthetic_key_exits_2_like_a_top_level_one(self, tmp_path, capsys):
+        assert main(["synth", "--out_dir", str(tmp_path / "in"),
+                     "--synthetic", json.dumps({**SYNTH, "n_rounds": 3})]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['n_rounds']\n"
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--synthetic", json.dumps(SYNTH)], "out_dir"),
+        (["--out_dir", "x", "--synthetic",
+          json.dumps({k: v for k, v in SYNTH.items() if k != "n_firms"})], "n_firms"),
+    ], ids=["out_dir", "synthetic_n_firms"])
+    def test_missing_required_key_exits_2_naming_it(self, flags, key, capsys):
+        assert main(["synth", *flags]) == 2
+        assert capsys.readouterr().err == f"error: config key {key!r} must be set\n"
+
+    @pytest.mark.parametrize("text", [b"[1, 2]", b'"x"', b"\xff{}"],
+                             ids=["array", "string", "not-utf8"])
+    def test_config_file_not_a_json_object_exits_2(self, text, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(text)
+        assert main(["synth", "--config", str(cfg_file), "--out_dir", str(tmp_path / "in")]) == 2
+        assert capsys.readouterr().err.startswith("error: config file ")
 
     @pytest.mark.parametrize("key, value", [("typo_key", 1), ("dump_graphs", False),
                                             ("frames_years", "all")])
